@@ -61,6 +61,9 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args):
+        jobs = getattr(args, "jobs", 1)
+        if jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {jobs}")
         return cls(
             q=args.q,
             e=args.e,
@@ -68,7 +71,7 @@ class RunConfig:
             seed=getattr(args, "seed", 0),
             fmt=getattr(args, "format", None),
             out=getattr(args, "out", None),
-            jobs=getattr(args, "jobs", 1),
+            jobs=min(jobs, os.cpu_count() or 1),
         )
 
 
@@ -187,10 +190,6 @@ def cmd_build(args) -> int:
     _atomic_write(out, _serialize(obj, fmt))
     print(f"{_summary(obj)} -> {out}")
     return 0
-
-
-def cmd_export(args) -> int:
-    return cmd_build(args)
 
 
 # -- verify -----------------------------------------------------------------
@@ -335,12 +334,14 @@ def cmd_verify(args) -> int:
     if args.check == "all":
         t0 = time.time()
         sub = []
+        skipped = []
         for name in ("design", "spectrum", "thm1", "drg", "prank", "aut-sample", "aut-exhaustive"):
             if name == "aut-exhaustive" and (cfg.q, cfg.e) != (2, 2):
+                skipped.append({"check": name, "reason": "exhaustive enumeration runs only at (q,e)=(2,2)"})
                 continue
             sub.append(_VERIFIERS[name](cfg))
         ok = all(r["pass"] for r in sub)
-        report = _report(cfg, "all", ok, {"reports": sub}, t0)
+        report = _report(cfg, "all", ok, {"reports": sub, "skipped": skipped}, t0)
     else:
         report = _VERIFIERS[args.check](cfg)
     return _emit_report(cfg, report)
@@ -371,12 +372,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("build", help="construct an object and write it to a file")
-    b.add_argument("kind", choices=["grassmann", "twisted", "pg-design", "jt-design"])
-    b.add_argument("--n", type=int, help="ambient dimension (grassmann only, default 2e+1)")
-    b.add_argument("--k", type=int, help="subspace dimension (grassmann only, default e)")
-    _add_common(b, with_format=True)
-    b.set_defaults(func=cmd_build)
+    for name, text in (
+        ("build", "construct an object and write it to a file"),
+        ("export", "serialize an object in a chosen format"),
+    ):
+        b = sub.add_parser(name, help=text)
+        b.add_argument("kind", choices=["grassmann", "twisted", "pg-design", "jt-design"])
+        b.add_argument("--n", type=int, help="ambient dimension (grassmann only, default 2e+1)")
+        b.add_argument("--k", type=int, help="subspace dimension (grassmann only, default e)")
+        _add_common(b, with_format=True)
+        b.set_defaults(func=cmd_build)
 
     v = sub.add_parser("verify", help="run a verification and emit a JSON report")
     v.add_argument(
@@ -385,13 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(v)
     v.set_defaults(func=cmd_verify)
-
-    x = sub.add_parser("export", help="serialize an object in a chosen format")
-    x.add_argument("kind", choices=["grassmann", "twisted", "pg-design", "jt-design"])
-    x.add_argument("--n", type=int, help="ambient dimension (grassmann only, default 2e+1)")
-    x.add_argument("--k", type=int, help="subspace dimension (grassmann only, default e)")
-    _add_common(x, with_format=True)
-    x.set_defaults(func=cmd_export)
 
     return ap
 

@@ -12,10 +12,11 @@ or irregular graphs) raise instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+
+import numpy as np
 
 from .gf import field_new
-from .geometry import Design, DesignParameters, Graph, f_map
+from .geometry import Design, DesignParameters, Graph, _pair_counts, f_map
 from .linalg import Matrix
 from .polarity import Polarity
 from .subspace import Subspace
@@ -228,30 +229,30 @@ def check_2design(d: Design):
         if len(blk) != k:
             return NotDesign("block_size", (bi,), k, len(blk))
     v = d.v
-    rep = [0] * v
-    paircount = {}
-    for blk in d.blocks:
-        for p in blk:
-            rep[p] += 1
-        for a, bb in combinations(blk, 2):
-            paircount[(a, bb)] = paircount.get((a, bb), 0) + 1
-    r = rep[0]
-    for p in range(v):
-        if rep[p] != r:
-            return NotDesign("replication", (p,), r, rep[p])
-    lam = paircount.get((0, 1), 0)
-    for a in range(v):
-        for bb in range(a + 1, v):
-            got = paircount.get((a, bb), 0)
-            if got != lam:
-                return NotDesign("pair_count", (a, bb), lam, got)
+    inc = d.incidence()
+    rep = inc.sum(axis=0, dtype=np.int64)
+    r = int(rep[0])
+    (bad,) = np.nonzero(rep != r)
+    if bad.size:
+        p = int(bad[0])
+        return NotDesign("replication", (p,), r, int(rep[p]))
+    lam = 0
+    cols = np.arange(v)
+    for start, counts in _pair_counts(inc.T):
+        if start == 0 and v > 1:
+            lam = int(counts[0, 1])
+        rows = np.arange(start, start + len(counts))
+        wrong = np.argwhere((counts != lam) & (cols > rows[:, None]))
+        if len(wrong):
+            a, bb = (int(x) for x in wrong[0])
+            return NotDesign("pair_count", (start + a, bb), lam, int(counts[a, bb]))
     return DesignParameters(v=v, b=d.b, r=r, k=k, lambda_=lam)
 
 
 def p_rank(d: Design, p: int) -> int:
     """Rank of the b x v incidence matrix over GF(p)."""
     field = field_new(p, 1)
-    return Matrix(field, d.incidence_rows()).rank()
+    return Matrix(field, d.incidence().tolist()).rank()
 
 
 def vertex_statistics(g: Graph):

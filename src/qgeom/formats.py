@@ -8,6 +8,8 @@ identical objects serialize byte-identically.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .geometry import Design, Graph
 
 _G6_MAX = 258047
@@ -25,20 +27,16 @@ def _g6_size(n: int) -> str:
 
 def encode_graph6(g: Graph) -> str:
     n = g.n
-    bits = []
+    width = (n + 7) // 8
+    nbits = n * (n - 1) // 2
+    bits = np.zeros(-(-nbits // 6) * 6, dtype=np.uint8)  # zero-padded to whole groups
+    k = 0
     for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            bits.append((col >> i) & 1)
-    out = [_g6_size(n)]
-    for k in range(0, len(bits), 6):
-        group = bits[k : k + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+        row = np.frombuffer(g.adj[j].to_bytes(width, "little"), dtype=np.uint8)
+        bits[k : k + j] = np.unpackbits(row, count=j, bitorder="little")
+        k += j
+    groups = bits.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8) + 63
+    return _g6_size(n) + groups.tobytes().decode("ascii")
 
 
 def decode_graph6(s: str) -> Graph:
@@ -102,6 +100,6 @@ def design_from_json(obj: dict) -> Design:
 
 def incidence_csv(d: Design) -> str:
     lines = []
-    for row in d.incidence_rows():
+    for row in d.incidence().tolist():
         lines.append(",".join(str(x) for x in row))
     return "\n".join(lines) + "\n"

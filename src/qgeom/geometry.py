@@ -6,8 +6,12 @@ throughout, with the twisted graph listing its A-family (subspaces not
 inside the hyperplane) before its B-family.  Designs index points by
 the sorted list of canonical projective representatives.
 
-Internally every subspace is turned into a bitmask over radix-q vector
-encodings, so intersection dimensions reduce to popcounts.
+Every pairwise count goes through one representation and one kernel:
+a subspace is the set of projective points it contains, a family of
+subspaces or blocks is the 0/1 incidence matrix N of those point sets,
+and all intersection sizes are entries of N·Nᵀ, computed in row blocks
+by `_pair_counts`.  A d-dimensional subspace has [d]_q = (q^d-1)/(q-1)
+points, so intersection dimensions are read off as point counts.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .gf import Field, field_from_order
 from .polarity import Polarity, polarity_new
@@ -164,16 +170,9 @@ class Design:
             self._masks = [sum(1 << i for i in blk) for blk in self.blocks]
         return self._masks
 
-    def incidence_rows(self):
-        """b rows of v 0/1 entries, block order by construction."""
-        v = self.v
-        out = []
-        for blk in self.blocks:
-            row = [0] * v
-            for i in blk:
-                row[i] = 1
-            out.append(tuple(row))
-        return out
+    def incidence(self) -> np.ndarray:
+        """The b x v 0/1 incidence matrix (uint8), rows in block order."""
+        return _incidence(self.blocks, self.v)
 
     def __repr__(self):
         return f"Design(v={self.v}, b={self.b})"
@@ -197,22 +196,6 @@ class DesignParameters:
         return {"v": self.v, "b": self.b, "r": self.r, "k": self.k, "lambda": self.lambda_}
 
 
-def _vector_code(q: int, v) -> int:
-    code = 0
-    for x in reversed(v):
-        code = code * q + x
-    return code
-
-
-def subspace_mask(s: Subspace) -> int:
-    """Bitmask with one bit per vector of s, radix-q encoded."""
-    q = s.field.q
-    m = 0
-    for v in s.vectors():
-        m |= 1 << _vector_code(q, v)
-    return m
-
-
 @lru_cache(maxsize=None)
 def _point_order(field: Field, n: int):
     """Canonical [V] point list and rep -> index lookup."""
@@ -224,8 +207,59 @@ def point_index_map(field: Field, n: int) -> dict:
     return _point_order(field, n)[1]
 
 
-def _powers_of(q: int, upto: int) -> dict:
-    return {q ** d: d for d in range(upto + 1)}
+def _points_of(u: Subspace, index: dict) -> list:
+    """Sorted indices of the projective points of u, under a point index."""
+    return sorted(index[p.rep] for p in projective_points(u))
+
+
+def _point_count(d: int, q: int) -> int:
+    """[d]_q, the number of points of a d-dimensional subspace ([0]_q = 0)."""
+    return (q ** d - 1) // (q - 1)
+
+
+def _incidence(point_sets, v: int) -> np.ndarray:
+    """One uint8 row per point set, with a 1 in each of its v columns it holds."""
+    out = np.zeros((len(point_sets), v), dtype=np.uint8)
+    for i, pts in enumerate(point_sets):
+        out[i, list(pts)] = 1
+    return out
+
+
+_BLOCK_ROWS = 64
+_EXACT_F32 = 2 ** 24
+
+
+def _pair_counts(n: np.ndarray):
+    """Yield (start, counts) with counts = n[start:start+64] @ n.T.
+
+    The one pairwise-intersection kernel: for a 0/1 matrix n, counts[i, j]
+    is the number of columns where rows start+i and j both hold a 1.  The
+    products run in float32 through BLAS, which is exact while every sum is
+    below 2**24; row blocks keep the full rows x rows matrix out of memory.
+    """
+    if n.shape[1] >= _EXACT_F32:
+        raise ValueError(f"{n.shape[1]} columns exceed exact float32 counting")
+    f = n.astype(np.float32)
+    for start in range(0, len(f), _BLOCK_ROWS):
+        yield start, f[start : start + _BLOCK_ROWS] @ f.T
+
+
+def _count_graph(labels, n: np.ndarray, target, family=None) -> Graph:
+    """The graph on the rows of n: rows i != j are adjacent when they share
+    target[family[i]][family[j]] columns, or `target` columns when no
+    families are given."""
+    if family is None:
+        family = np.zeros(len(n), dtype=np.intp)
+        target = [[target]]
+    target = np.asarray(target)
+    adj = []
+    for start, counts in _pair_counts(n):
+        rows = np.arange(start, start + len(counts))
+        hit = counts == target[family[rows, None], family]
+        hit[rows - start, rows] = False
+        for packed in np.packbits(hit, axis=1, bitorder="little"):
+            adj.append(int.from_bytes(packed.tobytes(), "little"))
+    return Graph(labels, adj)
 
 
 def grassmann_graph(n: int, k: int, q: int) -> Graph:
@@ -233,18 +267,10 @@ def grassmann_graph(n: int, k: int, q: int) -> Graph:
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     field = field_from_order(q)
+    points, index = _point_order(field, n)
     subs = list(enumerate_k_subspaces(full_space(field, n), k))
-    masks = [subspace_mask(s) for s in subs]
-    target = q ** (k - 1)
-    nv = len(subs)
-    adj = [0] * nv
-    for i in range(nv):
-        mi = masks[i]
-        for j in range(i + 1, nv):
-            if (mi & masks[j]).bit_count() == target:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(subs, adj)
+    inc = _incidence([_points_of(s, index) for s in subs], len(points))
+    return _count_graph(subs, inc, _point_count(k - 1, q))
 
 
 def _check_twisted_instance(field: Field, e: int, h: Subspace):
@@ -271,41 +297,19 @@ def twisted_grassmann(field: Field, e: int, h: Subspace = None, s: Polarity = No
         h = coordinate_hyperplane(field, 2 * e + 1)
     n = _check_twisted_instance(field, e, h)
     q = field.q
-    hmask = subspace_mask(h)
-    a_subs = []
-    a_masks = []
-    for w in enumerate_k_subspaces(full_space(field, n), e + 1):
-        m = subspace_mask(w)
-        if m & ~hmask:
-            a_subs.append(w)
-            a_masks.append(m)
+    points, index = _point_order(field, n)
+    a_subs = [w for w in enumerate_k_subspaces(full_space(field, n), e + 1) if not h.contains(w)]
     b_subs = list(enumerate_k_subspaces(h, e - 1))
-    b_masks = [subspace_mask(w) for w in b_subs]
-
-    na, nb = len(a_subs), len(b_subs)
-    nv = na + nb
-    adj = [0] * nv
-    t_aa = q ** e
-    t_bb = q ** (e - 2)
-    for i in range(na):
-        mi = a_masks[i]
-        for j in range(i + 1, na):
-            if (mi & a_masks[j]).bit_count() == t_aa:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-        for j in range(nb):
-            if b_masks[j] & ~mi == 0:
-                adj[i] |= 1 << (na + j)
-                adj[na + j] |= 1 << i
-    for i in range(nb):
-        mi = b_masks[i]
-        for j in range(i + 1, nb):
-            if (mi & b_masks[j]).bit_count() == t_bb:
-                adj[na + i] |= 1 << (na + j)
-                adj[na + j] |= 1 << (na + i)
-
+    subs = a_subs + b_subs
+    inc = _incidence([_points_of(w, index) for w in subs], len(points))
+    family = np.repeat([0, 1], [len(a_subs), len(b_subs)])
+    # A covering B means all [e-1]_q points of B lie in A.
+    target = [
+        [_point_count(e, q), _point_count(e - 1, q)],
+        [_point_count(e - 1, q), _point_count(e - 2, q)],
+    ]
     labels = [("A", w) for w in a_subs] + [("B", w) for w in b_subs]
-    return Graph(labels, adj)
+    return _count_graph(labels, inc, target, family)
 
 
 def pg_design(field: Field, e: int) -> Design:
@@ -317,7 +321,7 @@ def pg_design(field: Field, e: int) -> Design:
     blocks = []
     labels = []
     for u in enumerate_k_subspaces(full_space(field, n), e + 1):
-        blocks.append(sorted(index[p.rep] for p in projective_points(u)))
+        blocks.append(_points_of(u, index))
         labels.append(("PG", u))
     return Design(points, blocks, labels)
 
@@ -356,15 +360,14 @@ def jt_design(field: Field, e: int, h: Subspace = None, s: Polarity = None) -> D
     if s.h != h:
         raise ValueError("polarity is not a polarity of h")
     points, index = _point_order(field, n)
-    hmask = subspace_mask(h)
     blocks = []
     labels = []
     for w in enumerate_k_subspaces(full_space(field, n), e + 1):
-        if subspace_mask(w) & ~hmask:
+        if not h.contains(w):
             blocks.append(sorted(f_map(w, h, s)))
             labels.append(("A", w))
     for u in enumerate_k_subspaces(h, e + 1):
-        blocks.append(sorted(index[p.rep] for p in projective_points(u)))
+        blocks.append(_points_of(u, index))
         labels.append(("B", u))
     return Design(points, blocks, labels)
 
@@ -373,25 +376,15 @@ def block_graph(d: Design, threshold: int) -> Graph:
     """Blocks as vertices, adjacent when the intersection size hits threshold."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    masks = d.block_masks()
-    nb = len(masks)
-    adj = [0] * nb
-    for i in range(nb):
-        mi = masks[i]
-        for j in range(i + 1, nb):
-            if (mi & masks[j]).bit_count() == threshold:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(d.block_labels, adj)
+    return _count_graph(d.block_labels, d.incidence(), threshold)
 
 
 def intersection_spectrum(d: Design) -> Counter:
     """Multiset of |B1 ∩ B2| over unordered distinct block pairs."""
-    masks = d.block_masks()
-    out = Counter()
-    nb = len(masks)
-    for i in range(nb):
-        mi = masks[i]
-        for j in range(i + 1, nb):
-            out[(mi & masks[j]).bit_count()] += 1
-    return out
+    inc = d.incidence()
+    hist = np.zeros(d.v + 1, dtype=np.int64)
+    for _, counts in _pair_counts(inc):
+        hist += np.bincount(counts.astype(np.intp).ravel(), minlength=d.v + 1)
+    # Every unordered pair was counted twice, and each block met itself.
+    hist -= np.bincount([len(blk) for blk in d.blocks], minlength=d.v + 1)
+    return Counter({size: int(c) // 2 for size, c in enumerate(hist) if c})

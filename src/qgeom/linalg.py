@@ -64,11 +64,6 @@ class Matrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Matrix({self.field!r}, {self.rows}x{self.cols}: [{body}])"
 
-    def stack(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field or self.cols != other.cols:
-            raise ValueError("stack requires matching field and width")
-        return Matrix(self.field, self.entries + other.entries)
-
     def transpose(self) -> "Matrix":
         return Matrix(self.field, list(zip(*self.entries)))
 

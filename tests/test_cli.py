@@ -1,9 +1,11 @@
+import argparse
 import json
+import os
 
 import pytest
 
 from qgeom import decode_graph6, grassmann_graph, jt_design, field_new
-from qgeom.cli import main
+from qgeom.cli import RunConfig, main
 
 
 def run(capsys, *argv):
@@ -147,3 +149,39 @@ def test_export_matches_library_design(tmp_path, monkeypatch, capsys):
     data = json.loads((tmp_path / "d.json").read_text())
     lib = jt_design(field_new(2), 2)
     assert [tuple(b) for b in data["blocks"]] == list(lib.blocks)
+
+
+def test_verify_all_lists_skipped_checks(monkeypatch, capsys):
+    import qgeom.cli as cli
+
+    ran = []
+
+    def stub(name):
+        def verify(cfg):
+            ran.append(name)
+            return cli._report(cfg, name, True, {}, 0.0)
+
+        return verify
+
+    for name in cli._VERIFIERS:
+        monkeypatch.setitem(cli._VERIFIERS, name, stub(name))
+    code, out, _ = run(capsys, "verify", "all", "--q", "3")
+    assert code == 0
+    assert "aut-exhaustive" not in ran
+    skipped = json.loads(out)["details"]["skipped"]
+    assert [s["check"] for s in skipped] == ["aut-exhaustive"]
+    assert "(2,2)" in skipped[0]["reason"]
+    ran.clear()
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 0
+    assert "aut-exhaustive" in ran
+    assert json.loads(out)["details"]["skipped"] == []
+
+
+def test_jobs_bounds(capsys):
+    code, _, err = run(capsys, "verify", "aut-exhaustive", "--jobs", "0")
+    assert code == 2
+    assert "--jobs" in err
+    # capped at construction, so no worker is ever asked for
+    big = argparse.Namespace(q=2, e=2, jobs=10**6)
+    assert RunConfig.from_args(big).jobs == (os.cpu_count() or 1)

@@ -152,17 +152,19 @@ def test_check_2design_witnesses():
     ok = check_2design(d)
     assert isinstance(ok, DesignParameters)
     d = Design(range(4), [(0, 1), (1, 2), (2, 3)])
-    res = check_2design(d)
-    assert isinstance(res, NotDesign)
-    assert res.kind == "replication"
+    assert check_2design(d) == NotDesign("replication", (1,), 1, 2)
+    # a single point has no pairs, so lambda is 0
+    assert check_2design(Design(range(1), [(0,)])) == DesignParameters(1, 1, 1, 1, 0)
 
 
 def test_check_2design_pair_witness():
     with pytest.raises(ValueError):
         Design(range(4), [(0, 1), (2, 3), (0, 1)])  # duplicate blocks rejected
     d = Design(range(5), [(0, 1, 2), (0, 3, 4), (1, 3, 4), (2, 3, 4)])
-    res = check_2design(d)
-    assert isinstance(res, NotDesign)
+    assert check_2design(d) == NotDesign("replication", (3,), 2, 3)
+    # even replication, but the pair (0,3) is never covered
+    d = Design(range(4), [(0, 1), (2, 3), (0, 2), (1, 3)])
+    assert check_2design(d) == NotDesign("pair_count", (0, 3), 1, 0)
 
 
 def test_p_rank_values(jt22, pg22):

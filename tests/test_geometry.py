@@ -104,6 +104,31 @@ def test_twisted_adjacency_cases(setting22, tg22):
     assert tg22.is_adjacent(by_label[("B", b1)], by_label[("B", b2)])
 
 
+def test_pair_counts_match_the_literal_subspace_path(tg22):
+    # every pair, against intersection dimensions computed by elimination
+    def literal(a, b):
+        (ta, wa), (tb, wb) = a, b
+        if ta != tb:
+            big, small = (wa, wb) if ta == "A" else (wb, wa)
+            return big.contains(small)
+        return wa.dim_intersect(wb) == (2 if ta == "A" else 0)
+
+    pairs = list(combinations(range(tg22.n), 2))
+    assert len(pairs) == 11935
+    for i, j in pairs:
+        assert tg22.is_adjacent(i, j) == literal(tg22.labels[i], tg22.labels[j])
+    g = grassmann_graph(5, 2, 2)
+    for i, j in combinations(range(g.n), 2):
+        assert g.is_adjacent(i, j) == (g.labels[i].dim_intersect(g.labels[j]) == 1)
+
+
+def test_pair_counts_beyond_one_byte():
+    # two blocks sharing 300 points: a count that wraps in 8-bit arithmetic
+    d = Design(range(302), [range(0, 301), range(1, 302)])
+    assert dict(intersection_spectrum(d)) == {300: 1}
+    assert block_graph(d, 300).edges() == [(0, 1)]
+
+
 def test_pg_design_shape(pg22):
     assert pg22.v == 31
     assert pg22.b == 155
