@@ -56,7 +56,7 @@ def main(full: bool):
     order = stabilizer_order(2, 2, 1)
     print(f"== the stabilizer has exactly {order} elements ==")
     if full:
-        print("running the exhaustive census (about 10s)...")
+        print("running the exhaustive census...")
         t0 = time.time()
         rep = exhaustive_lift_check(f, 2)
         print(f"verified {rep.verified} elements in {time.time() - t0:.1f}s; "

@@ -9,23 +9,27 @@ basis, with the hyperplane spanned by the first 2e coordinates.
 
 The lift phi' permutes the points of [V]: on points of [H] it acts as
 sigma.phi.sigma, elsewhere directly as phi.  lift() walks that
-composition literally, subspace by subspace.  The exhaustive checker
-instead uses a closed linear form for the sigma-conjugated branch
-(derived in _fast_point_maps; cross-validated against lift() both in
-the test suite and by in-run spot checks).
+composition literally, subspace by subspace.  The exhaustive census
+takes the same composition at point level, for a batch of elements at
+once: phi's point permutation pi comes from one product over the
+canonical point representatives, and a point c of [H] goes to the point
+whose sigma (tabulated once per point, as a point set) is pi(sigma(c)).
+A fixed stride of the census's lifts is compared with lift() in-run.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import product
 
 import numpy as np
 
 from .gf import Field, field_new, is_prime
-from .geometry import Design, Graph, jt_design, point_index_map, _point_order
+from .geometry import Design, Graph, jt_design, point_index_map, _point_order, _points_of
 from .linalg import Matrix
 from .polarity import Polarity, polarity_new
 from .subspace import (
@@ -222,27 +226,31 @@ def lift(phi: SemilinearMap, s: Polarity) -> PointPermutation:
     return PointPermutation(tuple(perm))
 
 
+def _block_images(d: Design, p: PointPermutation):
+    """The image of each block under p, up to the first image that is not
+    a block: (images, None), or (images so far, NotAutomorphism)."""
+    images = []
+    for bi, blk in enumerate(d.blocks):
+        img = tuple(sorted(p.perm[i] for i in blk))
+        if not d.has_block(img):
+            return images, NotAutomorphism(bi, img)
+        images.append(img)
+    return images, None
+
+
 def is_design_automorphism(d: Design, p: PointPermutation):
     """True, or the first block whose image fails to be a block."""
     if len(p.perm) != d.v:
         raise ValueError(f"permutation degree {len(p.perm)} != point count {d.v}")
-    for bi, blk in enumerate(d.blocks):
-        img = tuple(sorted(p.perm[i] for i in blk))
-        if not d.has_block(img):
-            return NotAutomorphism(bi, img)
-    return True
+    _, missing = _block_images(d, p)
+    return True if missing is None else missing
 
 
 def induced_block_permutation(d: Design, p: PointPermutation):
     """Block index permutation induced by a point permutation, or None
     if some image block is missing."""
-    out = []
-    for blk in d.blocks:
-        img = tuple(sorted(p.perm[i] for i in blk))
-        if not d.has_block(img):
-            return None
-        out.append(d.block_index(img))
-    return tuple(out)
+    images, missing = _block_images(d, p)
+    return None if missing is not None else tuple(map(d.block_index, images))
 
 
 def check_theorem2_relation(d: Design, g: Graph, cert, phi: SemilinearMap, s: Polarity):
@@ -327,209 +335,148 @@ class LiftCheckReport:
         }
 
 
-def _gl4_gf2():
-    """All invertible 4x4 matrices over GF(2), rows packed as 4-bit ints."""
-    out = []
-    for r0 in range(1, 16):
-        for r1 in range(1, 16):
-            if r1 == r0:
-                continue
-            s01 = {0, r0, r1, r0 ^ r1}
-            for r2 in range(1, 16):
-                if r2 in s01:
-                    continue
-                s012 = s01 | {x ^ r2 for x in s01}
-                for r3 in range(1, 16):
-                    if r3 not in s012:
-                        out.append((r0, r1, r2, r3))
-    return out
+def _general_linear(p: int, m: int) -> np.ndarray:
+    """GL(m, p) as a (count, m, m) array, each row chosen in turn outside
+    the span of the rows before it."""
+    vecs = np.array(list(product(range(p), repeat=m)), dtype=np.int64)
+    radix = p ** np.arange(m - 1, -1, -1)
+    mats = np.zeros((1, 0, m), dtype=np.int64)
+    for k in range(m):
+        coeffs = np.array(list(product(range(p), repeat=k)), dtype=np.int64)
+        spanned = np.einsum("ck,akm->acm", coeffs, mats) % p @ radix
+        outside = np.ones((len(mats), len(vecs)), dtype=bool)
+        outside[np.arange(len(mats))[:, None], spanned] = False
+        a, v = np.nonzero(outside)
+        mats = np.concatenate([mats[a], vecs[v, None]], axis=1)
+    return mats
 
 
-def _bit_inverse_transpose(rows):
-    """(A^-1)^T of a packed 4x4 GF(2) matrix, packed the same way."""
-    a = list(rows)
-    inv = [1, 2, 4, 8]
-    for c in range(4):
-        piv = next(i for i in range(c, 4) if (a[i] >> c) & 1)
-        a[c], a[piv] = a[piv], a[c]
-        inv[c], inv[piv] = inv[piv], inv[c]
-        for i in range(4):
-            if i != c and (a[i] >> c) & 1:
-                a[i] ^= a[c]
-                inv[i] ^= inv[c]
-    # transpose of the packed inverse
-    return tuple(
-        sum(((inv[j] >> i) & 1) << j for j in range(4)) for i in range(4)
-    )
+def _point_masks(perms: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """int64 point mask of each point set under each row of perms."""
+    bits = perms[:, sets].astype(np.int64)
+    return np.left_shift(1, bits, out=bits).sum(axis=-1)
 
 
-def _action_table(rows):
-    """All 16 images of x -> M.x for a packed 4x4 GF(2) matrix."""
-    col = [sum(((rows[j] >> k) & 1) << j for j in range(4)) for k in range(4)]
-    tab = [0] * 16
-    for x in range(1, 16):
-        low = x & -x
-        tab[x] = tab[x ^ low] ^ col[low.bit_length() - 1]
-    return tab
+def _find(keys: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Position of each mask in the sorted keys, or -1 where it is absent."""
+    pos = np.minimum(np.searchsorted(keys, masks), len(keys) - 1)
+    return np.where(keys[pos] == masks, pos, -1)
 
 
-def _fast_point_maps(field: Field):
-    """Index tables realizing the lift at (q,e) = (2,2), identity gram.
+def _census_chunk(start, mats, *, s, reps, code_index, sigma, blocks, spot_stride):
+    """Lift [[A, b], [0, 1]] for every A in mats and every b; pure function.
 
-    With G = I and H the coordinate hyperplane, sigma(<c>) is the dot-
-    product kernel of c, so for phi = [[A,b],[0,1]] the sigma-conjugated
-    branch is <c> -> <A^-T c> (phi(ker c) = ker(A^-T c), and sigma is an
-    involution).  Outside H the representatives are (t, 1), and
-    phi(t, 1) = (A.t + b, 1).  Both branches become 4-bit table lookups.
+    Returns the lifts' point permutations in element order (A major, b
+    minor, element numbers from start), the (matrix rows, first failing
+    block) of each lift that is not a design automorphism, and the number
+    of lifts cross-checked against the literal lift().
     """
-    points, _ = _point_order(field, 5)
-    idx_h = {}
-    idx_out = {}
-    for i, p in enumerate(points):
-        code = sum(p.rep[k] << k for k in range(4))
-        if p.rep[4] == 0:
-            idx_h[code] = i
-        else:
-            idx_out[code] = i
-    return idx_h, idx_out
-
-
-def _exhaustive_chunk(args):
-    """Verify one slice of GL(4,2) x mixing columns; pure function."""
-    (gl_rows, blocks_arr, keys_sorted, idx_h, idx_out, spot_stride) = args
-    field = field_new(2, 1)
-    h = coordinate_hyperplane(field, 5)
-    s = polarity_new(field, h)
-
-    n_keys = len(keys_sorted)
-    perm_bytes = set()
-    identity_count = 0
-    failures = []
-    cross_checked = 0
-    ident = np.arange(31, dtype=np.uint8)
-
-    h_src = np.array([idx_h[c] for c in range(1, 16)], dtype=np.uint8)
-    out_src = np.array([idx_out[t] for t in range(16)], dtype=np.uint8)
-
-    serial = 0
-    for rows in gl_rows:
-        nt_tab = _action_table(_bit_inverse_transpose(rows))
-        a_tab = _action_table(rows)
-        perms = np.empty((16, 31), dtype=np.uint8)
-        h_dst = np.array([idx_h[nt_tab[c]] for c in range(1, 16)], dtype=np.uint8)
-        base_out = np.array([a_tab[t] for t in range(16)], dtype=np.int64)
-        for b in range(16):
-            perms[b, h_src] = h_dst
-            perms[b, out_src] = np.array(
-                [idx_out[int(x) ^ b] for x in base_out], dtype=np.uint8
+    p, n, m = s.field.p, reps.shape[1], mats.shape[1]
+    bs = np.array(list(product(range(p), repeat=m)), dtype=np.int64)
+    phis = np.zeros((len(mats), len(bs), n, n), dtype=np.int64)
+    phis[:, :, :m, :m] = mats[:, None]
+    phis[:, :, :m, m] = bs
+    phis[:, :, m, m] = 1
+    phis = phis.reshape(-1, n, n)
+    # phi's point permutation: image representatives, scaled to lead with 1
+    img = np.einsum("gij,vj->gvi", phis, reps) % p
+    lead = np.take_along_axis(img, (img != 0).argmax(axis=2)[..., None], axis=2)
+    inverse = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)])
+    perms = code_index[(img * inverse[lead] % p) @ (p ** np.arange(n - 1, -1, -1))]
+    # on [H] the lift is sigma.phi.sigma: c goes to the point whose sigma
+    # is phi(sigma(c)), a hyperplane of H because phi fixes H
+    h_points, sigma_sets, sigma_keys, sigma_owner = sigma
+    perms[:, h_points] = sigma_owner[_find(sigma_keys, _point_masks(perms, sigma_sets))]
+    block_keys, block_sets = blocks
+    ok = _find(block_keys, _point_masks(perms, block_sets)) >= 0
+    failures = [
+        (tuple(map(tuple, phis[g].tolist())), int(np.argmin(ok[g])))
+        for g in np.flatnonzero(~ok.all(axis=1))
+    ]
+    spots = range(-start % spot_stride, len(phis), spot_stride)
+    for g in spots:
+        literal = lift(SemilinearMap(Matrix(s.field, phis[g].tolist()), 0), s)
+        if tuple(perms[g].tolist()) != literal.perm:
+            raise RuntimeError(
+                f"census diverged from the literal lift at element {start + g}: "
+                f"{phis[g].tolist()}"
             )
-        img = perms[:, blocks_arr]
-        keys = (np.int64(1) << img.astype(np.int64)).sum(axis=2)
-        pos = np.searchsorted(keys_sorted, keys)
-        ok = (pos < n_keys) & (keys_sorted[np.minimum(pos, n_keys - 1)] == keys)
-        good = ok.all(axis=1)
-        for b in range(16):
-            if not good[b]:
-                bad_block = int(np.argmin(ok[b]))
-                failures.append((rows, b, bad_block))
-        perm_bytes.update(perms[b].tobytes() for b in range(16))
-        identity_count += int((perms == ident).all(axis=1).sum())
-
-        if spot_stride and serial % spot_stride == 0:
-            # rebuild the same element honestly and compare permutations
-            b_spot = serial % 16
-            mat_rows = [
-                tuple((rows[i] >> k) & 1 for k in range(4)) + ((b_spot >> i) & 1,)
-                for i in range(4)
-            ]
-            mat_rows.append((0, 0, 0, 0, 1))
-            phi = SemilinearMap(Matrix(field, mat_rows), 0)
-            honest = lift(phi, s)
-            if tuple(perms[b_spot]) != honest.perm:
-                raise RuntimeError(
-                    f"fast path diverged from the literal lift at {rows}, b={b_spot}"
-                )
-            cross_checked += 1
-        serial += 1
-
-    return len(gl_rows) * 16, perm_bytes, identity_count, failures, cross_checked
+    return perms, failures, len(spots)
 
 
 def exhaustive_lift_check(field: Field = None, e: int = 2, jobs: int = 1,
-                          progress=None) -> LiftCheckReport:
+                          progress=None, *, s: Polarity = None) -> LiftCheckReport:
     """Lift every element of the (2,2) hyperplane stabilizer and verify.
 
-    Enumerates all 20160 GL(4,2) blocks times 16 mixing columns (the
-    corner is forced to 1 over GF(2), scalars are trivial), checks that
-    each lift permutes the design's blocks, and that all 322560 point
-    permutations are pairwise distinct with exactly one identity.
-    Refuses instances other than (q,e) = (2,2).
+    Enumerates GL(2e, p) times all mixing columns, the corner fixed at 1
+    modulo scalars (the field is prime, so no Frobenius), under the
+    polarity s of the coordinate hyperplane (identity gram by default).
+    Checks that each lift permutes the design's blocks, and that all
+    322560 point permutations are pairwise distinct with exactly one
+    identity; a fixed prime stride of them, element 0 first, is compared
+    with the literal lift().  Refuses instances other than (q,e) = (2,2).
     """
     if field is None:
         field = field_new(2, 1)
     if field.q != 2 or e != 2:
         raise ValueError("exhaustive enumeration is supported only at (q,e)=(2,2)")
     t0 = time.time()
-    h = coordinate_hyperplane(field, 5)
-    s = polarity_new(field, h)
-    d = jt_design(field, 2, h, s)
-    blocks_arr = np.array(d.blocks, dtype=np.uint8)
-    keys_sorted = np.sort(np.array(d.block_masks(), dtype=np.int64))
-    idx_h, idx_out = _fast_point_maps(field)
+    n = 2 * e + 1
+    h = coordinate_hyperplane(field, n)
+    if s is None:
+        s = polarity_new(field, h)
+    if s.field != field or s.h != h:
+        raise ValueError("the census needs a polarity of the coordinate hyperplane")
+    d = jt_design(field, e, h, s)
+    points, index = _point_order(field, n)
+    reps = np.array([pt.rep for pt in points], dtype=np.int64)
+    code_index = np.zeros(field.p ** n, dtype=np.uint8)
+    code_index[reps @ (field.p ** np.arange(n - 1, -1, -1))] = np.arange(len(points))
+    table = _sigma_point_table(s)
+    h_points = np.array([index[rep] for rep in table])
+    sigma_sets = np.array([_points_of(w, index) for w in table.values()])
+    sigma_masks = _point_masks(np.arange(len(points))[None], sigma_sets)[0]
+    by_mask = np.argsort(sigma_masks)
+    sigma = (h_points, sigma_sets, sigma_masks[by_mask], h_points[by_mask])
+    blocks = (np.sort(np.array(d.block_masks(), dtype=np.int64)), np.array(d.blocks))
 
-    gl = _gl4_gf2()
-    order = stabilizer_order(2, 2, 1)
-    assert len(gl) * 16 == order
-
-    spot_stride = 257  # prime stride; ~78 honest re-lifts across the run
-    if jobs and jobs > 1:
+    gl = _general_linear(field.p, 2 * e)
+    order = stabilizer_order(field.q, e, field.f)
+    per_a = field.p ** (2 * e)
+    assert len(gl) * per_a == order
+    step = 64  # A blocks per chunk
+    starts = range(0, len(gl), step)
+    work = partial(
+        _census_chunk, s=s, reps=reps, code_index=code_index, sigma=sigma,
+        blocks=blocks, spot_stride=4001,  # prime; 81 literal lifts
+    )
+    perms = np.empty((order, len(points)), dtype=np.uint8)
+    verified = cross_checked = 0
+    failures = []
+    pool = None
+    if jobs > 1:
+        # imported here, so that every other command starts without them
         from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
 
-        chunk = (len(gl) + jobs - 1) // jobs
-        parts = [gl[i : i + chunk] for i in range(0, len(gl), chunk)]
-        argsets = [
-            (part, blocks_arr, keys_sorted, idx_h, idx_out, spot_stride)
-            for part in parts
-        ]
-        verified = 0
-        perm_bytes = set()
-        identity_count = 0
-        failures = []
-        cross_checked = 0
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            for i, res in enumerate(ex.map(_exhaustive_chunk, argsets)):
-                nv, pb, ic, fl, cc = res
-                verified += nv
-                perm_bytes |= pb
-                identity_count += ic
-                failures.extend(fl)
-                cross_checked += cc
-                if progress:
-                    progress((i + 1) / len(parts))
-    else:
-        step = 2016
-        verified = 0
-        perm_bytes = set()
-        identity_count = 0
-        failures = []
-        cross_checked = 0
-        for start in range(0, len(gl), step):
-            nv, pb, ic, fl, cc = _exhaustive_chunk(
-                (gl[start : start + step], blocks_arr, keys_sorted, idx_h, idx_out, spot_stride)
-            )
-            verified += nv
-            perm_bytes |= pb
-            identity_count += ic
-            failures.extend(fl)
-            cross_checked += cc
+        pool = ProcessPoolExecutor(jobs, mp_context=get_context("spawn"))
+    with pool or nullcontext():
+        results = (pool.map if pool else map)(
+            work, [i * per_a for i in starts], [gl[i : i + step] for i in starts]
+        )
+        for i, (chunk, chunk_failures, spots) in zip(starts, results):
+            perms[i * per_a : i * per_a + len(chunk)] = chunk
+            verified += len(chunk)
+            failures.extend(chunk_failures)
+            cross_checked += spots
             if progress:
-                progress(min(1.0, (start + step) / len(gl)))
+                progress(min(1.0, (i + step) / len(gl)))
 
     return LiftCheckReport(
         group_order=order,
         verified=verified,
-        distinct=len(perm_bytes),
-        identity_count=identity_count,
+        distinct=len(np.unique(perms.view(np.dtype((np.void, len(points)))))),
+        identity_count=int((perms == np.arange(len(points))).all(axis=1).sum()),
         failures=tuple(failures),
         cross_checked=cross_checked,
         elapsed=time.time() - t0,

@@ -296,12 +296,12 @@ def _verify_aut_sample(cfg: RunConfig) -> dict:
 
 def _verify_aut_exhaustive(cfg: RunConfig) -> dict:
     t0 = time.time()
-    field = field_from_order(cfg.q)
+    field, _, s = _setting(cfg)
 
     def progress(frac):
         print(f"\raut-exhaustive {frac * 100:5.1f}%", end="", file=sys.stderr, flush=True)
 
-    rep = exhaustive_lift_check(field, cfg.e, jobs=cfg.jobs, progress=progress)
+    rep = exhaustive_lift_check(field, cfg.e, jobs=cfg.jobs, progress=progress, s=s)
     print(file=sys.stderr)
     details = rep.to_json()
     details["expected_order"] = stabilizer_order(cfg.q, cfg.e, field.f)

@@ -47,19 +47,23 @@ class Graph:
         if len(labels) != len(adj):
             raise ValueError("one label per adjacency row required")
         n = len(adj)
-        cols = [0] * n
         for i, row in enumerate(adj):
             if row >> n:
                 raise ValueError(f"adjacency row {i} has bits beyond vertex range")
             if (row >> i) & 1:
                 raise ValueError(f"self-loop at vertex {i}")
-            m = row
-            while m:
-                low = m & -m
-                cols[low.bit_length() - 1] |= 1 << i
-                m ^= low
-        if tuple(cols) != adj:
-            raise ValueError("adjacency is not symmetric")
+        # Symmetry, 64 rows at a time: those rows against the same 64 columns.
+        width = (n + 7) // 8
+        packed = np.frombuffer(
+            b"".join(row.to_bytes(width, "little") for row in adj), dtype=np.uint8
+        ).reshape(n, width)
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = packed[start : start + _BLOCK_ROWS]
+            rows = np.unpackbits(rows, axis=1, count=n, bitorder="little")
+            cols = packed[:, start // 8 : (start + _BLOCK_ROWS) // 8]
+            cols = np.unpackbits(cols, axis=1, count=len(rows), bitorder="little")
+            if not np.array_equal(rows, cols.T):
+                raise ValueError("adjacency is not symmetric")
         self.labels = labels
         self.adj = adj
 

@@ -9,11 +9,14 @@ from qgeom import (
     SemilinearMap,
     Theorem2Violation,
     check_theorem2_relation,
+    coordinate_hyperplane,
+    exhaustive_lift_check,
     field_new,
     induced_block_permutation,
     is_design_automorphism,
     lift,
     point_index_map,
+    polarity_new,
     random_stabilizer_element,
     span,
     stabilizer_order,
@@ -256,3 +259,52 @@ def test_point_permutation_algebra():
     assert p.compose(p.inverse()).is_identity
     with pytest.raises(ValueError):
         PointPermutation((0, 0, 1))
+
+
+def _symplectic_polarity():
+    f = field_new(2)
+    h = coordinate_hyperplane(f, 5)
+    gram = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    return f, polarity_new(f, h, gram)
+
+
+def test_census_under_a_symplectic_polarity():
+    f, s = _symplectic_polarity()
+    rep = exhaustive_lift_check(f, 2, s=s)
+    assert rep.ok
+    assert rep.verified == rep.distinct == 322560
+    assert rep.identity_count == 1
+    assert rep.cross_checked >= 1
+
+
+def test_census_refuses_other_instances_before_building(monkeypatch):
+    import qgeom.autgroup as autgroup
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the census built a design before refusing")
+
+    monkeypatch.setattr(autgroup, "jt_design", no_build)
+    with pytest.raises(ValueError, match=r"\(q,e\)=\(2,2\)"):
+        exhaustive_lift_check(field_new(3), 2)
+    f = field_new(2)
+    other = span(f, 5, [(1, 0, 0, 0, 1), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)])
+    with pytest.raises(ValueError, match="coordinate hyperplane"):
+        exhaustive_lift_check(f, 2, s=polarity_new(f, other))
+
+
+def test_census_raises_when_it_diverges_from_the_literal_lift(monkeypatch):
+    import qgeom.autgroup as autgroup
+
+    literal = autgroup.lift
+    calls = []
+
+    def swapped(phi, s):
+        calls.append(phi)
+        perm = list(literal(phi, s).perm)
+        perm[0], perm[1] = perm[1], perm[0]
+        return PointPermutation(tuple(perm))
+
+    monkeypatch.setattr(autgroup, "lift", swapped)
+    with pytest.raises(RuntimeError, match="element 0:"):
+        exhaustive_lift_check(field_new(2), 2)
+    assert len(calls) == 1

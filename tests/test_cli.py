@@ -142,6 +142,32 @@ def test_gram_file_used(tmp_path, monkeypatch, capsys):
     assert rep["details"]["found"] == [31, 155, 35, 7, 7]
 
 
+def test_gram_file_reaches_the_census(tmp_path, monkeypatch, capsys):
+    import qgeom.cli as cli
+    from qgeom import LiftCheckReport, Matrix
+
+    gram = [
+        [0, 1, 0, 0],
+        [1, 0, 0, 0],
+        [0, 0, 0, 1],
+        [0, 0, 1, 0],
+    ]
+    seen = []
+
+    def stub(field, e, jobs=1, progress=None, *, s=None):
+        seen.append(s)
+        return LiftCheckReport(322560, 322560, 322560, 1, (), 81, 0.0)
+
+    monkeypatch.setattr(cli, "exhaustive_lift_check", stub)
+    (tmp_path / "hyp.gram").write_text(json.dumps(gram))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "verify", "aut-exhaustive", "--gram", "hyp.gram")
+    assert code == 0
+    assert json.loads(out)["instance"]["gram"] == gram
+    (s,) = seen
+    assert s.gram == Matrix(field_new(2), gram)
+
+
 def test_export_matches_library_design(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, _, _ = run(capsys, "export", "jt-design", "--format", "json", "--out", "d.json")

@@ -36,6 +36,19 @@ def test_graph_validation():
     assert list(g.edges()) == [(0, 1), (1, 2)]
 
 
+def test_graph_symmetry_checked_beyond_the_first_strip():
+    # a 100-cycle is symmetric; each single flipped bit outside rows and
+    # columns 0..63 (or across the strip boundary) breaks symmetry
+    n = 100
+    adj = [(1 << ((i + 1) % n)) | (1 << ((i - 1) % n)) for i in range(n)]
+    Graph(range(n), adj)
+    for i, j in [(70, 90), (90, 70), (5, 80), (99, 0)]:
+        bad = list(adj)
+        bad[i] ^= 1 << j
+        with pytest.raises(ValueError, match="not symmetric"):
+            Graph(range(n), bad)
+
+
 def test_design_validation():
     d = Design(range(3), [(0, 1), (1, 2)])
     assert d.v == 3 and d.b == 2
