@@ -9,12 +9,18 @@ basis, with the hyperplane spanned by the first 2e coordinates.
 
 The lift phi' permutes the points of [V]: on points of [H] it acts as
 sigma.phi.sigma, elsewhere directly as phi.  lift() walks that
-composition literally, subspace by subspace.  The exhaustive census
-takes the same composition at point level, for a batch of elements at
-once: phi's point permutation pi comes from one product over the
-canonical point representatives, and a point c of [H] goes to the point
-whose sigma (tabulated once per point, as a point set) is pi(sigma(c)).
+composition literally, subspace by subspace, reading sigma of each
+point from `geometry._sigma_table`, the one table of sigma images.  The
+exhaustive census takes the same composition at point level, for a
+batch of elements at once: phi's point permutation pi comes from one
+product over the canonical point representatives, and a point c of [H]
+goes to the point whose sigma (the table's point set) is pi(sigma(c)).
 A fixed stride of the census's lifts is compared with lift() in-run.
+
+The Theorem-2 check alpha.f = f.phi also acts at point level: phi(W)
+is the vertex whose point set is pi of W's points, looked up in a
+per-graph table of vertex point sets.  Vertex 0's image is compared
+with the literal phi.apply_subspace in every call.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from itertools import product
 import numpy as np
 
 from .gf import Field, field_new, is_prime
-from .geometry import Design, Graph, jt_design, point_index_map, _point_order, _points_of
+from .geometry import Design, Graph, jt_design, _point_order, _points_of, _sigma_table
 from .linalg import Matrix
 from .polarity import Polarity, polarity_new
 from .subspace import (
@@ -188,17 +194,6 @@ def random_stabilizer_element(field: Field, e: int, seed) -> SemilinearMap:
     return SemilinearMap(Matrix(field, rows), frob)
 
 
-@lru_cache(maxsize=None)
-def _sigma_point_table(s: Polarity):
-    """sigma of every point of [h], as (rep -> hyperplane-of-h) pairs."""
-    out = {}
-    h = s.h
-    for rep, idx in point_index_map(s.field, h.ambient_dim).items():
-        if h.contains_vector(rep):
-            out[rep] = s.apply(Subspace(s.field, h.ambient_dim, (rep,)))
-    return out
-
-
 def lift(phi: SemilinearMap, s: Polarity) -> PointPermutation:
     """The point permutation phi' of [V].
 
@@ -214,11 +209,11 @@ def lift(phi: SemilinearMap, s: Polarity) -> PointPermutation:
         if not h.contains_vector(phi.apply_vector(r)):
             raise ValueError("phi does not stabilize the polarity's hyperplane")
     points, index = _point_order(field, n)
-    sig_pt = _sigma_point_table(s)
+    sigma = _sigma_table(s)
     perm = []
-    for p in points:
-        if p.rep in sig_pt:
-            image = s.apply(phi.apply_subspace(sig_pt[p.rep]))
+    for c, p in enumerate(points):
+        if c in sigma:
+            image = s.apply(phi.apply_subspace(sigma[c][0]))
             rep = normalize_point(field, image.basis_rows[0]).rep
         else:
             rep = normalize_point(field, phi.apply_vector(p.rep)).rep
@@ -229,6 +224,8 @@ def lift(phi: SemilinearMap, s: Polarity) -> PointPermutation:
 def _block_images(d: Design, p: PointPermutation):
     """The image of each block under p, up to the first image that is not
     a block: (images, None), or (images so far, NotAutomorphism)."""
+    if len(p.perm) != d.v:
+        raise ValueError(f"permutation degree {len(p.perm)} != point count {d.v}")
     images = []
     for bi, blk in enumerate(d.blocks):
         img = tuple(sorted(p.perm[i] for i in blk))
@@ -240,8 +237,6 @@ def _block_images(d: Design, p: PointPermutation):
 
 def is_design_automorphism(d: Design, p: PointPermutation):
     """True, or the first block whose image fails to be a block."""
-    if len(p.perm) != d.v:
-        raise ValueError(f"permutation degree {len(p.perm)} != point count {d.v}")
     _, missing = _block_images(d, p)
     return True if missing is None else missing
 
@@ -253,22 +248,46 @@ def induced_block_permutation(d: Design, p: PointPermutation):
     return None if missing is not None else tuple(map(d.block_index, images))
 
 
+@lru_cache(maxsize=1)
+def _vertex_point_sets(g: Graph):
+    """The point set of each vertex W_j, and the vertex of each
+    (family tag, point set)."""
+    first = g.labels[0][1]
+    index = _point_order(first.field, first.ambient_dim)[1]
+    sets = [frozenset(_points_of(w, index)) for _, w in g.labels]
+    vertex_of = {(tag, pts): j for j, ((tag, _), pts) in enumerate(zip(g.labels, sets))}
+    return sets, vertex_of
+
+
+def _vertex_images(g: Graph, phi: SemilinearMap) -> list:
+    """The vertex phi(W_j) for every vertex j: the vertex whose point set
+    is pi of W_j's, with pi phi's point permutation."""
+    points, index = _point_order(phi.field, phi.dim)
+    pi = [index[phi.apply_point(p).rep] for p in points]
+    sets, vertex_of = _vertex_point_sets(g)
+    return [vertex_of[tag, frozenset(pi[c] for c in pts)] for (tag, _), pts in zip(g.labels, sets)]
+
+
 def check_theorem2_relation(d: Design, g: Graph, cert, phi: SemilinearMap, s: Polarity):
     """Does the lifted block action alpha satisfy alpha.f = f.phi?
 
     cert must be the block-map certificate: cert.mapping[j] is the
     design block of vertex j.  The right side f(phi(W)) is resolved by
-    locating phi(W) among the graph's vertex labels and reading its
-    certified block, so the check ties the certificate, the lift, and
-    the vertex action together.
+    locating phi(W) among the graph's vertices and reading its certified
+    block, so the check ties the certificate, the lift, and the vertex
+    action together.  Returns True, the lift's NotAutomorphism if the
+    lift does not permute the blocks, or the first vertex (in vertex
+    order) where the relation fails, as a Theorem2Violation.
     """
-    alpha = induced_block_permutation(d, lift(phi, s))
-    if alpha is None:
-        return Theorem2Violation(-1, -1, -1)
-    vertex_of = {label: j for j, label in enumerate(g.labels)}
-    for j, (tag, w) in enumerate(g.labels):
-        image_vertex = vertex_of[(tag, phi.apply_subspace(w))]
-        expected = cert.mapping[image_vertex]
+    images, missing = _block_images(d, lift(phi, s))
+    if missing is not None:
+        return missing
+    alpha = [d.block_index(img) for img in images]
+    image_vertex = _vertex_images(g, phi)
+    if g.labels[image_vertex[0]][1] != phi.apply_subspace(g.labels[0][1]):
+        raise RuntimeError("the point-level vertex action diverged from phi.apply_subspace at vertex 0")
+    for j, i in enumerate(image_vertex):
+        expected = cert.mapping[i]
         found = alpha[cert.mapping[j]]
         if found != expected:
             return Theorem2Violation(j, expected, found)
@@ -428,13 +447,13 @@ def exhaustive_lift_check(field: Field = None, e: int = 2, jobs: int = 1,
     if s.field != field or s.h != h:
         raise ValueError("the census needs a polarity of the coordinate hyperplane")
     d = jt_design(field, e, h, s)
-    points, index = _point_order(field, n)
+    points = _point_order(field, n)[0]
     reps = np.array([pt.rep for pt in points], dtype=np.int64)
     code_index = np.zeros(field.p ** n, dtype=np.uint8)
     code_index[reps @ (field.p ** np.arange(n - 1, -1, -1))] = np.arange(len(points))
-    table = _sigma_point_table(s)
-    h_points = np.array([index[rep] for rep in table])
-    sigma_sets = np.array([_points_of(w, index) for w in table.values()])
+    table = _sigma_table(s)
+    h_points = np.array(list(table))
+    sigma_sets = np.array([sorted(pts) for _, pts in table.values()])
     sigma_masks = _point_masks(np.arange(len(points))[None], sigma_sets)[0]
     by_mask = np.argsort(sigma_masks)
     sigma = (h_points, sigma_sets, sigma_masks[by_mask], h_points[by_mask])

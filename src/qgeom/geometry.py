@@ -12,6 +12,12 @@ subspaces or blocks is the 0/1 incidence matrix N of those point sets,
 and all intersection sizes are entries of N·Nᵀ, computed in row blocks
 by `_pair_counts`.  A d-dimensional subspace has [d]_q = (q^d-1)/(q-1)
 points, so intersection dimensions are read off as point counts.
+
+The block map f works on the same point sets.  A polarity sigma of h
+reverses inclusion, so sigma(U) is the intersection of sigma(c) over
+the points c of U; `_sigma_table` holds sigma(c) once per point c of
+[h], as a subspace and as a point set, and `f_map` forms each block as
+an intersection of those point sets.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from .polarity import Polarity, polarity_new
 from .subspace import (
     ProjectivePoint,
     Subspace,
-    affine_points,
     coordinate_hyperplane,
     enumerate_k_subspaces,
     full_space,
@@ -330,27 +335,49 @@ def pg_design(field: Field, e: int) -> Design:
     return Design(points, blocks, labels)
 
 
+@lru_cache(maxsize=None)
+def _sigma_table(s: Polarity) -> dict:
+    """sigma(c) for each point index c of [h]: (the subspace, its point set).
+
+    sigma(c) is a hyperplane of h, and the keys are exactly the points of
+    [h], in point-index order.
+    """
+    h = s.h
+    points, index = _point_order(s.field, h.ambient_dim)
+    out = {}
+    for c, p in enumerate(points):
+        if h.contains_vector(p.rep):
+            image = s.apply(Subspace(s.field, h.ambient_dim, (p.rep,)))
+            out[c] = (image, frozenset(_points_of(image, index)))
+    return out
+
+
 def f_map(w: Subspace, h: Subspace, s: Polarity) -> frozenset:
     """The block of point indices assigned to a twisted-graph vertex.
 
     For w in the A family: points of s(w ∩ h) together with the points
     of w outside h.  For w in the B family: points of s(w).  Either way
-    the block has (q^(e+1)-1)/(q-1) points.
+    the block has (q^(e+1)-1)/(q-1) points.  s(U) is read as the
+    intersection of s(c) over the points c of U.
     """
     if h.dim % 2 != 0 or h.ambient_dim != h.dim + 1:
         raise ValueError("h must be a hyperplane of odd-dimensional ambient space")
     if s.h != h:
         raise ValueError("polarity is not a polarity of h")
+    if w.field != h.field or w.ambient_dim != h.ambient_dim:
+        raise ValueError("w and h live in different ambient spaces")
     e = h.dim // 2
-    index = point_index_map(w.field, h.ambient_dim)
-    if w.dim == e + 1 and not h.contains(w):
-        core = s.apply(w.intersect(h))
-        pts = projective_points(core) + affine_points(w, h)
-    elif w.dim == e - 1 and h.contains(w):
-        pts = projective_points(s.apply(w))
+    sigma = _sigma_table(s)
+    pts = _points_of(w, point_index_map(w.field, h.ambient_dim))
+    inside = [c for c in pts if c in sigma]
+    if w.dim == e + 1 and len(inside) < len(pts):
+        outside = frozenset(pts).difference(inside)
+    elif w.dim == e - 1 and len(inside) == len(pts):
+        outside = frozenset()
     else:
         raise ValueError("w is in neither vertex family of the twisted graph")
-    return frozenset(index[p.rep] for p in pts)
+    # the intersection over no points at all is sigma(0) = h
+    return frozenset(sigma).intersection(*(sigma[c][1] for c in inside)) | outside
 
 
 def jt_design(field: Field, e: int, h: Subspace = None, s: Polarity = None) -> Design:

@@ -236,9 +236,53 @@ def test_theorem2_relation_detects_corruption(setting22, tg22, jt22, cert22):
     bad_cert = IsoCertificate(tuple(bad), cert22.source, cert22.target)
     phi = random_stabilizer_element(field, 2, (3, 0))
     res = check_theorem2_relation(jt22, tg22, bad_cert, phi, s)
-    assert res is not True
-    assert isinstance(res, Theorem2Violation)
+    assert res == Theorem2Violation(vertex=0, expected=18, found=54)
     assert not res
+
+
+def test_theorem2_relation_returns_the_lifts_non_automorphism(monkeypatch, setting22, tg22, jt22, cert22):
+    import qgeom.autgroup as autgroup
+
+    field, h, s = setting22
+    literal = autgroup.lift
+
+    def swapped(phi, s):
+        perm = list(literal(phi, s).perm)
+        perm[0], perm[1] = perm[1], perm[0]
+        return PointPermutation(tuple(perm))
+
+    monkeypatch.setattr(autgroup, "lift", swapped)
+    phi = random_stabilizer_element(field, 2, (4, 0))
+    res = check_theorem2_relation(jt22, tg22, cert22, phi, s)
+    assert isinstance(res, NotAutomorphism)
+    assert res == is_design_automorphism(jt22, swapped(phi, s))
+
+
+def test_point_level_vertex_images_match_apply_subspace(setting22, tg22):
+    from qgeom.autgroup import _vertex_images
+
+    field, h, s = setting22
+    vertex_of = {label: j for j, label in enumerate(tg22.labels)}
+    for i in range(25):
+        phi = random_stabilizer_element(field, 2, (5, i))
+        literal = [vertex_of[(tag, phi.apply_subspace(w))] for tag, w in tg22.labels]
+        assert _vertex_images(tg22, phi) == literal
+
+
+def test_theorem2_relation_raises_when_the_vertex_action_diverges(monkeypatch, setting22, tg22, jt22, cert22):
+    import qgeom.autgroup as autgroup
+
+    field, h, s = setting22
+    point_level = autgroup._vertex_images
+
+    def shifted(g, phi):
+        images = point_level(g, phi)
+        return [(images[0] + 1) % g.n] + images[1:]
+
+    monkeypatch.setattr(autgroup, "_vertex_images", shifted)
+    phi = random_stabilizer_element(field, 2, (6, 0))
+    with pytest.raises(RuntimeError, match="vertex 0"):
+        check_theorem2_relation(jt22, tg22, cert22, phi, s)
 
 
 def test_stabilizer_order_values():

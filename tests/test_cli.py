@@ -211,3 +211,61 @@ def test_jobs_bounds(capsys):
     # capped at construction, so no worker is ever asked for
     big = argparse.Namespace(q=2, e=2, jobs=10**6)
     assert RunConfig.from_args(big).jobs == (os.cpu_count() or 1)
+
+
+def test_verify_aut_sample_passes(capsys):
+    code, out, err = run(capsys, "verify", "aut-sample")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["details"] == {"sampled": 1000, "failures": []}
+    assert err.startswith("\raut-sample ") and err.endswith("100.0%\n")
+    assert err.count("\r") <= 101  # once per whole percent, 0 to 100
+
+
+def test_verify_aut_sample_reports_a_theorem2_failure(monkeypatch, capsys):
+    import qgeom.cli as cli
+    from qgeom import IsoCertificate
+
+    literal = cli.f_certificate
+
+    def swapped(*args):
+        cert = literal(*args)
+        bad = list(cert.mapping)
+        bad[0], bad[1] = bad[1], bad[0]
+        return IsoCertificate(tuple(bad), cert.source, cert.target)
+
+    monkeypatch.setattr(cli, "f_certificate", swapped)
+    code, out, _ = run(capsys, "verify", "aut-sample")
+    assert code == 3
+    failures = json.loads(out)["details"]["failures"]
+    assert failures
+    assert {f["stage"] for f in failures} == {"theorem2"}
+
+
+def test_verify_aut_sample_reports_a_lift_that_is_no_automorphism(monkeypatch, capsys):
+    import qgeom.autgroup as autgroup
+    from qgeom import (
+        PointPermutation,
+        coordinate_hyperplane,
+        is_design_automorphism,
+        polarity_new,
+        random_stabilizer_element,
+    )
+
+    literal = autgroup.lift
+
+    def swapped(phi, s):
+        perm = list(literal(phi, s).perm)
+        perm[0], perm[1] = perm[1], perm[0]
+        return PointPermutation(tuple(perm))
+
+    monkeypatch.setattr(autgroup, "lift", swapped)
+    code, out, _ = run(capsys, "verify", "aut-sample")
+    assert code == 3
+    failures = json.loads(out)["details"]["failures"]
+    assert {f["stage"] for f in failures} == {"automorphism"}
+    field = field_new(2)
+    s = polarity_new(field, coordinate_hyperplane(field, 5))
+    phi = random_stabilizer_element(field, 2, (0, failures[0]["index"]))
+    expected = is_design_automorphism(jt_design(field, 2), swapped(phi, s))
+    assert failures[0]["witness"] == expected.to_json()

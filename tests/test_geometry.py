@@ -7,7 +7,9 @@ from qgeom import (
     Design,
     DesignParameters,
     Graph,
+    affine_points,
     block_graph,
+    coordinate_hyperplane,
     f_map,
     field_new,
     gaussian_binomial,
@@ -16,6 +18,8 @@ from qgeom import (
     jt_design,
     pg_design,
     point_index_map,
+    polarity_new,
+    projective_points,
     span,
     twisted_grassmann,
 )
@@ -187,8 +191,6 @@ def test_f_map_on_b_family(setting22, jt22):
     pts = f_map(w, h, s)
     idx = point_index_map(field, 5)
     polar = span(field, 5, [E[1], E[2], E[3]])
-    from qgeom import projective_points
-
     assert pts == frozenset(idx[p.rep] for p in projective_points(polar))
     assert jt22.has_block(sorted(pts))
 
@@ -213,6 +215,35 @@ def test_f_map_rejects_wrong_family(setting22):
         f_map(span(field, 5, [E[0], E[1], E[2]]), h, s)  # (e+1)-dim but inside h
     with pytest.raises(ValueError):
         f_map(span(field, 5, [E[4]]), h, s)  # (e-1)-dim but outside h
+    with pytest.raises(ValueError):
+        f_map(span(field_new(3), 5, [E[0]]), h, s)  # another field
+
+
+def _literal_f_map(w, h, s):
+    """f subspace by subspace: the points of s(w ∩ h) and the points of w
+    outside h for the A family, the points of s(w) for the B family."""
+    idx = point_index_map(w.field, w.ambient_dim)
+    if h.contains(w):
+        pts = projective_points(s.apply(w))
+    else:
+        pts = projective_points(s.apply(w.intersect(h))) + affine_points(w, h)
+    return frozenset(idx[p.rep] for p in pts)
+
+
+# pairs coordinates 0,1 and 2,3; alternating, so symplectic, over GF(2)
+PAIRED_GRAM = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+
+
+@pytest.mark.parametrize("gram", [None, PAIRED_GRAM], ids=["identity", "paired"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_f_map_matches_the_literal_subspace_map(q, gram):
+    field = field_new(q)
+    h = coordinate_hyperplane(field, 5)
+    s = polarity_new(field, h, gram)
+    g = twisted_grassmann(field, 2, h, s)
+    assert {tag for tag, _ in g.labels} == {"A", "B"}
+    for _, w in g.labels:
+        assert f_map(w, h, s) == _literal_f_map(w, h, s)
 
 
 def test_jt_block_sizes_follow_family_formulas(setting22, jt22):
