@@ -41,7 +41,7 @@ from .geometry import (
     pg_design,
     twisted_grassmann,
 )
-from .gf import field_from_order
+from .gf import field_from_order, is_prime
 from .polarity import polarity_new
 from .subspace import coordinate_hyperplane, gaussian_binomial
 
@@ -320,6 +320,9 @@ def _verify_aut_exhaustive(cfg: RunConfig) -> dict:
 
 def _verify_prank(cfg: RunConfig) -> dict:
     t0 = time.time()
+    reason = _skip_reason("prank", cfg)
+    if reason:
+        raise ValueError(f"verify prank: {reason}")
     field, h, s = _setting(cfg)
     p = field.p
     r_jt = p_rank(jt_design(field, cfg.e, h, s), p)
@@ -339,6 +342,15 @@ _VERIFIERS = {
 }
 
 
+def _skip_reason(check: str, cfg: RunConfig):
+    """Why a check does not run at this instance, or None."""
+    if check == "aut-exhaustive" and (cfg.q, cfg.e) != (2, 2):
+        return "exhaustive enumeration runs only at (q,e)=(2,2)"
+    if check == "prank" and not is_prime(cfg.q):
+        return f"equal p-rank is claimed only for prime q, and q={cfg.q} is not prime"
+    return None
+
+
 def cmd_verify(args) -> int:
     cfg = RunConfig.from_args(args)
     if args.check == "all":
@@ -346,8 +358,9 @@ def cmd_verify(args) -> int:
         sub = []
         skipped = []
         for name in ("design", "spectrum", "thm1", "drg", "prank", "aut-sample", "aut-exhaustive"):
-            if name == "aut-exhaustive" and (cfg.q, cfg.e) != (2, 2):
-                skipped.append({"check": name, "reason": "exhaustive enumeration runs only at (q,e)=(2,2)"})
+            reason = _skip_reason(name, cfg)
+            if reason:
+                skipped.append({"check": name, "reason": reason})
                 continue
             sub.append(_VERIFIERS[name](cfg))
         ok = all(r["pass"] for r in sub)

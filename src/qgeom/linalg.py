@@ -3,10 +3,16 @@
 RREF is the canonical form used everywhere downstream: it is unique
 per row space, so subspace equality reduces to comparing basis data.
 Matrices are immutable values; every operation returns a new one.
+Entries are range-checked when a Matrix is made; RREF and products
+then run on the field's tables (`Field._lincomb` and `_dot`).
 
-rank() has two internal fast paths that do not change the contract:
-rows are bit-packed into Python ints over GF(2), and large matrices
-over odd prime fields go through vectorized numpy elimination.
+rank() keeps two internal fast paths, each faster than the alternatives
+where it is selected (one run each on a 2-core x86-64 host): over GF(2)
+rows are bit-packed into Python ints, 0.24 s against 1.33 s for numpy
+and 7.7 s for the table RREF on the 5797 x 341 incidence of the
+(q,e) = (4,2) design; large matrices over odd prime fields go through
+numpy elimination, 0.05 s against 0.36 s for the table RREF on the
+1210 x 121 incidence at (3,2).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "entries", "_rref")
 
     def __init__(self, field: Field, entries):
-        rows = [tuple(field.check(x) for x in row) for row in entries]
+        rows = [field._check_vector(row) for row in entries]
         width = len(rows[0]) if rows else 0
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
@@ -84,15 +90,15 @@ class Matrix:
         F = self.field
         if len(vector) != self.rows:
             raise ValueError("vector length does not match row count")
-        return tuple(
-            _dot(F, vector, col) for col in zip(*self.entries)
-        )
+        vector = F._check_vector(vector)
+        return tuple(_dot(F, vector, col) for col in zip(*self.entries))
 
     def apply_col(self, vector):
         """Matrix times column vector."""
         F = self.field
         if len(vector) != self.cols:
             raise ValueError("vector length does not match column count")
+        vector = F._check_vector(vector)
         return tuple(_dot(F, row, vector) for row in self.entries)
 
     def inverse(self) -> "Matrix":
@@ -123,8 +129,9 @@ class Matrix:
 
     def _compute_rref(self):
         F = self.field
-        work = [list(r) for r in self.entries]
+        work = list(self.entries)
         m, n = self.rows, self.cols
+        zero = (0,) * n
         pivots = []
         r = 0
         for col in range(n):
@@ -134,12 +141,11 @@ class Matrix:
             work[r], work[pr] = work[pr], work[r]
             lead = work[r][col]
             if lead != 1:
-                s = F.inv(lead)
-                work[r] = [F.mul(s, x) for x in work[r]]
+                work[r] = F._lincomb(zero, (F.inv(lead),), (work[r],))
             for i in range(m):
-                if i != r and work[i][col]:
-                    c = work[i][col]
-                    work[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(work[i], work[r])]
+                c = work[i][col]
+                if i != r and c:
+                    work[i] = F._lincomb(work[i], (F.neg(c),), (work[r],))
             pivots.append(col)
             r += 1
             if r == m:
@@ -176,10 +182,11 @@ class Matrix:
 
 
 def _dot(F: Field, u, v):
+    """sum of u[i] * v[i] through the field's tables; entries must be valid."""
+    add, mul = F._add, F._mul
     acc = 0
     for a, b in zip(u, v):
-        if a and b:
-            acc = F.add(acc, F.mul(a, b))
+        acc = add[acc][mul[a][b]]
     return acc
 
 

@@ -45,16 +45,11 @@ class Polarity:
         F = self.field
         coords = self.h.coefficients_of(w.basis_rows)
         kern = coords.matmul(self.gram).kernel_basis()
-        rows = []
-        for krow in kern.nonzero_rows():
-            v = [0] * self.h.ambient_dim
-            for c, brow in zip(krow, self.h.basis_rows):
-                if c:
-                    v = [F.add(x, F.mul(c, y)) for x, y in zip(v, brow)]
-            rows.append(tuple(v))
+        zero = (0,) * self.h.ambient_dim
+        rows = tuple(F._lincomb(zero, krow, self.h.basis_rows) for krow in kern.nonzero_rows())
         # kernel rows are RREF in h-coordinates; multiplying by the RREF
         # basis of h keeps them RREF in the ambient space.
-        return Subspace(F, self.h.ambient_dim, tuple(rows))
+        return Subspace(F, self.h.ambient_dim, rows)
 
     def __call__(self, w: Subspace) -> Subspace:
         return self.apply(w)

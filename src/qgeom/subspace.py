@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .gf import Field
-from .linalg import Matrix
+from .linalg import Matrix, _dot
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,12 @@ class ProjectivePoint:
 
 def normalize_point(field: Field, vector) -> ProjectivePoint:
     """The canonical representative of the line through a nonzero vector."""
-    vector = tuple(vector)
+    vector = field._check_vector(vector)
     lead = next((x for x in vector if x), None)
     if lead is None:
         raise ValueError("the zero vector spans no projective point")
     if lead != 1:
-        s = field.inv(lead)
-        vector = tuple(field.mul(s, x) for x in vector)
+        vector = field._lincomb((0,) * len(vector), (field.inv(lead),), (vector,))
     return ProjectivePoint(vector)
 
 
@@ -52,6 +51,10 @@ class Subspace:
     field: Field
     ambient_dim: int
     basis_rows: tuple
+
+    def __post_init__(self):
+        for row in self.basis_rows:
+            self.field._check_vector(row)
 
     @property
     def dim(self) -> int:
@@ -65,15 +68,11 @@ class Subspace:
         return Matrix(self.field, self.basis_rows)
 
     def reduce_vector(self, vector):
-        """Subtract the basis component of each pivot coordinate."""
+        """Subtract the basis component of each pivot coordinate, all at
+        once: in an RREF basis no row touches another row's pivot."""
         F = self.field
-        v = list(vector)
-        for row in self.basis_rows:
-            p = next(j for j, x in enumerate(row) if x)
-            c = v[p]
-            if c:
-                v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
-        return tuple(v)
+        vector = F._check_vector(vector)
+        return F._lincomb(vector, [F._neg[vector[p]] for p in self.pivots], self.basis_rows)
 
     def contains_vector(self, vector) -> bool:
         if len(vector) != self.ambient_dim:
@@ -114,15 +113,11 @@ class Subspace:
     def vectors(self):
         """All q^dim vectors, as tuples."""
         F = self.field
-        n = self.ambient_dim
-        out = []
-        for coeffs in product(F.elements(), repeat=self.dim):
-            v = [0] * n
-            for c, row in zip(coeffs, self.basis_rows):
-                if c:
-                    v = [F.add(x, F.mul(c, y)) for x, y in zip(v, row)]
-            out.append(tuple(v))
-        return out
+        zero = (0,) * self.ambient_dim
+        return [
+            F._lincomb(zero, coeffs, self.basis_rows)
+            for coeffs in product(F.elements(), repeat=self.dim)
+        ]
 
     def coefficients_of(self, vectors) -> Matrix:
         """Express vectors of this subspace in its basis coordinates.
@@ -213,6 +208,7 @@ def enumerate_k_subspaces(ambient: Subspace, k: int):
     F = ambient.field
     n = ambient.ambient_dim
     basis = ambient.basis_rows
+    zero = (0,) * n
     if k == 0:
         yield Subspace(F, n, ())
         return
@@ -230,32 +226,22 @@ def enumerate_k_subspaces(ambient: Subspace, k: int):
                 coeff[i][p] = 1
             for (i, j), v in zip(free, values):
                 coeff[i][j] = v
-            rows = []
-            for crow in coeff:
-                v = [0] * n
-                for c, brow in zip(crow, basis):
-                    if c:
-                        v = [F.add(x, F.mul(c, y)) for x, y in zip(v, brow)]
-                rows.append(tuple(v))
+            rows = tuple(F._lincomb(zero, crow, basis) for crow in coeff)
             # The product of an RREF coefficient matrix with an RREF
             # basis is itself RREF, so no re-reduction is needed.
-            yield Subspace(F, n, tuple(rows))
+            yield Subspace(F, n, rows)
 
 
 def projective_points(w: Subspace):
     """The points of [w]: canonical representatives, sorted by vector."""
     F = w.field
-    n = w.ambient_dim
+    zero = (0,) * w.ambient_dim
     d = w.dim
-    reps = []
-    for lead in range(d):
-        for tail in product(F.elements(), repeat=d - lead - 1):
-            v = [0] * n
-            coeffs = (0,) * lead + (1,) + tail
-            for c, row in zip(coeffs, w.basis_rows):
-                if c:
-                    v = [F.add(x, F.mul(c, y)) for x, y in zip(v, row)]
-            reps.append(tuple(v))
+    reps = [
+        F._lincomb(zero, (0,) * lead + (1,) + tail, w.basis_rows)
+        for lead in range(d)
+        for tail in product(F.elements(), repeat=d - lead - 1)
+    ]
     reps.sort()
     return [ProjectivePoint(r) for r in reps]
 
@@ -265,13 +251,4 @@ def affine_points(w: Subspace, h: Subspace):
     if h.ambient_dim != w.ambient_dim or h.dim != h.ambient_dim - 1:
         raise ValueError("h must be a hyperplane of the ambient space")
     (dual,) = _dual_rows(h)
-    F = w.field
-    out = []
-    for pt in projective_points(w):
-        acc = 0
-        for a, b in zip(dual, pt.rep):
-            if a and b:
-                acc = F.add(acc, F.mul(a, b))
-        if acc:
-            out.append(pt)
-    return out
+    return [pt for pt in projective_points(w) if _dot(w.field, dual, pt.rep)]

@@ -26,9 +26,7 @@ from qgeom import (
     grassmann_graph,
     intersection_array,
     intersection_spectrum,
-    is_design_automorphism,
     jt_design,
-    lift,
     p_rank,
     pg_design,
     polarity_new,
@@ -205,10 +203,8 @@ def test_criterion_6_automorphism_lifting(capsys):
         cert = f_certificate(tg, d, h, s)
         for i in range(count):
             phi = random_stabilizer_element(field, e, (q, e, i))
-            perm = lift(phi, s)
-            if is_design_automorphism(d, perm) is not True:
-                failures += 1
-                continue
+            # one lift per element: a lift that is not a design automorphism
+            # comes back as its NotAutomorphism witness
             if check_theorem2_relation(d, tg, cert, phi, s) is not True:
                 failures += 1
     dt = time.perf_counter() - t0

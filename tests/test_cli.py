@@ -86,6 +86,19 @@ def test_verify_prank(capsys):
     assert rep["details"]["jt_rank"] == rep["details"]["pg_rank"] == 16
 
 
+def test_verify_prank_refuses_non_prime_q(monkeypatch, capsys):
+    import qgeom.cli as cli
+
+    def jt_design(*args):
+        raise AssertionError("a design was built")
+
+    monkeypatch.setattr(cli, "jt_design", jt_design)
+    code, out, err = run(capsys, "verify", "prank", "--q", "4")
+    assert code == 2
+    assert out == ""
+    assert "prime q" in err and "q=4" in err
+
+
 def test_config_errors_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, "verify", "thm1", "--q", "6")
@@ -198,9 +211,16 @@ def test_verify_all_lists_skipped_checks(monkeypatch, capsys):
     assert [s["check"] for s in skipped] == ["aut-exhaustive"]
     assert "(2,2)" in skipped[0]["reason"]
     ran.clear()
+    code, out, _ = run(capsys, "verify", "all", "--q", "4")
+    assert code == 0
+    assert "aut-exhaustive" not in ran and "prank" not in ran
+    skipped = json.loads(out)["details"]["skipped"]
+    assert [s["check"] for s in skipped] == ["prank", "aut-exhaustive"]
+    assert "prime q" in skipped[0]["reason"]
+    ran.clear()
     code, out, _ = run(capsys, "verify", "all")
     assert code == 0
-    assert "aut-exhaustive" in ran
+    assert "aut-exhaustive" in ran and "prank" in ran
     assert json.loads(out)["details"]["skipped"] == []
 
 

@@ -2,7 +2,17 @@ import random
 
 import pytest
 
-from qgeom import field_from_order, field_new
+from qgeom import (
+    Matrix,
+    SemilinearMap,
+    Subspace,
+    coordinate_hyperplane,
+    field_from_order,
+    field_new,
+)
+from qgeom.gf import Q_MAX
+from qgeom.linalg import _dot
+from qgeom.subspace import normalize_point
 
 PRIME_POWERS_16 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -109,3 +119,71 @@ def test_element_range_checked():
         f.mul(-1, 2)
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
+
+
+def test_field_order_bound():
+    assert Q_MAX == 256
+    f = field_new(2, 8)
+    assert f.q == Q_MAX
+    for a in range(1, 256):
+        assert f.mul(a, f.inv(a)) == 1
+        assert f.add(a, 255) == a ^ 255
+    with pytest.raises(ValueError, match="exceeds"):
+        field_new(2, 9)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_16)
+def test_row_kernel_matches_scalar_fold(q):
+    f = field_from_order(q)
+    rng = random.Random(q)
+    for _ in range(50):
+        n = rng.randrange(1, 7)
+        start = tuple(rng.randrange(q) for _ in range(n))
+        rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randrange(4))]
+        coeffs = [rng.randrange(q) for _ in rows]
+        want = list(start)
+        for c, row in zip(coeffs, rows):
+            want = [f.add(x, f.mul(c, y)) for x, y in zip(want, row)]
+        assert f._lincomb(start, coeffs, rows) == tuple(want)
+        other = tuple(rng.randrange(q) for _ in range(n))
+        dot = 0
+        for x, y in zip(start, other):
+            dot = f.add(dot, f.mul(x, y))
+        assert _dot(f, start, other) == dot
+
+
+def _entry_points():
+    """Every place a raw element enters, as a call on one element x of GF(4)."""
+    f = field_new(2, 2)
+    h = coordinate_hyperplane(f, 3)
+    m = Matrix.identity(f, 3)
+    phi = SemilinearMap.identity(f, 3)
+    return f, {
+        "Field.check": lambda x: f.check(x),
+        "Field.add": lambda x: f.add(1, x),
+        "Field.neg": lambda x: f.neg(x),
+        "Field.sub": lambda x: f.sub(x, 1),
+        "Field.mul": lambda x: f.mul(2, x),
+        "Field.inv": lambda x: f.inv(x),
+        "Field.div": lambda x: f.div(1, x),
+        "Field.pow": lambda x: f.pow(x, 2),
+        "Field.frobenius": lambda x: f.frobenius(x),
+        "Matrix": lambda x: Matrix(f, [[1, x], [0, 1]]),
+        "Matrix.apply": lambda x: m.apply((1, x, 0)),
+        "Matrix.apply_col": lambda x: m.apply_col((0, 1, x)),
+        "Subspace": lambda x: Subspace(f, 3, ((1, 0, x),)),
+        "Subspace.contains_vector": lambda x: h.contains_vector((x, 0, 0)),
+        "Subspace.reduce_vector": lambda x: h.reduce_vector((x, 0, 0)),
+        "normalize_point": lambda x: normalize_point(f, (0, 2, x)),
+        "SemilinearMap.apply_vector": lambda x: phi.apply_vector((1, x, 0)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_entry_points()[1]))
+def test_entry_points_reject_non_elements(name):
+    f, calls = _entry_points()
+    call = calls[name]
+    call(1)  # a valid element passes
+    for bad in (-1, f.q):
+        with pytest.raises(ValueError, match="is not an element of GF"):
+            call(bad)

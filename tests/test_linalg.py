@@ -11,7 +11,7 @@ def random_matrix(field, rows, cols, rng):
 
 def test_rref_is_idempotent_and_canonical():
     rng = random.Random(3)
-    for field in (field_new(2), field_new(3), field_new(2, 2)):
+    for field in (field_new(2), field_new(3), field_new(2, 2), field_new(3, 2)):
         for _ in range(40):
             m = random_matrix(field, rng.randrange(1, 6), rng.randrange(1, 6), rng)
             r, rank, pivots = m.rref()
