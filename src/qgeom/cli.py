@@ -25,7 +25,14 @@ from .autgroup import (
     random_stabilizer_element,
     stabilizer_order,
 )
-from .drg import check_2design, check_isomorphism, f_certificate, intersection_array, p_rank
+from .drg import (
+    IntersectionArray,
+    check_2design,
+    check_isomorphism,
+    f_certificate,
+    intersection_array,
+    p_rank,
+)
 from .formats import (
     design_to_json,
     encode_dimacs,
@@ -34,6 +41,9 @@ from .formats import (
     incidence_csv,
 )
 from .geometry import (
+    Design,
+    DesignParameters,
+    Graph,
     block_graph,
     grassmann_graph,
     intersection_spectrum,
@@ -150,8 +160,6 @@ def _make_object(kind: str, cfg: RunConfig, n: int | None = None, k: int | None 
 
 
 def _serialize(obj, fmt: str) -> str:
-    from .geometry import Design, Graph
-
     if isinstance(obj, Graph):
         if fmt == "graph6":
             return encode_graph6(obj) + "\n"
@@ -170,8 +178,6 @@ def _serialize(obj, fmt: str) -> str:
 
 
 def _summary(obj) -> str:
-    from .geometry import Design, Graph
-
     if isinstance(obj, Graph):
         degs = set(obj.degrees())
         deg = degs.pop() if len(degs) == 1 else "irregular"
@@ -231,8 +237,6 @@ def _verify_drg(cfg: RunConfig) -> dict:
     tg = twisted_grassmann(field, cfg.e, h, s)
     ia_t = intersection_array(tg)
     ia_g = intersection_array(grassmann_graph(2 * cfg.e + 1, cfg.e, cfg.q))
-    from .drg import IntersectionArray
-
     ok = isinstance(ia_t, IntersectionArray) and ia_t == ia_g
     details = {
         "twisted": ia_t.to_json(),
@@ -255,8 +259,6 @@ def _verify_design(cfg: RunConfig) -> dict:
     field, h, s = _setting(cfg)
     d = jt_design(field, cfg.e, h, s)
     result = check_2design(d)
-    from .geometry import DesignParameters
-
     expected = _expected_parameters(cfg.q, cfg.e)
     got = None
     ok = False

@@ -7,6 +7,9 @@ package cares about are not all vertex-transitive, so a single-base
 check would prove nothing.  Violations come back as values carrying
 the lexicographically smallest witness; malformed inputs (disconnected
 or irregular graphs) raise instead.
+
+Graph checks work on `Graph`'s packed adjacency rows: a BFS level is a
+packed vertex mask, and b and c are popcounts of rows ANDed with levels.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import field_new
-from .geometry import Design, DesignParameters, Graph, _pair_counts, f_map
+from .geometry import Design, DesignParameters, Graph, _pair_counts, _row_strips, f_map
 from .linalg import Matrix
 from .polarity import Polarity
 from .subspace import Subspace
@@ -115,24 +118,23 @@ class IsoCertificate:
         return {"mapping": list(self.mapping), "source": self.source, "target": self.target}
 
 
-def _bfs_levels(adj, base: int, n: int):
-    """Masks of the distance classes seen from base."""
-    seen = 1 << base
-    levels = [1 << base]
-    frontier = 1 << base
+def _bfs_levels(adj: np.ndarray, base: int, n: int):
+    """Packed masks of the distance classes from base, and of all vertices
+    seen: each level is the OR of the last one's rows, minus those seen."""
+    seen = np.zeros(adj.shape[1], dtype=np.uint8)
+    seen[base >> 3] = 1 << (base & 7)
+    levels = [seen.copy()]
     while True:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= adj[low.bit_length() - 1]
-            m ^= low
-        nxt &= ~seen
-        if not nxt:
+        nxt = np.bitwise_or.reduce(adj[_members(levels[-1], n)], axis=0) & ~seen
+        if not nxt.any():
             return levels, seen
         levels.append(nxt)
         seen |= nxt
-        frontier = nxt
+
+
+def _members(mask: np.ndarray, n: int) -> np.ndarray:
+    """The vertices of a packed mask, in increasing order."""
+    return np.flatnonzero(np.unpackbits(mask, count=n, bitorder="little"))
 
 
 def intersection_array(g: Graph):
@@ -141,39 +143,33 @@ def intersection_array(g: Graph):
     Runs a BFS from every vertex; for a vertex u at distance i from the
     base, the neighbor counts one level out and one level back must
     agree with the first occurrence of distance i anywhere in the scan.
+    The witness is the scan's first disagreeing vertex, b before c.
     """
     n = g.n
     if n == 0:
         raise GraphStructureError("empty", ())
-    degs = g.degrees()
-    k0 = degs[0]
-    for i, dg in enumerate(degs):
-        if dg != k0:
-            raise GraphStructureError("irregular", (0, i))
-    full = (1 << n) - 1
+    degs = np.asarray(g.degrees())
+    if (irregular := np.flatnonzero(degs != degs[0])).size:
+        raise GraphStructureError("irregular", (0, int(irregular[0])))
     b = {}
     c = {}
     for base in range(n):
         levels, seen = _bfs_levels(g.adj, base, n)
-        if seen != full:
-            missing = (~seen & full)
-            raise GraphStructureError("disconnected", (base, (missing & -missing).bit_length() - 1))
-        top = len(levels) - 1
-        for i, level in enumerate(levels):
-            up = levels[i + 1] if i < top else 0
-            down = levels[i - 1] if i > 0 else 0
-            m = level
-            while m:
-                low = m & -m
-                u = low.bit_length() - 1
-                m ^= low
-                bu = (g.adj[u] & up).bit_count()
-                if b.setdefault(i, bu) != bu:
-                    return NotDRG(base, u, i, "b", b[i], bu, repr(g.labels[base]), repr(g.labels[u]))
-                if i > 0:
-                    cu = (g.adj[u] & down).bit_count()
-                    if c.setdefault(i, cu) != cu:
-                        return NotDRG(base, u, i, "c", c[i], cu, repr(g.labels[base]), repr(g.labels[u]))
+        if (missing := _members(~seen, n)).size:
+            raise GraphStructureError("disconnected", (base, int(missing[0])))
+        # the levels before the base and past the last are empty, so c_0 = 0 every time
+        for i, (down, level, up) in enumerate(zip([0, *levels], levels, [*levels[1:], 0])):
+            members = _members(level, n)
+            rows = g.adj[members]
+            bu = np.bitwise_count(rows & up).sum(axis=1)
+            cu = np.bitwise_count(rows & down).sum(axis=1)
+            wrong_b = bu != b.setdefault(i, int(bu[0]))
+            wrong = np.flatnonzero(wrong_b | (cu != c.setdefault(i, int(cu[0]))))
+            if wrong.size:
+                j = wrong[0]
+                u = int(members[j])
+                kind, expected, found = ("b", b[i], bu[j]) if wrong_b[j] else ("c", c[i], cu[j])
+                return NotDRG(base, u, i, kind, expected, int(found), repr(g.labels[base]), repr(g.labels[u]))
     d = max(b)
     assert b[d] == 0 and all(b[i] > 0 for i in range(d))
     return IntersectionArray(
@@ -186,19 +182,18 @@ def intersection_array(g: Graph):
 def check_isomorphism(g1: Graph, g2: Graph, cert: IsoCertificate) -> bool:
     """Does cert map g1 onto g2 edge-for-edge and non-edge-for-non-edge?
 
-    Compares the full permuted adjacency mask of every vertex, so
-    missing edges are caught as well as wrong ones.
+    Compares the full permuted adjacency row of every vertex, 64 rows at
+    a time, so missing edges are caught as well as wrong ones.
     """
     if g1.n != g2.n:
         raise ValueError(f"vertex counts differ: {g1.n} vs {g2.n}")
     if len(cert.mapping) != g1.n:
         raise ValueError("certificate size does not match the graphs")
-    mp = cert.mapping
-    for i in range(g1.n):
-        row = 0
-        for j in g1.neighbors(i):
-            row |= 1 << mp[j]
-        if row != g2.adj[mp[i]]:
+    mp = np.asarray(cert.mapping, dtype=np.intp)
+    inverse = np.argsort(mp)
+    for start, rows in _row_strips(g1.adj, g1.n):
+        image = np.packbits(rows[:, inverse], axis=1, bitorder="little")
+        if not np.array_equal(image, g2.adj[mp[start : start + len(rows)]]):
             return False
     return True
 
@@ -258,9 +253,8 @@ def p_rank(d: Design, p: int) -> int:
 def vertex_statistics(g: Graph):
     """Per-vertex degree and triangle count, for structural exploration."""
     out = []
-    for u in range(g.n):
-        tri = 0
-        for v in g.neighbors(u):
-            tri += (g.adj[u] & g.adj[v]).bit_count()
-        out.append({"degree": g.degree(u), "triangles": tri // 2})
+    for u, row in enumerate(g.adj):
+        # each triangle at u is seen from both of its other corners
+        tri = int(np.bitwise_count(g.adj[g.neighbors(u)] & row).sum()) // 2
+        out.append({"degree": g.degree(u), "triangles": tri})
     return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Design, Graph
+from .geometry import _BLOCK_ROWS, Design, Graph
 
 _G6_MAX = 258047
 
@@ -27,13 +27,12 @@ def _g6_size(n: int) -> str:
 
 def encode_graph6(g: Graph) -> str:
     n = g.n
-    width = (n + 7) // 8
     nbits = n * (n - 1) // 2
     bits = np.zeros(-(-nbits // 6) * 6, dtype=np.uint8)  # zero-padded to whole groups
     k = 0
     for j in range(1, n):
-        row = np.frombuffer(g.adj[j].to_bytes(width, "little"), dtype=np.uint8)
-        bits[k : k + j] = np.unpackbits(row, count=j, bitorder="little")
+        # column j of the upper triangle is row j up to the diagonal
+        bits[k : k + j] = np.unpackbits(g.adj[j], count=j, bitorder="little")
         k += j
     groups = bits.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8) + 63
     return _g6_size(n) + groups.tobytes().decode("ascii")
@@ -58,20 +57,19 @@ def decode_graph6(s: str) -> Graph:
     need = n * (n - 1) // 2
     if len(body) != (need + 5) // 6:
         raise ValueError(f"graph6 body length {len(body)} does not fit {n} vertices")
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
-            raise ValueError(f"byte {ch!r} outside graph6 range")
-        bits.extend((val >> s6) & 1 for s6 in (5, 4, 3, 2, 1, 0))
-    adj = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
+    vals = np.frombuffer(body.encode("utf-32-le"), dtype=np.uint32).astype(np.int64) - 63
+    if (bad := np.flatnonzero((vals < 0) | (vals >= 64))).size:
+        raise ValueError(f"byte {body[bad[0]]!r} outside graph6 range")
+    bits = np.zeros(need + 1, dtype=np.uint8)  # bits[need] stays 0: the diagonal reads it
+    bits[:need] = np.unpackbits(vals.astype(np.uint8)[:, None], axis=1)[:, 2:].ravel()[:need]
+    # Bit (i, j) with i < j sits at j(j-1)/2 + i; fill 64 rows at a time.
+    adj = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+    cols = np.arange(n)
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = np.arange(start, min(start + _BLOCK_ROWS, n))[:, None]
+        hi, lo = np.maximum(rows, cols), np.minimum(rows, cols)
+        index = np.where(rows == cols, need, hi * (hi - 1) // 2 + lo)
+        adj[start : start + len(rows)] = np.packbits(bits[index], axis=1, bitorder="little")
     return Graph(range(n), adj)
 
 

@@ -13,6 +13,10 @@ and all intersection sizes are entries of N·Nᵀ, computed in row blocks
 by `_pair_counts`.  A d-dimensional subspace has [d]_q = (q^d-1)/(q-1)
 points, so intersection dimensions are read off as point counts.
 
+A graph is one packed adjacency matrix: `_count_graph` packs each row
+block of counts straight into it, and the operations that need 0/1
+columns unpack at most 64 rows at a time (`_row_strips`).
+
 The block map f works on the same point sets.  A polarity sigma of h
 reverses inclusion, so sigma(U) is the intersection of sigma(c) over
 the points c of U; `_sigma_table` holds sigma(c) once per point c of
@@ -25,6 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -42,42 +47,42 @@ from .subspace import (
 
 
 class Graph:
-    """Undirected graph: labels plus one adjacency bitmask per vertex."""
+    """Undirected graph: labels plus `adj`, a read-only (n, ceil(n/8))
+    uint8 matrix whose bit j of row i, little-endian within each byte,
+    is set when vertices i and j are adjacent."""
 
     __slots__ = ("labels", "adj")
 
     def __init__(self, labels, adj):
         labels = tuple(labels)
-        adj = tuple(adj)
-        if len(labels) != len(adj):
-            raise ValueError("one label per adjacency row required")
-        n = len(adj)
-        for i, row in enumerate(adj):
-            if row >> n:
-                raise ValueError(f"adjacency row {i} has bits beyond vertex range")
-            if (row >> i) & 1:
-                raise ValueError(f"self-loop at vertex {i}")
-        # Symmetry, 64 rows at a time: those rows against the same 64 columns.
+        n = len(labels)
         width = (n + 7) // 8
-        packed = np.frombuffer(
-            b"".join(row.to_bytes(width, "little") for row in adj), dtype=np.uint8
-        ).reshape(n, width)
-        for start in range(0, n, _BLOCK_ROWS):
-            rows = packed[start : start + _BLOCK_ROWS]
-            rows = np.unpackbits(rows, axis=1, count=n, bitorder="little")
-            cols = packed[:, start // 8 : (start + _BLOCK_ROWS) // 8]
+        if not (isinstance(adj, np.ndarray) and adj.dtype == np.uint8 and adj.shape == (n, width)):
+            raise ValueError(f"adjacency must be a ({n}, {width}) uint8 array, one row per label")
+        if n % 8 and (over := np.flatnonzero(adj[:, -1] >> n % 8)).size:
+            raise ValueError(f"adjacency row {over[0]} has bits beyond vertex range")
+        diag = np.arange(n)
+        if (loops := np.flatnonzero(adj[diag, diag >> 3] >> (diag & 7) & 1)).size:
+            raise ValueError(f"self-loop at vertex {loops[0]}")
+        # Symmetry, 64 rows at a time: those rows against the same 64 columns.
+        for start, rows in _row_strips(adj, n):
+            cols = adj[:, start // 8 : (start + _BLOCK_ROWS) // 8]
             cols = np.unpackbits(cols, axis=1, count=len(rows), bitorder="little")
             if not np.array_equal(rows, cols.T):
                 raise ValueError("adjacency is not symmetric")
+        adj = adj.view()
+        adj.flags.writeable = False
         self.labels = labels
         self.adj = adj
 
     @classmethod
     def from_edges(cls, n: int, edges, labels=None):
-        adj = [0] * n
-        for u, v in edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        ends = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
+        if ends.size and not (ends.min() >= 0 and ends.max() < n):
+            raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
+        adj = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+        u, v = np.concatenate([ends, ends[:, ::-1]]).T
+        np.bitwise_or.at(adj, (u, v >> 3), (1 << (v & 7)).astype(np.uint8))
         return cls(labels if labels is not None else range(n), adj)
 
     @property
@@ -85,39 +90,38 @@ class Graph:
         return len(self.adj)
 
     def is_adjacent(self, i: int, j: int) -> bool:
-        return bool((self.adj[i] >> j) & 1)
+        return bool((self.adj[i, j >> 3] >> (j & 7)) & 1)
 
     def degree(self, i: int) -> int:
-        return self.adj[i].bit_count()
+        return int(np.bitwise_count(self.adj[i]).sum())
 
     def degrees(self):
-        return [row.bit_count() for row in self.adj]
+        return np.bitwise_count(self.adj).sum(axis=1).tolist()
 
     def neighbors(self, i: int):
-        row = self.adj[i]
-        out = []
-        while row:
-            low = row & -row
-            out.append(low.bit_length() - 1)
-            row ^= low
-        return out
+        return np.flatnonzero(np.unpackbits(self.adj[i], count=self.n, bitorder="little")).tolist()
 
     def num_edges(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return int(np.bitwise_count(self.adj).sum()) // 2
 
     def edges(self):
         """Sorted (i, j) pairs with i < j."""
         out = []
-        for i, row in enumerate(self.adj):
-            row >>= i + 1
-            while row:
-                low = row & -row
-                out.append((i, i + 1 + low.bit_length() - 1))
-                row ^= low
+        for start, rows in _row_strips(self.adj, self.n):
+            # columns past the diagonal; one int object for i, shared by its row
+            for i, row in enumerate(np.triu(rows, start + 1), start):
+                out.extend(zip(repeat(i), np.flatnonzero(row).tolist()))
         return out
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.num_edges()})"
+
+
+def _row_strips(adj: np.ndarray, n: int):
+    """Yield (start, rows): rows start..start+63 of a packed adjacency
+    matrix, unpacked to n 0/1 columns, so n x n bits are never formed."""
+    for start in range(0, n, _BLOCK_ROWS):
+        yield start, np.unpackbits(adj[start : start + _BLOCK_ROWS], axis=1, count=n, bitorder="little")
 
 
 class Design:
@@ -261,13 +265,12 @@ def _count_graph(labels, n: np.ndarray, target, family=None) -> Graph:
         family = np.zeros(len(n), dtype=np.intp)
         target = [[target]]
     target = np.asarray(target)
-    adj = []
+    adj = np.empty((len(n), (len(n) + 7) // 8), dtype=np.uint8)
     for start, counts in _pair_counts(n):
         rows = np.arange(start, start + len(counts))
         hit = counts == target[family[rows, None], family]
         hit[rows - start, rows] = False
-        for packed in np.packbits(hit, axis=1, bitorder="little"):
-            adj.append(int.from_bytes(packed.tobytes(), "little"))
+        adj[rows] = np.packbits(hit, axis=1, bitorder="little")
     return Graph(labels, adj)
 
 

@@ -14,6 +14,7 @@ coordinate is 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from dataclasses import field as dataclass_field
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -51,18 +52,19 @@ class Subspace:
     field: Field
     ambient_dim: int
     basis_rows: tuple
+    # the pivot column of each basis row, fixed by the basis; equality and
+    # hashing read the basis alone
+    pivots: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for row in self.basis_rows:
             self.field._check_vector(row)
+        pivots = tuple(next(j for j, x in enumerate(row) if x) for row in self.basis_rows)
+        object.__setattr__(self, "pivots", pivots)
 
     @property
     def dim(self) -> int:
         return len(self.basis_rows)
-
-    @property
-    def pivots(self) -> tuple:
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis_rows)
 
     def basis_matrix(self) -> Matrix:
         return Matrix(self.field, self.basis_rows)

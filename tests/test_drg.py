@@ -68,11 +68,21 @@ def test_prism_is_not_drg():
     assert 0 <= res.base < 6 and 0 <= res.vertex < 6
 
 
+def pentagonal_prism():
+    # C5 x K2: outer cycle 0-4, inner cycle 5-9, spokes i - i+5
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    return Graph.from_edges(10, outer + inner + spokes)
+
+
 def test_notdrg_witness_is_lexicographically_first():
     r1 = intersection_array(prism())
     r2 = intersection_array(prism())
     assert r1 == r2
-    assert r1.base == 0
+    assert r1 == NotDRG(0, 3, 1, "b", 1, 2, "0", "3")
+    # the first mismatch is a c count at distance 2, reached before any b mismatch
+    assert intersection_array(pentagonal_prism()) == NotDRG(0, 6, 2, "c", 1, 2, "0", "6")
 
 
 def test_irregular_graph_raises():

@@ -1,5 +1,7 @@
+import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from qgeom import (
@@ -14,7 +16,9 @@ from qgeom import (
     incidence_csv,
     pg_design,
     field_new,
+    twisted_grassmann,
 )
+from qgeom.cli import _serialize
 
 
 def random_graph(n, p, rng):
@@ -45,7 +49,7 @@ def test_graph6_round_trip_small():
         g = random_graph(n, 0.3, rng)
         g2 = decode_graph6(encode_graph6(g))
         assert g2.n == g.n
-        assert g2.adj == g.adj
+        assert np.array_equal(g2.adj, g.adj)
 
 
 def test_graph6_large_n_header():
@@ -79,7 +83,7 @@ def test_graph_json_round_trip(tg22):
     data = graph_to_json(tg22)
     assert data["n"] == 155
     g2 = graph_from_json(data)
-    assert g2.adj == tg22.adj
+    assert np.array_equal(g2.adj, tg22.adj)
 
 
 def test_design_json_round_trip(jt22):
@@ -105,3 +109,23 @@ def test_incidence_csv_fano():
     rows = text.strip().split("\n")
     assert len(rows) == 7
     assert all(sum(int(c) for c in r.split(",")) == 3 for r in rows)
+
+
+# SHA-256 of the twisted graph's exports (coordinate hyperplane, identity
+# polarity), as `qgeom build twisted --format ...` writes them.
+EXPORT_SHA256 = {
+    (2, "graph6"): "e92efb62f2df921f7cb308e976b2bd110d6cafad185f2f68465f0f87de9a5efc",
+    (2, "dimacs-edges"): "e7160c8496dcca86f373ae75c6fa854f35d240fdeb24aa63018ccf71016768b2",
+    (2, "json"): "5683ccef8fc12d016bc23653f0eb72b05116721321dadfd28fa48abfc7c3d538",
+    (3, "graph6"): "2b5095f928e61a3bf076c2300380be63222695964828b72b2446ab9b41f89776",
+    (3, "dimacs-edges"): "8502b244d38436fa766fc04ee6de8bc0ccba3e27cf8cc855c8d4a71eedbdbbf4",
+    (3, "json"): "8daab76a50bed0f28f292c573e0cd259a3deaf6128a3741d31674883b92943ee",
+}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_twisted_graph_exports_are_pinned(q):
+    g = twisted_grassmann(field_new(q), 2)
+    for fmt in ("graph6", "dimacs-edges", "json"):
+        digest = hashlib.sha256(_serialize(g, fmt).encode()).hexdigest()
+        assert digest == EXPORT_SHA256[q, fmt], fmt

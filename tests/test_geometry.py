@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from qgeom import (
@@ -28,29 +29,57 @@ E = [tuple(1 if j == i else 0 for j in range(5)) for i in range(5)]
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        Graph(["a", "b"], [0b10, 0b00])  # asymmetric
-    with pytest.raises(ValueError):
-        Graph(["a"], [0b1])  # self-loop
+    with pytest.raises(ValueError, match="not symmetric"):
+        Graph(["a", "b"], np.array([[0b10], [0b00]], dtype=np.uint8))
+    with pytest.raises(ValueError, match="self-loop"):
+        Graph(["a"], np.array([[0b1]], dtype=np.uint8))
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     assert g.is_adjacent(0, 1) and g.is_adjacent(2, 1)
     assert not g.is_adjacent(0, 2)
     assert list(g.degrees()) == [1, 2, 1]
     assert g.num_edges() == 2
     assert list(g.edges()) == [(0, 1), (1, 2)]
+    assert g.neighbors(1) == [0, 2]
+    assert not g.adj.flags.writeable
+
+
+def test_graph_rejects_bits_in_the_padding():
+    # 11 vertices fill one byte and 3 bits of the next; bit 11 is padding
+    path = np.zeros((11, 2), dtype=np.uint8)
+    path[0, 0], path[1, 0] = 0b10, 0b01
+    Graph(range(11), path)
+    for row in (0, 10):
+        bad = path.copy()
+        bad[row, 1] |= 1 << 3
+        with pytest.raises(ValueError, match=f"row {row} has bits beyond vertex range"):
+            Graph(range(11), bad)
+
+
+def test_graph_rejects_wrong_shape_or_dtype():
+    with pytest.raises(ValueError, match="uint8"):
+        Graph(["a", "b"], [[0b10], [0b01]])
+    with pytest.raises(ValueError, match="uint8"):
+        Graph(["a", "b"], np.array([[0b10], [0b01]], dtype=np.int64))
+    with pytest.raises(ValueError, match="one row per label"):
+        Graph(["a", "b", "c"], np.array([[0b10], [0b01]], dtype=np.uint8))
+    for bad_edge in [(0, 3), (-1, 0)]:
+        with pytest.raises(ValueError, match="edge endpoints"):
+            Graph.from_edges(3, [bad_edge])
 
 
 def test_graph_symmetry_checked_beyond_the_first_strip():
     # a 100-cycle is symmetric; each single flipped bit outside rows and
     # columns 0..63 (or across the strip boundary) breaks symmetry
     n = 100
-    adj = [(1 << ((i + 1) % n)) | (1 << ((i - 1) % n)) for i in range(n)]
-    Graph(range(n), adj)
+    bits = np.zeros((n, n), dtype=np.uint8)
+    for i in range(n):
+        bits[i, (i + 1) % n] = bits[i, (i - 1) % n] = 1
+    Graph(range(n), np.packbits(bits, axis=1, bitorder="little"))
     for i, j in [(70, 90), (90, 70), (5, 80), (99, 0)]:
-        bad = list(adj)
-        bad[i] ^= 1 << j
+        bad = bits.copy()
+        bad[i, j] ^= 1
         with pytest.raises(ValueError, match="not symmetric"):
-            Graph(range(n), bad)
+            Graph(range(n), np.packbits(bad, axis=1, bitorder="little"))
 
 
 def test_design_validation():

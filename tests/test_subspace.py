@@ -12,6 +12,7 @@ from qgeom import (
     full_space,
     gaussian_binomial,
     projective_points,
+    Subspace,
     span,
     zero_space,
 )
@@ -30,6 +31,18 @@ def test_span_is_canonical():
     assert a == b
     assert a.basis_rows == ((1, 0, 1), (0, 1, 1))
     assert hash(a) == hash(b)
+
+
+def test_pivots_are_stored_outside_equality():
+    f = field_new(3)
+    a = span(f, 4, [(1, 0, 2, 0), (0, 0, 1, 1)])
+    assert a.pivots == (0, 2)
+    assert a.pivots is a.pivots
+    # equality and hashing read the basis alone
+    other = Subspace(f, 4, a.basis_rows)
+    object.__setattr__(other, "pivots", ())
+    assert a == other and hash(a) == hash(other)
+    assert "pivots" not in repr(a)
 
 
 def test_dim_and_containment():
