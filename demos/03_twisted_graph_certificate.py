@@ -12,11 +12,14 @@ from qgeom import (
     f_certificate,
     f_map,
     field_new,
+    grassmann_array,
     grassmann_graph,
     intersection_array,
     jt_design,
     polarity_new,
+    stabilizer_generators,
     twisted_grassmann,
+    vertex_permutation,
 )
 
 
@@ -41,6 +44,16 @@ def main():
     print(f"same array: {ia_t == ia_g}")
     print("same parameters as the Grassmann graph, but the twisted graph")
     print("is famously not vertex-transitive.")
+    print()
+
+    print("== the same array from one base vertex per orbit ==")
+    gens = [vertex_permutation(tg, phi) for phi in stabilizer_generators(f, 2)]
+    ia_o = intersection_array(tg, gens)
+    print(f"{len(gens)} hyperplane-stabilizer generators, "
+          f"{ia_o.scan.automorphisms_checked} of them merge orbits and are checked as automorphisms")
+    print(f"{ia_o.scan.orbits} vertex orbits (A and B), so {ia_o.scan.bfs_bases} BFS bases "
+          f"instead of {tg.n}: {ia_o}")
+    print(f"closed form of J_2(5,2): {grassmann_array(5, 2, 2)}")
     print()
 
     print("== one vertex's block under the map f ==")

@@ -17,19 +17,23 @@ product over the canonical point representatives, and a point c of [H]
 goes to the point whose sigma (the table's point set) is pi(sigma(c)).
 A fixed stride of the census's lifts is compared with lift() in-run.
 
-The Theorem-2 check alpha.f = f.phi also acts at point level: phi(W)
-is the vertex whose point set is pi of W's points, looked up in a
-per-graph table of vertex point sets.  Vertex 0's image is compared
-with the literal phi.apply_subspace in every call.
+The vertex action `vertex_permutation`, which the Theorem-2 check
+alpha.f = f.phi uses, also acts at point level: phi(W) is the vertex
+whose point set is pi of W's points, looked up in a per-graph table of
+vertex point sets.  Vertex 0's image is compared with the literal
+phi.apply_subspace in every call.  `stabilizer_generators` lists
+generators of the stabilizer; their vertex permutations give the orbits
+that `drg.intersection_array` runs its BFS from.
 """
 
 from __future__ import annotations
 
 import random
 import time
+import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -194,6 +198,38 @@ def random_stabilizer_element(field: Field, e: int, seed) -> SemilinearMap:
     return SemilinearMap(Matrix(field, rows), frob)
 
 
+def stabilizer_generators(field: Field, e: int) -> list:
+    """Generators of the hyperplane stabilizer in the semilinear group of
+    GF(q)^(2e+1), q = p^f, with omega the field's primitive element:
+
+    - the transvections I + omega^k E_ij, i != j < 2e, k < f, which
+      generate SL(2e, q) because the omega^k span GF(q) over GF(p);
+    - the mixing translations I + omega^k E_(i,2e), i < 2e, k < f;
+    - diag(omega, 1, ..., 1) when q > 2, completing GL(2e, q), while the
+      corner scalar is a scalar matrix times an element of GL(2e, q);
+    - Frobenius when f > 1.
+
+    Nothing downstream needs them to generate the whole group: a missing
+    generator only leaves orbits unmerged.
+    """
+    if e < 1:
+        raise ValueError(f"e must be >= 1, got {e}")
+    m = 2 * e
+    powers = field._exp[: field.f]  # omega^k, k < f: the field's table of powers of omega
+
+    def elementary(i, j, x):
+        rows = [[int(r == c) for c in range(m + 1)] for r in range(m + 1)]
+        rows[i][j] = x
+        return SemilinearMap(Matrix(field, rows), 0)
+
+    gens = [elementary(i, j, x) for i in range(m) for j in range(m + 1) if i != j for x in powers]
+    if field.q > 2:
+        gens.append(elementary(0, 0, field._exp[1]))
+    if field.f > 1:
+        gens.append(SemilinearMap(Matrix.identity(field, m + 1), 1))
+    return gens
+
+
 def lift(phi: SemilinearMap, s: Polarity) -> PointPermutation:
     """The point permutation phi' of [V].
 
@@ -248,15 +284,20 @@ def induced_block_permutation(d: Design, p: PointPermutation):
     return None if missing is not None else tuple(map(d.block_index, images))
 
 
-@lru_cache(maxsize=1)
+# per graph, held weakly: a graph's tables go when the graph does
+_POINT_SETS = weakref.WeakKeyDictionary()
+
+
 def _vertex_point_sets(g: Graph):
     """The point set of each vertex W_j, and the vertex of each
     (family tag, point set)."""
-    first = g.labels[0][1]
-    index = _point_order(first.field, first.ambient_dim)[1]
-    sets = [frozenset(_points_of(w, index)) for _, w in g.labels]
-    vertex_of = {(tag, pts): j for j, ((tag, _), pts) in enumerate(zip(g.labels, sets))}
-    return sets, vertex_of
+    if (tables := _POINT_SETS.get(g)) is None:
+        first = g.labels[0][1]
+        index = _point_order(first.field, first.ambient_dim)[1]
+        sets = [frozenset(_points_of(w, index)) for _, w in g.labels]
+        vertex_of = {(tag, pts): j for j, ((tag, _), pts) in enumerate(zip(g.labels, sets))}
+        tables = _POINT_SETS[g] = (sets, vertex_of)
+    return tables
 
 
 def _vertex_images(g: Graph, phi: SemilinearMap) -> list:
@@ -266,6 +307,19 @@ def _vertex_images(g: Graph, phi: SemilinearMap) -> list:
     pi = [index[phi.apply_point(p).rep] for p in points]
     sets, vertex_of = _vertex_point_sets(g)
     return [vertex_of[tag, frozenset(pi[c] for c in pts)] for (tag, _), pts in zip(g.labels, sets)]
+
+
+def vertex_permutation(g: Graph, phi: SemilinearMap) -> tuple:
+    """phi's action on the vertices of a twisted Grassmann graph g: entry
+    j is the vertex phi(W_j).  Computed at point level; vertex 0's image
+    is compared with the literal phi.apply_subspace on every call."""
+    try:
+        images = _vertex_images(g, phi)
+    except KeyError:
+        raise ValueError("phi does not map the graph's vertex families onto themselves") from None
+    if g.labels[images[0]][1] != phi.apply_subspace(g.labels[0][1]):
+        raise RuntimeError("the point-level vertex action diverged from phi.apply_subspace at vertex 0")
+    return tuple(images)
 
 
 def check_theorem2_relation(d: Design, g: Graph, cert, phi: SemilinearMap, s: Polarity):
@@ -283,10 +337,7 @@ def check_theorem2_relation(d: Design, g: Graph, cert, phi: SemilinearMap, s: Po
     if missing is not None:
         return missing
     alpha = [d.block_index(img) for img in images]
-    image_vertex = _vertex_images(g, phi)
-    if g.labels[image_vertex[0]][1] != phi.apply_subspace(g.labels[0][1]):
-        raise RuntimeError("the point-level vertex action diverged from phi.apply_subspace at vertex 0")
-    for j, i in enumerate(image_vertex):
+    for j, i in enumerate(vertex_permutation(g, phi)):
         expected = cert.mapping[i]
         found = alpha[cert.mapping[j]]
         if found != expected:

@@ -23,13 +23,16 @@ from .autgroup import (
     check_theorem2_relation,
     exhaustive_lift_check,
     random_stabilizer_element,
+    stabilizer_generators,
     stabilizer_order,
+    vertex_permutation,
 )
 from .drg import (
     IntersectionArray,
     check_2design,
     check_isomorphism,
     f_certificate,
+    grassmann_array,
     intersection_array,
     p_rank,
 )
@@ -37,7 +40,7 @@ from .formats import (
     design_to_json,
     encode_dimacs,
     encode_graph6,
-    graph_to_json,
+    encode_graph_json,
     incidence_csv,
 )
 from .geometry import (
@@ -166,7 +169,7 @@ def _serialize(obj, fmt: str) -> str:
         if fmt == "dimacs-edges":
             return encode_dimacs(obj)
         if fmt == "json":
-            return json.dumps(graph_to_json(obj)) + "\n"
+            return encode_graph_json(obj) + "\n"
         raise ValueError(f"graphs do not export as {fmt}")
     if isinstance(obj, Design):
         if fmt == "json":
@@ -235,13 +238,17 @@ def _verify_drg(cfg: RunConfig) -> dict:
     t0 = time.time()
     field, h, s = _setting(cfg)
     tg = twisted_grassmann(field, cfg.e, h, s)
-    ia_t = intersection_array(tg)
-    ia_g = intersection_array(grassmann_graph(2 * cfg.e + 1, cfg.e, cfg.q))
+    gens = stabilizer_generators(field, cfg.e)
+    progress = _progress("drg")
+    automorphisms = []
+    for i, phi in enumerate(gens):
+        automorphisms.append(vertex_permutation(tg, phi))
+        progress((i + 1) / len(gens))
+    print(file=sys.stderr)
+    ia_t = intersection_array(tg, automorphisms)
+    ia_g = grassmann_array(2 * cfg.e + 1, cfg.e, cfg.q)
     ok = isinstance(ia_t, IntersectionArray) and ia_t == ia_g
-    details = {
-        "twisted": ia_t.to_json(),
-        "grassmann": ia_g.to_json() if isinstance(ia_g, IntersectionArray) else None,
-    }
+    details = {"twisted": ia_t.to_json(), "grassmann": ia_g.to_json(), **ia_t.scan.to_json()}
     return _report(cfg, "drg", ok, details, t0)
 
 

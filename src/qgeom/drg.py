@@ -1,12 +1,18 @@
 """Structure verification: distance-regularity, isomorphism
 certificates, 2-design parameters, and incidence p-rank.
 
-Distance-regularity is checked from every base vertex, not just one.
-The definition quantifies over all vertex pairs, and the graphs this
-package cares about are not all vertex-transitive, so a single-base
-check would prove nothing.  Violations come back as values carrying
-the lexicographically smallest witness; malformed inputs (disconnected
-or irregular graphs) raise instead.
+Distance-regularity is checked from one base vertex per orbit of the
+automorphisms the caller supplies, or from every vertex when none are
+given.  The definition quantifies over all vertex pairs, and the graphs
+this package cares about are not all vertex-transitive, but an
+automorphism carries the BFS levels of u onto those of its image, so the
+counts seen from u hold from every vertex of u's orbit.  Each supplied
+permutation is verified as an automorphism before it merges orbits, so
+the orbits used lie inside orbits of the full automorphism group; too
+few generators cost extra bases, never rigour.  Violations come back as
+values carrying the first witness of the scan; malformed inputs
+(disconnected or irregular graphs, permutations that are not
+automorphisms) raise instead.
 
 Graph checks work on `Graph`'s packed adjacency rows: a BFS level is a
 packed vertex mask, and b and c are popcounts of rows ANDed with levels.
@@ -14,12 +20,13 @@ packed vertex mask, and b and c are popcounts of rows ANDed with levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from dataclasses import field as dataclass_field
 
 import numpy as np
 
 from .gf import field_new
-from .geometry import Design, DesignParameters, Graph, _pair_counts, _row_strips, f_map
+from .geometry import Design, DesignParameters, Graph, _pair_counts, _point_count, _row_strips, f_map
 from .linalg import Matrix
 from .polarity import Polarity
 from .subspace import Subspace
@@ -35,10 +42,25 @@ class GraphStructureError(Exception):
 
 
 @dataclass(frozen=True)
+class ScanCounts:
+    """How an intersection-array scan ran: the BFS bases it ran, the
+    vertex orbits it found, and the automorphisms it verified."""
+
+    bfs_bases: int
+    orbits: int
+    automorphisms_checked: int
+
+    def to_json(self):
+        return asdict(self)
+
+
+@dataclass(frozen=True)
 class IntersectionArray:
     b: tuple
     c: tuple
     diameter: int
+    # how the array was found; not part of the array's value
+    scan: ScanCounts = dataclass_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.b) != self.diameter or len(self.c) != self.diameter:
@@ -69,6 +91,7 @@ class NotDRG:
     found: int
     base_label: str
     vertex_label: str
+    scan: ScanCounts = dataclass_field(default=None, compare=False, repr=False)
 
     def to_json(self):
         return {
@@ -137,13 +160,54 @@ def _members(mask: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(np.unpackbits(mask, count=n, bitorder="little"))
 
 
-def intersection_array(g: Graph):
+def _find(parent: list, v: int) -> int:
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v
+
+
+def _orbit_bases(g: Graph, automorphisms):
+    """The smallest vertex of each orbit of the group the automorphisms
+    generate, and how many of them were verified.
+
+    Each automorphism is a sequence of vertex images.  One that merges
+    orbits is verified first, and ValueError names it if it does not
+    preserve adjacency; one that merges none changes nothing and is
+    passed over unverified.
+    """
+    n = g.n
+    orbit = np.arange(n)  # each vertex's orbit, named by its smallest vertex
+    parent = list(range(n))  # union-find; the smaller root wins, so a root is that smallest vertex
+    checked = 0
+    for k, images in enumerate(automorphisms):
+        perm = np.asarray(images, dtype=np.intp)
+        if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+            raise ValueError(f"automorphism {k} is not a permutation of 0..{n - 1}")
+        moved = orbit != orbit[perm]
+        if not moved.any():
+            continue
+        if not _maps_onto(g.adj, g.adj, perm, n):
+            raise ValueError(f"automorphism {k} is not a graph automorphism: it does not preserve adjacency")
+        checked += 1
+        for u, v in set(zip(orbit[moved].tolist(), orbit[perm[moved]].tolist())):
+            u, v = _find(parent, u), _find(parent, v)
+            parent[max(u, v)] = min(u, v)
+        orbit = np.array([_find(parent, u) for u in orbit.tolist()])
+    return sorted(set(orbit.tolist())), checked
+
+
+def intersection_array(g: Graph, automorphisms=()):
     """The intersection array, or a NotDRG witness.
 
-    Runs a BFS from every vertex; for a vertex u at distance i from the
-    base, the neighbor counts one level out and one level back must
-    agree with the first occurrence of distance i anywhere in the scan.
-    The witness is the scan's first disagreeing vertex, b before c.
+    Runs a BFS from the smallest vertex of each orbit of the group the
+    automorphisms generate, so from every vertex when none are given.
+    Each automorphism is a sequence of vertex images; ValueError names
+    one that is not a permutation, or that merges orbits but does not
+    preserve adjacency.  For a vertex u at distance i from a base, the
+    neighbor counts one level out and one level back must agree with the
+    first occurrence of distance i anywhere in the scan.  The witness is
+    the scan's first disagreeing vertex, b before c.  The result's
+    `scan` holds the counts of bases, orbits and verified automorphisms.
     """
     n = g.n
     if n == 0:
@@ -151,9 +215,10 @@ def intersection_array(g: Graph):
     degs = np.asarray(g.degrees())
     if (irregular := np.flatnonzero(degs != degs[0])).size:
         raise GraphStructureError("irregular", (0, int(irregular[0])))
+    bases, checked = _orbit_bases(g, automorphisms)
     b = {}
     c = {}
-    for base in range(n):
+    for run, base in enumerate(bases, 1):
         levels, seen = _bfs_levels(g.adj, base, n)
         if (missing := _members(~seen, n)).size:
             raise GraphStructureError("disconnected", (base, int(missing[0])))
@@ -169,12 +234,31 @@ def intersection_array(g: Graph):
                 j = wrong[0]
                 u = int(members[j])
                 kind, expected, found = ("b", b[i], bu[j]) if wrong_b[j] else ("c", c[i], cu[j])
-                return NotDRG(base, u, i, kind, expected, int(found), repr(g.labels[base]), repr(g.labels[u]))
+                return NotDRG(
+                    base, u, i, kind, expected, int(found), repr(g.labels[base]), repr(g.labels[u]),
+                    ScanCounts(run, len(bases), checked),
+                )
     d = max(b)
     assert b[d] == 0 and all(b[i] > 0 for i in range(d))
     return IntersectionArray(
         tuple(b[i] for i in range(d)),
         tuple(c[i] for i in range(1, d + 1)),
+        d,
+        ScanCounts(len(bases), len(bases), checked),
+    )
+
+
+def grassmann_array(n: int, k: int, q: int) -> IntersectionArray:
+    """The intersection array of J_q(n,k) in closed form, with diameter
+    d = min(k, n-k): b_j = q^(2j+1) [k-j]_q [n-k-j]_q for 0 <= j < d and
+    c_j = [j]_q^2 for 1 <= j <= d (Brouwer, Cohen and Neumaier,
+    Distance-Regular Graphs, 1989, Thm 9.3.3)."""
+    if not 1 <= k <= n - 1 or q < 2:
+        raise ValueError(f"need 1 <= k <= n-1 and q >= 2, got n={n}, k={k}, q={q}")
+    d = min(k, n - k)
+    return IntersectionArray(
+        tuple(q ** (2 * j + 1) * _point_count(k - j, q) * _point_count(n - k - j, q) for j in range(d)),
+        tuple(_point_count(j, q) ** 2 for j in range(1, d + 1)),
         d,
     )
 
@@ -189,11 +273,16 @@ def check_isomorphism(g1: Graph, g2: Graph, cert: IsoCertificate) -> bool:
         raise ValueError(f"vertex counts differ: {g1.n} vs {g2.n}")
     if len(cert.mapping) != g1.n:
         raise ValueError("certificate size does not match the graphs")
-    mp = np.asarray(cert.mapping, dtype=np.intp)
+    return _maps_onto(g1.adj, g2.adj, np.asarray(cert.mapping, dtype=np.intp), g1.n)
+
+
+def _maps_onto(adj1: np.ndarray, adj2: np.ndarray, mp: np.ndarray, n: int) -> bool:
+    """Does the vertex bijection mp carry the packed adjacency adj1 onto
+    adj2, edges to edges and non-edges to non-edges?"""
     inverse = np.argsort(mp)
-    for start, rows in _row_strips(g1.adj, g1.n):
+    for start, rows in _row_strips(adj1, n):
         image = np.packbits(rows[:, inverse], axis=1, bitorder="little")
-        if not np.array_equal(image, g2.adj[mp[start : start + len(rows)]]):
+        if not np.array_equal(image, adj2[mp[start : start + len(rows)]]):
             return False
     return True
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import _BLOCK_ROWS, Design, Graph
+from .geometry import _BLOCK_ROWS, Design, Graph, _edge_strips
 
 _G6_MAX = 258047
 
@@ -74,10 +74,22 @@ def decode_graph6(s: str) -> Graph:
 
 
 def encode_dimacs(g: Graph) -> str:
-    lines = [f"p edge {g.n} {g.num_edges()}"]
-    for i, j in g.edges():
-        lines.append(f"e {i + 1} {j + 1}")
-    return "\n".join(lines) + "\n"
+    """The DIMACS edge list, 1-based, written strip by strip so that no
+    Python object per edge is formed."""
+    parts = [f"p edge {g.n} {g.num_edges()}\n"]
+    for i, j in _edge_strips(g.adj, g.n):
+        parts.append("".join(map("e %d %d\n".__mod__, zip((i + 1).tolist(), (j + 1).tolist()))))
+    return "".join(parts)
+
+
+def encode_graph_json(g: Graph) -> str:
+    """json.dumps(graph_to_json(g)), written strip by strip like
+    `encode_dimacs`."""
+    strips = (
+        ", ".join(map("[%d, %d]".__mod__, zip(i.tolist(), j.tolist())))
+        for i, j in _edge_strips(g.adj, g.n)
+    )
+    return f'{{"n": {g.n}, "edges": [' + ", ".join(filter(None, strips)) + "]}"
 
 
 def graph_to_json(g: Graph) -> dict:

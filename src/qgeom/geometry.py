@@ -29,7 +29,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -51,7 +50,7 @@ class Graph:
     uint8 matrix whose bit j of row i, little-endian within each byte,
     is set when vertices i and j are adjacent."""
 
-    __slots__ = ("labels", "adj")
+    __slots__ = ("labels", "adj", "__weakref__")
 
     def __init__(self, labels, adj):
         labels = tuple(labels)
@@ -107,10 +106,8 @@ class Graph:
     def edges(self):
         """Sorted (i, j) pairs with i < j."""
         out = []
-        for start, rows in _row_strips(self.adj, self.n):
-            # columns past the diagonal; one int object for i, shared by its row
-            for i, row in enumerate(np.triu(rows, start + 1), start):
-                out.extend(zip(repeat(i), np.flatnonzero(row).tolist()))
+        for i, j in _edge_strips(self.adj, self.n):
+            out.extend(zip(i.tolist(), j.tolist()))
         return out
 
     def __repr__(self):
@@ -122,6 +119,14 @@ def _row_strips(adj: np.ndarray, n: int):
     matrix, unpacked to n 0/1 columns, so n x n bits are never formed."""
     for start in range(0, n, _BLOCK_ROWS):
         yield start, np.unpackbits(adj[start : start + _BLOCK_ROWS], axis=1, count=n, bitorder="little")
+
+
+def _edge_strips(adj: np.ndarray, n: int):
+    """Yield the edges (i, j), i < j, of each strip of `_row_strips` as two
+    index arrays, in sorted order, so no list of all edges is formed."""
+    for start, rows in _row_strips(adj, n):
+        i, j = np.nonzero(np.triu(rows, start + 1))  # columns past the diagonal
+        yield i + start, j
 
 
 class Design:

@@ -33,6 +33,14 @@ class ProjectivePoint:
         if lead != 1:
             raise ValueError(f"{self.rep} is not a canonical point representative")
 
+    @classmethod
+    def _monic(cls, rep: tuple) -> "ProjectivePoint":
+        """A point from a representative that leads with 1 by construction,
+        without the scan that checks it."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "rep", rep)
+        return point
+
 
 def normalize_point(field: Field, vector) -> ProjectivePoint:
     """The canonical representative of the line through a nonzero vector."""
@@ -245,7 +253,8 @@ def projective_points(w: Subspace):
         for tail in product(F.elements(), repeat=d - lead - 1)
     ]
     reps.sort()
-    return [ProjectivePoint(r) for r in reps]
+    # row `lead` of an RREF basis puts its pivot's 1 first in each rep
+    return [ProjectivePoint._monic(r) for r in reps]
 
 
 def affine_points(w: Subspace, h: Subspace):

@@ -32,8 +32,10 @@ from qgeom import (
     polarity_new,
     random_stabilizer_element,
     span,
+    stabilizer_generators,
     stabilizer_order,
     twisted_grassmann,
+    vertex_permutation,
 )
 
 
@@ -165,15 +167,30 @@ def test_criterion_4_distance_regularity(capsys):
     ia_t = intersection_array(tg)
     ia_g = intersection_array(grassmann_graph(5, 2, 2))
     ia_f = grassmann_array_formula(5, 2, 2)
+    # (3,2) from one base per orbit of the verified stabilizer generators
+    field3, h3, s3 = setting(3, 2)
+    tg3 = twisted_grassmann(field3, 2, h3, s3)
+    gens = [vertex_permutation(tg3, phi) for phi in stabilizer_generators(field3, 2)]
+    ia_3 = intersection_array(tg3, gens)
+    ia_3f = grassmann_array_formula(5, 2, 3)
     ok = (
         isinstance(ia_t, IntersectionArray)
         and ia_t == ia_g == ia_f == IntersectionArray((42, 24), (1, 9), 2)
+        and ia_3 == ia_3f == IntersectionArray((156, 108), (1, 16), 2)
+        and ia_3.scan.bfs_bases == 2
     )
     dt = time.perf_counter() - t0
-    report(capsys, 4, ok, f"twisted(2,2) array {ia_t} = J_2(5,2) = formula oracle", dt, 10.0)
+    report(
+        capsys, 4, ok,
+        f"twisted(2,2) array {ia_t} = J_2(5,2) = formula oracle; "
+        f"twisted(3,2) array {ia_3} = formula oracle from {ia_3.scan.bfs_bases} bases",
+        dt, 10.0,
+    )
     assert ia_t == IntersectionArray((42, 24), (1, 9), 2)
     assert ia_g == ia_t
     assert ia_f == ia_t
+    assert ia_3 == ia_3f == IntersectionArray((156, 108), (1, 16), 2)
+    assert ia_3.scan.bfs_bases == 2
     assert dt < 10.0
 
 

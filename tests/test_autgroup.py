@@ -11,6 +11,7 @@ from qgeom import (
     check_theorem2_relation,
     coordinate_hyperplane,
     exhaustive_lift_check,
+    f_certificate,
     field_new,
     induced_block_permutation,
     is_design_automorphism,
@@ -19,7 +20,10 @@ from qgeom import (
     polarity_new,
     random_stabilizer_element,
     span,
+    stabilizer_generators,
     stabilizer_order,
+    twisted_grassmann,
+    vertex_permutation,
 )
 
 
@@ -283,6 +287,40 @@ def test_theorem2_relation_raises_when_the_vertex_action_diverges(monkeypatch, s
     phi = random_stabilizer_element(field, 2, (6, 0))
     with pytest.raises(RuntimeError, match="vertex 0"):
         check_theorem2_relation(jt22, tg22, cert22, phi, s)
+
+
+def test_stabilizer_generators_shapes():
+    # (2e)^2 f transvections and mixing translations, diag(omega, 1, ...) when
+    # q > 2, Frobenius when f > 1
+    for (p, f, e), count in {(2, 1, 2): 16, (3, 1, 2): 17, (2, 2, 2): 34, (2, 1, 3): 36}.items():
+        field = field_new(p, f)
+        gens = stabilizer_generators(field, e)
+        assert len(gens) == count
+        assert len({(g.matrix.entries, g.frob) for g in gens}) == count
+        assert [g.frob for g in gens].count(1) == (f > 1)
+    with pytest.raises(ValueError):
+        stabilizer_generators(field_new(2), 0)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_stabilizer_generators_satisfy_theorem2(request, q):
+    field, h, s = request.getfixturevalue(f"setting{q}2")
+    tg = request.getfixturevalue(f"tg{q}2")
+    jt = request.getfixturevalue(f"jt{q}2")
+    cert = f_certificate(tg, jt, h, s)
+    for phi in stabilizer_generators(field, 2):
+        assert check_theorem2_relation(jt, tg, cert, phi, s) is True
+        images = vertex_permutation(tg, phi)
+        assert sorted(images) == list(range(tg.n))
+
+
+def test_vertex_permutation_refuses_a_map_that_moves_the_families(f2):
+    # the twisted graph of another hyperplane: the standard stabilizer moves it
+    h = span(f2, 5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 1)])
+    tg = twisted_grassmann(f2, 2, h)
+    (phi,) = [g for g in stabilizer_generators(f2, 2) if g.matrix.entries[3][4]]
+    with pytest.raises(ValueError, match="vertex families"):
+        vertex_permutation(tg, phi)
 
 
 def test_stabilizer_order_values():

@@ -55,6 +55,20 @@ def test_build_output_is_reproducible(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def test_verify_drg_report(capsys):
+    code, out, err = run(capsys, "verify", "drg")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["pass"] is True
+    array = {"b": [42, 24], "c": [1, 9], "diameter": 2}
+    # 7 of the 16 stabilizer generators merge orbits; the others are not needed
+    assert rep["details"] == {
+        "twisted": array, "grassmann": array,
+        "bfs_bases": 2, "orbits": 2, "automorphisms_checked": 7,
+    }
+    assert "drg 100.0%" in err
+
+
 def test_verify_thm1_report(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "verify", "thm1", "--out", "r.json")

@@ -14,10 +14,13 @@ from qgeom import (
     check_2design,
     check_isomorphism,
     field_new,
+    grassmann_array,
     grassmann_graph,
     intersection_array,
     p_rank,
     pg_design,
+    stabilizer_generators,
+    vertex_permutation,
     vertex_statistics,
 )
 
@@ -83,6 +86,70 @@ def test_notdrg_witness_is_lexicographically_first():
     assert r1 == NotDRG(0, 3, 1, "b", 1, 2, "0", "3")
     # the first mismatch is a c count at distance 2, reached before any b mismatch
     assert intersection_array(pentagonal_prism()) == NotDRG(0, 6, 2, "c", 1, 2, "0", "6")
+
+
+def test_rotation_of_pentagonal_prism_keeps_the_witness():
+    rotation = [(i + 1) % 5 for i in range(5)] + [5 + (i + 1) % 5 for i in range(5)]
+    res = intersection_array(pentagonal_prism(), [rotation])
+    assert res == NotDRG(0, 6, 2, "c", 1, 2, "0", "6")
+    # the witness turns up in the first of the two orbits' scans
+    assert (res.scan.bfs_bases, res.scan.orbits, res.scan.automorphisms_checked) == (1, 2, 1)
+
+
+def test_automorphisms_that_merge_nothing_are_not_needed():
+    g = cycle(6)
+    rotation = [(i + 1) % 6 for i in range(6)]
+    ia = intersection_array(g, [rotation, rotation, list(range(6))])
+    assert ia == intersection_array(g) == IntersectionArray((2, 1, 1), (1, 1, 2), 3)
+    assert (ia.scan.bfs_bases, ia.scan.orbits, ia.scan.automorphisms_checked) == (1, 1, 1)
+    full = intersection_array(g).scan
+    assert (full.bfs_bases, full.orbits, full.automorphisms_checked) == (6, 6, 0)
+
+
+def test_non_automorphisms_are_refused(tg22):
+    n = tg22.n
+    swapped = list(range(n))
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    with pytest.raises(ValueError, match="automorphism 0 is not a graph automorphism"):
+        intersection_array(tg22, [swapped])
+    # a bad permutation that merges orbits is caught after good ones were used;
+    # the swap of an outer and an inner vertex joins the rotation's two orbits
+    rotation = [(i + 1) % 5 for i in range(5)] + [5 + (i + 1) % 5 for i in range(5)]
+    swap = [5, 1, 2, 3, 4, 0, 6, 7, 8, 9]
+    with pytest.raises(ValueError, match="automorphism 1 is not a graph automorphism"):
+        intersection_array(pentagonal_prism(), [rotation, swap])
+    for wrong in ([0, 0, 1, 2, 3, 4], [0, 1, 2], [0, 1, 2, 3, 4, 6]):
+        with pytest.raises(ValueError, match="automorphism 0 is not a permutation"):
+            intersection_array(cycle(6), [wrong])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_orbit_scan_matches_the_full_scan(request, q):
+    tg = request.getfixturevalue(f"tg{q}2")
+    field = field_new(q)
+    perms = [vertex_permutation(tg, phi) for phi in stabilizer_generators(field, 2)]
+    full = intersection_array(tg)
+    reduced = intersection_array(tg, perms)
+    assert reduced == full == grassmann_array(5, 2, q)
+    assert full.scan.bfs_bases == tg.n
+    assert (reduced.scan.bfs_bases, reduced.scan.orbits) == (2, 2)
+    assert 1 <= reduced.scan.automorphisms_checked <= len(perms)
+
+
+@pytest.mark.parametrize("n, k, q", [(5, 2, 2), (5, 2, 3), (6, 3, 2)])
+def test_grassmann_array_matches_the_full_scan(n, k, q):
+    assert grassmann_array(n, k, q) == intersection_array(grassmann_graph(n, k, q))
+
+
+def test_grassmann_array_values():
+    assert grassmann_array(5, 2, 2) == IntersectionArray((42, 24), (1, 9), 2)
+    assert grassmann_array(5, 2, 4) == IntersectionArray((420, 320), (1, 25), 2)
+    assert grassmann_array(7, 3, 2) == IntersectionArray((210, 168, 96), (1, 9, 49), 3)
+    # J_q(n,k) and J_q(n,n-k) are isomorphic
+    assert grassmann_array(7, 4, 3) == grassmann_array(7, 3, 3)
+    for n, k, q in [(5, 0, 2), (5, 5, 2), (5, 2, 1)]:
+        with pytest.raises(ValueError):
+            grassmann_array(n, k, q)
 
 
 def test_irregular_graph_raises():

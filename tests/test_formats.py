@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import numpy as np
@@ -11,6 +12,7 @@ from qgeom import (
     design_to_json,
     encode_dimacs,
     encode_graph6,
+    encode_graph_json,
     graph_from_json,
     graph_to_json,
     incidence_csv,
@@ -84,6 +86,19 @@ def test_graph_json_round_trip(tg22):
     assert data["n"] == 155
     g2 = graph_from_json(data)
     assert np.array_equal(g2.adj, tg22.adj)
+
+
+def test_strip_writers_match_the_edge_list(tg22):
+    rng = random.Random(11)
+    # 0 edges, one edge past the first 64-row strip, a strip with no edges
+    graphs = [Graph.from_edges(3, []), Graph.from_edges(70, [(65, 69)]), tg22]
+    graphs += [random_graph(n, 0.2, rng) for n in (1, 2, 63, 64, 65, 130)]
+    for g in graphs:
+        edges = g.edges()
+        assert encode_graph_json(g) == json.dumps({"n": g.n, "edges": [list(e) for e in edges]})
+        assert encode_graph_json(g) == json.dumps(graph_to_json(g))
+        lines = [f"p edge {g.n} {len(edges)}"] + [f"e {i + 1} {j + 1}" for i, j in edges]
+        assert encode_dimacs(g) == "\n".join(lines) + "\n"
 
 
 def test_design_json_round_trip(jt22):

@@ -138,6 +138,20 @@ def test_vectors_and_points():
     assert reps == {(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 1, 0, 0, 0)}
 
 
+def test_projective_point_checks_its_representative():
+    for rep in [(2, 1, 0), (0, 2, 1), (0, 0, 0)]:
+        with pytest.raises(ValueError, match="canonical point representative"):
+            ProjectivePoint(rep)
+    # projective_points skips that check, so its representatives must pass it
+    rng = random.Random(3)
+    for f in (field_new(3), field_new(2, 2)):
+        for _ in range(20):
+            w = random_subspace(f, 4, rng)
+            pts = projective_points(w)
+            assert pts == [ProjectivePoint(p.rep) for p in pts]
+            assert len(pts) == (f.q ** w.dim - 1) // (f.q - 1)
+
+
 def test_projective_point_count_general():
     f = field_new(3)
     w = full_space(f, 3)
