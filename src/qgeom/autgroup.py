@@ -10,18 +10,31 @@ basis, with the hyperplane spanned by the first 2e coordinates.
 The lift phi' permutes the points of [V]: on points of [H] it acts as
 sigma.phi.sigma, elsewhere directly as phi.  lift() walks that
 composition literally, subspace by subspace, reading sigma of each
-point from `geometry._sigma_table`, the one table of sigma images.  The
-exhaustive census takes the same composition at point level, for a
-batch of elements at once: phi's point permutation pi comes from one
-product over the canonical point representatives, and a point c of [H]
-goes to the point whose sigma (the table's point set) is pi(sigma(c)).
-A fixed stride of the census's lifts is compared with lift() in-run.
+point from `geometry._sigma_table`, the one table of sigma images.
 
-The vertex action `vertex_permutation`, which the Theorem-2 check
-alpha.f = f.phi uses, also acts at point level: phi(W) is the vertex
-whose point set is pi of W's points, looked up in a per-graph table of
-vertex point sets.  Vertex 0's image is compared with the literal
-phi.apply_subspace in every call.  `stabilizer_generators` lists
+Everything else acts through one batched point action:
+
+- `_point_images`: a map x -> M.frob^i(x) over GF(q), q = p^f, is
+  GF(p)-linear on GF(p)^(nf).  Each map is expanded once, from the field
+  tables, to an (nf x nf) GF(p) matrix; one integer product mod p with
+  the p-digit expansions of the canonical point representatives gives
+  every image vector, and a table of all (q-1)v nonzero vectors gives
+  its point, so no image is rescaled to a leading 1.
+- `_lift_batch`: a point c of [H] goes to the point whose sigma point
+  set is pi(sigma(c)), with pi phi's point permutation; every other point
+  goes through pi.
+- `_SetIndex`: the one exact index of point sets (blocks, vertex point
+  sets, sigma point sets).  A key is the ceil(v/64) words of a set's
+  point mask; lookups are hashed and answer a row only after comparing
+  every word.  Indexes are kept per design and per graph, held weakly.
+
+`check_theorem2_batch`, `check_theorem2_relation` (a batch of one),
+`vertex_permutation`, `is_design_automorphism` and the census all use
+it.  The batched lifts are compared with the literal lift() in-run on a
+fixed prime stride, element 0 first: every 31st element of a Theorem-2
+batch (so every single check_theorem2_relation call), every 4001st of
+the census.  Vertex 0's image is compared with the literal
+phi.apply_subspace for every element.  `stabilizer_generators` lists
 generators of the stabilizer; their vertex permutations give the orbits
 that `drg.intersection_array` runs its BFS from.
 """
@@ -33,7 +46,7 @@ import time
 import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
@@ -257,69 +270,306 @@ def lift(phi: SemilinearMap, s: Polarity) -> PointPermutation:
     return PointPermutation(tuple(perm))
 
 
-def _block_images(d: Design, p: PointPermutation):
-    """The image of each block under p, up to the first image that is not
-    a block: (images, None), or (images so far, NotAutomorphism)."""
+# -- one batched point action (see the module docstring) ---------------------
+
+
+def _index_dtype(v: int):
+    """The smallest unsigned dtype holding the point indices 0..v-1."""
+    return np.uint8 if v <= 256 else np.uint16
+
+
+@lru_cache(maxsize=None)
+def _field_arrays(field: Field):
+    """(mul, digit, basis): the field's product table; digit[x, d], the
+    d-th p-digit of x; and basis[i, k] = frob^i(p^k), the image of the
+    k-th GF(p)-basis element under the i-th Frobenius power."""
+    p, f = field.p, field.f
+    mul = np.array(field._mul, dtype=np.intp)
+    digit = (np.arange(field.q)[:, None] // p ** np.arange(f) % p).astype(np.uint8)
+    basis = np.array([[field.frobenius(p ** k, i) for k in range(f)] for i in range(f)], dtype=np.intp)
+    return mul, digit, basis
+
+
+@lru_cache(maxsize=None)
+def _vector_tables(field: Field, n: int):
+    """(digits, radix, point_of) for GF(q)^n read as GF(p)^(n*f).
+
+    digits holds the p-digit expansion of each canonical point
+    representative, coordinate-major; radix turns an expansion into the
+    vector's code, the sum of x_r q^(n-1-r); point_of[code] is the point
+    of each of the (q-1)v nonzero vectors, so no image is rescaled.
+    """
+    points = _point_order(field, n)[0]
+    mul, digit, _ = _field_arrays(field)
+    reps = np.array([pt.rep for pt in points], dtype=np.intp)
+    weights = field.q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    radix = (weights[:, None] * field.p ** np.arange(field.f)).ravel()
+    point_of = np.zeros(field.q ** n, dtype=_index_dtype(len(points)))
+    point_of[mul[1:][:, reps] @ weights] = np.arange(len(points))
+    return digit[reps].reshape(len(points), -1), radix, point_of
+
+
+def _point_images(field: Field, mats: np.ndarray, frobs: np.ndarray) -> np.ndarray:
+    """Point permutation of each map x -> mats[g].frob^frobs[g](x): row g
+    holds the point index of the image of every point."""
+    mul, digit, basis = _field_arrays(field)
+    digits, radix, point_of = _vector_tables(field, mats.shape[1])
+    # block (r, c) of a map is the f x f GF(p) matrix of x -> M[r,c].frob^i(x):
+    # column k holds the digits of M[r,c].frob^i(p^k)
+    parts = digit[mul[mats[..., None], basis[frobs][:, None, None]]]  # map, r, c, k, d
+    expanded = parts.transpose(0, 1, 4, 2, 3).reshape(len(mats), len(radix), len(radix))
+    if len(radix) * (field.p - 1) ** 2 > 255:  # a sum of products could leave uint8
+        expanded = expanded.astype(np.int32)
+    images = digits @ expanded.transpose(0, 2, 1) % field.p
+    return point_of[images @ radix]
+
+
+def _mask_words(points: np.ndarray, v: int) -> np.ndarray:
+    """The ceil(v/64) uint64 words of the point mask of each row of
+    point indices (last axis)."""
+    rows = points.reshape(-1, points.shape[-1])
+    width = (v + 63) // 64
+    # Both branches give the same words; the first exists for speed: the
+    # (2,2) census (v = 31) takes about half the time with it as with the
+    # packed row alone (3.75 s against 7.39 s, median of 10 runs each)
+    if width == 1:  # one word: OR in one column of points at a time
+        words = np.zeros((len(rows), 1), dtype=np.uint64)
+        for column in rows.T:
+            words[:, 0] |= np.left_shift(np.uint64(1), column, dtype=np.uint64, casting="unsafe")
+    else:  # set the bits of a 0/1 row, then pack it into words
+        bits = np.zeros((len(rows), 64 * width), dtype=np.uint8)
+        bits[np.arange(len(rows))[:, None], rows] = 1
+        words = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+    return words.reshape(points.shape[:-1] + (width,))
+
+
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd; its product's top bits mix all words
+_SLAB_BYTES = 1 << 20  # temporaries of one slab of _SetIndex.images, at 64 bytes per key word
+
+
+class _SetIndex:
+    """An exact hashed index of point sets over v points.
+
+    The key of a set is the ceil(v/64) words of its point mask.  Keys sit
+    in an open-addressed table with linear probing, found by the top bits
+    of a multiplicative hash; a lookup answers a row only after comparing
+    every word of the key, so a hash collision is never taken as a match.
+    """
+
+    def __init__(self, sets, v: int):
+        self.v = v
+        by_size = {}
+        for row, pts in enumerate(sets):
+            by_size.setdefault(len(pts), []).append(row)
+        self.groups = [
+            (np.array(rows), np.array([sorted(sets[r]) for r in rows], dtype=np.intp).reshape(len(rows), size))
+            for size, rows in by_size.items()
+        ]
+        keys = np.empty((len(sets), (v + 63) // 64), dtype=np.uint64)
+        for rows, pts in self.groups:
+            keys[rows] = _mask_words(pts, v)
+        self.columns = list(keys.T.copy())  # word w of every key, contiguous
+        self.bits = max(1, 4 * len(sets) - 1).bit_length()  # load at most 1/4
+        self.slots = np.full(1 << self.bits, -1, dtype=np.intp)
+        home = self._home(keys)
+        pending = np.arange(len(sets))
+        self.max_probe = -1
+        while pending.size:  # round r places keys at home + r, first come first
+            self.max_probe += 1
+            at = (home[pending] + self.max_probe) & (len(self.slots) - 1)
+            free = np.flatnonzero(self.slots[at] < 0)
+            at, first = np.unique(at[free], return_index=True)
+            self.slots[at] = pending[free[first]]
+            pending = np.delete(pending, free[first])
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def _home(self, words: np.ndarray) -> np.ndarray:
+        h = words[:, 0] * _MIX
+        for w in range(1, words.shape[1]):
+            h = (h ^ words[:, w]) * _MIX
+        return (h >> np.uint64(64 - self.bits)).astype(np.intp)
+
+    def _matches(self, slot: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """Is each slot filled with a key equal to words in every word?"""
+        same = slot >= 0
+        for w, column in enumerate(self.columns):
+            same &= column[slot] == words[:, w]
+        return same
+
+    def find(self, words: np.ndarray) -> np.ndarray:
+        """The row of each set given by its mask words, or -1 if absent."""
+        at = self._home(words)
+        slot = self.slots[at]
+        out = np.where(self._matches(slot, words), slot, -1)
+        # a set whose slot holds another key walks on; an empty slot ends the walk
+        todo = np.flatnonzero((slot >= 0) & (out < 0))
+        for probe in range(1, self.max_probe + 1):
+            if not todo.size:
+                break
+            slot = self.slots[(at[todo] + probe) & (len(self.slots) - 1)]
+            same = self._matches(slot, words[todo])
+            out[todo[same]] = slot[same]
+            todo = todo[(slot >= 0) & ~same]
+        return out
+
+    def images(self, perms: np.ndarray) -> np.ndarray:
+        """Entry (g, j): the row of the image of set j under the point
+        permutation perms[g], or -1 where that image is not a set here.
+        Images are formed a slab of about _SLAB_BYTES at a time."""
+        out = np.empty((len(perms), len(self)), dtype=np.int32)
+        for rows, pts in self.groups:
+            per = max(1, _SLAB_BYTES // (64 * len(self.columns)))  # sets per slab
+            for r in range(0, len(rows), per):
+                sets = pts[r : r + per]
+                step = max(1, per // len(sets))  # elements per slab
+                for g in range(0, len(perms), step):
+                    words = _mask_words(perms[g : g + step, sets], self.v)
+                    found = self.find(words.reshape(-1, words.shape[-1]))
+                    out[g : g + step, rows[r : r + per]] = found.reshape(-1, len(sets))
+        return out
+
+
+# per design or graph, held weakly: an index goes when its object does
+_INDEXES = weakref.WeakKeyDictionary()
+
+
+def _set_index(obj) -> _SetIndex:
+    """The index of a design's blocks or of a twisted graph's vertex point sets."""
+    if (index := _INDEXES.get(obj)) is None:
+        if isinstance(obj, Design):
+            index = _SetIndex(obj.blocks, obj.v)
+        else:
+            first = obj.labels[0][1]
+            points, order = _point_order(first.field, first.ambient_dim)
+            index = _SetIndex([_points_of(w, order) for _, w in obj.labels], len(points))
+        _INDEXES[obj] = index
+    return index
+
+
+@lru_cache(maxsize=None)
+def _sigma_index(s: Polarity):
+    """(the points c of [h], the index of their sigma(c) point sets)."""
+    table = _sigma_table(s)
+    v = len(_point_order(s.field, s.h.ambient_dim)[0])
+    return np.array(list(table)), _SetIndex([pts for _, pts in table.values()], v)
+
+
+def _lift_batch(s: Polarity, pi: np.ndarray) -> np.ndarray:
+    """The lifts of the maps whose point permutations are the rows of pi.
+
+    A point c of [h] goes to the point whose sigma point set is
+    pi(sigma(c)); every other point goes through pi.
+    """
+    h_points, sigma = _sigma_index(s)
+    rows = sigma.images(pi)
+    if (rows < 0).any():
+        raise ValueError("phi does not stabilize the polarity's hyperplane")
+    lifted = pi.copy()
+    lifted[:, h_points] = h_points[rows]
+    return lifted
+
+
+def _vertex_images(g: Graph, pi: np.ndarray) -> np.ndarray:
+    """Entry (k, j): the vertex phi_k(W_j), the vertex whose point set is
+    pi[k] of W_j's, or -1 where no vertex has that point set."""
+    return _set_index(g).images(pi)
+
+
+def _maps_as_arrays(maps):
+    """(field, matrices, Frobenius powers) of a batch of maps on one space."""
+    field = maps[0].field
+    if any(phi.field != field or phi.dim != maps[0].dim for phi in maps):
+        raise ValueError("maps act on different spaces")
+    mats = np.array([phi.matrix.entries for phi in maps], dtype=np.intp)
+    return field, mats, np.array([phi.frob for phi in maps], dtype=np.intp)
+
+
+def _not_automorphism(d: Design, perm, rows: np.ndarray):
+    """NotAutomorphism for the first block whose row is -1, or None."""
+    missing = np.flatnonzero(rows < 0)
+    if not missing.size:
+        return None
+    bi = int(missing[0])
+    return NotAutomorphism(bi, tuple(sorted(int(perm[i]) for i in d.blocks[bi])))
+
+
+def _block_rows(d: Design, p: PointPermutation) -> np.ndarray:
     if len(p.perm) != d.v:
         raise ValueError(f"permutation degree {len(p.perm)} != point count {d.v}")
-    images = []
-    for bi, blk in enumerate(d.blocks):
-        img = tuple(sorted(p.perm[i] for i in blk))
-        if not d.has_block(img):
-            return images, NotAutomorphism(bi, img)
-        images.append(img)
-    return images, None
+    return _set_index(d).images(np.array([p.perm], dtype=_index_dtype(d.v)))[0]
 
 
 def is_design_automorphism(d: Design, p: PointPermutation):
     """True, or the first block whose image fails to be a block."""
-    _, missing = _block_images(d, p)
+    missing = _not_automorphism(d, p.perm, _block_rows(d, p))
     return True if missing is None else missing
 
 
 def induced_block_permutation(d: Design, p: PointPermutation):
     """Block index permutation induced by a point permutation, or None
     if some image block is missing."""
-    images, missing = _block_images(d, p)
-    return None if missing is not None else tuple(map(d.block_index, images))
+    rows = _block_rows(d, p)
+    return None if (rows < 0).any() else tuple(rows.tolist())
 
 
-# per graph, held weakly: a graph's tables go when the graph does
-_POINT_SETS = weakref.WeakKeyDictionary()
-
-
-def _vertex_point_sets(g: Graph):
-    """The point set of each vertex W_j, and the vertex of each
-    (family tag, point set)."""
-    if (tables := _POINT_SETS.get(g)) is None:
-        first = g.labels[0][1]
-        index = _point_order(first.field, first.ambient_dim)[1]
-        sets = [frozenset(_points_of(w, index)) for _, w in g.labels]
-        vertex_of = {(tag, pts): j for j, ((tag, _), pts) in enumerate(zip(g.labels, sets))}
-        tables = _POINT_SETS[g] = (sets, vertex_of)
-    return tables
-
-
-def _vertex_images(g: Graph, phi: SemilinearMap) -> list:
-    """The vertex phi(W_j) for every vertex j: the vertex whose point set
-    is pi of W_j's, with pi phi's point permutation."""
-    points, index = _point_order(phi.field, phi.dim)
-    pi = [index[phi.apply_point(p).rep] for p in points]
-    sets, vertex_of = _vertex_point_sets(g)
-    return [vertex_of[tag, frozenset(pi[c] for c in pts)] for (tag, _), pts in zip(g.labels, sets)]
+def _check_vertex_images(g: Graph, phi: SemilinearMap, images: np.ndarray):
+    if (images < 0).any():
+        raise ValueError("phi does not map the graph's vertex families onto themselves")
+    if g.labels[images[0]][1] != phi.apply_subspace(g.labels[0][1]):
+        raise RuntimeError("the point-level vertex action diverged from phi.apply_subspace at vertex 0")
 
 
 def vertex_permutation(g: Graph, phi: SemilinearMap) -> tuple:
     """phi's action on the vertices of a twisted Grassmann graph g: entry
     j is the vertex phi(W_j).  Computed at point level; vertex 0's image
     is compared with the literal phi.apply_subspace on every call."""
-    try:
-        images = _vertex_images(g, phi)
-    except KeyError:
-        raise ValueError("phi does not map the graph's vertex families onto themselves") from None
-    if g.labels[images[0]][1] != phi.apply_subspace(g.labels[0][1]):
-        raise RuntimeError("the point-level vertex action diverged from phi.apply_subspace at vertex 0")
-    return tuple(images)
+    images = _vertex_images(g, _point_images(*_maps_as_arrays([phi])))[0]
+    _check_vertex_images(g, phi, images)
+    return tuple(images.tolist())
+
+
+_ORACLE_STRIDE = 31  # prime; elements 0, 31, 62, ... are also lifted literally
+_THEOREM2_CHUNK = 64  # elements per batch
+
+
+def check_theorem2_batch(d: Design, g: Graph, cert, maps, s: Polarity, progress=None):
+    """check_theorem2_relation for each of maps, in bounded chunks.
+
+    Returns (results, cross_checked): one result per map, in order, and
+    the number of batched lifts compared with the literal lift() (every
+    _ORACLE_STRIDE-th element, element 0 first; a difference raises
+    RuntimeError).  progress, if given, is called with the fraction done.
+    """
+    results = []
+    cross_checked = 0
+    mapping = np.array(cert.mapping, dtype=np.intp)
+    for start in range(0, len(maps), _THEOREM2_CHUNK):
+        chunk = maps[start : start + _THEOREM2_CHUNK]
+        pi = _point_images(*_maps_as_arrays(chunk))
+        lifted = _lift_batch(s, pi)
+        alpha = _set_index(d).images(lifted)
+        vertices = _vertex_images(g, pi)
+        for k, phi in enumerate(chunk):
+            if (start + k) % _ORACLE_STRIDE == 0:
+                cross_checked += 1
+                if tuple(lifted[k].tolist()) != lift(phi, s).perm:
+                    raise RuntimeError(f"the batched lift diverged from the literal lift at element {start + k}")
+            if (missing := _not_automorphism(d, lifted[k], alpha[k])) is not None:
+                results.append(missing)
+                continue
+            _check_vertex_images(g, phi, vertices[k])
+            expected = mapping[vertices[k]]
+            found = alpha[k, mapping]
+            wrong = np.flatnonzero(found != expected)
+            results.append(
+                Theorem2Violation(int(wrong[0]), int(expected[wrong[0]]), int(found[wrong[0]]))
+                if wrong.size else True
+            )
+        if progress:
+            progress(min(1.0, (start + _THEOREM2_CHUNK) / len(maps)))
+    return results, cross_checked
 
 
 def check_theorem2_relation(d: Design, g: Graph, cert, phi: SemilinearMap, s: Polarity):
@@ -331,18 +581,10 @@ def check_theorem2_relation(d: Design, g: Graph, cert, phi: SemilinearMap, s: Po
     block, so the check ties the certificate, the lift, and the vertex
     action together.  Returns True, the lift's NotAutomorphism if the
     lift does not permute the blocks, or the first vertex (in vertex
-    order) where the relation fails, as a Theorem2Violation.
+    order) where the relation fails, as a Theorem2Violation.  The
+    batched lift is compared with the literal lift() on every call.
     """
-    images, missing = _block_images(d, lift(phi, s))
-    if missing is not None:
-        return missing
-    alpha = [d.block_index(img) for img in images]
-    for j, i in enumerate(vertex_permutation(g, phi)):
-        expected = cert.mapping[i]
-        found = alpha[cert.mapping[j]]
-        if found != expected:
-            return Theorem2Violation(j, expected, found)
-    return True
+    return check_theorem2_batch(d, g, cert, [phi], s)[0][0]
 
 
 def stabilizer_order(q: int, e: int, f: int) -> int:
@@ -421,19 +663,7 @@ def _general_linear(p: int, m: int) -> np.ndarray:
     return mats
 
 
-def _point_masks(perms: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """int64 point mask of each point set under each row of perms."""
-    bits = perms[:, sets].astype(np.int64)
-    return np.left_shift(1, bits, out=bits).sum(axis=-1)
-
-
-def _find(keys: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Position of each mask in the sorted keys, or -1 where it is absent."""
-    pos = np.minimum(np.searchsorted(keys, masks), len(keys) - 1)
-    return np.where(keys[pos] == masks, pos, -1)
-
-
-def _census_chunk(start, mats, *, s, reps, code_index, sigma, blocks, spot_stride):
+def _census_chunk(start, mats, *, s, blocks, spot_stride):
     """Lift [[A, b], [0, 1]] for every A in mats and every b; pure function.
 
     Returns the lifts' point permutations in element order (A major, b
@@ -441,31 +671,22 @@ def _census_chunk(start, mats, *, s, reps, code_index, sigma, blocks, spot_strid
     block) of each lift that is not a design automorphism, and the number
     of lifts cross-checked against the literal lift().
     """
-    p, n, m = s.field.p, reps.shape[1], mats.shape[1]
-    bs = np.array(list(product(range(p), repeat=m)), dtype=np.int64)
-    phis = np.zeros((len(mats), len(bs), n, n), dtype=np.int64)
+    field, n, m = s.field, mats.shape[1] + 1, mats.shape[1]
+    bs = np.array(list(product(range(field.p), repeat=m)), dtype=np.intp)
+    phis = np.zeros((len(mats), len(bs), n, n), dtype=np.intp)
     phis[:, :, :m, :m] = mats[:, None]
     phis[:, :, :m, m] = bs
     phis[:, :, m, m] = 1
     phis = phis.reshape(-1, n, n)
-    # phi's point permutation: image representatives, scaled to lead with 1
-    img = np.einsum("gij,vj->gvi", phis, reps) % p
-    lead = np.take_along_axis(img, (img != 0).argmax(axis=2)[..., None], axis=2)
-    inverse = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)])
-    perms = code_index[(img * inverse[lead] % p) @ (p ** np.arange(n - 1, -1, -1))]
-    # on [H] the lift is sigma.phi.sigma: c goes to the point whose sigma
-    # is phi(sigma(c)), a hyperplane of H because phi fixes H
-    h_points, sigma_sets, sigma_keys, sigma_owner = sigma
-    perms[:, h_points] = sigma_owner[_find(sigma_keys, _point_masks(perms, sigma_sets))]
-    block_keys, block_sets = blocks
-    ok = _find(block_keys, _point_masks(perms, block_sets)) >= 0
+    perms = _lift_batch(s, _point_images(field, phis, np.zeros(len(phis), dtype=np.intp)))
+    ok = blocks.images(perms) >= 0
     failures = [
         (tuple(map(tuple, phis[g].tolist())), int(np.argmin(ok[g])))
         for g in np.flatnonzero(~ok.all(axis=1))
     ]
     spots = range(-start % spot_stride, len(phis), spot_stride)
     for g in spots:
-        literal = lift(SemilinearMap(Matrix(s.field, phis[g].tolist()), 0), s)
+        literal = lift(SemilinearMap(Matrix(field, phis[g].tolist()), 0), s)
         if tuple(perms[g].tolist()) != literal.perm:
             raise RuntimeError(
                 f"census diverged from the literal lift at element {start + g}: "
@@ -498,18 +719,7 @@ def exhaustive_lift_check(field: Field = None, e: int = 2, jobs: int = 1,
     if s.field != field or s.h != h:
         raise ValueError("the census needs a polarity of the coordinate hyperplane")
     d = jt_design(field, e, h, s)
-    points = _point_order(field, n)[0]
-    reps = np.array([pt.rep for pt in points], dtype=np.int64)
-    code_index = np.zeros(field.p ** n, dtype=np.uint8)
-    code_index[reps @ (field.p ** np.arange(n - 1, -1, -1))] = np.arange(len(points))
-    table = _sigma_table(s)
-    h_points = np.array(list(table))
-    sigma_sets = np.array([sorted(pts) for _, pts in table.values()])
-    sigma_masks = _point_masks(np.arange(len(points))[None], sigma_sets)[0]
-    by_mask = np.argsort(sigma_masks)
-    sigma = (h_points, sigma_sets, sigma_masks[by_mask], h_points[by_mask])
-    blocks = (np.sort(np.array(d.block_masks(), dtype=np.int64)), np.array(d.blocks))
-
+    v = d.v
     gl = _general_linear(field.p, 2 * e)
     order = stabilizer_order(field.q, e, field.f)
     per_a = field.p ** (2 * e)
@@ -517,10 +727,9 @@ def exhaustive_lift_check(field: Field = None, e: int = 2, jobs: int = 1,
     step = 64  # A blocks per chunk
     starts = range(0, len(gl), step)
     work = partial(
-        _census_chunk, s=s, reps=reps, code_index=code_index, sigma=sigma,
-        blocks=blocks, spot_stride=4001,  # prime; 81 literal lifts
+        _census_chunk, s=s, blocks=_set_index(d), spot_stride=4001,  # prime; 81 literal lifts
     )
-    perms = np.empty((order, len(points)), dtype=np.uint8)
+    perms = np.empty((order, v), dtype=np.uint8)
     verified = cross_checked = 0
     failures = []
     pool = None
@@ -545,8 +754,8 @@ def exhaustive_lift_check(field: Field = None, e: int = 2, jobs: int = 1,
     return LiftCheckReport(
         group_order=order,
         verified=verified,
-        distinct=len(np.unique(perms.view(np.dtype((np.void, len(points)))))),
-        identity_count=int((perms == np.arange(len(points))).all(axis=1).sum()),
+        distinct=len(np.unique(perms.view(np.dtype((np.void, v))))),
+        identity_count=int((perms == np.arange(v)).all(axis=1).sum()),
         failures=tuple(failures),
         cross_checked=cross_checked,
         elapsed=time.time() - t0,

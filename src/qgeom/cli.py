@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .autgroup import (
     NotAutomorphism,
-    check_theorem2_relation,
+    check_theorem2_batch,
     exhaustive_lift_check,
     random_stabilizer_element,
     stabilizer_generators,
@@ -302,17 +302,15 @@ def _verify_aut_sample(cfg: RunConfig) -> dict:
     tg = twisted_grassmann(field, cfg.e, h, s)
     cert = f_certificate(tg, d, h, s)
     count = 1000 if (cfg.q, cfg.e) == (2, 2) else 100
+    maps = [random_stabilizer_element(field, cfg.e, (cfg.seed, i)) for i in range(count)]
+    results, cross_checked = check_theorem2_batch(d, tg, cert, maps, s, _progress("aut-sample"))
+    print(file=sys.stderr)
     failures = []
-    progress = _progress("aut-sample")
-    for i in range(count):
-        phi = random_stabilizer_element(field, cfg.e, (cfg.seed, i))
-        rel = check_theorem2_relation(d, tg, cert, phi, s)
+    for i, rel in enumerate(results):
         if rel is not True:
             stage = "automorphism" if isinstance(rel, NotAutomorphism) else "theorem2"
             failures.append({"index": i, "stage": stage, "witness": rel.to_json()})
-        progress((i + 1) / count)
-    print(file=sys.stderr)
-    details = {"sampled": count, "failures": failures}
+    details = {"sampled": count, "failures": failures, "cross_checked": cross_checked}
     return _report(cfg, "aut-sample", not failures, details, t0)
 
 

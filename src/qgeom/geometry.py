@@ -137,7 +137,7 @@ class Design:
     recoverable from its point set.
     """
 
-    __slots__ = ("points", "blocks", "block_labels", "_index", "_masks")
+    __slots__ = ("points", "blocks", "block_labels", "_index", "_masks", "__weakref__")
 
     def __init__(self, points, blocks, block_labels=None):
         self.points = tuple(points)

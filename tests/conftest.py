@@ -1,6 +1,7 @@
 import pytest
 
 from qgeom import (
+    PointPermutation,
     coordinate_hyperplane,
     f_certificate,
     field_new,
@@ -71,3 +72,31 @@ def tg32(setting32):
 def jt32(setting32):
     field, h, s = setting32
     return jt_design(field, 2, h, s)
+
+
+@pytest.fixture
+def swap_lifted_points(monkeypatch):
+    """A function that patches the batched lift to swap the images of
+    points 0 and 1, and the literal lift() the same way unless told
+    otherwise; it returns the patched literal lift."""
+    import qgeom.autgroup as autgroup
+
+    literal, batched = autgroup.lift, autgroup._lift_batch
+
+    def swapped(phi, s):
+        perm = list(literal(phi, s).perm)
+        perm[0], perm[1] = perm[1], perm[0]
+        return PointPermutation(tuple(perm))
+
+    def swapped_batch(s, pi):
+        out = batched(s, pi)
+        out[:, [0, 1]] = out[:, [1, 0]]
+        return out
+
+    def patch(lift_too=True):
+        monkeypatch.setattr(autgroup, "_lift_batch", swapped_batch)
+        if lift_too:
+            monkeypatch.setattr(autgroup, "lift", swapped)
+        return swapped
+
+    return patch

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from qgeom import (
@@ -244,33 +245,32 @@ def test_theorem2_relation_detects_corruption(setting22, tg22, jt22, cert22):
     assert not res
 
 
-def test_theorem2_relation_returns_the_lifts_non_automorphism(monkeypatch, setting22, tg22, jt22, cert22):
-    import qgeom.autgroup as autgroup
-
+def test_theorem2_relation_returns_the_lifts_non_automorphism(swap_lifted_points, setting22, tg22, jt22, cert22):
     field, h, s = setting22
-    literal = autgroup.lift
-
-    def swapped(phi, s):
-        perm = list(literal(phi, s).perm)
-        perm[0], perm[1] = perm[1], perm[0]
-        return PointPermutation(tuple(perm))
-
-    monkeypatch.setattr(autgroup, "lift", swapped)
+    swapped = swap_lifted_points()
     phi = random_stabilizer_element(field, 2, (4, 0))
     res = check_theorem2_relation(jt22, tg22, cert22, phi, s)
     assert isinstance(res, NotAutomorphism)
     assert res == is_design_automorphism(jt22, swapped(phi, s))
 
 
+def test_theorem2_relation_raises_when_the_batched_lift_diverges(swap_lifted_points, setting22, tg22, jt22, cert22):
+    field, h, s = setting22
+    swap_lifted_points(lift_too=False)
+    phi = random_stabilizer_element(field, 2, (4, 0))
+    with pytest.raises(RuntimeError, match="literal lift at element 0"):
+        check_theorem2_relation(jt22, tg22, cert22, phi, s)
+
+
 def test_point_level_vertex_images_match_apply_subspace(setting22, tg22):
-    from qgeom.autgroup import _vertex_images
+    from qgeom.autgroup import _maps_as_arrays, _point_images, _vertex_images
 
     field, h, s = setting22
     vertex_of = {label: j for j, label in enumerate(tg22.labels)}
-    for i in range(25):
-        phi = random_stabilizer_element(field, 2, (5, i))
-        literal = [vertex_of[(tag, phi.apply_subspace(w))] for tag, w in tg22.labels]
-        assert _vertex_images(tg22, phi) == literal
+    maps = [random_stabilizer_element(field, 2, (5, i)) for i in range(25)]
+    images = _vertex_images(tg22, _point_images(*_maps_as_arrays(maps)))
+    for phi, row in zip(maps, images.tolist()):
+        assert row == [vertex_of[(tag, phi.apply_subspace(w))] for tag, w in tg22.labels]
 
 
 def test_theorem2_relation_raises_when_the_vertex_action_diverges(monkeypatch, setting22, tg22, jt22, cert22):
@@ -279,14 +279,106 @@ def test_theorem2_relation_raises_when_the_vertex_action_diverges(monkeypatch, s
     field, h, s = setting22
     point_level = autgroup._vertex_images
 
-    def shifted(g, phi):
-        images = point_level(g, phi)
-        return [(images[0] + 1) % g.n] + images[1:]
+    def shifted(g, pi):
+        images = point_level(g, pi)
+        images[:, 0] = (images[:, 0] + 1) % g.n
+        return images
 
     monkeypatch.setattr(autgroup, "_vertex_images", shifted)
     phi = random_stabilizer_element(field, 2, (6, 0))
     with pytest.raises(RuntimeError, match="vertex 0"):
         check_theorem2_relation(jt22, tg22, cert22, phi, s)
+
+
+def _paired_gram(m):
+    """The form pairing coordinates 2i and 2i+1 of the hyperplane."""
+    return [[int(i ^ 1 == j) for j in range(m)] for i in range(m)]
+
+
+_KERNEL_INSTANCES = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)]
+
+
+@pytest.mark.parametrize("paired", [False, True], ids=["identity", "paired"])
+@pytest.mark.parametrize("p,f,e", _KERNEL_INSTANCES, ids=["q2e2", "q3e2", "q4e2", "q2e3"])
+def test_batched_point_action_matches_the_literal_maps(p, f, e, paired):
+    from qgeom.autgroup import _lift_batch, _maps_as_arrays, _point_images
+    from qgeom.geometry import _point_order
+
+    field = field_new(p, f)
+    h = coordinate_hyperplane(field, 2 * e + 1)
+    s = polarity_new(field, h, _paired_gram(2 * e) if paired else None)
+    points, index = _point_order(field, 2 * e + 1)
+    maps = stabilizer_generators(field, e) + [random_stabilizer_element(field, e, (11, i)) for i in range(20)]
+    assert {phi.frob for phi in maps} == set(range(f))
+    pi = _point_images(*_maps_as_arrays(maps))
+    lifted = _lift_batch(s, pi)
+    for phi, images, lifted_perm in zip(maps, pi.tolist(), lifted.tolist()):
+        assert images == [index[phi.apply_point(pt).rep] for pt in points]
+        assert tuple(lifted_perm) == lift(phi, s).perm
+
+
+def test_set_index_finds_every_key_at_its_own_row(setting22, setting32, jt22, jt32, tg22, tg32):
+    from qgeom.autgroup import _mask_words, _set_index, _sigma_index
+
+    for (field, h, s), d, g in ((setting22, jt22, tg22), (setting32, jt32, tg32)):
+        for index in (_set_index(d), _set_index(g), _sigma_index(s)[1]):
+            identity = np.arange(d.v, dtype=np.uint8)[None]
+            assert index.images(identity)[0].tolist() == list(range(len(index)))
+            for rows, pts in index.groups:
+                assert index.find(_mask_words(pts, d.v)).tolist() == rows.tolist()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_set_index_agrees_with_has_block_on_random_sets(request, q):
+    from qgeom.autgroup import _mask_words, _set_index
+
+    d = request.getfixturevalue(f"jt{q}2")
+    k = len(d.blocks[0])
+    rng = random.Random(q)
+    sets = [sorted(rng.sample(range(d.v), k)) for _ in range(2000)]
+    sets += [list(d.blocks[rng.randrange(d.b)]) for _ in range(200)]
+    found = _set_index(d).find(_mask_words(np.array(sets), d.v))
+    for pts, row in zip(sets, found.tolist()):
+        assert (row >= 0) == d.has_block(pts)
+        if row >= 0:
+            assert d.blocks[row] == tuple(pts)
+
+
+@pytest.mark.parametrize("v", [31, 64, 65, 130])
+def test_mask_words_are_the_point_mask(v):
+    # one word (v <= 64) and several words take different branches
+    from qgeom.autgroup import _mask_words
+
+    rng = random.Random(v)
+    sets = [rng.sample(range(v), 7) for _ in range(50)] + [[0, 1, 2, 3, 4, 5, v - 1]]
+    words = _mask_words(np.array(sets, dtype=np.uint8), v)
+    assert words.shape == (len(sets), (v + 63) // 64) and words.dtype == np.uint64
+    for pts, row in zip(sets, words.tolist()):
+        assert sum(w << (64 * i) for i, w in enumerate(row)) == sum(1 << p for p in pts)
+
+
+def test_set_index_compares_every_word():
+    from qgeom.autgroup import _SetIndex, _mask_words
+
+    # keys share their first word and differ only in the second
+    keys = [[0, 1, 2, 64 + i] for i in range(20)]
+    index = _SetIndex(keys, 100)
+    assert len(index) == 20 and len(index.columns) == 2
+    assert index.find(_mask_words(np.array(keys), 100)).tolist() == list(range(20))
+    others = np.array([[0, 1, 2, 84 + i] for i in range(16)] + [[0, 1, 2, 3]] + [[1, 2, 3, 64 + i] for i in range(20)])
+    assert (index.find(_mask_words(others, 100)) == -1).all()
+
+
+def test_theorem2_batch_matches_single_calls(setting32, tg32, jt32):
+    from qgeom.autgroup import check_theorem2_batch
+
+    field, h, s = setting32
+    cert = f_certificate(tg32, jt32, h, s)
+    maps = [random_stabilizer_element(field, 2, (12, i)) for i in range(70)]
+    results, cross_checked = check_theorem2_batch(jt32, tg32, cert, maps, s)
+    assert results == [True] * 70
+    assert cross_checked == 3  # elements 0, 31 and 62
+    assert check_theorem2_relation(jt32, tg32, cert, maps[5], s) is True
 
 
 def test_stabilizer_generators_shapes():

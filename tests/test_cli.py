@@ -252,7 +252,7 @@ def test_verify_aut_sample_passes(capsys):
     code, out, err = run(capsys, "verify", "aut-sample")
     assert code == 0
     rep = json.loads(out)
-    assert rep["details"] == {"sampled": 1000, "failures": []}
+    assert rep["details"] == {"sampled": 1000, "failures": [], "cross_checked": 33}
     assert err.startswith("\raut-sample ") and err.endswith("100.0%\n")
     assert err.count("\r") <= 101  # once per whole percent, 0 to 100
 
@@ -277,24 +277,15 @@ def test_verify_aut_sample_reports_a_theorem2_failure(monkeypatch, capsys):
     assert {f["stage"] for f in failures} == {"theorem2"}
 
 
-def test_verify_aut_sample_reports_a_lift_that_is_no_automorphism(monkeypatch, capsys):
-    import qgeom.autgroup as autgroup
+def test_verify_aut_sample_reports_a_lift_that_is_no_automorphism(swap_lifted_points, capsys):
     from qgeom import (
-        PointPermutation,
         coordinate_hyperplane,
         is_design_automorphism,
         polarity_new,
         random_stabilizer_element,
     )
 
-    literal = autgroup.lift
-
-    def swapped(phi, s):
-        perm = list(literal(phi, s).perm)
-        perm[0], perm[1] = perm[1], perm[0]
-        return PointPermutation(tuple(perm))
-
-    monkeypatch.setattr(autgroup, "lift", swapped)
+    swapped = swap_lifted_points()
     code, out, _ = run(capsys, "verify", "aut-sample")
     assert code == 3
     failures = json.loads(out)["details"]["failures"]
@@ -304,3 +295,51 @@ def test_verify_aut_sample_reports_a_lift_that_is_no_automorphism(monkeypatch, c
     phi = random_stabilizer_element(field, 2, (0, failures[0]["index"]))
     expected = is_design_automorphism(jt_design(field, 2), swapped(phi, s))
     assert failures[0]["witness"] == expected.to_json()
+
+
+def test_verify_aut_sample_exits_1_when_the_batched_lift_diverges(swap_lifted_points, capsys):
+    swap_lifted_points(lift_too=False)
+    code, out, err = run(capsys, "verify", "aut-sample")
+    assert code == 1
+    assert out == ""
+    assert "literal lift at element 0" in err
+
+
+def test_verify_aut_sample_failures_match_single_checks(monkeypatch, capsys):
+    import qgeom.cli as cli
+    from qgeom import (
+        IsoCertificate,
+        NotAutomorphism,
+        Theorem2Violation,
+        check_theorem2_relation,
+        coordinate_hyperplane,
+        f_certificate,
+        polarity_new,
+        random_stabilizer_element,
+        twisted_grassmann,
+    )
+
+    def corrupted(*args):
+        cert = f_certificate(*args)
+        bad = list(cert.mapping)
+        bad[0], bad[1] = bad[1], bad[0]
+        return IsoCertificate(tuple(bad), cert.source, cert.target)
+
+    monkeypatch.setattr(cli, "f_certificate", corrupted)
+    code, out, _ = run(capsys, "verify", "aut-sample", "--seed", "0")
+    assert code == 3
+    failures = json.loads(out)["details"]["failures"]
+    field = field_new(2)
+    h = coordinate_hyperplane(field, 5)
+    s = polarity_new(field, h)
+    d, tg = jt_design(field, 2, h, s), twisted_grassmann(field, 2, h, s)
+    cert = corrupted(tg, d, h, s)
+    single = []
+    for i in range(1000):
+        rel = check_theorem2_relation(d, tg, cert, random_stabilizer_element(field, 2, (0, i)), s)
+        if rel is not True:
+            stage = "automorphism" if isinstance(rel, NotAutomorphism) else "theorem2"
+            single.append({"index": i, "stage": stage, "witness": rel.to_json()})
+    assert failures and failures == single
+    phi = random_stabilizer_element(field, 2, (3, 0))
+    assert check_theorem2_relation(d, tg, cert, phi, s) == Theorem2Violation(0, 18, 54)
