@@ -14,12 +14,9 @@ point from `geometry._sigma_table`, the one table of sigma images.
 
 Everything else acts through one batched point action:
 
-- `_point_images`: a map x -> M.frob^i(x) over GF(q), q = p^f, is
-  GF(p)-linear on GF(p)^(nf).  Each map is expanded once, from the field
-  tables, to an (nf x nf) GF(p) matrix; one integer product mod p with
-  the p-digit expansions of the canonical point representatives gives
-  every image vector, and a table of all (q-1)v nonzero vectors gives
-  its point, so no image is rescaled to a leading 1.
+- `geometry._point_images`, which also gives the point sets of
+  subspaces: the point permutations of a batch of maps x -> M.frob^i(x)
+  as one integer product mod p (see the `geometry` docstring).
 - `_lift_batch`: a point c of [H] goes to the point whose sigma point
   set is pi(sigma(c)), with pi phi's point permutation; every other point
   goes through pi.
@@ -52,7 +49,8 @@ from itertools import product
 import numpy as np
 
 from .gf import Field, field_new, is_prime
-from .geometry import Design, Graph, jt_design, _point_order, _points_of, _sigma_table
+from .geometry import _SLAB_BYTES, Design, Graph, jt_design
+from .geometry import _index_dtype, _point_images, _point_order, _point_sets, _sigma_table
 from .linalg import Matrix
 from .polarity import Polarity, polarity_new
 from .subspace import (
@@ -273,57 +271,6 @@ def lift(phi: SemilinearMap, s: Polarity) -> PointPermutation:
 # -- one batched point action (see the module docstring) ---------------------
 
 
-def _index_dtype(v: int):
-    """The smallest unsigned dtype holding the point indices 0..v-1."""
-    return np.uint8 if v <= 256 else np.uint16
-
-
-@lru_cache(maxsize=None)
-def _field_arrays(field: Field):
-    """(mul, digit, basis): the field's product table; digit[x, d], the
-    d-th p-digit of x; and basis[i, k] = frob^i(p^k), the image of the
-    k-th GF(p)-basis element under the i-th Frobenius power."""
-    p, f = field.p, field.f
-    mul = np.array(field._mul, dtype=np.intp)
-    digit = (np.arange(field.q)[:, None] // p ** np.arange(f) % p).astype(np.uint8)
-    basis = np.array([[field.frobenius(p ** k, i) for k in range(f)] for i in range(f)], dtype=np.intp)
-    return mul, digit, basis
-
-
-@lru_cache(maxsize=None)
-def _vector_tables(field: Field, n: int):
-    """(digits, radix, point_of) for GF(q)^n read as GF(p)^(n*f).
-
-    digits holds the p-digit expansion of each canonical point
-    representative, coordinate-major; radix turns an expansion into the
-    vector's code, the sum of x_r q^(n-1-r); point_of[code] is the point
-    of each of the (q-1)v nonzero vectors, so no image is rescaled.
-    """
-    points = _point_order(field, n)[0]
-    mul, digit, _ = _field_arrays(field)
-    reps = np.array([pt.rep for pt in points], dtype=np.intp)
-    weights = field.q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    radix = (weights[:, None] * field.p ** np.arange(field.f)).ravel()
-    point_of = np.zeros(field.q ** n, dtype=_index_dtype(len(points)))
-    point_of[mul[1:][:, reps] @ weights] = np.arange(len(points))
-    return digit[reps].reshape(len(points), -1), radix, point_of
-
-
-def _point_images(field: Field, mats: np.ndarray, frobs: np.ndarray) -> np.ndarray:
-    """Point permutation of each map x -> mats[g].frob^frobs[g](x): row g
-    holds the point index of the image of every point."""
-    mul, digit, basis = _field_arrays(field)
-    digits, radix, point_of = _vector_tables(field, mats.shape[1])
-    # block (r, c) of a map is the f x f GF(p) matrix of x -> M[r,c].frob^i(x):
-    # column k holds the digits of M[r,c].frob^i(p^k)
-    parts = digit[mul[mats[..., None], basis[frobs][:, None, None]]]  # map, r, c, k, d
-    expanded = parts.transpose(0, 1, 4, 2, 3).reshape(len(mats), len(radix), len(radix))
-    if len(radix) * (field.p - 1) ** 2 > 255:  # a sum of products could leave uint8
-        expanded = expanded.astype(np.int32)
-    images = digits @ expanded.transpose(0, 2, 1) % field.p
-    return point_of[images @ radix]
-
-
 def _mask_words(points: np.ndarray, v: int) -> np.ndarray:
     """The ceil(v/64) uint64 words of the point mask of each row of
     point indices (last axis)."""
@@ -344,7 +291,6 @@ def _mask_words(points: np.ndarray, v: int) -> np.ndarray:
 
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd; its product's top bits mix all words
-_SLAB_BYTES = 1 << 20  # temporaries of one slab of _SetIndex.images, at 64 bytes per key word
 
 
 class _SetIndex:
@@ -420,7 +366,7 @@ class _SetIndex:
         Images are formed a slab of about _SLAB_BYTES at a time."""
         out = np.empty((len(perms), len(self)), dtype=np.int32)
         for rows, pts in self.groups:
-            per = max(1, _SLAB_BYTES // (64 * len(self.columns)))  # sets per slab
+            per = max(1, _SLAB_BYTES // (64 * len(self.columns)))  # sets per slab, 64 bytes per key word
             for r in range(0, len(rows), per):
                 sets = pts[r : r + per]
                 step = max(1, per // len(sets))  # elements per slab
@@ -441,9 +387,8 @@ def _set_index(obj) -> _SetIndex:
         if isinstance(obj, Design):
             index = _SetIndex(obj.blocks, obj.v)
         else:
-            first = obj.labels[0][1]
-            points, order = _point_order(first.field, first.ambient_dim)
-            index = _SetIndex([_points_of(w, order) for _, w in obj.labels], len(points))
+            subs = [w for _, w in obj.labels]
+            index = _SetIndex(_point_sets(subs), len(_point_order(subs[0].field, subs[0].ambient_dim)[0]))
         _INDEXES[obj] = index
     return index
 
@@ -534,6 +479,17 @@ _ORACLE_STRIDE = 31  # prime; elements 0, 31, 62, ... are also lifted literally
 _THEOREM2_CHUNK = 64  # elements per batch
 
 
+def _spot_check_lifts(what: str, lifted: np.ndarray, phi_at, s: Polarity, start: int, stride: int) -> int:
+    """Compare every stride-th batched lift (row g: element start + g, map
+    phi_at(g); element 0 first) with lift(); returns the count or raises RuntimeError."""
+    spots = range(-start % stride, len(lifted), stride)
+    for g in spots:
+        if tuple(lifted[g].tolist()) != lift(phi := phi_at(g), s).perm:
+            matrix = [list(row) for row in phi.matrix.entries]
+            raise RuntimeError(f"{what} diverged from the literal lift at element {start + g}: {matrix}")
+    return len(spots)
+
+
 def check_theorem2_batch(d: Design, g: Graph, cert, maps, s: Polarity, progress=None):
     """check_theorem2_relation for each of maps, in bounded chunks.
 
@@ -551,11 +507,8 @@ def check_theorem2_batch(d: Design, g: Graph, cert, maps, s: Polarity, progress=
         lifted = _lift_batch(s, pi)
         alpha = _set_index(d).images(lifted)
         vertices = _vertex_images(g, pi)
+        cross_checked += _spot_check_lifts("batched lift", lifted, chunk.__getitem__, s, start, _ORACLE_STRIDE)
         for k, phi in enumerate(chunk):
-            if (start + k) % _ORACLE_STRIDE == 0:
-                cross_checked += 1
-                if tuple(lifted[k].tolist()) != lift(phi, s).perm:
-                    raise RuntimeError(f"the batched lift diverged from the literal lift at element {start + k}")
             if (missing := _not_automorphism(d, lifted[k], alpha[k])) is not None:
                 results.append(missing)
                 continue
@@ -684,15 +637,9 @@ def _census_chunk(start, mats, *, s, blocks, spot_stride):
         (tuple(map(tuple, phis[g].tolist())), int(np.argmin(ok[g])))
         for g in np.flatnonzero(~ok.all(axis=1))
     ]
-    spots = range(-start % spot_stride, len(phis), spot_stride)
-    for g in spots:
-        literal = lift(SemilinearMap(Matrix(field, phis[g].tolist()), 0), s)
-        if tuple(perms[g].tolist()) != literal.perm:
-            raise RuntimeError(
-                f"census diverged from the literal lift at element {start + g}: "
-                f"{phis[g].tolist()}"
-            )
-    return perms, failures, len(spots)
+    return perms, failures, _spot_check_lifts(
+        "census", perms, lambda g: SemilinearMap(Matrix(field, phis[g].tolist()), 0), s, start, spot_stride
+    )
 
 
 def exhaustive_lift_check(field: Field = None, e: int = 2, jobs: int = 1,

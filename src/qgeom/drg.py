@@ -26,7 +26,7 @@ from dataclasses import field as dataclass_field
 import numpy as np
 
 from .gf import field_new
-from .geometry import Design, DesignParameters, Graph, _pair_counts, _point_count, _row_strips, f_map
+from .geometry import Design, DesignParameters, Graph, _block_map, _pair_counts, _point_count, _row_strips
 from .linalg import Matrix
 from .polarity import Polarity
 from .subspace import Subspace
@@ -290,11 +290,9 @@ def _maps_onto(adj1: np.ndarray, adj2: np.ndarray, mp: np.ndarray, n: int) -> bo
 def f_certificate(g: Graph, d: Design, h: Subspace, s: Polarity) -> IsoCertificate:
     """The block map as an index permutation: twisted vertex i goes to
     the design block holding exactly the points of f(W_i)."""
-    mapping = []
-    for tag, w in g.labels:
-        mapping.append(d.block_index(sorted(f_map(w, h, s))))
+    blocks = _block_map([w for _, w in g.labels], h, s)
     return IsoCertificate(
-        tuple(mapping),
+        tuple(d.block_index(block) for block in blocks),
         source=f"twisted-grassmann[{g.n}]",
         target=f"design-blocks[{d.b}]",
     )

@@ -109,7 +109,9 @@ def design_from_json(obj: dict) -> Design:
 
 
 def incidence_csv(d: Design) -> str:
-    lines = []
-    for row in d.incidence().tolist():
-        lines.append(",".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
+    """One line of comma-separated 0/1 entries per block (one newline for no
+    blocks), written from the incidence matrix's bytes."""
+    text = np.full((d.b, 2 * d.v), ord(","), dtype=np.uint8)
+    text[:, ::2] = d.incidence() + ord("0")
+    text[:, -1:] = ord("\n")
+    return text.tobytes().decode("ascii") or "\n"

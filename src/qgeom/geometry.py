@@ -6,6 +6,12 @@ throughout, with the twisted graph listing its A-family (subspaces not
 inside the hyperplane) before its B-family.  Designs index points by
 the sorted list of canonical projective representatives.
 
+Every point set comes from one batched point action, `_point_images`:
+x -> M.frob^i(x), GF(q)^k to GF(q)^n with q = p^f, is GF(p)-linear on
+p-digits, so a batch of (n x k) matrices maps all points in one integer
+product mod p.  Square maps give `autgroup` its point permutations; the
+transposed RREF basis of a k-subspace gives its points (`_point_sets`).
+
 Every pairwise count goes through one representation and one kernel:
 a subspace is the set of projective points it contains, a family of
 subspaces or blocks is the 0/1 incidence matrix N of those point sets,
@@ -20,8 +26,9 @@ columns unpack at most 64 rows at a time (`_row_strips`).
 The block map f works on the same point sets.  A polarity sigma of h
 reverses inclusion, so sigma(U) is the intersection of sigma(c) over
 the points c of U; `_sigma_table` holds sigma(c) once per point c of
-[h], as a subspace and as a point set, and `f_map` forms each block as
-an intersection of those point sets.
+[h], as a subspace and as a point set.  With S[c, x] = 1 when x lies in
+sigma(c), x lies in sigma(W ∩ h) when W's row of points in [h] times S
+reaches |W ∩ h| at x, so `_block_map` forms many blocks in one product.
 """
 
 from __future__ import annotations
@@ -34,15 +41,7 @@ import numpy as np
 
 from .gf import Field, field_from_order
 from .polarity import Polarity, polarity_new
-from .subspace import (
-    ProjectivePoint,
-    Subspace,
-    coordinate_hyperplane,
-    enumerate_k_subspaces,
-    full_space,
-    gaussian_binomial,
-    projective_points,
-)
+from .subspace import Subspace, coordinate_hyperplane, enumerate_k_subspaces, full_space, projective_points
 
 
 class Graph:
@@ -137,7 +136,7 @@ class Design:
     recoverable from its point set.
     """
 
-    __slots__ = ("points", "blocks", "block_labels", "_index", "_masks", "__weakref__")
+    __slots__ = ("points", "blocks", "block_labels", "_index", "__weakref__")
 
     def __init__(self, points, blocks, block_labels=None):
         self.points = tuple(points)
@@ -150,20 +149,16 @@ class Design:
             if t and not (0 <= t[0] and t[-1] < v):
                 raise ValueError(f"block {bi} has point indices outside 0..{v - 1}")
             canon.append(t)
-        if len(set(canon)) != len(canon):
-            seen = {}
-            for bi, t in enumerate(canon):
-                if t in seen:
-                    raise ValueError(f"blocks {seen[t]} and {bi} are identical")
-                seen[t] = bi
+        self._index = {}
+        for bi, t in enumerate(canon):
+            if (first := self._index.setdefault(t, bi)) != bi:
+                raise ValueError(f"blocks {first} and {bi} are identical")
         self.blocks = tuple(canon)
         if block_labels is None:
             block_labels = range(len(self.blocks))
         self.block_labels = tuple(block_labels)
         if len(self.block_labels) != len(self.blocks):
             raise ValueError("one label per block required")
-        self._index = None
-        self._masks = None
 
     @property
     def v(self) -> int:
@@ -174,19 +169,10 @@ class Design:
         return len(self.blocks)
 
     def block_index(self, block) -> int:
-        if self._index is None:
-            self._index = {blk: i for i, blk in enumerate(self.blocks)}
         return self._index[tuple(sorted(block))]
 
     def has_block(self, block) -> bool:
-        if self._index is None:
-            self._index = {blk: i for i, blk in enumerate(self.blocks)}
         return tuple(sorted(block)) in self._index
-
-    def block_masks(self):
-        if self._masks is None:
-            self._masks = [sum(1 << i for i in blk) for blk in self.blocks]
-        return self._masks
 
     def incidence(self) -> np.ndarray:
         """The b x v 0/1 incidence matrix (uint8), rows in block order."""
@@ -225,9 +211,77 @@ def point_index_map(field: Field, n: int) -> dict:
     return _point_order(field, n)[1]
 
 
-def _points_of(u: Subspace, index: dict) -> list:
-    """Sorted indices of the projective points of u, under a point index."""
-    return sorted(index[p.rep] for p in projective_points(u))
+def _index_dtype(v: int):
+    """The smallest unsigned dtype holding the point indices 0..v-1."""
+    return np.uint8 if v <= 256 else np.uint16 if v <= 65536 else np.uint32
+
+
+@lru_cache(maxsize=None)
+def _field_arrays(field: Field):
+    """(mul, digit, basis): the field's product table; digit[x, d], the
+    d-th p-digit of x; and basis[i, k] = frob^i(p^k), the image of the
+    k-th GF(p)-basis element under the i-th Frobenius power."""
+    p, f = field.p, field.f
+    mul = np.array(field._mul, dtype=np.intp)
+    digit = (np.arange(field.q)[:, None] // p ** np.arange(f) % p).astype(np.uint8)
+    basis = np.array([[field.frobenius(p ** k, i) for k in range(f)] for i in range(f)], dtype=np.intp)
+    return mul, digit, basis
+
+
+@lru_cache(maxsize=None)
+def _vector_tables(field: Field, n: int):
+    """(digits, radix, point_of) for GF(q)^n read as GF(p)^(n*f).
+
+    digits holds the p-digit expansion of each canonical point
+    representative, coordinate-major; radix turns an expansion into the
+    vector's code, the sum of x_r q^(n-1-r); point_of[code] is the point
+    of each of the (q-1)v nonzero vectors, so no image is rescaled.
+    """
+    points = _point_order(field, n)[0]
+    mul, digit, _ = _field_arrays(field)
+    reps = np.array([pt.rep for pt in points], dtype=np.intp)
+    weights = field.q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    radix = (weights[:, None] * field.p ** np.arange(field.f)).ravel()
+    point_of = np.zeros(field.q ** n, dtype=_index_dtype(len(points)))
+    point_of[mul[1:][:, reps] @ weights] = np.arange(len(points))
+    return digit[reps].reshape(len(points), -1), radix, point_of
+
+
+def _point_images(field: Field, mats: np.ndarray, frobs: np.ndarray) -> np.ndarray:
+    """Entry (g, j): the point of GF(q)^n that the map x -> mats[g].frob^frobs[g](x)
+    sends point j of GF(q)^k to, for (n x k) matrices of rank k.  Maps are
+    taken a slab of about _SLAB_BYTES of temporaries at a time."""
+    mul, digit, basis = _field_arrays(field)
+    n, k = mats.shape[1:]
+    digits = _vector_tables(field, k)[0]
+    _, radix, point_of = _vector_tables(field, n)
+    # int32 where a sum of products could leave uint8
+    dtype = np.dtype(np.int32 if digits.shape[1] * (field.p - 1) ** 2 > 255 else np.uint8)
+    out = np.empty((len(mats), len(digits)), dtype=point_of.dtype)
+    # per map: the image digits, their int64 copy for the product with radix, the codes
+    per = max(1, _SLAB_BYTES // (len(digits) * (len(radix) * (dtype.itemsize + 8) + 8)))
+    for start in range(0, len(mats), per):
+        m, i = mats[start : start + per], frobs[start : start + per]
+        # block (r, c) of a map is the f x f GF(p) matrix of x -> M[r,c].frob^i(x):
+        # column t holds the digits of M[r,c].frob^i(p^t)
+        parts = digit[mul[m[..., None], basis[i][:, None, None]]]  # map, r, c, t, d
+        expanded = parts.transpose(0, 1, 4, 2, 3).reshape(len(m), len(radix), -1).astype(dtype, copy=False)
+        images = digits @ expanded.transpose(0, 2, 1) % field.p
+        out[start : start + per] = point_of[images @ radix]
+    return out
+
+
+def _point_sets(subspaces) -> list:
+    """The sorted point indices of each subspace (one field and ambient space):
+    the points of GF(q)^k under its transposed basis, one batch per k."""
+    out = [[] for _ in subspaces]
+    for k in {w.dim for w in subspaces} - {0}:  # the zero subspace has no points
+        rows = [i for i, w in enumerate(subspaces) if w.dim == k]
+        mats = np.array([subspaces[i].basis_rows for i in rows], dtype=np.intp).transpose(0, 2, 1)
+        images = _point_images(subspaces[rows[0]].field, mats, np.zeros(len(rows), dtype=np.intp))
+        for i, pts in zip(rows, np.sort(images, axis=1).tolist()):
+            out[i] = pts
+    return out
 
 
 def _point_count(d: int, q: int) -> int:
@@ -244,6 +298,7 @@ def _incidence(point_sets, v: int) -> np.ndarray:
 
 
 _BLOCK_ROWS = 64
+_SLAB_BYTES = 1 << 20  # temporaries of one slab of a batched kernel
 _EXACT_F32 = 2 ** 24
 
 
@@ -284,9 +339,8 @@ def grassmann_graph(n: int, k: int, q: int) -> Graph:
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     field = field_from_order(q)
-    points, index = _point_order(field, n)
     subs = list(enumerate_k_subspaces(full_space(field, n), k))
-    inc = _incidence([_points_of(s, index) for s in subs], len(points))
+    inc = _incidence(_point_sets(subs), len(_point_order(field, n)[0]))
     return _count_graph(subs, inc, _point_count(k - 1, q))
 
 
@@ -314,11 +368,9 @@ def twisted_grassmann(field: Field, e: int, h: Subspace = None, s: Polarity = No
         h = coordinate_hyperplane(field, 2 * e + 1)
     n = _check_twisted_instance(field, e, h)
     q = field.q
-    points, index = _point_order(field, n)
     a_subs = [w for w in enumerate_k_subspaces(full_space(field, n), e + 1) if not h.contains(w)]
     b_subs = list(enumerate_k_subspaces(h, e - 1))
-    subs = a_subs + b_subs
-    inc = _incidence([_points_of(w, index) for w in subs], len(points))
+    inc = _incidence(_point_sets(a_subs + b_subs), len(_point_order(field, n)[0]))
     family = np.repeat([0, 1], [len(a_subs), len(b_subs)])
     # A covering B means all [e-1]_q points of B lie in A.
     target = [
@@ -334,13 +386,8 @@ def pg_design(field: Field, e: int) -> Design:
     if e < 1:
         raise ValueError(f"e must be >= 1, got {e}")
     n = 2 * e + 1
-    points, index = _point_order(field, n)
-    blocks = []
-    labels = []
-    for u in enumerate_k_subspaces(full_space(field, n), e + 1):
-        blocks.append(_points_of(u, index))
-        labels.append(("PG", u))
-    return Design(points, blocks, labels)
+    subs = list(enumerate_k_subspaces(full_space(field, n), e + 1))
+    return Design(_point_order(field, n)[0], _point_sets(subs), [("PG", u) for u in subs])
 
 
 @lru_cache(maxsize=None)
@@ -350,13 +397,42 @@ def _sigma_table(s: Polarity) -> dict:
     sigma(c) is a hyperplane of h, and the keys are exactly the points of
     [h], in point-index order.
     """
-    h = s.h
-    points, index = _point_order(s.field, h.ambient_dim)
-    out = {}
-    for c, p in enumerate(points):
-        if h.contains_vector(p.rep):
-            image = s.apply(Subspace(s.field, h.ambient_dim, (p.rep,)))
-            out[c] = (image, frozenset(_points_of(image, index)))
+    points = _point_order(s.field, s.h.ambient_dim)[0]
+    (h_points,) = _point_sets([s.h])
+    images = [s.apply(Subspace(s.field, s.h.ambient_dim, (points[c].rep,))) for c in h_points]
+    return {c: (image, frozenset(pts)) for c, image, pts in zip(h_points, images, _point_sets(images))}
+
+
+def _block_map(ws, h: Subspace, s: Polarity) -> list:
+    """f of each subspace of ws, as sorted point indices (see `f_map`): with
+    N the 0/1 rows of their point sets, one product N_h.S per slab of rows
+    (module docstring); outside h, f(W) holds the points of W."""
+    if h.dim % 2 != 0 or h.ambient_dim != h.dim + 1:
+        raise ValueError("h must be a hyperplane of odd-dimensional ambient space")
+    if s.h != h:
+        raise ValueError("polarity is not a polarity of h")
+    if any(w.field != h.field or w.ambient_dim != h.ambient_dim for w in ws):
+        raise ValueError("w and h live in different ambient spaces")
+    e = h.dim // 2
+    v = len(_point_order(h.field, h.ambient_dim)[0])
+    sigma = _sigma_table(s)
+    h_points = np.array(list(sigma), dtype=np.intp)
+    in_h = np.isin(np.arange(v), h_points)
+    # S[c, x] = 1 when the point x lies in sigma(c), one row per point c of [h]
+    sig = _incidence([pts for _, pts in sigma.values()], v).astype(np.float32)
+    sets = _point_sets(ws)
+    out = []
+    per = max(1, _SLAB_BYTES // (8 * v))  # rows per slab, about 8 bytes a column
+    for start in range(0, len(ws), per):
+        n = _incidence(sets[start : start + per], v)
+        size, inside = n.sum(axis=1), n[:, in_h].sum(axis=1)
+        dim = np.array([w.dim for w in ws[start : start + per]])
+        if not (((dim == e + 1) & (inside < size)) | ((dim == e - 1) & (inside == size))).all():
+            raise ValueError("w is in neither vertex family of the twisted graph")
+        # in [h], the points in sigma(c) for all |W ∩ h| points c of W ∩ h (all
+        # of [h] when there are none: sigma(0) = h); outside [h], those of W
+        blocks = np.where(in_h, n[:, h_points].astype(np.float32) @ sig == inside[:, None], n > 0)
+        out.extend(np.flatnonzero(block).tolist() for block in blocks)
     return out
 
 
@@ -365,27 +441,10 @@ def f_map(w: Subspace, h: Subspace, s: Polarity) -> frozenset:
 
     For w in the A family: points of s(w ∩ h) together with the points
     of w outside h.  For w in the B family: points of s(w).  Either way
-    the block has (q^(e+1)-1)/(q-1) points.  s(U) is read as the
-    intersection of s(c) over the points c of U.
+    the block has (q^(e+1)-1)/(q-1) points.  s(U) is the intersection of
+    s(c) over the points c of U.  A batch of one of `_block_map`.
     """
-    if h.dim % 2 != 0 or h.ambient_dim != h.dim + 1:
-        raise ValueError("h must be a hyperplane of odd-dimensional ambient space")
-    if s.h != h:
-        raise ValueError("polarity is not a polarity of h")
-    if w.field != h.field or w.ambient_dim != h.ambient_dim:
-        raise ValueError("w and h live in different ambient spaces")
-    e = h.dim // 2
-    sigma = _sigma_table(s)
-    pts = _points_of(w, point_index_map(w.field, h.ambient_dim))
-    inside = [c for c in pts if c in sigma]
-    if w.dim == e + 1 and len(inside) < len(pts):
-        outside = frozenset(pts).difference(inside)
-    elif w.dim == e - 1 and len(inside) == len(pts):
-        outside = frozenset()
-    else:
-        raise ValueError("w is in neither vertex family of the twisted graph")
-    # the intersection over no points at all is sigma(0) = h
-    return frozenset(sigma).intersection(*(sigma[c][1] for c in inside)) | outside
+    return frozenset(_block_map([w], h, s)[0])
 
 
 def jt_design(field: Field, e: int, h: Subspace = None, s: Polarity = None) -> Design:
@@ -398,17 +457,10 @@ def jt_design(field: Field, e: int, h: Subspace = None, s: Polarity = None) -> D
         s = polarity_new(field, h)
     if s.h != h:
         raise ValueError("polarity is not a polarity of h")
-    points, index = _point_order(field, n)
-    blocks = []
-    labels = []
-    for w in enumerate_k_subspaces(full_space(field, n), e + 1):
-        if not h.contains(w):
-            blocks.append(sorted(f_map(w, h, s)))
-            labels.append(("A", w))
-    for u in enumerate_k_subspaces(h, e + 1):
-        blocks.append(_points_of(u, index))
-        labels.append(("B", u))
-    return Design(points, blocks, labels)
+    a_subs = [w for w in enumerate_k_subspaces(full_space(field, n), e + 1) if not h.contains(w)]
+    b_subs = list(enumerate_k_subspaces(h, e + 1))
+    labels = [("A", w) for w in a_subs] + [("B", u) for u in b_subs]
+    return Design(_point_order(field, n)[0], _block_map(a_subs, h, s) + _point_sets(b_subs), labels)
 
 
 def block_graph(d: Design, threshold: int) -> Graph:

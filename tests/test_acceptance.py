@@ -103,7 +103,7 @@ def test_criterion_3_block_graph_isomorphism(capsys):
     iso_ok = check_isomorphism(tg, bg, cert) is True
 
     # every vertex pair against the 3-point intersection rule
-    masks = d.block_masks()
+    masks = [sum(1 << i for i in blk) for blk in d.blocks]
     mapped = [masks[cert.mapping[i]] for i in range(tg.n)]
     pair_violations = 0
     for i, j in combinations(range(tg.n), 2):
@@ -127,7 +127,7 @@ def test_criterion_3_block_graph_isomorphism(capsys):
     tg3 = twisted_grassmann(field3, 2, h3, s3)
     d3 = jt_design(field3, 2, h3, s3)
     cert3 = f_certificate(tg3, d3, h3, s3)
-    masks3 = d3.block_masks()
+    masks3 = [sum(1 << i for i in blk) for blk in d3.blocks]
     mapped3 = [masks3[cert3.mapping[i]] for i in range(tg3.n)]
     rng = random.Random(32)
     sample_violations = 0

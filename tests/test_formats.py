@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qgeom import (
+    Design,
     Graph,
     decode_graph6,
     design_from_json,
@@ -116,6 +117,12 @@ def test_incidence_csv_shape(jt22):
         cells = row.split(",")
         assert len(cells) == 31
         assert sum(int(c) for c in cells) == 7
+
+
+def test_incidence_csv_matches_the_joined_rows(jt22):
+    for d in (Design([], []), Design([], [[]]), Design(range(3), [[0, 2], [1]]), jt22):
+        rows = d.incidence().tolist()
+        assert incidence_csv(d) == "\n".join(",".join(str(x) for x in row) for row in rows) + "\n"
 
 
 def test_incidence_csv_fano():

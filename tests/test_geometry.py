@@ -11,8 +11,12 @@ from qgeom import (
     affine_points,
     block_graph,
     coordinate_hyperplane,
+    enumerate_k_subspaces,
+    f_certificate,
     f_map,
+    field_from_order,
     field_new,
+    full_space,
     gaussian_binomial,
     grassmann_graph,
     intersection_spectrum,
@@ -264,15 +268,47 @@ PAIRED_GRAM = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
 
 
 @pytest.mark.parametrize("gram", [None, PAIRED_GRAM], ids=["identity", "paired"])
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_f_map_matches_the_literal_subspace_map(q, gram):
-    field = field_new(q)
+    # the batched rows (jt_design's A blocks, f_certificate's blocks) and
+    # f_map against f taken subspace by subspace; a seeded sample at q = 4
+    field = field_from_order(q)
     h = coordinate_hyperplane(field, 5)
     s = polarity_new(field, h, gram)
     g = twisted_grassmann(field, 2, h, s)
+    d = jt_design(field, 2, h, s)
+    cert = f_certificate(g, d, h, s)
     assert {tag for tag, _ in g.labels} == {"A", "B"}
-    for _, w in g.labels:
-        assert f_map(w, h, s) == _literal_f_map(w, h, s)
+    a_blocks = {w: blk for (tag, w), blk in zip(d.block_labels, d.blocks) if tag == "A"}
+    vertices = range(g.n) if q < 4 else sorted(random.Random(q).sample(range(g.n), 300))
+    for j in vertices:
+        tag, w = g.labels[j]
+        literal = _literal_f_map(w, h, s)
+        assert frozenset(d.blocks[cert.mapping[j]]) == literal
+        assert tag == "B" or frozenset(a_blocks[w]) == literal
+        assert f_map(w, h, s) == literal
+
+
+def test_f_certificate_rejects_a_label_in_neither_family(setting22, tg22, jt22):
+    field, h, s = setting22
+    middle = ("A", span(field, 5, [E[0], E[1]]))  # dimension e: neither family
+    g = Graph.from_edges(4, [], labels=tg22.labels[:3] + (middle,))
+    with pytest.raises(ValueError, match="neither vertex family"):
+        f_certificate(g, jt22, h, s)
+    with pytest.raises(ValueError, match="not a polarity of h"):
+        f_certificate(tg22, jt22, span(field, 5, E[1:]), s)
+    with pytest.raises(ValueError, match="odd-dimensional"):
+        f_map(tg22.labels[0][1], span(field, 5, E[1:4]), s)
+
+
+def test_batched_f_is_the_same_in_slabs_of_one(monkeypatch, setting32, tg32, jt32):
+    import qgeom.geometry as geometry
+
+    field, h, s = setting32
+    cert = f_certificate(tg32, jt32, h, s)
+    monkeypatch.setattr(geometry, "_SLAB_BYTES", 1)  # one subspace or map per slab
+    assert jt_design(field, 2, h, s).blocks == jt32.blocks
+    assert f_certificate(tg32, jt32, h, s) == cert
 
 
 def test_jt_block_sizes_follow_family_formulas(setting22, jt22):
@@ -322,7 +358,7 @@ def test_block_graph_of_pg_is_grassmann(pg22):
 
 def test_adjacency_iff_block_intersection_sampled(tg22, jt22, cert22):
     # vertex adjacency matches the 3-point intersection rule on f-images
-    masks = jt22.block_masks()
+    masks = [sum(1 << i for i in blk) for blk in jt22.blocks]
     to_block = cert22.mapping
     rng = random.Random(4)
     for _ in range(3000):
@@ -332,6 +368,40 @@ def test_adjacency_iff_block_intersection_sampled(tg22, jt22, cert22):
             continue
         same = (masks[to_block[i]] & masks[to_block[j]]).bit_count() == 3
         assert tg22.is_adjacent(i, j) == same
+
+
+# (p, f, n): GF(q)^n for q = 2, 3, 4, an odd-p extension field and an f = 3 field
+_POINT_SET_SPACES = [(2, 1, 5), (3, 1, 4), (2, 2, 4), (3, 2, 3), (2, 3, 3)]
+
+
+@pytest.mark.parametrize("p,f,n", _POINT_SET_SPACES, ids=["q2", "q3", "q4", "q9", "q8"])
+def test_point_sets_match_projective_points(p, f, n):
+    from qgeom.geometry import _point_sets
+
+    field = field_new(p, f)
+    index = point_index_map(field, n)
+    # every k-subspace, k = 0..n-1, in one call: one kernel batch per dimension
+    subs = [w for k in range(n) for w in enumerate_k_subspaces(full_space(field, n), k)]
+    assert len(subs) == sum(gaussian_binomial(n, k, field.q) for k in range(n))
+    assert _point_sets(subs) == [sorted(index[pt.rep] for pt in projective_points(w)) for w in subs]
+
+
+def test_point_images_are_the_same_in_slabs_of_one(monkeypatch):
+    import qgeom.geometry as geometry
+
+    field = field_new(3, 2)
+    subs = list(enumerate_k_subspaces(full_space(field, 3), 2))
+    whole = geometry._point_sets(subs)
+    monkeypatch.setattr(geometry, "_SLAB_BYTES", 1)
+    assert geometry._point_sets(subs) == whole
+
+
+@pytest.mark.parametrize("v,dtype", [(256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32)])
+def test_index_dtype_holds_every_point_index(v, dtype):
+    from qgeom.geometry import _index_dtype
+
+    assert _index_dtype(v) == dtype
+    assert np.iinfo(_index_dtype(v)).max >= v - 1
 
 
 def test_twisted_rejects_bad_instance():
