@@ -416,12 +416,6 @@ def _lift_batch(s: Polarity, pi: np.ndarray) -> np.ndarray:
     return lifted
 
 
-def _vertex_images(g: Graph, pi: np.ndarray) -> np.ndarray:
-    """Entry (k, j): the vertex phi_k(W_j), the vertex whose point set is
-    pi[k] of W_j's, or -1 where no vertex has that point set."""
-    return _set_index(g).images(pi)
-
-
 def _maps_as_arrays(maps):
     """(field, matrices, Frobenius powers) of a batch of maps on one space."""
     field = maps[0].field
@@ -470,7 +464,7 @@ def vertex_permutation(g: Graph, phi: SemilinearMap) -> tuple:
     """phi's action on the vertices of a twisted Grassmann graph g: entry
     j is the vertex phi(W_j).  Computed at point level; vertex 0's image
     is compared with the literal phi.apply_subspace on every call."""
-    images = _vertex_images(g, _point_images(*_maps_as_arrays([phi])))[0]
+    images = _set_index(g).images(_point_images(*_maps_as_arrays([phi])))[0]
     _check_vertex_images(g, phi, images)
     return tuple(images.tolist())
 
@@ -506,7 +500,7 @@ def check_theorem2_batch(d: Design, g: Graph, cert, maps, s: Polarity, progress=
         pi = _point_images(*_maps_as_arrays(chunk))
         lifted = _lift_batch(s, pi)
         alpha = _set_index(d).images(lifted)
-        vertices = _vertex_images(g, pi)
+        vertices = _set_index(g).images(pi)
         cross_checked += _spot_check_lifts("batched lift", lifted, chunk.__getitem__, s, start, _ORACLE_STRIDE)
         for k, phi in enumerate(chunk):
             if (missing := _not_automorphism(d, lifted[k], alpha[k])) is not None:

@@ -384,9 +384,7 @@ def _add_common(p, with_format=False):
     p.add_argument("--q", type=int, default=2, help="field order (prime power)")
     p.add_argument("--e", type=int, default=2, help="instance parameter e")
     p.add_argument("--gram", help="JSON file with a gram matrix (list of rows)")
-    p.add_argument("--seed", type=int, default=0, help="base random seed")
     p.add_argument("--out", help="output path")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for aut-exhaustive")
     if with_format:
         p.add_argument(
             "--format",
@@ -419,6 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["thm1", "drg", "design", "spectrum", "aut-sample", "aut-exhaustive", "prank", "all"],
     )
     _add_common(v)
+    v.add_argument("--seed", type=int, default=0, help="base random seed for aut-sample")
+    v.add_argument("--jobs", type=int, default=1, help="worker processes for aut-exhaustive")
     v.set_defaults(func=cmd_verify)
 
     return ap

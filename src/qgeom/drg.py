@@ -26,7 +26,7 @@ from dataclasses import field as dataclass_field
 import numpy as np
 
 from .gf import field_new
-from .geometry import Design, DesignParameters, Graph, _block_map, _pair_counts, _point_count, _row_strips
+from .geometry import Design, DesignParameters, Graph, _block_map, _pair_counts, _point_count, _point_sets, _row_strips
 from .linalg import Matrix
 from .polarity import Polarity
 from .subspace import Subspace
@@ -290,7 +290,8 @@ def _maps_onto(adj1: np.ndarray, adj2: np.ndarray, mp: np.ndarray, n: int) -> bo
 def f_certificate(g: Graph, d: Design, h: Subspace, s: Polarity) -> IsoCertificate:
     """The block map as an index permutation: twisted vertex i goes to
     the design block holding exactly the points of f(W_i)."""
-    blocks = _block_map([w for _, w in g.labels], h, s)
+    ws = [w for _, w in g.labels]
+    blocks = _block_map(ws, _point_sets(ws), h, s)
     return IsoCertificate(
         tuple(d.block_index(block) for block in blocks),
         source=f"twisted-grassmann[{g.n}]",

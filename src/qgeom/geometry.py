@@ -4,7 +4,12 @@ pseudo-geometric designs, and the block map tying them together.
 Vertex and block orders are deterministic: subspace enumeration order
 throughout, with the twisted graph listing its A-family (subspaces not
 inside the hyperplane) before its B-family.  Designs index points by
-the sorted list of canonical projective representatives.
+the sorted list of canonical projective representatives.  The families
+are chosen by point sets from one enumeration of the (e+1)-subspaces of
+V: A has a point off [h], and the rest, the JT design's blocks inside h,
+come in the order of h's own enumeration.  In each row of a basis inside
+h, the one column off h's pivots is fixed by the row's earlier entries,
+so two such bases first differ in a column both orders compare.
 
 Every point set comes from one batched point action, `_point_images`:
 x -> M.frob^i(x), GF(q)^k to GF(q)^n with q = p^f, is GF(p)-linear on
@@ -36,6 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, compress
 
 import numpy as np
 
@@ -75,7 +81,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges, labels=None):
-        ends = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
+        pairs = [_indices(e, f"edge {i}") for i, e in enumerate(edges)]
+        ends = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2)  # a 4-tuple is no two edges
         if ends.size and not (ends.min() >= 0 and ends.max() < n):
             raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
         adj = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
@@ -128,6 +135,15 @@ def _edge_strips(adj: np.ndarray, n: int):
         yield i + start, j
 
 
+def _indices(values, what: str) -> tuple:
+    """values as Python ints; a bool or another non-integer raises ValueError."""
+    values = tuple(values)
+    types = set(map(type, values))  # checked per type: a design has many blocks
+    if any(t is bool or not issubclass(t, (int, np.integer)) for t in types):
+        raise ValueError(f"{what} has an index that is not an integer: {values}")
+    return values if types <= {int} else tuple(map(int, values))
+
+
 class Design:
     """Point set plus blocks given as sorted tuples of point indices.
 
@@ -143,7 +159,7 @@ class Design:
         v = len(self.points)
         canon = []
         for bi, block in enumerate(blocks):
-            t = tuple(sorted(block))
+            t = tuple(sorted(_indices(block, f"block {bi}")))
             if len(set(t)) != len(t):
                 raise ValueError(f"block {bi} repeats a point")
             if t and not (0 <= t[0] and t[-1] < v):
@@ -271,15 +287,19 @@ def _point_images(field: Field, mats: np.ndarray, frobs: np.ndarray) -> np.ndarr
     return out
 
 
+def _point_array(subspaces) -> np.ndarray:
+    """`_point_sets` of subspaces of one dimension k >= 1, as one array."""
+    mats = np.array([w.basis_rows for w in subspaces], dtype=np.intp).transpose(0, 2, 1)
+    return np.sort(_point_images(subspaces[0].field, mats, np.zeros(len(mats), dtype=np.intp)), axis=1)
+
+
 def _point_sets(subspaces) -> list:
     """The sorted point indices of each subspace (one field and ambient space):
     the points of GF(q)^k under its transposed basis, one batch per k."""
     out = [[] for _ in subspaces]
     for k in {w.dim for w in subspaces} - {0}:  # the zero subspace has no points
         rows = [i for i, w in enumerate(subspaces) if w.dim == k]
-        mats = np.array([subspaces[i].basis_rows for i in rows], dtype=np.intp).transpose(0, 2, 1)
-        images = _point_images(subspaces[rows[0]].field, mats, np.zeros(len(rows), dtype=np.intp))
-        for i, pts in zip(rows, np.sort(images, axis=1).tolist()):
+        for i, pts in zip(rows, _point_array([subspaces[i] for i in rows]).tolist()):
             out[i] = pts
     return out
 
@@ -291,9 +311,9 @@ def _point_count(d: int, q: int) -> int:
 
 def _incidence(point_sets, v: int) -> np.ndarray:
     """One uint8 row per point set, with a 1 in each of its v columns it holds."""
-    out = np.zeros((len(point_sets), v), dtype=np.uint8)
-    for i, pts in enumerate(point_sets):
-        out[i, list(pts)] = 1
+    sizes = [len(pts) for pts in point_sets]
+    out = np.zeros((len(sizes), v), dtype=np.uint8)
+    out[np.repeat(np.arange(len(sizes)), sizes), np.fromiter(chain.from_iterable(point_sets), np.intp)] = 1
     return out
 
 
@@ -355,6 +375,16 @@ def _check_twisted_instance(field: Field, e: int, h: Subspace):
     return n
 
 
+def _split_by_h(field: Field, e: int, h: Subspace):
+    """(A, their point sets, the rest, theirs) from the (e+1)-subspaces of V:
+    A holds those with a point off [h]; the rest are the (e+1)-subspaces of h,
+    in the order of `enumerate_k_subspaces(h, e + 1)` (module docstring)."""
+    subs = list(enumerate_k_subspaces(full_space(field, 2 * e + 1), e + 1))
+    sets = _point_array(subs)
+    off = ~np.isin(sets, _point_sets([h])[0]).all(axis=1)
+    return list(compress(subs, off)), sets[off], list(compress(subs, ~off)), sets[~off]
+
+
 def twisted_grassmann(field: Field, e: int, h: Subspace = None, s: Polarity = None) -> Graph:
     """The van Dam-Koolen twisted Grassmann graph on A ∪ B.
 
@@ -368,9 +398,10 @@ def twisted_grassmann(field: Field, e: int, h: Subspace = None, s: Polarity = No
         h = coordinate_hyperplane(field, 2 * e + 1)
     n = _check_twisted_instance(field, e, h)
     q = field.q
-    a_subs = [w for w in enumerate_k_subspaces(full_space(field, n), e + 1) if not h.contains(w)]
+    a_subs, a_sets, _, _ = _split_by_h(field, e, h)
     b_subs = list(enumerate_k_subspaces(h, e - 1))
-    inc = _incidence(_point_sets(a_subs + b_subs), len(_point_order(field, n)[0]))
+    inc = _incidence([*a_sets, *_point_sets(b_subs)], len(_point_order(field, n)[0]))
+    del a_sets  # not held while the pairs are counted
     family = np.repeat([0, 1], [len(a_subs), len(b_subs)])
     # A covering B means all [e-1]_q points of B lie in A.
     target = [
@@ -403,10 +434,10 @@ def _sigma_table(s: Polarity) -> dict:
     return {c: (image, frozenset(pts)) for c, image, pts in zip(h_points, images, _point_sets(images))}
 
 
-def _block_map(ws, h: Subspace, s: Polarity) -> list:
-    """f of each subspace of ws, as sorted point indices (see `f_map`): with
-    N the 0/1 rows of their point sets, one product N_h.S per slab of rows
-    (module docstring); outside h, f(W) holds the points of W."""
+def _block_map(ws, sets, h: Subspace, s: Polarity) -> list:
+    """f of each subspace of ws, as sorted point indices (see `f_map`), given
+    their point sets: with N the 0/1 rows of those sets, one product N_h.S
+    per slab of rows (module docstring); outside h, f(W) holds the points of W."""
     if h.dim % 2 != 0 or h.ambient_dim != h.dim + 1:
         raise ValueError("h must be a hyperplane of odd-dimensional ambient space")
     if s.h != h:
@@ -420,7 +451,6 @@ def _block_map(ws, h: Subspace, s: Polarity) -> list:
     in_h = np.isin(np.arange(v), h_points)
     # S[c, x] = 1 when the point x lies in sigma(c), one row per point c of [h]
     sig = _incidence([pts for _, pts in sigma.values()], v).astype(np.float32)
-    sets = _point_sets(ws)
     out = []
     per = max(1, _SLAB_BYTES // (8 * v))  # rows per slab, about 8 bytes a column
     for start in range(0, len(ws), per):
@@ -444,7 +474,7 @@ def f_map(w: Subspace, h: Subspace, s: Polarity) -> frozenset:
     the block has (q^(e+1)-1)/(q-1) points.  s(U) is the intersection of
     s(c) over the points c of U.  A batch of one of `_block_map`.
     """
-    return frozenset(_block_map([w], h, s)[0])
+    return frozenset(_block_map([w], _point_sets([w]), h, s)[0])
 
 
 def jt_design(field: Field, e: int, h: Subspace = None, s: Polarity = None) -> Design:
@@ -457,10 +487,9 @@ def jt_design(field: Field, e: int, h: Subspace = None, s: Polarity = None) -> D
         s = polarity_new(field, h)
     if s.h != h:
         raise ValueError("polarity is not a polarity of h")
-    a_subs = [w for w in enumerate_k_subspaces(full_space(field, n), e + 1) if not h.contains(w)]
-    b_subs = list(enumerate_k_subspaces(h, e + 1))
+    a_subs, a_sets, b_subs, b_sets = _split_by_h(field, e, h)
     labels = [("A", w) for w in a_subs] + [("B", u) for u in b_subs]
-    return Design(_point_order(field, n)[0], _block_map(a_subs, h, s) + _point_sets(b_subs), labels)
+    return Design(_point_order(field, n)[0], _block_map(a_subs, a_sets, h, s) + b_sets.tolist(), labels)
 
 
 def block_graph(d: Design, threshold: int) -> Graph:

@@ -4,7 +4,10 @@ A Subspace is identified with the unique RREF basis of its row space,
 so equality, hashing, and sorting are plain data comparisons.  The
 module also enumerates all k-dimensional subspaces of an ambient space
 in a fixed order (echelon pivot pattern, then free entries), counts
-them with Gaussian binomials, and lists projective points.
+them with Gaussian binomials, and lists projective points.  Each pivot
+pattern is enumerated as arrays: a slab of coefficient matrices, the c-th
+holding the base-q digits of c in its free entries, times the ambient
+RREF basis through the field's add and mul tables.
 
 Vectors are tuples of field-element encodings; a projective point is
 represented by the unique spanning vector whose leading nonzero
@@ -18,8 +21,12 @@ from dataclasses import field as dataclass_field
 from functools import lru_cache
 from itertools import combinations, product
 
+import numpy as np
+
 from .gf import Field
 from .linalg import Matrix, _dot
+
+_SLAB = 1 << 16  # subspaces per slab of enumerate_k_subspaces
 
 
 @dataclass(frozen=True)
@@ -215,31 +222,25 @@ def enumerate_k_subspaces(ambient: Subspace, k: int):
     d = ambient.dim
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= dim, got k={k}, dim={d}")
-    F = ambient.field
-    n = ambient.ambient_dim
-    basis = ambient.basis_rows
-    zero = (0,) * n
-    if k == 0:
-        yield Subspace(F, n, ())
-        return
+    F, n, q = ambient.field, ambient.ambient_dim, ambient.field.q
+    add, mul = np.array(F._add, dtype=np.uint8), np.array(F._mul, dtype=np.uint8)
+    basis = np.array(ambient.basis_rows, dtype=np.uint8).reshape(d, n)
     for piv in combinations(range(d), k):
-        pivset = set(piv)
-        free = [
-            (i, j)
-            for i in range(k)
-            for j in range(piv[i] + 1, d)
-            if j not in pivset
-        ]
-        for values in product(F.elements(), repeat=len(free)):
-            coeff = [[0] * d for _ in range(k)]
-            for i, p in enumerate(piv):
-                coeff[i][p] = 1
-            for (i, j), v in zip(free, values):
-                coeff[i][j] = v
-            rows = tuple(F._lincomb(zero, crow, basis) for crow in coeff)
-            # The product of an RREF coefficient matrix with an RREF
-            # basis is itself RREF, so no re-reduction is needed.
-            yield Subspace(F, n, rows)
+        free = [(i, j) for i in range(k) for j in range(piv[i] + 1, d) if j not in piv]
+        fi, fj = np.array(free, dtype=np.intp).reshape(-1, 2).T
+        low = next(m for m in range(len(free), -1, -1) if q ** m <= _SLAB)  # digits varying in a slab
+        high = len(free) - low
+        coeff = np.zeros((q ** low, k, d), dtype=np.uint8)
+        coeff[:, fi[high:], fj[high:]] = np.arange(q ** low)[:, None] // q ** np.arange(low - 1, -1, -1) % q
+        for c in range(q ** high):  # a Python int: q ** len(free) can pass 2**63
+            coeff[:, fi[:high], fj[:high]] = [c // q ** (high - 1 - t) % q for t in range(high)]
+            # row i is basis row piv[i] plus each free entry times its basis
+            # row; a product of RREF matrices is RREF, so none is re-reduced
+            rows = np.repeat(basis[None, list(piv)], len(coeff), axis=0)
+            for t in sorted({j for _, j in free}):
+                rows = add[rows, mul[coeff[:, :, t, None], basis[t]]]
+            for sub in rows:
+                yield Subspace(F, n, tuple(map(tuple, sub.tolist())))
 
 
 def projective_points(w: Subspace):

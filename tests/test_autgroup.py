@@ -263,12 +263,12 @@ def test_theorem2_relation_raises_when_the_batched_lift_diverges(swap_lifted_poi
 
 
 def test_point_level_vertex_images_match_apply_subspace(setting22, tg22):
-    from qgeom.autgroup import _maps_as_arrays, _point_images, _vertex_images
+    from qgeom.autgroup import _maps_as_arrays, _point_images, _set_index
 
     field, h, s = setting22
     vertex_of = {label: j for j, label in enumerate(tg22.labels)}
     maps = [random_stabilizer_element(field, 2, (5, i)) for i in range(25)]
-    images = _vertex_images(tg22, _point_images(*_maps_as_arrays(maps)))
+    images = _set_index(tg22).images(_point_images(*_maps_as_arrays(maps)))
     for phi, row in zip(maps, images.tolist()):
         assert row == [vertex_of[(tag, phi.apply_subspace(w))] for tag, w in tg22.labels]
 
@@ -277,14 +277,20 @@ def test_theorem2_relation_raises_when_the_vertex_action_diverges(monkeypatch, s
     import qgeom.autgroup as autgroup
 
     field, h, s = setting22
-    point_level = autgroup._vertex_images
+    point_level = autgroup._set_index
 
-    def shifted(g, pi):
-        images = point_level(g, pi)
-        images[:, 0] = (images[:, 0] + 1) % g.n
-        return images
+    class Shifted:
+        """The graph's vertex index, with every image of vertex 0 moved on by one."""
 
-    monkeypatch.setattr(autgroup, "_vertex_images", shifted)
+        def __init__(self, index):
+            self.index = index
+
+        def images(self, pi):
+            images = self.index.images(pi)
+            images[:, 0] = (images[:, 0] + 1) % tg22.n
+            return images
+
+    monkeypatch.setattr(autgroup, "_set_index", lambda obj: Shifted(point_level(obj)) if obj is tg22 else point_level(obj))
     phi = random_stabilizer_element(field, 2, (6, 0))
     with pytest.raises(RuntimeError, match="vertex 0"):
         check_theorem2_relation(jt22, tg22, cert22, phi, s)

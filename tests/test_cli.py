@@ -133,6 +133,15 @@ def test_argparse_rejects_unknown_choice(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["build", "export"])
+@pytest.mark.parametrize("flag", ["--seed", "--jobs"])
+def test_build_and_export_refuse_verify_only_flags(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "twisted", flag, "1"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_verification_failure_exits_3(tmp_path, monkeypatch, capsys):
     import qgeom.cli as cli
 

@@ -109,6 +109,34 @@ def test_design_json_round_trip(jt22):
     assert d2.blocks == jt22.blocks
 
 
+@pytest.mark.parametrize("block", [[0.5, 1], [1.0, 2], [True, 2], ["1", 2], [None, 1]])
+def test_design_json_rejects_non_integer_points(block):
+    data = json.loads(json.dumps({"v": 3, "blocks": [[0, 1], block]}))
+    with pytest.raises(ValueError, match="block 1 has an index that is not an integer"):
+        design_from_json(data)
+
+
+def test_graph_json_rejects_edges_that_are_not_pairs():
+    for edges in ([[0, 1, 2, 3]], [[0], [1]], [[0, 1], [2]]):
+        with pytest.raises(ValueError):
+            graph_from_json({"n": 4, "edges": edges})
+
+
+@pytest.mark.parametrize("edge", [[0.7, 1.9], [1.0, 2], [True, 2], [0, False]])
+def test_graph_json_rejects_non_integer_endpoints(edge):
+    data = json.loads(json.dumps({"n": 3, "edges": [[0, 1], edge]}))
+    with pytest.raises(ValueError, match="edge 1 has an index that is not an integer"):
+        graph_from_json(data)
+
+
+def test_numpy_integer_indices_are_plain_ints():
+    d = Design(range(3), [np.array([2, 0], dtype=np.uint8), (np.int64(1), 2)])
+    assert d.blocks == ((0, 2), (1, 2)) and all(type(x) is int for b in d.blocks for x in b)
+    g = Graph.from_edges(3, np.array([[0, 2]], dtype=np.int32))
+    assert g.edges() == [(0, 2)]
+    assert graph_from_json({"n": 3, "edges": []}).num_edges() == 0
+
+
 def test_incidence_csv_shape(jt22):
     text = incidence_csv(jt22)
     rows = text.strip().split("\n")

@@ -418,3 +418,51 @@ def test_block_graph_threshold_sensitivity(pg22):
     bg3 = block_graph(pg22, 3)
     assert bg1.num_edges() == 8680
     assert bg3.num_edges() == 3255
+
+
+def _random_hyperplane(field, n, rng):
+    while (h := span(field, n, [[rng.randrange(field.q) for _ in range(n)] for _ in range(n - 1)])).dim < n - 1:
+        pass
+    return h
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_split_by_points_keeps_the_order_of_the_hyperplane(q):
+    # the (e+1)-subspaces of V inside h come out of V's enumeration in the
+    # order of h's own enumeration, so one enumeration gives both families
+    from qgeom.geometry import _split_by_h
+
+    field = field_from_order(q)
+    rng = random.Random(q)
+    for _ in range(3):
+        h = _random_hyperplane(field, 5, rng)
+        a_subs, a_sets, rest, rest_sets = _split_by_h(field, 2, h)
+        assert rest == list(enumerate_k_subspaces(h, 3))
+        assert len(set(a_subs)) + len(rest) == gaussian_binomial(5, 3, q) and set(a_subs).isdisjoint(rest)
+        index = point_index_map(field, 5)
+        for subs, sets in ((a_subs[:: 97], a_sets[:: 97]), (rest, rest_sets)):
+            assert sets.tolist() == [sorted(index[p.rep] for p in projective_points(w)) for w in subs]
+        if q < 4:  # the literal filter, all of V's 1-, 2- and 3-subspaces
+            assert a_subs == [w for w in enumerate_k_subspaces(full_space(field, 5), 3) if not h.contains(w)]
+            for k in (1, 2):
+                inside = [w for w in enumerate_k_subspaces(full_space(field, 5), k) if h.contains(w)]
+                assert inside == list(enumerate_k_subspaces(h, k))
+
+
+def test_families_are_chosen_without_subspace_containment(monkeypatch):
+    from qgeom.geometry import _sigma_table
+    from qgeom.subspace import Subspace
+
+    field = field_new(2)
+    h = coordinate_hyperplane(field, 5)
+    s = polarity_new(field, h)
+    _sigma_table(s)  # Polarity.apply checks containment; the table is built once per polarity
+    expected = twisted_grassmann(field, 2, h, s), jt_design(field, 2, h, s)
+
+    def refuse(self, other):
+        raise AssertionError("Subspace.contains was called")
+
+    monkeypatch.setattr(Subspace, "contains", refuse)
+    tg, d = twisted_grassmann(field, 2, h, s), jt_design(field, 2, h, s)
+    assert tg.labels == expected[0].labels and np.array_equal(tg.adj, expected[0].adj)
+    assert (d.blocks, d.block_labels) == (expected[1].blocks, expected[1].block_labels)

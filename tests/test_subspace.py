@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -8,6 +8,7 @@ from qgeom import (
     affine_points,
     coordinate_hyperplane,
     enumerate_k_subspaces,
+    field_from_order,
     field_new,
     full_space,
     gaussian_binomial,
@@ -213,3 +214,84 @@ def test_enumeration_order_is_deterministic():
     second = [s.basis_rows for s in enumerate_k_subspaces(amb, 2)]
     assert first == second
     assert first[0] == ((1, 0, 0, 0), (0, 1, 0, 0))
+
+
+def _literal_enumeration(ambient, k):
+    """The scalar enumerator, one `_lincomb` per basis row: the oracle for
+    the slab-wise `enumerate_k_subspaces`."""
+    d = ambient.dim
+    if not 0 <= k <= d:
+        raise ValueError(f"need 0 <= k <= dim, got k={k}, dim={d}")
+    F = ambient.field
+    n = ambient.ambient_dim
+    basis = ambient.basis_rows
+    zero = (0,) * n
+    if k == 0:
+        yield Subspace(F, n, ())
+        return
+    for piv in combinations(range(d), k):
+        pivset = set(piv)
+        free = [
+            (i, j)
+            for i in range(k)
+            for j in range(piv[i] + 1, d)
+            if j not in pivset
+        ]
+        for values in product(F.elements(), repeat=len(free)):
+            coeff = [[0] * d for _ in range(k)]
+            for i, p in enumerate(piv):
+                coeff[i][p] = 1
+            for (i, j), v in zip(free, values):
+                coeff[i][j] = v
+            rows = tuple(F._lincomb(zero, crow, basis) for crow in coeff)
+            yield Subspace(F, n, rows)
+
+
+def _ambients():
+    """Full spaces, the coordinate hyperplane, the two non-coordinate
+    hyperplanes of the automorphism tests and a plane, by id."""
+    f2 = field_new(2)
+    yield from ((f"GF({q})^{n}", full_space(field_from_order(q), n)) for q, n in [(2, 5), (3, 5), (4, 5), (8, 4), (9, 4)])
+    yield "coordinate-hyperplane", coordinate_hyperplane(field_new(3), 5)
+    yield "h-x3=x4", span(f2, 5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 1)])
+    yield "h-x0=x4", span(f2, 5, [(1, 0, 0, 0, 1), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)])
+    yield "plane", span(field_new(2, 2), 4, [(1, 2, 0, 3), (0, 0, 1, 1)])
+
+
+_AMBIENTS = dict(_ambients())
+
+
+@pytest.mark.parametrize("name", list(_AMBIENTS))
+def test_enumeration_matches_the_scalar_oracle(name):
+    amb = _AMBIENTS[name]
+    for k in range(amb.dim + 1):
+        assert list(enumerate_k_subspaces(amb, k)) == list(_literal_enumeration(amb, k)), k
+
+
+def test_enumeration_keeps_its_errors():
+    amb = full_space(field_new(3), 3)
+    for k in (-1, 4):
+        with pytest.raises(ValueError, match="need 0 <= k <= dim"):
+            next(enumerate_k_subspaces(amb, k))
+
+
+@pytest.mark.parametrize("q, n, k", [(256, 7, 3), (16, 9, 4)])
+def test_enumeration_is_lazy_on_huge_patterns(q, n, k):
+    # the first pivot pattern holds 2^96 (resp. 2^80) subspaces, so only a
+    # slab-wise enumerator returns its first elements
+    amb = full_space(field_from_order(q), n)
+    assert list(islice(enumerate_k_subspaces(amb, k), 5)) == list(islice(_literal_enumeration(amb, k), 5))
+
+
+def test_enumeration_across_slabs(monkeypatch):
+    import qgeom.subspace as subspace
+
+    # one free entry per slab at q = 256, so the next 10 (of 11) come from
+    # the Python-int counter; then small slabs against whole enumerations
+    monkeypatch.setattr(subspace, "_SLAB", 256)
+    amb = full_space(field_from_order(256), 7)
+    assert list(islice(enumerate_k_subspaces(amb, 3), 600)) == list(islice(_literal_enumeration(amb, 3), 600))
+    monkeypatch.setattr(subspace, "_SLAB", 4)
+    for amb in (full_space(field_new(3), 4), _AMBIENTS["h-x3=x4"]):
+        for k in range(amb.dim + 1):
+            assert list(enumerate_k_subspaces(amb, k)) == list(_literal_enumeration(amb, k))
