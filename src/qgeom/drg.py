@@ -27,7 +27,7 @@ import numpy as np
 
 from .gf import field_new
 from .geometry import Design, DesignParameters, Graph, _block_map, _pair_counts, _point_count, _point_sets, _row_strips
-from .linalg import Matrix
+from .linalg import _rref_mod_p
 from .polarity import Polarity
 from .subspace import Subspace
 
@@ -334,8 +334,8 @@ def check_2design(d: Design):
 
 def p_rank(d: Design, p: int) -> int:
     """Rank of the b x v incidence matrix over GF(p)."""
-    field = field_new(p, 1)
-    return Matrix(field, d.incidence().tolist()).rank()
+    field_new(p, 1)  # ValueError unless p is a prime up to Q_MAX, which keeps the rank exact
+    return len(_rref_mod_p(d.incidence(), p)[1])
 
 
 def vertex_statistics(g: Graph):

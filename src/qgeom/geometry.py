@@ -310,7 +310,14 @@ def _point_count(d: int, q: int) -> int:
 
 
 def _incidence(point_sets, v: int) -> np.ndarray:
-    """One uint8 row per point set, with a 1 in each of its v columns it holds."""
+    """One uint8 row per point set, with a 1 in each of its v columns it holds.
+
+    A 2-D index array (sets of one size) is scattered in one step; any
+    other sequence of index sequences may mix sizes."""
+    if isinstance(point_sets, np.ndarray):
+        out = np.zeros((len(point_sets), v), dtype=np.uint8)
+        np.put_along_axis(out, point_sets.astype(np.intp), 1, axis=1)
+        return out
     sizes = [len(pts) for pts in point_sets]
     out = np.zeros((len(sizes), v), dtype=np.uint8)
     out[np.repeat(np.arange(len(sizes)), sizes), np.fromiter(chain.from_iterable(point_sets), np.intp)] = 1
@@ -400,7 +407,8 @@ def twisted_grassmann(field: Field, e: int, h: Subspace = None, s: Polarity = No
     q = field.q
     a_subs, a_sets, _, _ = _split_by_h(field, e, h)
     b_subs = list(enumerate_k_subspaces(h, e - 1))
-    inc = _incidence([*a_sets, *_point_sets(b_subs)], len(_point_order(field, n)[0]))
+    v = len(_point_order(field, n)[0])
+    inc = np.vstack([_incidence(a_sets, v), _incidence(_point_array(b_subs), v)])
     del a_sets  # not held while the pairs are counted
     family = np.repeat([0, 1], [len(a_subs), len(b_subs)])
     # A covering B means all [e-1]_q points of B lie in A.

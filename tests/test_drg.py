@@ -13,12 +13,15 @@ from qgeom import (
     NotDesign,
     check_2design,
     check_isomorphism,
+    coordinate_hyperplane,
     field_new,
     grassmann_array,
     grassmann_graph,
     intersection_array,
+    jt_design,
     p_rank,
     pg_design,
+    polarity_new,
     stabilizer_generators,
     vertex_permutation,
     vertex_statistics,
@@ -251,6 +254,30 @@ def test_p_rank_values(jt22, pg22):
     assert p_rank(jt22, 2) == 16
     assert p_rank(pg22, 2) == 16
     assert p_rank(jt22, 3) == 31
+
+
+def test_p_rank_of_the_benchmark_instance(jt32, f3):
+    assert p_rank(jt32, 3) == p_rank(pg_design(f3, 2), 3) == 61
+
+
+def test_p_rank_across_many_chunks(f2):
+    # 11811 blocks: dozens of row chunks, most reduced to zero by the basis
+    h = coordinate_hyperplane(f2, 7)
+    jt = jt_design(f2, 3, h, polarity_new(f2, h))
+    assert p_rank(jt, 2) == p_rank(pg_design(f2, 3), 2) == 64
+
+
+def test_p_rank_over_gf4_designs(f4):
+    # the JT and PG designs of GF(4) differ in 2-rank
+    h = coordinate_hyperplane(f4, 5)
+    assert p_rank(jt_design(f4, 2, h, polarity_new(f4, h)), 2) == 154
+    assert p_rank(pg_design(f4, 2), 2) == 146
+
+
+@pytest.mark.parametrize("p", [4, 1, 257])
+def test_p_rank_rejects_a_p_that_is_not_a_supported_prime(pg22, p):
+    with pytest.raises(ValueError):
+        p_rank(pg22, p)
 
 
 def test_p_rank_is_permutation_invariant(jt22):

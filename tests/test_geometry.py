@@ -466,3 +466,23 @@ def test_families_are_chosen_without_subspace_containment(monkeypatch):
     tg, d = twisted_grassmann(field, 2, h, s), jt_design(field, 2, h, s)
     assert tg.labels == expected[0].labels and np.array_equal(tg.adj, expected[0].adj)
     assert (d.blocks, d.block_labels) == (expected[1].blocks, expected[1].block_labels)
+
+
+def test_incidence_is_the_same_from_arrays_lists_and_ragged_sets():
+    from qgeom.geometry import _incidence, _point_array, _split_by_h
+
+    field = field_new(3)
+    h = coordinate_hyperplane(field, 5)
+    _, a_sets, _, _ = _split_by_h(field, 2, h)
+    b_sets = _point_array(list(enumerate_k_subspaces(h, 1)))
+    v = 121
+    from_array = _incidence(a_sets, v)
+    assert from_array.dtype == np.uint8 and from_array.shape == (len(a_sets), v)
+    assert (from_array.sum(axis=1) == a_sets.shape[1]).all()
+    assert from_array.tobytes() == _incidence(a_sets.tolist(), v).tobytes()
+    mixed = _incidence([*a_sets.tolist(), *b_sets.tolist()], v)
+    assert mixed.tobytes() == np.vstack([from_array, _incidence(b_sets, v)]).tobytes()
+    for empty in ([], np.zeros((0, 4), dtype=np.uint8)):
+        assert _incidence(empty, v).tobytes() == np.zeros((0, v), dtype=np.uint8).tobytes()
+    ragged = Design(range(4), [(0, 1, 2), (3,), ()]).incidence()
+    assert ragged.tobytes() == np.array([[1, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]], dtype=np.uint8).tobytes()

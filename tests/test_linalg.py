@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from qgeom import Matrix, field_new
+from qgeom import linalg
 
 
 def random_matrix(field, rows, cols, rng):
@@ -54,7 +56,49 @@ def test_gf2_and_generic_rank_paths_agree():
     f = field_new(2)
     for _ in range(50):
         m = random_matrix(f, rng.randrange(1, 10), rng.randrange(1, 10), rng)
-        assert m.rank() == m.rref()[1]
+        assert m.rank() == len(linalg._rref_mod_p(np.array(m.entries), 2)[1])
+
+
+def _array_cases(rng, p):
+    """Seeded (name, matrix) pairs over GF(p): each rank regime and shape."""
+
+    def of_rank(m, n, r):  # rank at most r: an (m x r)(r x n) product
+        return rng.integers(0, p, (m, r)) @ rng.integers(0, p, (r, n)) % p
+
+    def invertible(n):  # unit lower times unit upper triangular, columns shuffled
+        lower = np.tril(rng.integers(0, p, (n, n)), -1) + np.eye(n, dtype=np.int64)
+        upper = np.triu(rng.integers(0, p, (n, n)), 1) + np.eye(n, dtype=np.int64)
+        return (lower @ upper % p)[:, rng.permutation(n)]
+
+    with_zero_rows = rng.integers(0, p, (12, 7))
+    with_zero_rows[[0, 4, 5, 11]] = 0
+    return [
+        ("full rank", invertible(9)),
+        ("rank deficient", of_rank(10, 8, 3)),
+        ("rank one", of_rank(6, 6, 1)),
+        ("all zero", np.zeros((5, 6), dtype=np.int64)),
+        ("zero rows", with_zero_rows),
+        ("wide", rng.integers(0, p, (3, 40))),
+        ("wide deficient", of_rank(6, 30, 4)),
+        ("tall", rng.integers(0, p, (40, 3))),
+        ("tall deficient", of_rank(50, 9, 5)),
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("chunk", [1, 3, "height"])
+def test_array_rref_matches_the_table_rref(monkeypatch, p, chunk):
+    rng = np.random.default_rng(100 * p + (0 if chunk == "height" else chunk))
+    field = field_new(p)
+    for _ in range(4):
+        for name, a in _array_cases(rng, p):
+            monkeypatch.setattr(linalg, "_CHUNK_ROWS", len(a) if chunk == "height" else chunk)
+            basis, pivots = linalg._rref_mod_p(a.astype(np.uint8), p)
+            r, rank, expected = Matrix(field, a.tolist()).rref()
+            assert pivots == expected, name
+            assert rank == 9 or name != "full rank"
+            assert basis.dtype == np.uint8 and basis.shape == (rank, a.shape[1]), name
+            assert basis.tolist() == [list(row) for row in r.entries[:rank]], name
 
 
 def test_matmul_and_apply():
