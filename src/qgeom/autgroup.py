@@ -20,14 +20,19 @@ Everything else acts through one batched point action:
 - `_lift_batch`: a point c of [H] goes to the point whose sigma point
   set is pi(sigma(c)), with pi phi's point permutation; every other point
   goes through pi.
-- `_SetIndex`: the one exact index of point sets (blocks, vertex point
-  sets, sigma point sets).  A key is the ceil(v/64) words of a set's
-  point mask; lookups are hashed and answer a row only after comparing
-  every word.  Indexes are kept per design and per graph, held weakly.
+- `geometry._SetIndex`: the one exact index of point sets (blocks,
+  vertex point sets, sigma point sets).  A key is the ceil(v/64) words
+  of a set's point mask; lookups are hashed and answer a row only after
+  comparing every word.  A verify run reads the vertex index from its
+  `geometry._Instance`; the public functions here keep indexes per
+  design and per graph, held weakly.
+- `_vertex_images`: the vertex action, the vertex index's rows of the
+  images of the vertex point sets.  `vertex_permutation`,
+  `check_theorem2_batch` and the drg check's generators go through it.
 
 `check_theorem2_batch`, `check_theorem2_relation` (a batch of one),
 `vertex_permutation`, `is_design_automorphism` and the census all use
-it.  The batched lifts are compared with the literal lift() in-run on a
+this action.  The batched lifts are compared with the literal lift() in-run on a
 fixed prime stride, element 0 first: every 31st element of a Theorem-2
 batch (so every single check_theorem2_relation call), every 4001st of
 the census.  Vertex 0's image is compared with the literal
@@ -49,14 +54,13 @@ from itertools import product
 import numpy as np
 
 from .gf import Field, field_new, is_prime
-from .geometry import _SLAB_BYTES, Design, Graph, jt_design
-from .geometry import _index_dtype, _point_images, _point_order, _point_sets, _sigma_table
+from .geometry import Design, Graph, _Instance
+from .geometry import _SetIndex, _index_dtype, _point_images, _point_order, _point_sets, _sigma_table
 from .linalg import Matrix
-from .polarity import Polarity, polarity_new
+from .polarity import Polarity
 from .subspace import (
     ProjectivePoint,
     Subspace,
-    coordinate_hyperplane,
     normalize_point,
     span,
 )
@@ -271,112 +275,6 @@ def lift(phi: SemilinearMap, s: Polarity) -> PointPermutation:
 # -- one batched point action (see the module docstring) ---------------------
 
 
-def _mask_words(points: np.ndarray, v: int) -> np.ndarray:
-    """The ceil(v/64) uint64 words of the point mask of each row of
-    point indices (last axis)."""
-    rows = points.reshape(-1, points.shape[-1])
-    width = (v + 63) // 64
-    # Both branches give the same words; the first exists for speed: the
-    # (2,2) census (v = 31) takes about half the time with it as with the
-    # packed row alone (3.75 s against 7.39 s, median of 10 runs each)
-    if width == 1:  # one word: OR in one column of points at a time
-        words = np.zeros((len(rows), 1), dtype=np.uint64)
-        for column in rows.T:
-            words[:, 0] |= np.left_shift(np.uint64(1), column, dtype=np.uint64, casting="unsafe")
-    else:  # set the bits of a 0/1 row, then pack it into words
-        bits = np.zeros((len(rows), 64 * width), dtype=np.uint8)
-        bits[np.arange(len(rows))[:, None], rows] = 1
-        words = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
-    return words.reshape(points.shape[:-1] + (width,))
-
-
-_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd; its product's top bits mix all words
-
-
-class _SetIndex:
-    """An exact hashed index of point sets over v points.
-
-    The key of a set is the ceil(v/64) words of its point mask.  Keys sit
-    in an open-addressed table with linear probing, found by the top bits
-    of a multiplicative hash; a lookup answers a row only after comparing
-    every word of the key, so a hash collision is never taken as a match.
-    """
-
-    def __init__(self, sets, v: int):
-        self.v = v
-        by_size = {}
-        for row, pts in enumerate(sets):
-            by_size.setdefault(len(pts), []).append(row)
-        self.groups = [
-            (np.array(rows), np.array([sorted(sets[r]) for r in rows], dtype=np.intp).reshape(len(rows), size))
-            for size, rows in by_size.items()
-        ]
-        keys = np.empty((len(sets), (v + 63) // 64), dtype=np.uint64)
-        for rows, pts in self.groups:
-            keys[rows] = _mask_words(pts, v)
-        self.columns = list(keys.T.copy())  # word w of every key, contiguous
-        self.bits = max(1, 4 * len(sets) - 1).bit_length()  # load at most 1/4
-        self.slots = np.full(1 << self.bits, -1, dtype=np.intp)
-        home = self._home(keys)
-        pending = np.arange(len(sets))
-        self.max_probe = -1
-        while pending.size:  # round r places keys at home + r, first come first
-            self.max_probe += 1
-            at = (home[pending] + self.max_probe) & (len(self.slots) - 1)
-            free = np.flatnonzero(self.slots[at] < 0)
-            at, first = np.unique(at[free], return_index=True)
-            self.slots[at] = pending[free[first]]
-            pending = np.delete(pending, free[first])
-
-    def __len__(self):
-        return len(self.columns[0])
-
-    def _home(self, words: np.ndarray) -> np.ndarray:
-        h = words[:, 0] * _MIX
-        for w in range(1, words.shape[1]):
-            h = (h ^ words[:, w]) * _MIX
-        return (h >> np.uint64(64 - self.bits)).astype(np.intp)
-
-    def _matches(self, slot: np.ndarray, words: np.ndarray) -> np.ndarray:
-        """Is each slot filled with a key equal to words in every word?"""
-        same = slot >= 0
-        for w, column in enumerate(self.columns):
-            same &= column[slot] == words[:, w]
-        return same
-
-    def find(self, words: np.ndarray) -> np.ndarray:
-        """The row of each set given by its mask words, or -1 if absent."""
-        at = self._home(words)
-        slot = self.slots[at]
-        out = np.where(self._matches(slot, words), slot, -1)
-        # a set whose slot holds another key walks on; an empty slot ends the walk
-        todo = np.flatnonzero((slot >= 0) & (out < 0))
-        for probe in range(1, self.max_probe + 1):
-            if not todo.size:
-                break
-            slot = self.slots[(at[todo] + probe) & (len(self.slots) - 1)]
-            same = self._matches(slot, words[todo])
-            out[todo[same]] = slot[same]
-            todo = todo[(slot >= 0) & ~same]
-        return out
-
-    def images(self, perms: np.ndarray) -> np.ndarray:
-        """Entry (g, j): the row of the image of set j under the point
-        permutation perms[g], or -1 where that image is not a set here.
-        Images are formed a slab of about _SLAB_BYTES at a time."""
-        out = np.empty((len(perms), len(self)), dtype=np.int32)
-        for rows, pts in self.groups:
-            per = max(1, _SLAB_BYTES // (64 * len(self.columns)))  # sets per slab, 64 bytes per key word
-            for r in range(0, len(rows), per):
-                sets = pts[r : r + per]
-                step = max(1, per // len(sets))  # elements per slab
-                for g in range(0, len(perms), step):
-                    words = _mask_words(perms[g : g + step, sets], self.v)
-                    found = self.find(words.reshape(-1, words.shape[-1]))
-                    out[g : g + step, rows[r : r + per]] = found.reshape(-1, len(sets))
-        return out
-
-
 # per design or graph, held weakly: an index goes when its object does
 _INDEXES = weakref.WeakKeyDictionary()
 
@@ -453,20 +351,24 @@ def induced_block_permutation(d: Design, p: PointPermutation):
     return None if (rows < 0).any() else tuple(rows.tolist())
 
 
-def _check_vertex_images(g: Graph, phi: SemilinearMap, images: np.ndarray):
+def _vertex_images(labels, index, maps) -> np.ndarray:
+    """Row g: entry j is the vertex maps[g](W_j), for vertex labels (tag, W)
+    and the index of their point sets.  Computed at point level; the image
+    of vertex 0 is compared with the literal phi.apply_subspace for every map."""
+    images = index.images(_point_images(*_maps_as_arrays(maps)))
     if (images < 0).any():
         raise ValueError("phi does not map the graph's vertex families onto themselves")
-    if g.labels[images[0]][1] != phi.apply_subspace(g.labels[0][1]):
-        raise RuntimeError("the point-level vertex action diverged from phi.apply_subspace at vertex 0")
+    for phi, first in zip(maps, images[:, 0].tolist()):
+        if labels[first][1] != phi.apply_subspace(labels[0][1]):
+            raise RuntimeError("the point-level vertex action diverged from phi.apply_subspace at vertex 0")
+    return images
 
 
 def vertex_permutation(g: Graph, phi: SemilinearMap) -> tuple:
     """phi's action on the vertices of a twisted Grassmann graph g: entry
     j is the vertex phi(W_j).  Computed at point level; vertex 0's image
     is compared with the literal phi.apply_subspace on every call."""
-    images = _set_index(g).images(_point_images(*_maps_as_arrays([phi])))[0]
-    _check_vertex_images(g, phi, images)
-    return tuple(images.tolist())
+    return tuple(_vertex_images(g.labels, _set_index(g), [phi])[0].tolist())
 
 
 _ORACLE_STRIDE = 31  # prime; elements 0, 31, 62, ... are also lifted literally
@@ -484,8 +386,10 @@ def _spot_check_lifts(what: str, lifted: np.ndarray, phi_at, s: Polarity, start:
     return len(spots)
 
 
-def check_theorem2_batch(d: Design, g: Graph, cert, maps, s: Polarity, progress=None):
-    """check_theorem2_relation for each of maps, in bounded chunks.
+def check_theorem2_batch(d: Design, labels, index, cert, maps, s: Polarity, progress=None):
+    """check_theorem2_relation for each of maps, in bounded chunks, on the
+    graph whose vertex labels are labels and whose vertex point sets index
+    indexes (`_vertex_images`).
 
     Returns (results, cross_checked): one result per map, in order, and
     the number of batched lifts compared with the literal lift() (every
@@ -497,16 +401,14 @@ def check_theorem2_batch(d: Design, g: Graph, cert, maps, s: Polarity, progress=
     mapping = np.array(cert.mapping, dtype=np.intp)
     for start in range(0, len(maps), _THEOREM2_CHUNK):
         chunk = maps[start : start + _THEOREM2_CHUNK]
-        pi = _point_images(*_maps_as_arrays(chunk))
-        lifted = _lift_batch(s, pi)
+        lifted = _lift_batch(s, _point_images(*_maps_as_arrays(chunk)))
         alpha = _set_index(d).images(lifted)
-        vertices = _set_index(g).images(pi)
         cross_checked += _spot_check_lifts("batched lift", lifted, chunk.__getitem__, s, start, _ORACLE_STRIDE)
-        for k, phi in enumerate(chunk):
+        vertices = _vertex_images(labels, index, chunk)
+        for k in range(len(chunk)):
             if (missing := _not_automorphism(d, lifted[k], alpha[k])) is not None:
                 results.append(missing)
                 continue
-            _check_vertex_images(g, phi, vertices[k])
             expected = mapping[vertices[k]]
             found = alpha[k, mapping]
             wrong = np.flatnonzero(found != expected)
@@ -531,7 +433,7 @@ def check_theorem2_relation(d: Design, g: Graph, cert, phi: SemilinearMap, s: Po
     order) where the relation fails, as a Theorem2Violation.  The
     batched lift is compared with the literal lift() on every call.
     """
-    return check_theorem2_batch(d, g, cert, [phi], s)[0][0]
+    return check_theorem2_batch(d, g.labels, _set_index(g), cert, [phi], s)[0][0]
 
 
 def stabilizer_order(q: int, e: int, f: int) -> int:
@@ -652,14 +554,11 @@ def exhaustive_lift_check(field: Field = None, e: int = 2, jobs: int = 1,
         field = field_new(2, 1)
     if field.q != 2 or e != 2:
         raise ValueError("exhaustive enumeration is supported only at (q,e)=(2,2)")
-    t0 = time.time()
-    n = 2 * e + 1
-    h = coordinate_hyperplane(field, n)
-    if s is None:
-        s = polarity_new(field, h)
-    if s.field != field or s.h != h:
+    t0 = time.perf_counter()
+    inst = _Instance(field, e, None, s)
+    if inst.s.field != field or inst.s.h != inst.h:
         raise ValueError("the census needs a polarity of the coordinate hyperplane")
-    d = jt_design(field, e, h, s)
+    s, d = inst.s, inst.jt
     v = d.v
     gl = _general_linear(field.p, 2 * e)
     order = stabilizer_order(field.q, e, field.f)
@@ -699,5 +598,5 @@ def exhaustive_lift_check(field: Field = None, e: int = 2, jobs: int = 1,
         identity_count=int((perms == np.arange(v)).all(axis=1).sum()),
         failures=tuple(failures),
         cross_checked=cross_checked,
-        elapsed=time.time() - t0,
+        elapsed=time.perf_counter() - t0,
     )

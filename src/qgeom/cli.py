@@ -20,18 +20,17 @@ from dataclasses import dataclass
 
 from .autgroup import (
     NotAutomorphism,
+    _vertex_images,
     check_theorem2_batch,
     exhaustive_lift_check,
     random_stabilizer_element,
     stabilizer_generators,
     stabilizer_order,
-    vertex_permutation,
 )
 from .drg import (
     IntersectionArray,
     check_2design,
     check_isomorphism,
-    f_certificate,
     grassmann_array,
     intersection_array,
     p_rank,
@@ -47,12 +46,11 @@ from .geometry import (
     Design,
     DesignParameters,
     Graph,
+    _Instance,
     block_graph,
     grassmann_graph,
     intersection_spectrum,
-    jt_design,
     pg_design,
-    twisted_grassmann,
 )
 from .gf import field_from_order, is_prime
 from .polarity import polarity_new
@@ -117,12 +115,12 @@ def _instance(cfg: RunConfig) -> dict:
     }
 
 
-def _setting(cfg: RunConfig):
-    """Field, hyperplane, and polarity for the configured instance."""
+def _geometry(cfg: RunConfig) -> _Instance:
+    """The configured instance: the coordinate hyperplane and the polarity
+    of the gram.  It builds nothing until a check reads from it."""
     field = field_from_order(cfg.q)
     h = coordinate_hyperplane(field, 2 * cfg.e + 1)
-    s = polarity_new(field, h, cfg.gram)
-    return field, h, s
+    return _Instance(field, cfg.e, h, polarity_new(field, h, cfg.gram))
 
 
 def _emit_report(cfg: RunConfig, report: dict) -> int:
@@ -142,7 +140,7 @@ def _report(cfg: RunConfig, check: str, ok: bool, details: dict, t0: float) -> d
         "instance": _instance(cfg),
         "pass": bool(ok),
         "details": details,
-        "elapsed": round(time.time() - t0, 3),
+        "elapsed": round(time.perf_counter() - t0, 3),
     }
 
 
@@ -150,15 +148,14 @@ def _report(cfg: RunConfig, check: str, ok: bool, details: dict, t0: float) -> d
 
 
 def _make_object(kind: str, cfg: RunConfig, n: int | None = None, k: int | None = None):
-    field, h, s = _setting(cfg)
     if kind == "grassmann":
         return grassmann_graph(n or 2 * cfg.e + 1, k or cfg.e, cfg.q)
     if kind == "twisted":
-        return twisted_grassmann(field, cfg.e, h, s)
+        return _geometry(cfg).graph
     if kind == "pg-design":
-        return pg_design(field, cfg.e)
+        return pg_design(field_from_order(cfg.q), cfg.e)
     if kind == "jt-design":
-        return jt_design(field, cfg.e, h, s)
+        return _geometry(cfg).jt
     raise ValueError(f"unknown kind {kind}")
 
 
@@ -217,35 +214,28 @@ def _progress(check: str):
     return progress
 
 
-def _verify_thm1(cfg: RunConfig) -> dict:
-    t0 = time.time()
-    field, h, s = _setting(cfg)
-    tg = twisted_grassmann(field, cfg.e, h, s)
-    d = jt_design(field, cfg.e, h, s)
+def _verify_thm1(cfg: RunConfig, inst: _Instance) -> dict:
+    t0 = time.perf_counter()
     threshold = (cfg.q ** cfg.e - 1) // (cfg.q - 1)
-    cert = f_certificate(tg, d, h, s)
-    bg = block_graph(d, threshold)
-    ok = check_isomorphism(tg, bg, cert)
+    ok = check_isomorphism(inst.graph, block_graph(inst.jt, threshold), inst.certificate)
     details = {
-        "vertices": tg.n,
+        "vertices": inst.graph.n,
         "threshold": threshold,
-        "certificate": cert.to_json(),
+        "certificate": inst.certificate.to_json(),
     }
     return _report(cfg, "thm1", ok, details, t0)
 
 
-def _verify_drg(cfg: RunConfig) -> dict:
-    t0 = time.time()
-    field, h, s = _setting(cfg)
-    tg = twisted_grassmann(field, cfg.e, h, s)
-    gens = stabilizer_generators(field, cfg.e)
+def _verify_drg(cfg: RunConfig, inst: _Instance) -> dict:
+    t0 = time.perf_counter()
+    gens = stabilizer_generators(inst.field, cfg.e)
     progress = _progress("drg")
     automorphisms = []
     for i, phi in enumerate(gens):
-        automorphisms.append(vertex_permutation(tg, phi))
+        automorphisms.extend(_vertex_images(inst.labels, inst.vertex_index, [phi]))
         progress((i + 1) / len(gens))
     print(file=sys.stderr)
-    ia_t = intersection_array(tg, automorphisms)
+    ia_t = intersection_array(inst.graph, automorphisms)
     ia_g = grassmann_array(2 * cfg.e + 1, cfg.e, cfg.q)
     ok = isinstance(ia_t, IntersectionArray) and ia_t == ia_g
     details = {"twisted": ia_t.to_json(), "grassmann": ia_g.to_json(), **ia_t.scan.to_json()}
@@ -261,11 +251,9 @@ def _expected_parameters(q: int, e: int):
     return v, b, r, k, lam
 
 
-def _verify_design(cfg: RunConfig) -> dict:
-    t0 = time.time()
-    field, h, s = _setting(cfg)
-    d = jt_design(field, cfg.e, h, s)
-    result = check_2design(d)
+def _verify_design(cfg: RunConfig, inst: _Instance) -> dict:
+    t0 = time.perf_counter()
+    result = check_2design(inst.jt)
     expected = _expected_parameters(cfg.q, cfg.e)
     got = None
     ok = False
@@ -279,11 +267,10 @@ def _verify_design(cfg: RunConfig) -> dict:
     return _report(cfg, "design", ok, details, t0)
 
 
-def _verify_spectrum(cfg: RunConfig) -> dict:
-    t0 = time.time()
-    field, h, s = _setting(cfg)
-    sp_jt = intersection_spectrum(jt_design(field, cfg.e, h, s))
-    sp_pg = intersection_spectrum(pg_design(field, cfg.e))
+def _verify_spectrum(cfg: RunConfig, inst: _Instance) -> dict:
+    t0 = time.perf_counter()
+    sp_jt = intersection_spectrum(inst.jt)
+    sp_pg = intersection_spectrum(inst.pg)
     want = sorted((cfg.q ** i - 1) // (cfg.q - 1) for i in range(1, cfg.e + 1))
     ok = sorted(sp_jt) == want and sp_jt == sp_pg
     details = {
@@ -295,15 +282,13 @@ def _verify_spectrum(cfg: RunConfig) -> dict:
     return _report(cfg, "spectrum", ok, details, t0)
 
 
-def _verify_aut_sample(cfg: RunConfig) -> dict:
-    t0 = time.time()
-    field, h, s = _setting(cfg)
-    d = jt_design(field, cfg.e, h, s)
-    tg = twisted_grassmann(field, cfg.e, h, s)
-    cert = f_certificate(tg, d, h, s)
+def _verify_aut_sample(cfg: RunConfig, inst: _Instance) -> dict:
+    t0 = time.perf_counter()
     count = 1000 if (cfg.q, cfg.e) == (2, 2) else 100
-    maps = [random_stabilizer_element(field, cfg.e, (cfg.seed, i)) for i in range(count)]
-    results, cross_checked = check_theorem2_batch(d, tg, cert, maps, s, _progress("aut-sample"))
+    maps = [random_stabilizer_element(inst.field, cfg.e, (cfg.seed, i)) for i in range(count)]
+    results, cross_checked = check_theorem2_batch(
+        inst.jt, inst.labels, inst.vertex_index, inst.certificate, maps, inst.s, _progress("aut-sample")
+    )
     print(file=sys.stderr)
     failures = []
     for i, rel in enumerate(results):
@@ -314,26 +299,24 @@ def _verify_aut_sample(cfg: RunConfig) -> dict:
     return _report(cfg, "aut-sample", not failures, details, t0)
 
 
-def _verify_aut_exhaustive(cfg: RunConfig) -> dict:
-    t0 = time.time()
-    field, _, s = _setting(cfg)
+def _verify_aut_exhaustive(cfg: RunConfig, inst: _Instance) -> dict:
+    t0 = time.perf_counter()
     progress = _progress("aut-exhaustive")
-    rep = exhaustive_lift_check(field, cfg.e, jobs=cfg.jobs, progress=progress, s=s)
+    rep = exhaustive_lift_check(inst.field, cfg.e, jobs=cfg.jobs, progress=progress, s=inst.s)
     print(file=sys.stderr)
     details = rep.to_json()
-    details["expected_order"] = stabilizer_order(cfg.q, cfg.e, field.f)
+    details["expected_order"] = stabilizer_order(cfg.q, cfg.e, inst.field.f)
     return _report(cfg, "aut-exhaustive", rep.ok, details, t0)
 
 
-def _verify_prank(cfg: RunConfig) -> dict:
-    t0 = time.time()
+def _verify_prank(cfg: RunConfig, inst: _Instance) -> dict:
+    t0 = time.perf_counter()
     reason = _skip_reason("prank", cfg)
     if reason:
         raise ValueError(f"verify prank: {reason}")
-    field, h, s = _setting(cfg)
-    p = field.p
-    r_jt = p_rank(jt_design(field, cfg.e, h, s), p)
-    r_pg = p_rank(pg_design(field, cfg.e), p)
+    p = inst.field.p
+    r_jt = p_rank(inst.jt, p)
+    r_pg = p_rank(inst.pg, p)
     details = {"p": p, "jt_rank": r_jt, "pg_rank": r_pg}
     return _report(cfg, "prank", r_jt == r_pg, details, t0)
 
@@ -360,8 +343,9 @@ def _skip_reason(check: str, cfg: RunConfig):
 
 def cmd_verify(args) -> int:
     cfg = RunConfig.from_args(args)
+    inst = _geometry(cfg)
     if args.check == "all":
-        t0 = time.time()
+        t0 = time.perf_counter()
         sub = []
         skipped = []
         for name in ("design", "spectrum", "thm1", "drg", "prank", "aut-sample", "aut-exhaustive"):
@@ -369,11 +353,11 @@ def cmd_verify(args) -> int:
             if reason:
                 skipped.append({"check": name, "reason": reason})
                 continue
-            sub.append(_VERIFIERS[name](cfg))
+            sub.append(_VERIFIERS[name](cfg, inst))
         ok = all(r["pass"] for r in sub)
         report = _report(cfg, "all", ok, {"reports": sub, "skipped": skipped}, t0)
     else:
-        report = _VERIFIERS[args.check](cfg)
+        report = _VERIFIERS[args.check](cfg, inst)
     return _emit_report(cfg, report)
 
 

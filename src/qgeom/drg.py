@@ -26,7 +26,8 @@ from dataclasses import field as dataclass_field
 import numpy as np
 
 from .gf import field_new
-from .geometry import Design, DesignParameters, Graph, _block_map, _pair_counts, _point_count, _point_sets, _row_strips
+from .geometry import Design, DesignParameters, Graph, IsoCertificate
+from .geometry import _block_map, _certificate, _pair_counts, _point_count, _point_sets, _row_strips
 from .linalg import _rref_mod_p
 from .polarity import Polarity
 from .subspace import Subspace
@@ -122,23 +123,6 @@ class NotDesign:
             "expected": self.expected,
             "found": self.found,
         }
-
-
-@dataclass(frozen=True)
-class IsoCertificate:
-    """An explicit vertex permutation claimed to be an isomorphism."""
-
-    mapping: tuple
-    source: str
-    target: str
-
-    def __post_init__(self):
-        n = len(self.mapping)
-        if sorted(self.mapping) != list(range(n)):
-            raise ValueError("mapping is not a bijection of 0..n-1")
-
-    def to_json(self):
-        return {"mapping": list(self.mapping), "source": self.source, "target": self.target}
 
 
 def _bfs_levels(adj: np.ndarray, base: int, n: int):
@@ -289,14 +273,10 @@ def _maps_onto(adj1: np.ndarray, adj2: np.ndarray, mp: np.ndarray, n: int) -> bo
 
 def f_certificate(g: Graph, d: Design, h: Subspace, s: Polarity) -> IsoCertificate:
     """The block map as an index permutation: twisted vertex i goes to
-    the design block holding exactly the points of f(W_i)."""
+    the design block holding exactly the points of f(W_i).  ValueError
+    names the first vertex whose image is not a block of d."""
     ws = [w for _, w in g.labels]
-    blocks = _block_map(ws, _point_sets(ws), h, s)
-    return IsoCertificate(
-        tuple(d.block_index(block) for block in blocks),
-        source=f"twisted-grassmann[{g.n}]",
-        target=f"design-blocks[{d.b}]",
-    )
+    return _certificate(d, _block_map(ws, _point_sets(ws), h, s))
 
 
 def check_2design(d: Design):

@@ -4,18 +4,26 @@ pseudo-geometric designs, and the block map tying them together.
 Vertex and block orders are deterministic: subspace enumeration order
 throughout, with the twisted graph listing its A-family (subspaces not
 inside the hyperplane) before its B-family.  Designs index points by
-the sorted list of canonical projective representatives.  The families
-are chosen by point sets from one enumeration of the (e+1)-subspaces of
-V: A has a point off [h], and the rest, the JT design's blocks inside h,
-come in the order of h's own enumeration.  In each row of a basis inside
-h, the one column off h's pivots is fixed by the row's earlier entries,
-so two such bases first differ in a column both orders compare.
+the sorted list of canonical projective representatives.
+
+One instance (field, e, h, s) is one `_Instance`: the twisted graph, the
+block map f, the JT design and the geometric design, the certificate
+and the vertex point-set index, each built the first time it is read and
+kept.  `twisted_grassmann` and `jt_design` read it, and a verify run
+shares one across its checks.  The families are chosen by point sets
+from one enumeration of the (e+1)-subspaces of V: A has a point off [h],
+and the rest, the JT design's blocks inside h, come in the order of h's
+own enumeration.  In each row of a basis inside h, the one column off
+h's pivots is fixed by the row's earlier entries, so two such bases
+first differ in a column both orders compare.
 
 Every point set comes from one batched point action, `_point_images`:
 x -> M.frob^i(x), GF(q)^k to GF(q)^n with q = p^f, is GF(p)-linear on
 p-digits, so a batch of (n x k) matrices maps all points in one integer
 product mod p.  Square maps give `autgroup` its point permutations; the
 transposed RREF basis of a k-subspace gives its points (`_point_sets`).
+`_SetIndex` finds point sets among many by their point masks, exactly:
+the instance's vertex index, and in `autgroup` blocks and sigma images.
 
 Every pairwise count goes through one representation and one kernel:
 a subspace is the set of projective points it contains, a family of
@@ -40,7 +48,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, compress
 
 import numpy as np
@@ -329,6 +337,112 @@ _SLAB_BYTES = 1 << 20  # temporaries of one slab of a batched kernel
 _EXACT_F32 = 2 ** 24
 
 
+def _mask_words(points: np.ndarray, v: int) -> np.ndarray:
+    """The ceil(v/64) uint64 words of the point mask of each row of
+    point indices (last axis)."""
+    rows = points.reshape(-1, points.shape[-1])
+    width = (v + 63) // 64
+    # Both branches give the same words; the first exists for speed: the
+    # (2,2) census (v = 31) takes about half the time with it as with the
+    # packed row alone (3.75 s against 7.39 s, median of 10 runs each)
+    if width == 1:  # one word: OR in one column of points at a time
+        words = np.zeros((len(rows), 1), dtype=np.uint64)
+        for column in rows.T:
+            words[:, 0] |= np.left_shift(np.uint64(1), column, dtype=np.uint64, casting="unsafe")
+    else:  # set the bits of a 0/1 row, then pack it into words
+        bits = np.zeros((len(rows), 64 * width), dtype=np.uint8)
+        bits[np.arange(len(rows))[:, None], rows] = 1
+        words = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+    return words.reshape(points.shape[:-1] + (width,))
+
+
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd; its product's top bits mix all words
+
+
+class _SetIndex:
+    """An exact hashed index of point sets over v points.
+
+    The key of a set is the ceil(v/64) words of its point mask.  Keys sit
+    in an open-addressed table with linear probing, found by the top bits
+    of a multiplicative hash; a lookup answers a row only after comparing
+    every word of the key, so a hash collision is never taken as a match.
+    """
+
+    def __init__(self, sets, v: int):
+        self.v = v
+        by_size = {}
+        for row, pts in enumerate(sets):
+            by_size.setdefault(len(pts), []).append(row)
+        self.groups = [
+            (np.array(rows), np.array([sorted(sets[r]) for r in rows], dtype=np.intp).reshape(len(rows), size))
+            for size, rows in by_size.items()
+        ]
+        keys = np.empty((len(sets), (v + 63) // 64), dtype=np.uint64)
+        for rows, pts in self.groups:
+            keys[rows] = _mask_words(pts, v)
+        self.columns = list(keys.T.copy())  # word w of every key, contiguous
+        self.bits = max(1, 4 * len(sets) - 1).bit_length()  # load at most 1/4
+        self.slots = np.full(1 << self.bits, -1, dtype=np.intp)
+        home = self._home(keys)
+        pending = np.arange(len(sets))
+        self.max_probe = -1
+        while pending.size:  # round r places keys at home + r, first come first
+            self.max_probe += 1
+            at = (home[pending] + self.max_probe) & (len(self.slots) - 1)
+            free = np.flatnonzero(self.slots[at] < 0)
+            at, first = np.unique(at[free], return_index=True)
+            self.slots[at] = pending[free[first]]
+            pending = np.delete(pending, free[first])
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def _home(self, words: np.ndarray) -> np.ndarray:
+        h = words[:, 0] * _MIX
+        for w in range(1, words.shape[1]):
+            h = (h ^ words[:, w]) * _MIX
+        return (h >> np.uint64(64 - self.bits)).astype(np.intp)
+
+    def _matches(self, slot: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """Is each slot filled with a key equal to words in every word?"""
+        same = slot >= 0
+        for w, column in enumerate(self.columns):
+            same &= column[slot] == words[:, w]
+        return same
+
+    def find(self, words: np.ndarray) -> np.ndarray:
+        """The row of each set given by its mask words, or -1 if absent."""
+        at = self._home(words)
+        slot = self.slots[at]
+        out = np.where(self._matches(slot, words), slot, -1)
+        # a set whose slot holds another key walks on; an empty slot ends the walk
+        todo = np.flatnonzero((slot >= 0) & (out < 0))
+        for probe in range(1, self.max_probe + 1):
+            if not todo.size:
+                break
+            slot = self.slots[(at[todo] + probe) & (len(self.slots) - 1)]
+            same = self._matches(slot, words[todo])
+            out[todo[same]] = slot[same]
+            todo = todo[(slot >= 0) & ~same]
+        return out
+
+    def images(self, perms: np.ndarray) -> np.ndarray:
+        """Entry (g, j): the row of the image of set j under the point
+        permutation perms[g], or -1 where that image is not a set here.
+        Images are formed a slab of about _SLAB_BYTES at a time."""
+        out = np.empty((len(perms), len(self)), dtype=np.int32)
+        for rows, pts in self.groups:
+            per = max(1, _SLAB_BYTES // (64 * len(self.columns)))  # sets per slab, 64 bytes per key word
+            for r in range(0, len(rows), per):
+                sets = pts[r : r + per]
+                step = max(1, per // len(sets))  # elements per slab
+                for g in range(0, len(perms), step):
+                    words = _mask_words(perms[g : g + step, sets], self.v)
+                    found = self.find(words.reshape(-1, words.shape[-1]))
+                    out[g : g + step, rows[r : r + per]] = found.reshape(-1, len(sets))
+        return out
+
+
 def _pair_counts(n: np.ndarray):
     """Yield (start, counts) with counts = n[start:start+64] @ n.T.
 
@@ -371,27 +485,6 @@ def grassmann_graph(n: int, k: int, q: int) -> Graph:
     return _count_graph(subs, inc, _point_count(k - 1, q))
 
 
-def _check_twisted_instance(field: Field, e: int, h: Subspace):
-    if e < 2:
-        raise ValueError(f"e must be >= 2, got {e}")
-    n = 2 * e + 1
-    if h.ambient_dim != n or h.dim != n - 1:
-        raise ValueError(f"h must be a hyperplane of GF({field.q})^{n}")
-    if h.field != field:
-        raise ValueError("h is defined over a different field")
-    return n
-
-
-def _split_by_h(field: Field, e: int, h: Subspace):
-    """(A, their point sets, the rest, theirs) from the (e+1)-subspaces of V:
-    A holds those with a point off [h]; the rest are the (e+1)-subspaces of h,
-    in the order of `enumerate_k_subspaces(h, e + 1)` (module docstring)."""
-    subs = list(enumerate_k_subspaces(full_space(field, 2 * e + 1), e + 1))
-    sets = _point_array(subs)
-    off = ~np.isin(sets, _point_sets([h])[0]).all(axis=1)
-    return list(compress(subs, off)), sets[off], list(compress(subs, ~off)), sets[~off]
-
-
 def twisted_grassmann(field: Field, e: int, h: Subspace = None, s: Polarity = None) -> Graph:
     """The van Dam-Koolen twisted Grassmann graph on A ∪ B.
 
@@ -401,32 +494,21 @@ def twisted_grassmann(field: Field, e: int, h: Subspace = None, s: Polarity = No
     polarity argument is accepted for signature parity with the design
     constructor; the graph itself never consults it.
     """
-    if h is None:
-        h = coordinate_hyperplane(field, 2 * e + 1)
-    n = _check_twisted_instance(field, e, h)
-    q = field.q
-    a_subs, a_sets, _, _ = _split_by_h(field, e, h)
-    b_subs = list(enumerate_k_subspaces(h, e - 1))
-    v = len(_point_order(field, n)[0])
-    inc = np.vstack([_incidence(a_sets, v), _incidence(_point_array(b_subs), v)])
-    del a_sets  # not held while the pairs are counted
-    family = np.repeat([0, 1], [len(a_subs), len(b_subs)])
-    # A covering B means all [e-1]_q points of B lie in A.
-    target = [
-        [_point_count(e, q), _point_count(e - 1, q)],
-        [_point_count(e - 1, q), _point_count(e - 2, q)],
-    ]
-    labels = [("A", w) for w in a_subs] + [("B", w) for w in b_subs]
-    return _count_graph(labels, inc, target, family)
+    return _Instance(field, e, h, s).graph
 
 
 def pg_design(field: Field, e: int) -> Design:
     """The geometric design: points of PG(2e,q), blocks the (e+1)-subspaces."""
     if e < 1:
         raise ValueError(f"e must be >= 1, got {e}")
-    n = 2 * e + 1
-    subs = list(enumerate_k_subspaces(full_space(field, n), e + 1))
-    return Design(_point_order(field, n)[0], _point_sets(subs), [("PG", u) for u in subs])
+    subs = list(enumerate_k_subspaces(full_space(field, 2 * e + 1), e + 1))
+    return _pg_design(subs, _point_array(subs))
+
+
+def _pg_design(subs, sets) -> Design:
+    """The geometric design on the (e+1)-subspaces subs of V, given their point sets."""
+    points = _point_order(subs[0].field, subs[0].ambient_dim)[0]
+    return Design(points, sets.tolist(), [("PG", u) for u in subs])
 
 
 @lru_cache(maxsize=None)
@@ -488,16 +570,7 @@ def f_map(w: Subspace, h: Subspace, s: Polarity) -> frozenset:
 def jt_design(field: Field, e: int, h: Subspace = None, s: Polarity = None) -> Design:
     """The Jungnickel-Tonchev design: f-images of the A family, then the
     point sets of the (e+1)-subspaces of h."""
-    if h is None:
-        h = coordinate_hyperplane(field, 2 * e + 1)
-    n = _check_twisted_instance(field, e, h)
-    if s is None:
-        s = polarity_new(field, h)
-    if s.h != h:
-        raise ValueError("polarity is not a polarity of h")
-    a_subs, a_sets, b_subs, b_sets = _split_by_h(field, e, h)
-    labels = [("A", w) for w in a_subs] + [("B", u) for u in b_subs]
-    return Design(_point_order(field, n)[0], _block_map(a_subs, a_sets, h, s) + b_sets.tolist(), labels)
+    return _Instance(field, e, h, s).jt
 
 
 def block_graph(d: Design, threshold: int) -> Graph:
@@ -516,3 +589,118 @@ def intersection_spectrum(d: Design) -> Counter:
     # Every unordered pair was counted twice, and each block met itself.
     hist -= np.bincount([len(blk) for blk in d.blocks], minlength=d.v + 1)
     return Counter({size: int(c) // 2 for size, c in enumerate(hist) if c})
+
+
+@dataclass(frozen=True)
+class IsoCertificate:
+    """An explicit vertex permutation claimed to be an isomorphism."""
+
+    mapping: tuple
+    source: str
+    target: str
+
+    def __post_init__(self):
+        n = len(self.mapping)
+        if sorted(self.mapping) != list(range(n)):
+            raise ValueError("mapping is not a bijection of 0..n-1")
+
+    def to_json(self):
+        return {"mapping": list(self.mapping), "source": self.source, "target": self.target}
+
+
+def _certificate(d: Design, blocks) -> IsoCertificate:
+    """The block map as an index permutation: vertex i goes to the block of
+    d holding exactly the sorted point indices blocks[i].  ValueError names
+    the first vertex whose image is not a block of d."""
+    mapping = [d._index.get(tuple(block), -1) for block in blocks]
+    if -1 in mapping:
+        i = mapping.index(-1)
+        raise ValueError(f"f of vertex {i} is not a block of the design: {tuple(blocks[i])}")
+    return IsoCertificate(tuple(mapping), source=f"twisted-grassmann[{len(blocks)}]", target=f"design-blocks[{d.b}]")
+
+
+class _Instance:
+    """One instance (field, e, h, s): the twisted graph, the block map f and
+    the JT design, with what the checks read beside them.  Each is built the
+    first time it is read, and only once; the instance holds point-set
+    arrays, never incidence matrices.  h defaults to the coordinate
+    hyperplane and s to the identity-gram polarity of h; only f, and what is
+    built from it, consults s."""
+
+    def __init__(self, field: Field, e: int, h: Subspace = None, s: Polarity = None):
+        if e < 2:
+            raise ValueError(f"e must be >= 2, got {e}")
+        n = 2 * e + 1
+        if h is None:
+            h = coordinate_hyperplane(field, n)
+        if h.ambient_dim != n or h.dim != n - 1:
+            raise ValueError(f"h must be a hyperplane of GF({field.q})^{n}")
+        if h.field != field:
+            raise ValueError("h is defined over a different field")
+        self.field, self.e, self.h = field, e, h
+        self.s = polarity_new(field, h) if s is None else s
+        self.points = _point_order(field, n)[0]
+
+    @cached_property
+    def _subspaces(self):
+        """The (e+1)-subspaces of V, from one enumeration, and their point-set array."""
+        subs = list(enumerate_k_subspaces(full_space(self.field, 2 * self.e + 1), self.e + 1))
+        return subs, _point_array(subs)
+
+    @cached_property
+    def families(self):
+        """(A, B, the blocks inside h), each as (subspaces, point-set array).
+
+        A holds the (e+1)-subspaces of V with a point off [h]; the rest are
+        the (e+1)-subspaces of h, in h's own enumeration order (module
+        docstring).  B holds the (e-1)-subspaces of h."""
+        subs, sets = self._subspaces
+        off = ~np.isin(sets, _point_sets([self.h])[0]).all(axis=1)
+        b = list(enumerate_k_subspaces(self.h, self.e - 1))
+        return (list(compress(subs, off)), sets[off]), (b, _point_array(b)), (list(compress(subs, ~off)), sets[~off])
+
+    @cached_property
+    def labels(self) -> tuple:
+        """The vertex labels: ("A", W) for each of A, then ("B", W) for each of B."""
+        (a, _), (b, _), _ = self.families
+        return tuple([("A", w) for w in a] + [("B", w) for w in b])
+
+    @cached_property
+    def graph(self) -> Graph:
+        """The twisted Grassmann graph (see `twisted_grassmann`)."""
+        (a, a_sets), (b, b_sets), _ = self.families
+        q, e, v = self.field.q, self.e, len(self.points)
+        inc = np.vstack([_incidence(a_sets, v), _incidence(b_sets, v)])
+        # families i and j (A = 0, B = 1) are adjacent on [e-i-j]_q shared
+        # points; A covering B means all [e-1]_q points of B lie in A.
+        target = [[_point_count(e - i - j, q) for j in range(2)] for i in range(2)]
+        return _count_graph(self.labels, inc, target, np.repeat([0, 1], [len(a), len(b)]))
+
+    @cached_property
+    def f(self) -> list:
+        """f(W) of every vertex, in vertex order, as sorted point indices."""
+        (a, a_sets), (b, b_sets), _ = self.families
+        return _block_map(a + b, a_sets.tolist() + b_sets.tolist(), self.h, self.s)
+
+    @cached_property
+    def jt(self) -> Design:
+        """The JT design: the blocks f(A), then the blocks inside h."""
+        (a, _), _, (inside, inside_sets) = self.families
+        labels = [("A", w) for w in a] + [("B", u) for u in inside]
+        return Design(self.points, self.f[: len(a)] + inside_sets.tolist(), labels)
+
+    @cached_property
+    def pg(self) -> Design:
+        """The geometric design, from the same enumeration as the families."""
+        return _pg_design(*self._subspaces)
+
+    @cached_property
+    def certificate(self) -> IsoCertificate:
+        """The JT block of every f(W), as `f_certificate` gives it."""
+        return _certificate(self.jt, self.f)
+
+    @cached_property
+    def vertex_index(self) -> _SetIndex:
+        """The index of the vertex point sets, rows in vertex order."""
+        (_, a_sets), (_, b_sets), _ = self.families
+        return _SetIndex(a_sets.tolist() + b_sets.tolist(), len(self.points))

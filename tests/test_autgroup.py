@@ -324,10 +324,11 @@ def test_batched_point_action_matches_the_literal_maps(p, f, e, paired):
 
 
 def test_set_index_finds_every_key_at_its_own_row(setting22, setting32, jt22, jt32, tg22, tg32):
-    from qgeom.autgroup import _mask_words, _set_index, _sigma_index
+    from qgeom.autgroup import _set_index, _sigma_index
+    from qgeom.geometry import _Instance, _mask_words
 
     for (field, h, s), d, g in ((setting22, jt22, tg22), (setting32, jt32, tg32)):
-        for index in (_set_index(d), _set_index(g), _sigma_index(s)[1]):
+        for index in (_set_index(d), _set_index(g), _sigma_index(s)[1], _Instance(field, 2, h, s).vertex_index):
             identity = np.arange(d.v, dtype=np.uint8)[None]
             assert index.images(identity)[0].tolist() == list(range(len(index)))
             for rows, pts in index.groups:
@@ -336,7 +337,8 @@ def test_set_index_finds_every_key_at_its_own_row(setting22, setting32, jt22, jt
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_set_index_agrees_with_has_block_on_random_sets(request, q):
-    from qgeom.autgroup import _mask_words, _set_index
+    from qgeom.autgroup import _set_index
+    from qgeom.geometry import _mask_words
 
     d = request.getfixturevalue(f"jt{q}2")
     k = len(d.blocks[0])
@@ -353,7 +355,7 @@ def test_set_index_agrees_with_has_block_on_random_sets(request, q):
 @pytest.mark.parametrize("v", [31, 64, 65, 130])
 def test_mask_words_are_the_point_mask(v):
     # one word (v <= 64) and several words take different branches
-    from qgeom.autgroup import _mask_words
+    from qgeom.geometry import _mask_words
 
     rng = random.Random(v)
     sets = [rng.sample(range(v), 7) for _ in range(50)] + [[0, 1, 2, 3, 4, 5, v - 1]]
@@ -364,7 +366,7 @@ def test_mask_words_are_the_point_mask(v):
 
 
 def test_set_index_compares_every_word():
-    from qgeom.autgroup import _SetIndex, _mask_words
+    from qgeom.geometry import _SetIndex, _mask_words
 
     # keys share their first word and differ only in the second
     keys = [[0, 1, 2, 64 + i] for i in range(20)]
@@ -376,12 +378,12 @@ def test_set_index_compares_every_word():
 
 
 def test_theorem2_batch_matches_single_calls(setting32, tg32, jt32):
-    from qgeom.autgroup import check_theorem2_batch
+    from qgeom.autgroup import _set_index, check_theorem2_batch
 
     field, h, s = setting32
     cert = f_certificate(tg32, jt32, h, s)
     maps = [random_stabilizer_element(field, 2, (12, i)) for i in range(70)]
-    results, cross_checked = check_theorem2_batch(jt32, tg32, cert, maps, s)
+    results, cross_checked = check_theorem2_batch(jt32, tg32.labels, _set_index(tg32), cert, maps, s)
     assert results == [True] * 70
     assert cross_checked == 3  # elements 0, 31 and 62
     assert check_theorem2_relation(jt32, tg32, cert, maps[5], s) is True
@@ -458,12 +460,12 @@ def test_census_under_a_symplectic_polarity():
 
 
 def test_census_refuses_other_instances_before_building(monkeypatch):
-    import qgeom.autgroup as autgroup
+    from qgeom.geometry import _Instance
 
-    def no_build(*args, **kwargs):
+    def no_build(inst):
         raise AssertionError("the census built a design before refusing")
 
-    monkeypatch.setattr(autgroup, "jt_design", no_build)
+    monkeypatch.setattr(_Instance, "jt", property(no_build))
     with pytest.raises(ValueError, match=r"\(q,e\)=\(2,2\)"):
         exhaustive_lift_check(field_new(3), 2)
     f = field_new(2)

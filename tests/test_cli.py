@@ -102,12 +102,13 @@ def test_verify_prank(capsys):
 
 
 def test_verify_prank_refuses_non_prime_q(monkeypatch, capsys):
-    import qgeom.cli as cli
+    from qgeom.geometry import _Instance
 
-    def jt_design(*args):
+    def refuse(inst):
         raise AssertionError("a design was built")
 
-    monkeypatch.setattr(cli, "jt_design", jt_design)
+    monkeypatch.setattr(_Instance, "jt", property(refuse))
+    monkeypatch.setattr(_Instance, "pg", property(refuse))
     code, out, err = run(capsys, "verify", "prank", "--q", "4")
     assert code == 2
     assert out == ""
@@ -145,7 +146,7 @@ def test_build_and_export_refuse_verify_only_flags(command, flag, capsys):
 def test_verification_failure_exits_3(tmp_path, monkeypatch, capsys):
     import qgeom.cli as cli
 
-    def fake(cfg):
+    def fake(cfg, inst):
         return {
             "schema": 1,
             "check": "thm1",
@@ -220,7 +221,7 @@ def test_verify_all_lists_skipped_checks(monkeypatch, capsys):
     ran = []
 
     def stub(name):
-        def verify(cfg):
+        def verify(cfg, inst):
             ran.append(name)
             return cli._report(cfg, name, True, {}, 0.0)
 
@@ -257,6 +258,64 @@ def test_jobs_bounds(capsys):
     assert RunConfig.from_args(big).jobs == (os.cpu_count() or 1)
 
 
+@pytest.mark.parametrize("gram", [None, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]], ids=["identity", "paired"])
+def test_verify_all_reports_match_single_checks(gram, tmp_path, monkeypatch, capsys):
+    # verify all shares one instance across its checks; each check alone builds its own
+    monkeypatch.chdir(tmp_path)
+    extra = ["--q", "3"]
+    if gram:
+        (tmp_path / "paired.gram").write_text(json.dumps(gram))
+        extra += ["--gram", "paired.gram"]
+    code, out, _ = run(capsys, "verify", "all", *extra)
+    assert code == 0
+    shared = json.loads(out)["details"]["reports"]
+    assert [r["check"] for r in shared] == ["design", "spectrum", "thm1", "drg", "prank", "aut-sample"]
+    for rep in shared:
+        code, out, _ = run(capsys, "verify", rep["check"], *extra)
+        assert code == 0
+        assert {**json.loads(out), "elapsed": None} == {**rep, "elapsed": None}
+
+
+def test_verify_all_builds_each_thing_once(monkeypatch, capsys):
+    import qgeom.geometry as geometry
+
+    enumerated, counted, mapped = [], [], []
+    enumerate_k, count_graph, block_map = geometry.enumerate_k_subspaces, geometry._count_graph, geometry._block_map
+
+    def enumerate_spy(space, k):
+        enumerated.append((space.dim, k))
+        return enumerate_k(space, k)
+
+    def count_spy(labels, *args):
+        counted.append(len(labels))
+        return count_graph(labels, *args)
+
+    def map_spy(ws, *args):
+        mapped.append(len(ws))
+        return block_map(ws, *args)
+
+    monkeypatch.setattr(geometry, "enumerate_k_subspaces", enumerate_spy)
+    monkeypatch.setattr(geometry, "_count_graph", count_spy)
+    monkeypatch.setattr(geometry, "_block_map", map_spy)
+    code, _, _ = run(capsys, "verify", "all", "--q", "3")
+    assert code == 0
+    assert enumerated.count((5, 3)) == 1  # the (e+1)-subspaces of V
+    assert counted == [1210, 1210]  # the twisted graph, then the JT design's block graph
+    assert mapped == [1210]  # f, once over every vertex
+
+
+def test_verify_aut_sample_builds_no_adjacency(monkeypatch, capsys):
+    import qgeom.geometry as geometry
+
+    def refuse(*args):
+        raise AssertionError("an adjacency matrix was built")
+
+    monkeypatch.setattr(geometry, "_count_graph", refuse)
+    code, out, _ = run(capsys, "verify", "aut-sample")
+    assert code == 0
+    assert json.loads(out)["details"] == {"sampled": 1000, "failures": [], "cross_checked": 33}
+
+
 def test_verify_aut_sample_passes(capsys):
     code, out, err = run(capsys, "verify", "aut-sample")
     assert code == 0
@@ -266,19 +325,25 @@ def test_verify_aut_sample_passes(capsys):
     assert err.count("\r") <= 101  # once per whole percent, 0 to 100
 
 
-def test_verify_aut_sample_reports_a_theorem2_failure(monkeypatch, capsys):
-    import qgeom.cli as cli
+def _swap_certificate(monkeypatch):
+    """Patch the instance's certificate to swap the blocks of vertices 0
+    and 1; returns the swap, to apply to a certificate built elsewhere."""
     from qgeom import IsoCertificate
+    from qgeom.geometry import _Instance
 
-    literal = cli.f_certificate
+    literal = _Instance.certificate.func
 
-    def swapped(*args):
-        cert = literal(*args)
+    def swap(cert):
         bad = list(cert.mapping)
         bad[0], bad[1] = bad[1], bad[0]
         return IsoCertificate(tuple(bad), cert.source, cert.target)
 
-    monkeypatch.setattr(cli, "f_certificate", swapped)
+    monkeypatch.setattr(_Instance, "certificate", property(lambda inst: swap(literal(inst))))
+    return swap
+
+
+def test_verify_aut_sample_reports_a_theorem2_failure(monkeypatch, capsys):
+    _swap_certificate(monkeypatch)
     code, out, _ = run(capsys, "verify", "aut-sample")
     assert code == 3
     failures = json.loads(out)["details"]["failures"]
@@ -315,9 +380,7 @@ def test_verify_aut_sample_exits_1_when_the_batched_lift_diverges(swap_lifted_po
 
 
 def test_verify_aut_sample_failures_match_single_checks(monkeypatch, capsys):
-    import qgeom.cli as cli
     from qgeom import (
-        IsoCertificate,
         NotAutomorphism,
         Theorem2Violation,
         check_theorem2_relation,
@@ -328,13 +391,7 @@ def test_verify_aut_sample_failures_match_single_checks(monkeypatch, capsys):
         twisted_grassmann,
     )
 
-    def corrupted(*args):
-        cert = f_certificate(*args)
-        bad = list(cert.mapping)
-        bad[0], bad[1] = bad[1], bad[0]
-        return IsoCertificate(tuple(bad), cert.source, cert.target)
-
-    monkeypatch.setattr(cli, "f_certificate", corrupted)
+    swap = _swap_certificate(monkeypatch)
     code, out, _ = run(capsys, "verify", "aut-sample", "--seed", "0")
     assert code == 3
     failures = json.loads(out)["details"]["failures"]
@@ -342,7 +399,7 @@ def test_verify_aut_sample_failures_match_single_checks(monkeypatch, capsys):
     h = coordinate_hyperplane(field, 5)
     s = polarity_new(field, h)
     d, tg = jt_design(field, 2, h, s), twisted_grassmann(field, 2, h, s)
-    cert = corrupted(tg, d, h, s)
+    cert = swap(f_certificate(tg, d, h, s))
     single = []
     for i in range(1000):
         rel = check_theorem2_relation(d, tg, cert, random_stabilizer_element(field, 2, (0, i)), s)

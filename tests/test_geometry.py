@@ -301,6 +301,24 @@ def test_f_certificate_rejects_a_label_in_neither_family(setting22, tg22, jt22):
         f_map(tg22.labels[0][1], span(field, 5, E[1:4]), s)
 
 
+def test_f_certificate_names_the_first_vertex_whose_image_is_no_block(setting22, tg22, pg22):
+    # f of an A vertex mixes polar and affine points, so it is no PG block
+    field, h, s = setting22
+    with pytest.raises(ValueError, match=r"f of vertex 0 is not a block of the design: \(1, 3, 4, 5, 12, 20, 28\)"):
+        f_certificate(tg22, pg22, h, s)
+
+
+@pytest.mark.parametrize("q,gram", [(2, None), (3, None), (2, PAIRED_GRAM)], ids=["q2", "q3", "q2-paired"])
+def test_instance_certificate_is_f_certificate(q, gram):
+    from qgeom.geometry import _Instance
+
+    field = field_from_order(q)
+    h = coordinate_hyperplane(field, 5)
+    s = polarity_new(field, h, gram)
+    literal = f_certificate(twisted_grassmann(field, 2, h, s), jt_design(field, 2, h, s), h, s)
+    assert _Instance(field, 2, h, s).certificate == literal
+
+
 def test_batched_f_is_the_same_in_slabs_of_one(monkeypatch, setting32, tg32, jt32):
     import qgeom.geometry as geometry
 
@@ -430,13 +448,13 @@ def _random_hyperplane(field, n, rng):
 def test_split_by_points_keeps_the_order_of_the_hyperplane(q):
     # the (e+1)-subspaces of V inside h come out of V's enumeration in the
     # order of h's own enumeration, so one enumeration gives both families
-    from qgeom.geometry import _split_by_h
+    from qgeom.geometry import _Instance
 
     field = field_from_order(q)
     rng = random.Random(q)
     for _ in range(3):
         h = _random_hyperplane(field, 5, rng)
-        a_subs, a_sets, rest, rest_sets = _split_by_h(field, 2, h)
+        (a_subs, a_sets), _, (rest, rest_sets) = _Instance(field, 2, h).families
         assert rest == list(enumerate_k_subspaces(h, 3))
         assert len(set(a_subs)) + len(rest) == gaussian_binomial(5, 3, q) and set(a_subs).isdisjoint(rest)
         index = point_index_map(field, 5)
@@ -469,11 +487,11 @@ def test_families_are_chosen_without_subspace_containment(monkeypatch):
 
 
 def test_incidence_is_the_same_from_arrays_lists_and_ragged_sets():
-    from qgeom.geometry import _incidence, _point_array, _split_by_h
+    from qgeom.geometry import _incidence, _Instance, _point_array
 
     field = field_new(3)
     h = coordinate_hyperplane(field, 5)
-    _, a_sets, _, _ = _split_by_h(field, 2, h)
+    (_, a_sets), _, _ = _Instance(field, 2, h).families
     b_sets = _point_array(list(enumerate_k_subspaces(h, 1)))
     v = 121
     from_array = _incidence(a_sets, v)
