@@ -10,7 +10,7 @@ basis, with the hyperplane spanned by the first 2e coordinates.
 The lift phi' permutes the points of [V]: on points of [H] it acts as
 sigma.phi.sigma, elsewhere directly as phi.  lift() walks that
 composition literally, subspace by subspace, reading sigma of each
-point from `geometry._sigma_table`, the one table of sigma images.
+point from `geometry._sigma`, the one table of sigma images.
 
 Everything else acts through one batched point action:
 
@@ -19,7 +19,8 @@ Everything else acts through one batched point action:
   as one integer product mod p (see the `geometry` docstring).
 - `_lift_batch`: a point c of [H] goes to the point whose sigma point
   set is pi(sigma(c)), with pi phi's point permutation; every other point
-  goes through pi.
+  goes through pi.  It finds pi(sigma(c)) in the index that `_sigma`
+  keeps beside the sigma point sets.
 - `geometry._SetIndex`: the one exact index of point sets (blocks,
   vertex point sets, sigma point sets).  A key is the ceil(v/64) words
   of a set's point mask; lookups are hashed and answer a row only after
@@ -27,8 +28,11 @@ Everything else acts through one batched point action:
   `geometry._Instance`; the public functions here keep indexes per
   design and per graph, held weakly.
 - `_vertex_images`: the vertex action, the vertex index's rows of the
-  images of the vertex point sets.  `vertex_permutation`,
-  `check_theorem2_batch` and the drg check's generators go through it.
+  images of the vertex point sets under point permutations it is given,
+  not ones it forms.  `vertex_permutation`, `check_theorem2_batch` and
+  the drg check's generators go through it; `check_theorem2_batch` forms
+  each chunk's point permutations once, for its lift and its vertex
+  images both, and the drg check forms all of its generators' at once.
 
 `check_theorem2_batch`, `check_theorem2_relation` (a batch of one),
 `vertex_permutation`, `is_design_automorphism` and the census all use
@@ -48,14 +52,14 @@ import time
 import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import product
 
 import numpy as np
 
 from .gf import Field, field_new, is_prime
 from .geometry import Design, Graph, _Instance
-from .geometry import _SetIndex, _index_dtype, _point_images, _point_order, _point_sets, _sigma_table
+from .geometry import _SetIndex, _index_dtype, _point_images, _point_order, _point_sets, _sigma
 from .linalg import Matrix
 from .polarity import Polarity
 from .subspace import (
@@ -260,11 +264,12 @@ def lift(phi: SemilinearMap, s: Polarity) -> PointPermutation:
         if not h.contains_vector(phi.apply_vector(r)):
             raise ValueError("phi does not stabilize the polarity's hyperplane")
     points, index = _point_order(field, n)
-    sigma = _sigma_table(s)
+    sigma = _sigma(s)
+    sigma_of = dict(zip(sigma.points.tolist(), sigma.images))
     perm = []
     for c, p in enumerate(points):
-        if c in sigma:
-            image = s.apply(phi.apply_subspace(sigma[c][0]))
+        if c in sigma_of:
+            image = s.apply(phi.apply_subspace(sigma_of[c]))
             rep = normalize_point(field, image.basis_rows[0]).rep
         else:
             rep = normalize_point(field, phi.apply_vector(p.rep)).rep
@@ -291,26 +296,18 @@ def _set_index(obj) -> _SetIndex:
     return index
 
 
-@lru_cache(maxsize=None)
-def _sigma_index(s: Polarity):
-    """(the points c of [h], the index of their sigma(c) point sets)."""
-    table = _sigma_table(s)
-    v = len(_point_order(s.field, s.h.ambient_dim)[0])
-    return np.array(list(table)), _SetIndex([pts for _, pts in table.values()], v)
-
-
 def _lift_batch(s: Polarity, pi: np.ndarray) -> np.ndarray:
     """The lifts of the maps whose point permutations are the rows of pi.
 
     A point c of [h] goes to the point whose sigma point set is
     pi(sigma(c)); every other point goes through pi.
     """
-    h_points, sigma = _sigma_index(s)
-    rows = sigma.images(pi)
+    sigma = _sigma(s)
+    rows = sigma.index.images(pi)
     if (rows < 0).any():
         raise ValueError("phi does not stabilize the polarity's hyperplane")
     lifted = pi.copy()
-    lifted[:, h_points] = h_points[rows]
+    lifted[:, sigma.points] = sigma.points[rows]
     return lifted
 
 
@@ -351,11 +348,12 @@ def induced_block_permutation(d: Design, p: PointPermutation):
     return None if (rows < 0).any() else tuple(rows.tolist())
 
 
-def _vertex_images(labels, index, maps) -> np.ndarray:
-    """Row g: entry j is the vertex maps[g](W_j), for vertex labels (tag, W)
-    and the index of their point sets.  Computed at point level; the image
-    of vertex 0 is compared with the literal phi.apply_subspace for every map."""
-    images = index.images(_point_images(*_maps_as_arrays(maps)))
+def _vertex_images(labels, index, maps, pi) -> np.ndarray:
+    """Row g: entry j is the vertex maps[g](W_j), for vertex labels (tag, W),
+    the index of their point sets and pi, the point permutations of maps
+    (row g for maps[g]).  Computed at point level; the image of vertex 0 is
+    compared with the literal phi.apply_subspace for every map."""
+    images = index.images(pi)
     if (images < 0).any():
         raise ValueError("phi does not map the graph's vertex families onto themselves")
     for phi, first in zip(maps, images[:, 0].tolist()):
@@ -368,7 +366,8 @@ def vertex_permutation(g: Graph, phi: SemilinearMap) -> tuple:
     """phi's action on the vertices of a twisted Grassmann graph g: entry
     j is the vertex phi(W_j).  Computed at point level; vertex 0's image
     is compared with the literal phi.apply_subspace on every call."""
-    return tuple(_vertex_images(g.labels, _set_index(g), [phi])[0].tolist())
+    pi = _point_images(*_maps_as_arrays([phi]))
+    return tuple(_vertex_images(g.labels, _set_index(g), [phi], pi)[0].tolist())
 
 
 _ORACLE_STRIDE = 31  # prime; elements 0, 31, 62, ... are also lifted literally
@@ -401,10 +400,11 @@ def check_theorem2_batch(d: Design, labels, index, cert, maps, s: Polarity, prog
     mapping = np.array(cert.mapping, dtype=np.intp)
     for start in range(0, len(maps), _THEOREM2_CHUNK):
         chunk = maps[start : start + _THEOREM2_CHUNK]
-        lifted = _lift_batch(s, _point_images(*_maps_as_arrays(chunk)))
+        pi = _point_images(*_maps_as_arrays(chunk))
+        lifted = _lift_batch(s, pi)
         alpha = _set_index(d).images(lifted)
         cross_checked += _spot_check_lifts("batched lift", lifted, chunk.__getitem__, s, start, _ORACLE_STRIDE)
-        vertices = _vertex_images(labels, index, chunk)
+        vertices = _vertex_images(labels, index, chunk, pi)
         for k in range(len(chunk)):
             if (missing := _not_automorphism(d, lifted[k], alpha[k])) is not None:
                 results.append(missing)

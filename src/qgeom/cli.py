@@ -6,6 +6,9 @@ Exit codes: 0 success, 1 internal failure, 2 configuration error,
 reports are JSON with a schema marker; progress for the long
 exhaustive check goes to standard error so standard output stays
 machine-parseable.
+
+The checks are one table, `_CHECKS`, in the order `verify all` runs
+them; `cmd_verify` applies `_skip_reason` to it and times every check.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 
 from .autgroup import (
     NotAutomorphism,
+    _maps_as_arrays,
     _vertex_images,
     check_theorem2_batch,
     exhaustive_lift_check,
@@ -47,6 +52,7 @@ from .geometry import (
     DesignParameters,
     Graph,
     _Instance,
+    _point_images,
     block_graph,
     grassmann_graph,
     intersection_spectrum,
@@ -94,10 +100,25 @@ def _load_gram(path: str):
 
 
 def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qgeom-")
+    """Write text to path, with the mode `open(path, "w")` would give: the
+    old file's, or 0666 less the umask.  A regular file (or none) is
+    replaced atomically; a symlink's target is the one replaced; any other
+    existing path (a FIFO, a device) is written in place."""
+    path = os.path.realpath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | 0o666 & ~umask
+    if not stat.S_ISREG(mode):
+        with open(path, "w") as fh:
+            fh.write(text)
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".qgeom-")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), stat.S_IMODE(mode))
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -202,20 +223,23 @@ def cmd_build(args) -> int:
 
 def _progress(check: str):
     """A callback taking the fraction done; it rewrites one stderr line
-    at most once per whole percent."""
+    at most once per whole percent, and ends the line at 100%."""
     shown = [-1]
 
     def progress(frac):
         whole = int(round(frac * 100, 6))  # 0.29 * 100 is 28.999...
         if whole > shown[0]:
             shown[0] = whole
-            print(f"\r{check} {frac * 100:5.1f}%", end="", file=sys.stderr, flush=True)
+            end = "\n" if whole >= 100 else ""
+            print(f"\r{check} {frac * 100:5.1f}%", end=end, file=sys.stderr, flush=True)
 
     return progress
 
 
-def _verify_thm1(cfg: RunConfig, inst: _Instance) -> dict:
-    t0 = time.perf_counter()
+# Each check returns (ok, details); `_run_check` times it and builds its report.
+
+
+def _verify_thm1(cfg: RunConfig, inst: _Instance):
     threshold = (cfg.q ** cfg.e - 1) // (cfg.q - 1)
     ok = check_isomorphism(inst.graph, block_graph(inst.jt, threshold), inst.certificate)
     details = {
@@ -223,23 +247,21 @@ def _verify_thm1(cfg: RunConfig, inst: _Instance) -> dict:
         "threshold": threshold,
         "certificate": inst.certificate.to_json(),
     }
-    return _report(cfg, "thm1", ok, details, t0)
+    return ok, details
 
 
-def _verify_drg(cfg: RunConfig, inst: _Instance) -> dict:
-    t0 = time.perf_counter()
+def _verify_drg(cfg: RunConfig, inst: _Instance):
     gens = stabilizer_generators(inst.field, cfg.e)
+    pi = _point_images(*_maps_as_arrays(gens))
     progress = _progress("drg")
     automorphisms = []
     for i, phi in enumerate(gens):
-        automorphisms.extend(_vertex_images(inst.labels, inst.vertex_index, [phi]))
+        automorphisms.extend(_vertex_images(inst.labels, inst.vertex_index, [phi], pi[i : i + 1]))
         progress((i + 1) / len(gens))
-    print(file=sys.stderr)
     ia_t = intersection_array(inst.graph, automorphisms)
     ia_g = grassmann_array(2 * cfg.e + 1, cfg.e, cfg.q)
     ok = isinstance(ia_t, IntersectionArray) and ia_t == ia_g
-    details = {"twisted": ia_t.to_json(), "grassmann": ia_g.to_json(), **ia_t.scan.to_json()}
-    return _report(cfg, "drg", ok, details, t0)
+    return ok, {"twisted": ia_t.to_json(), "grassmann": ia_g.to_json(), **ia_t.scan.to_json()}
 
 
 def _expected_parameters(q: int, e: int):
@@ -251,8 +273,7 @@ def _expected_parameters(q: int, e: int):
     return v, b, r, k, lam
 
 
-def _verify_design(cfg: RunConfig, inst: _Instance) -> dict:
-    t0 = time.perf_counter()
+def _verify_design(cfg: RunConfig, inst: _Instance):
     result = check_2design(inst.jt)
     expected = _expected_parameters(cfg.q, cfg.e)
     got = None
@@ -264,11 +285,10 @@ def _verify_design(cfg: RunConfig, inst: _Instance) -> dict:
         "expected": list(expected),
         "found": list(got) if got else result.to_json(),
     }
-    return _report(cfg, "design", ok, details, t0)
+    return ok, details
 
 
-def _verify_spectrum(cfg: RunConfig, inst: _Instance) -> dict:
-    t0 = time.perf_counter()
+def _verify_spectrum(cfg: RunConfig, inst: _Instance):
     sp_jt = intersection_spectrum(inst.jt)
     sp_pg = intersection_spectrum(inst.pg)
     want = sorted((cfg.q ** i - 1) // (cfg.q - 1) for i in range(1, cfg.e + 1))
@@ -279,56 +299,47 @@ def _verify_spectrum(cfg: RunConfig, inst: _Instance) -> dict:
         "jt": {str(sz): n for sz, n in sorted(sp_jt.items())},
         "pg": {str(sz): n for sz, n in sorted(sp_pg.items())},
     }
-    return _report(cfg, "spectrum", ok, details, t0)
+    return ok, details
 
 
-def _verify_aut_sample(cfg: RunConfig, inst: _Instance) -> dict:
-    t0 = time.perf_counter()
+def _verify_aut_sample(cfg: RunConfig, inst: _Instance):
     count = 1000 if (cfg.q, cfg.e) == (2, 2) else 100
     maps = [random_stabilizer_element(inst.field, cfg.e, (cfg.seed, i)) for i in range(count)]
     results, cross_checked = check_theorem2_batch(
         inst.jt, inst.labels, inst.vertex_index, inst.certificate, maps, inst.s, _progress("aut-sample")
     )
-    print(file=sys.stderr)
     failures = []
     for i, rel in enumerate(results):
         if rel is not True:
             stage = "automorphism" if isinstance(rel, NotAutomorphism) else "theorem2"
             failures.append({"index": i, "stage": stage, "witness": rel.to_json()})
-    details = {"sampled": count, "failures": failures, "cross_checked": cross_checked}
-    return _report(cfg, "aut-sample", not failures, details, t0)
+    return not failures, {"sampled": count, "failures": failures, "cross_checked": cross_checked}
 
 
-def _verify_aut_exhaustive(cfg: RunConfig, inst: _Instance) -> dict:
-    t0 = time.perf_counter()
+def _verify_aut_exhaustive(cfg: RunConfig, inst: _Instance):
     progress = _progress("aut-exhaustive")
     rep = exhaustive_lift_check(inst.field, cfg.e, jobs=cfg.jobs, progress=progress, s=inst.s)
-    print(file=sys.stderr)
     details = rep.to_json()
     details["expected_order"] = stabilizer_order(cfg.q, cfg.e, inst.field.f)
-    return _report(cfg, "aut-exhaustive", rep.ok, details, t0)
+    return rep.ok, details
 
 
-def _verify_prank(cfg: RunConfig, inst: _Instance) -> dict:
-    t0 = time.perf_counter()
-    reason = _skip_reason("prank", cfg)
-    if reason:
-        raise ValueError(f"verify prank: {reason}")
+def _verify_prank(cfg: RunConfig, inst: _Instance):
     p = inst.field.p
     r_jt = p_rank(inst.jt, p)
     r_pg = p_rank(inst.pg, p)
-    details = {"p": p, "jt_rank": r_jt, "pg_rank": r_pg}
-    return _report(cfg, "prank", r_jt == r_pg, details, t0)
+    return r_jt == r_pg, {"p": p, "jt_rank": r_jt, "pg_rank": r_pg}
 
 
-_VERIFIERS = {
-    "thm1": _verify_thm1,
-    "drg": _verify_drg,
+# Every check by name, in the order `verify all` runs them.
+_CHECKS = {
     "design": _verify_design,
     "spectrum": _verify_spectrum,
+    "thm1": _verify_thm1,
+    "drg": _verify_drg,
+    "prank": _verify_prank,
     "aut-sample": _verify_aut_sample,
     "aut-exhaustive": _verify_aut_exhaustive,
-    "prank": _verify_prank,
 }
 
 
@@ -341,24 +352,29 @@ def _skip_reason(check: str, cfg: RunConfig):
     return None
 
 
+def _run_check(cfg: RunConfig, inst: _Instance, check: str) -> dict:
+    """The report of one check of `_CHECKS`, timed."""
+    t0 = time.perf_counter()
+    ok, details = _CHECKS[check](cfg, inst)
+    return _report(cfg, check, ok, details, t0)
+
+
 def cmd_verify(args) -> int:
+    """Run one check, or every check of `_CHECKS` under `all`.  A check that
+    does not run at the instance is refused before anything is built when
+    it is named alone, and listed under `skipped` by `all`."""
     cfg = RunConfig.from_args(args)
     inst = _geometry(cfg)
-    if args.check == "all":
-        t0 = time.perf_counter()
-        sub = []
-        skipped = []
-        for name in ("design", "spectrum", "thm1", "drg", "prank", "aut-sample", "aut-exhaustive"):
-            reason = _skip_reason(name, cfg)
-            if reason:
-                skipped.append({"check": name, "reason": reason})
-                continue
-            sub.append(_VERIFIERS[name](cfg, inst))
-        ok = all(r["pass"] for r in sub)
-        report = _report(cfg, "all", ok, {"reports": sub, "skipped": skipped}, t0)
-    else:
-        report = _VERIFIERS[args.check](cfg, inst)
-    return _emit_report(cfg, report)
+    names = list(_CHECKS) if args.check == "all" else [args.check]
+    skipped = {name: reason for name in names if (reason := _skip_reason(name, cfg))}
+    if args.check in skipped:
+        raise ValueError(f"verify {args.check}: {skipped[args.check]}")
+    t0 = time.perf_counter()
+    reports = [_run_check(cfg, inst, name) for name in names if name not in skipped]
+    if args.check != "all":
+        return _emit_report(cfg, reports[0])
+    details = {"reports": reports, "skipped": [{"check": c, "reason": r} for c, r in skipped.items()]}
+    return _emit_report(cfg, _report(cfg, "all", all(r["pass"] for r in reports), details, t0))
 
 
 # -- argument parsing -------------------------------------------------------
@@ -396,10 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         b.set_defaults(func=cmd_build)
 
     v = sub.add_parser("verify", help="run a verification and emit a JSON report")
-    v.add_argument(
-        "check",
-        choices=["thm1", "drg", "design", "spectrum", "aut-sample", "aut-exhaustive", "prank", "all"],
-    )
+    v.add_argument("check", choices=[*_CHECKS, "all"])
     _add_common(v)
     v.add_argument("--seed", type=int, default=0, help="base random seed for aut-sample")
     v.add_argument("--jobs", type=int, default=1, help="worker processes for aut-exhaustive")

@@ -23,7 +23,8 @@ p-digits, so a batch of (n x k) matrices maps all points in one integer
 product mod p.  Square maps give `autgroup` its point permutations; the
 transposed RREF basis of a k-subspace gives its points (`_point_sets`).
 `_SetIndex` finds point sets among many by their point masks, exactly:
-the instance's vertex index, and in `autgroup` blocks and sigma images.
+the instance's vertex index, the sigma point sets, and in `autgroup`
+the blocks of a design.
 
 Every pairwise count goes through one representation and one kernel:
 a subspace is the set of projective points it contains, a family of
@@ -38,8 +39,10 @@ columns unpack at most 64 rows at a time (`_row_strips`).
 
 The block map f works on the same point sets.  A polarity sigma of h
 reverses inclusion, so sigma(U) is the intersection of sigma(c) over
-the points c of U; `_sigma_table` holds sigma(c) once per point c of
-[h], as a subspace and as a point set.  With S[c, x] = 1 when x lies in
+the points c of U; `_sigma` holds sigma(c) once per point c of [h], in
+one record per polarity: the points c, the subspaces sigma(c) (read by
+the literal `autgroup.lift`), their point-set array and its `_SetIndex`
+(read by the batched lift).  With S[c, x] = 1 when x lies in
 sigma(c), x lies in sigma(W ∩ h) when W's row of points in [h] times S
 reaches |W ∩ h| at x, so `_block_map` forms many blocks in one product.
 """
@@ -511,17 +514,25 @@ def _pg_design(subs, sets) -> Design:
     return Design(points, sets.tolist(), [("PG", u) for u in subs])
 
 
-@lru_cache(maxsize=None)
-def _sigma_table(s: Polarity) -> dict:
-    """sigma(c) for each point index c of [h]: (the subspace, its point set).
+@dataclass(frozen=True)
+class _Sigma:
+    """sigma of every point of [h] under one polarity (see `_sigma`)."""
 
-    sigma(c) is a hyperplane of h, and the keys are exactly the points of
-    [h], in point-index order.
-    """
+    points: np.ndarray  # the points c of [h], in index order
+    images: tuple  # sigma(c) of each, as a subspace
+    sets: np.ndarray  # the point set of each sigma(c), one sorted row per c
+    index: _SetIndex  # the index of those point sets, rows in the order of points
+
+
+@lru_cache(maxsize=None)
+def _sigma(s: Polarity) -> _Sigma:
+    """The one table of sigma images of a polarity: each sigma(c) is a
+    hyperplane of h, given for every point c of [h]."""
     points = _point_order(s.field, s.h.ambient_dim)[0]
     (h_points,) = _point_sets([s.h])
-    images = [s.apply(Subspace(s.field, s.h.ambient_dim, (points[c].rep,))) for c in h_points]
-    return {c: (image, frozenset(pts)) for c, image, pts in zip(h_points, images, _point_sets(images))}
+    images = tuple(s.apply(Subspace(s.field, s.h.ambient_dim, (points[c].rep,))) for c in h_points)
+    sets = _point_array(images)
+    return _Sigma(np.array(h_points, dtype=np.intp), images, sets, _SetIndex(sets, len(points)))
 
 
 def _block_map(ws, sets, h: Subspace, s: Polarity) -> list:
@@ -536,11 +547,10 @@ def _block_map(ws, sets, h: Subspace, s: Polarity) -> list:
         raise ValueError("w and h live in different ambient spaces")
     e = h.dim // 2
     v = len(_point_order(h.field, h.ambient_dim)[0])
-    sigma = _sigma_table(s)
-    h_points = np.array(list(sigma), dtype=np.intp)
-    in_h = np.isin(np.arange(v), h_points)
+    sigma = _sigma(s)
+    in_h = np.isin(np.arange(v), sigma.points)
     # S[c, x] = 1 when the point x lies in sigma(c), one row per point c of [h]
-    sig = _incidence([pts for _, pts in sigma.values()], v).astype(np.float32)
+    sig = _incidence(sigma.sets, v).astype(np.float32)
     out = []
     per = max(1, _SLAB_BYTES // (8 * v))  # rows per slab, about 8 bytes a column
     for start in range(0, len(ws), per):
@@ -551,7 +561,7 @@ def _block_map(ws, sets, h: Subspace, s: Polarity) -> list:
             raise ValueError("w is in neither vertex family of the twisted graph")
         # in [h], the points in sigma(c) for all |W ∩ h| points c of W ∩ h (all
         # of [h] when there are none: sigma(0) = h); outside [h], those of W
-        blocks = np.where(in_h, n[:, h_points].astype(np.float32) @ sig == inside[:, None], n > 0)
+        blocks = np.where(in_h, n[:, sigma.points].astype(np.float32) @ sig == inside[:, None], n > 0)
         out.extend(np.flatnonzero(block).tolist() for block in blocks)
     return out
 

@@ -9,6 +9,7 @@ inclusion-reversing involution.  The default gram is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 from .gf import Field
 from .linalg import Matrix
@@ -56,9 +57,19 @@ class Polarity:
 
 
 def polarity_new(field: Field, h: Subspace, gram=None) -> Polarity:
-    """Build a polarity of h; gram defaults to the identity form."""
+    """Build a polarity of h; gram defaults to the identity form.  A gram
+    given as rows must hold integers (a bool is not one)."""
     if gram is None:
         gram = Matrix.identity(field, h.dim)
     elif not isinstance(gram, Matrix):
-        gram = Matrix(field, gram)
+        gram = Matrix(field, [_integer_row(row, i) for i, row in enumerate(gram)])
     return Polarity(field, h, gram)
+
+
+def _integer_row(row, i: int) -> list:
+    """Row i of a gram as Python ints; an entry that is not an integer raises ValueError."""
+    row = list(row)
+    for j, x in enumerate(row):
+        if isinstance(x, bool) or not isinstance(x, Integral):
+            raise ValueError(f"gram entry at row {i}, column {j} is not an integer: {x!r}")
+    return [int(x) for x in row]

@@ -324,11 +324,11 @@ def test_batched_point_action_matches_the_literal_maps(p, f, e, paired):
 
 
 def test_set_index_finds_every_key_at_its_own_row(setting22, setting32, jt22, jt32, tg22, tg32):
-    from qgeom.autgroup import _set_index, _sigma_index
-    from qgeom.geometry import _Instance, _mask_words
+    from qgeom.autgroup import _set_index
+    from qgeom.geometry import _Instance, _mask_words, _sigma
 
     for (field, h, s), d, g in ((setting22, jt22, tg22), (setting32, jt32, tg32)):
-        for index in (_set_index(d), _set_index(g), _sigma_index(s)[1], _Instance(field, 2, h, s).vertex_index):
+        for index in (_set_index(d), _set_index(g), _sigma(s).index, _Instance(field, 2, h, s).vertex_index):
             identity = np.arange(d.v, dtype=np.uint8)[None]
             assert index.images(identity)[0].tolist() == list(range(len(index)))
             for rows, pts in index.groups:

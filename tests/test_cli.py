@@ -147,16 +147,9 @@ def test_verification_failure_exits_3(tmp_path, monkeypatch, capsys):
     import qgeom.cli as cli
 
     def fake(cfg, inst):
-        return {
-            "schema": 1,
-            "check": "thm1",
-            "instance": cli._instance(cfg),
-            "pass": False,
-            "details": {"forced": True},
-            "elapsed": 0.0,
-        }
+        return False, {"forced": True}
 
-    monkeypatch.setitem(cli._VERIFIERS, "thm1", fake)
+    monkeypatch.setitem(cli._CHECKS, "thm1", fake)
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "verify", "thm1", "--out", "fail.json")
     assert code == 3
@@ -223,12 +216,12 @@ def test_verify_all_lists_skipped_checks(monkeypatch, capsys):
     def stub(name):
         def verify(cfg, inst):
             ran.append(name)
-            return cli._report(cfg, name, True, {}, 0.0)
+            return True, {}
 
         return verify
 
-    for name in cli._VERIFIERS:
-        monkeypatch.setitem(cli._VERIFIERS, name, stub(name))
+    for name in cli._CHECKS:
+        monkeypatch.setitem(cli._CHECKS, name, stub(name))
     code, out, _ = run(capsys, "verify", "all", "--q", "3")
     assert code == 0
     assert "aut-exhaustive" not in ran
@@ -409,3 +402,111 @@ def test_verify_aut_sample_failures_match_single_checks(monkeypatch, capsys):
     assert failures and failures == single
     phi = random_stabilizer_element(field, 2, (3, 0))
     assert check_theorem2_relation(d, tg, cert, phi, s) == Theorem2Violation(0, 18, 54)
+
+
+def test_point_images_are_formed_once_per_batch_of_maps(monkeypatch, capsys):
+    import qgeom.autgroup as autgroup
+    import qgeom.cli as cli
+    import qgeom.geometry as geometry
+
+    literal = geometry._point_images
+    square = []
+
+    def spy(field, mats, frobs):
+        if mats.shape[1] == mats.shape[2]:  # stabilizer elements, not subspace bases
+            square.append(len(mats))
+        return literal(field, mats, frobs)
+
+    for module in (geometry, autgroup, cli):
+        if getattr(module, "_point_images", None) is literal:
+            monkeypatch.setattr(module, "_point_images", spy)
+    code, _, _ = run(capsys, "verify", "aut-sample", "--q", "3")
+    assert code == 0
+    assert square == [64, 36]  # one call per chunk, for the lift and the vertex images both
+    square.clear()
+    code, _, _ = run(capsys, "verify", "drg", "--q", "3")
+    assert code == 0
+    assert square == [17]  # every generator in one call
+
+
+def test_a_check_that_does_not_run_exits_2_with_its_skipped_reason(monkeypatch, capsys):
+    import qgeom.cli as cli
+    from qgeom.geometry import _Instance
+
+    for name in cli._CHECKS:
+        monkeypatch.setitem(cli._CHECKS, name, lambda cfg, inst: (True, {}))
+    reasons = {}
+    for q in ("3", "4"):
+        code, out, _ = run(capsys, "verify", "all", "--q", q)
+        assert code == 0
+        reasons.update({(s["check"], q): s["reason"] for s in json.loads(out)["details"]["skipped"]})
+
+    def refuse(inst):
+        raise AssertionError("the instance was built")
+
+    monkeypatch.setattr(_Instance, "families", property(refuse))
+    for check, q in (("aut-exhaustive", "3"), ("prank", "4")):
+        code, out, err = run(capsys, "verify", check, "--q", q)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: verify {check}: {reasons[check, q]}\n"
+
+
+def test_out_writes_into_a_fifo_in_place(tmp_path, capsys):
+    import stat
+
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, _, _ = run(capsys, "verify", "design", "--out", str(fifo))
+        assert code == 0
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert json.loads(os.read(reader, 1 << 16))["check"] == "design"
+    finally:
+        os.close(reader)
+
+
+def test_out_follows_a_symlink_and_replaces_its_target(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text("old\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, _, _ = run(capsys, "verify", "design", "--out", str(link))
+    assert code == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert json.loads(target.read_text())["check"] == "design"
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".qgeom-")] == []
+
+
+def test_out_gives_a_new_file_the_umask_mode(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run(capsys, "build", "twisted", "--out", "t.g6", "--format", "graph6")
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert (tmp_path / "t.g6").stat().st_mode & 0o777 == 0o644
+
+
+def test_out_keeps_the_mode_of_the_file_it_replaces(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    out.write_text("old\n")
+    out.chmod(0o640)
+    code, _, _ = run(capsys, "verify", "design", "--out", str(out))
+    assert code == 0
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert json.loads(out.read_text())["check"] == "design"
+
+
+@pytest.mark.parametrize("entry", [1.0, 0.5, True, "1"], ids=["one-float", "half", "bool", "string"])
+def test_gram_entries_must_be_integers(entry, tmp_path, monkeypatch, capsys):
+    gram = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    gram[2][1] = entry
+    (tmp_path / "bad.gram").write_text(json.dumps(gram))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify", "design", "--gram", "bad.gram")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: gram entry at row 2, column 1 is not an integer")

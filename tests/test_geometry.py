@@ -468,13 +468,13 @@ def test_split_by_points_keeps_the_order_of_the_hyperplane(q):
 
 
 def test_families_are_chosen_without_subspace_containment(monkeypatch):
-    from qgeom.geometry import _sigma_table
+    from qgeom.geometry import _sigma
     from qgeom.subspace import Subspace
 
     field = field_new(2)
     h = coordinate_hyperplane(field, 5)
     s = polarity_new(field, h)
-    _sigma_table(s)  # Polarity.apply checks containment; the table is built once per polarity
+    _sigma(s)  # Polarity.apply checks containment; the table is built once per polarity
     expected = twisted_grassmann(field, 2, h, s), jt_design(field, 2, h, s)
 
     def refuse(self, other):

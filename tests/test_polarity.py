@@ -138,3 +138,19 @@ def test_wrong_shape_gram_rejected():
     h = coordinate_hyperplane(f, 5)
     with pytest.raises(ValueError):
         polarity_new(f, h, [[1, 0], [0, 1]])
+
+
+def test_gram_rows_take_integers_only():
+    import numpy as np
+
+    f = field_new(3)
+    h = coordinate_hyperplane(f, 5)
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    s = polarity_new(f, h, np.array(identity, dtype=np.int64))  # numpy integers are integers
+    assert s.gram == polarity_new(f, h).gram
+    assert all(type(x) is int for row in s.gram.entries for x in row)
+    for entry in (1.0, True, "1", None):
+        bad = [row[:] for row in identity]
+        bad[3][3] = entry
+        with pytest.raises(ValueError, match="row 3, column 3"):
+            polarity_new(f, h, bad)
