@@ -24,9 +24,10 @@ Everything else acts through one batched point action:
 - `geometry._SetIndex`: the one exact index of point sets (blocks,
   vertex point sets, sigma point sets).  A key is the ceil(v/64) words
   of a set's point mask; lookups are hashed and answer a row only after
-  comparing every word.  A verify run reads the vertex index from its
-  `geometry._Instance`; the public functions here keep indexes per
-  design and per graph, held weakly.
+  comparing every word.  A design's blocks live in its own index,
+  `Design.index`.  A verify run reads the vertex index from its
+  `geometry._Instance`; the public functions here that take a graph keep
+  its vertex index, held weakly.
 - `_vertex_images`: the vertex action, the vertex index's rows of the
   images of the vertex point sets under point permutations it is given,
   not ones it forms.  `vertex_permutation`, `check_theorem2_batch` and
@@ -280,19 +281,16 @@ def lift(phi: SemilinearMap, s: Polarity) -> PointPermutation:
 # -- one batched point action (see the module docstring) ---------------------
 
 
-# per design or graph, held weakly: an index goes when its object does
+# per graph, held weakly: an index goes when its graph does
 _INDEXES = weakref.WeakKeyDictionary()
 
 
-def _set_index(obj) -> _SetIndex:
-    """The index of a design's blocks or of a twisted graph's vertex point sets."""
-    if (index := _INDEXES.get(obj)) is None:
-        if isinstance(obj, Design):
-            index = _SetIndex(obj.blocks, obj.v)
-        else:
-            subs = [w for _, w in obj.labels]
-            index = _SetIndex(_point_sets(subs), len(_point_order(subs[0].field, subs[0].ambient_dim)[0]))
-        _INDEXES[obj] = index
+def _set_index(g: Graph) -> _SetIndex:
+    """The index of a twisted graph's vertex point sets."""
+    if (index := _INDEXES.get(g)) is None:
+        subs = [w for _, w in g.labels]
+        index = _SetIndex(_point_sets(subs), len(_point_order(subs[0].field, subs[0].ambient_dim)[0]))
+        _INDEXES[g] = index
     return index
 
 
@@ -332,7 +330,7 @@ def _not_automorphism(d: Design, perm, rows: np.ndarray):
 def _block_rows(d: Design, p: PointPermutation) -> np.ndarray:
     if len(p.perm) != d.v:
         raise ValueError(f"permutation degree {len(p.perm)} != point count {d.v}")
-    return _set_index(d).images(np.array([p.perm], dtype=_index_dtype(d.v)))[0]
+    return d.index.images(np.array([p.perm], dtype=_index_dtype(d.v)))[0]
 
 
 def is_design_automorphism(d: Design, p: PointPermutation):
@@ -402,7 +400,7 @@ def check_theorem2_batch(d: Design, labels, index, cert, maps, s: Polarity, prog
         chunk = maps[start : start + _THEOREM2_CHUNK]
         pi = _point_images(*_maps_as_arrays(chunk))
         lifted = _lift_batch(s, pi)
-        alpha = _set_index(d).images(lifted)
+        alpha = d.index.images(lifted)
         cross_checked += _spot_check_lifts("batched lift", lifted, chunk.__getitem__, s, start, _ORACLE_STRIDE)
         vertices = _vertex_images(labels, index, chunk, pi)
         for k in range(len(chunk)):
@@ -567,7 +565,7 @@ def exhaustive_lift_check(field: Field = None, e: int = 2, jobs: int = 1,
     step = 64  # A blocks per chunk
     starts = range(0, len(gl), step)
     work = partial(
-        _census_chunk, s=s, blocks=_set_index(d), spot_stride=4001,  # prime; 81 literal lifts
+        _census_chunk, s=s, blocks=d.index, spot_stride=4001,  # prime; 81 literal lifts
     )
     perms = np.empty((order, v), dtype=np.uint8)
     verified = cross_checked = 0

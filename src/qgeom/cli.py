@@ -203,7 +203,7 @@ def _summary(obj) -> str:
         degs = set(obj.degrees())
         deg = degs.pop() if len(degs) == 1 else "irregular"
         return f"vertices={obj.n} degree={deg}"
-    sizes = {len(b) for b in obj.blocks}
+    sizes = {pts.shape[1] for _, pts in obj.index.groups}
     k = sizes.pop() if len(sizes) == 1 else "mixed"
     return f"points={obj.v} blocks={obj.b} k={k}"
 

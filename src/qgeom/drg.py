@@ -287,12 +287,12 @@ def check_2design(d: Design):
     """
     if d.b == 0:
         raise ValueError("empty design")
-    k = len(d.blocks[0])
-    for bi, blk in enumerate(d.blocks):
-        if len(blk) != k:
-            return NotDesign("block_size", (bi,), k, len(blk))
     v = d.v
     inc = d.incidence()
+    sizes = inc.sum(axis=1, dtype=np.int64)
+    k = int(sizes[0])
+    if (bad := np.flatnonzero(sizes != k)).size:
+        return NotDesign("block_size", (int(bad[0]),), k, int(sizes[bad[0]]))
     rep = inc.sum(axis=0, dtype=np.int64)
     r = int(rep[0])
     (bad,) = np.nonzero(rep != r)

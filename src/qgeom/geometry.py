@@ -23,8 +23,20 @@ p-digits, so a batch of (n x k) matrices maps all points in one integer
 product mod p.  Square maps give `autgroup` its point permutations; the
 transposed RREF basis of a k-subspace gives its points (`_point_sets`).
 `_SetIndex` finds point sets among many by their point masks, exactly:
-the instance's vertex index, the sigma point sets, and in `autgroup`
-the blocks of a design.
+the instance's vertex index, the sigma point sets, and the blocks of a
+design.  Point sets of several sizes are held as `_by_size` gives them:
+per size, the numbers of the sets of that size and one 2-D array of
+their points.
+
+A `Design` holds its blocks only that way, in one `_SetIndex` over its
+points (`Design.index`): one sorted point row per block.  That index is
+the design's only index.  It answers the duplicate-block check,
+`block_index`, `has_block`, the certificate lookup and every automorphism
+check, and `incidence()` scatters its arrays.  `Design.blocks`, the
+blocks as sorted tuples, is made from the arrays the first time it is
+read; no check reads it unless it reports a failing block.  The block
+map f of a whole instance is one array, one sorted row of [e+1]_q points
+per vertex, and the JT design is built from its rows.
 
 Every pairwise count goes through one representation and one kernel:
 a subspace is the set of projective points it contains, a family of
@@ -49,10 +61,11 @@ reaches |W ∩ h| at x, so `_block_map` forms many blocks in one product.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, compress
+from itertools import compress, groupby
 
 import numpy as np
 
@@ -156,35 +169,47 @@ def _indices(values, what: str) -> tuple:
 
 
 class Design:
-    """Point set plus blocks given as sorted tuples of point indices.
+    """Point set plus blocks, each a set of point indices.
 
-    Blocks must be distinct; repeated blocks raise at construction
-    time, since the automorphism arguments downstream assume a block is
-    recoverable from its point set.
+    The blocks live in `index`, one `_SetIndex` over the v points: per
+    block size, the block numbers and their points as one 2-D array, one
+    sorted row per block.  That index is the design's only index; block
+    lookups, the incidence matrix and the automorphism checks all read it.
+    Blocks may be given as a 2-D integer array or as a sequence of index
+    sequences, which may mix sizes.  Blocks must be distinct; repeated
+    blocks raise at construction time, since the automorphism arguments
+    downstream assume a block is recoverable from its point set.
     """
 
-    __slots__ = ("points", "blocks", "block_labels", "_index", "__weakref__")
+    __slots__ = ("points", "block_labels", "index", "_blocks", "__weakref__")
 
     def __init__(self, points, blocks, block_labels=None):
         self.points = tuple(points)
         v = len(self.points)
-        canon = []
-        for bi, block in enumerate(blocks):
-            t = tuple(sorted(_indices(block, f"block {bi}")))
-            if len(set(t)) != len(t):
-                raise ValueError(f"block {bi} repeats a point")
-            if t and not (0 <= t[0] and t[-1] < v):
-                raise ValueError(f"block {bi} has point indices outside 0..{v - 1}")
-            canon.append(t)
-        self._index = {}
-        for bi, t in enumerate(canon):
-            if (first := self._index.setdefault(t, bi)) != bi:
-                raise ValueError(f"blocks {first} and {bi} are identical")
-        self.blocks = tuple(canon)
+        if isinstance(blocks, np.ndarray) and blocks.ndim == 2 and blocks.dtype.kind in "iu":
+            arrays = [blocks]
+        else:  # index sequences, or an array of entries that are not integers, read row by row
+            blocks = blocks.tolist() if isinstance(blocks, np.ndarray) else blocks
+            rows = [_indices(block, f"block {bi}") for bi, block in enumerate(blocks)]
+            arrays = [np.array(list(run)) for _, run in groupby(rows, len)]  # one per run of one size
+        sets = []
+        for a in arrays:
+            a = np.sort(a, axis=1)
+            repeats = (a[:, 1:] == a[:, :-1]).any(axis=1)
+            if (bad := np.flatnonzero(repeats | ((a[:, :1] < 0) | (a[:, -1:] >= v)).any(axis=1))).size:
+                bi = sum(map(len, sets)) + int(bad[0])
+                fault = "repeats a point" if repeats[bad[0]] else f"has point indices outside 0..{v - 1}"
+                raise ValueError(f"block {bi} {fault}")
+            sets.append(a.astype(_index_dtype(v)))
+        self.index = _SetIndex(_by_size(sets), v)
+        first = self.index.find(np.stack(self.index.columns, axis=1))  # the first block with each key
+        if (again := np.flatnonzero(first != np.arange(len(first)))).size:
+            raise ValueError(f"blocks {first[again[0]]} and {again[0]} are identical")
+        self._blocks = None
         if block_labels is None:
-            block_labels = range(len(self.blocks))
+            block_labels = range(self.b)
         self.block_labels = tuple(block_labels)
-        if len(self.block_labels) != len(self.blocks):
+        if len(self.block_labels) != self.b:
             raise ValueError("one label per block required")
 
     @property
@@ -193,17 +218,43 @@ class Design:
 
     @property
     def b(self) -> int:
-        return len(self.blocks)
+        return len(self.index)
+
+    @property
+    def blocks(self) -> tuple:
+        """Each block as a sorted tuple of point indices, in block order,
+        made from the index's arrays the first time it is read."""
+        if self._blocks is None:
+            blocks = [()] * self.b
+            for rows, pts in self.index.groups:
+                for r, t in zip(rows.tolist(), pts.tolist()):
+                    blocks[r] = tuple(t)
+            self._blocks = tuple(blocks)
+        return self._blocks
+
+    def _row(self, block) -> int:
+        """The number of the block holding exactly the points of block, or -1."""
+        pts = np.array(list(block))
+        if (len(pts) and pts.dtype.kind not in "iu") or len(np.unique(pts)) < len(pts):
+            return -1
+        if not ((0 <= pts) & (pts < self.v)).all():
+            return -1
+        return int(self.index.find(_mask_words(pts.astype(np.intp), self.v)[None])[0])
 
     def block_index(self, block) -> int:
-        return self._index[tuple(sorted(block))]
+        if (row := self._row(block)) < 0:
+            raise KeyError(block)
+        return row
 
     def has_block(self, block) -> bool:
-        return tuple(sorted(block)) in self._index
+        return self._row(block) >= 0
 
     def incidence(self) -> np.ndarray:
         """The b x v 0/1 incidence matrix (uint8), rows in block order."""
-        return _incidence(self.blocks, self.v)
+        out = np.zeros((self.b, self.v), dtype=np.uint8)
+        for rows, pts in self.index.groups:
+            out[rows[:, None], pts] = 1
+        return out
 
     def __repr__(self):
         return f"Design(v={self.v}, b={self.b})"
@@ -299,20 +350,29 @@ def _point_images(field: Field, mats: np.ndarray, frobs: np.ndarray) -> np.ndarr
 
 
 def _point_array(subspaces) -> np.ndarray:
-    """`_point_sets` of subspaces of one dimension k >= 1, as one array."""
+    """The point sets of subspaces of one dimension k, one sorted row each:
+    the points of GF(q)^k under each transposed basis."""
+    if not subspaces[0].dim:  # the zero subspace has no points
+        return np.zeros((len(subspaces), 0), dtype=np.uint8)
     mats = np.array([w.basis_rows for w in subspaces], dtype=np.intp).transpose(0, 2, 1)
     return np.sort(_point_images(subspaces[0].field, mats, np.zeros(len(mats), dtype=np.intp)), axis=1)
 
 
 def _point_sets(subspaces) -> list:
-    """The sorted point indices of each subspace (one field and ambient space):
-    the points of GF(q)^k under its transposed basis, one batch per k."""
-    out = [[] for _ in subspaces]
-    for k in {w.dim for w in subspaces} - {0}:  # the zero subspace has no points
-        rows = [i for i, w in enumerate(subspaces) if w.dim == k]
-        for i, pts in zip(rows, _point_array([subspaces[i] for i in rows]).tolist()):
-            out[i] = pts
-    return out
+    """The point sets of subspaces (one field and ambient space) grouped by
+    size (`_by_size`), one `_point_array` batch per run of one dimension."""
+    return _by_size([_point_array(list(run)) for _, run in groupby(subspaces, lambda w: w.dim)])
+
+
+def _by_size(arrays) -> list:
+    """Point sets given as the rows of 2-D arrays, numbered on from one
+    array to the next, as (numbers, points) per set size: the numbers of
+    the sets of that size and their points, one row each."""
+    groups, start = {}, 0
+    for a in arrays:
+        groups.setdefault(a.shape[1], []).append((np.arange(start, start + len(a)), a))
+        start += len(a)
+    return [tuple(np.concatenate(part) for part in zip(*parts)) for parts in groups.values()]
 
 
 def _point_count(d: int, q: int) -> int:
@@ -320,18 +380,11 @@ def _point_count(d: int, q: int) -> int:
     return (q ** d - 1) // (q - 1)
 
 
-def _incidence(point_sets, v: int) -> np.ndarray:
-    """One uint8 row per point set, with a 1 in each of its v columns it holds.
-
-    A 2-D index array (sets of one size) is scattered in one step; any
-    other sequence of index sequences may mix sizes."""
-    if isinstance(point_sets, np.ndarray):
-        out = np.zeros((len(point_sets), v), dtype=np.uint8)
-        np.put_along_axis(out, point_sets.astype(np.intp), 1, axis=1)
-        return out
-    sizes = [len(pts) for pts in point_sets]
-    out = np.zeros((len(sizes), v), dtype=np.uint8)
-    out[np.repeat(np.arange(len(sizes)), sizes), np.fromiter(chain.from_iterable(point_sets), np.intp)] = 1
+def _incidence(point_sets: np.ndarray, v: int) -> np.ndarray:
+    """One uint8 row per row of a 2-D point-index array, with a 1 in each of
+    its v columns that the row holds."""
+    out = np.zeros((len(point_sets), v), dtype=np.uint8)
+    np.put_along_axis(out, point_sets.astype(np.intp), 1, axis=1)
     return out
 
 
@@ -343,8 +396,8 @@ _EXACT_F32 = 2 ** 24
 def _mask_words(points: np.ndarray, v: int) -> np.ndarray:
     """The ceil(v/64) uint64 words of the point mask of each row of
     point indices (last axis)."""
-    rows = points.reshape(-1, points.shape[-1])
-    width = (v + 63) // 64
+    rows = points.reshape(math.prod(points.shape[:-1]), points.shape[-1])
+    width = max(1, (v + 63) // 64)  # v = 0 keeps one (empty) word
     # Both branches give the same words; the first exists for speed: the
     # (2,2) census (v = 31) takes about half the time with it as with the
     # packed row alone (3.75 s against 7.39 s, median of 10 runs each)
@@ -352,10 +405,13 @@ def _mask_words(points: np.ndarray, v: int) -> np.ndarray:
         words = np.zeros((len(rows), 1), dtype=np.uint64)
         for column in rows.T:
             words[:, 0] |= np.left_shift(np.uint64(1), column, dtype=np.uint64, casting="unsafe")
-    else:  # set the bits of a 0/1 row, then pack it into words
-        bits = np.zeros((len(rows), 64 * width), dtype=np.uint8)
-        bits[np.arange(len(rows))[:, None], rows] = 1
-        words = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+    else:  # set the bits of 0/1 rows, then pack them into words, a slab of rows at a time
+        words = np.empty((len(rows), width), dtype=np.uint64)
+        per = max(1, _SLAB_BYTES // (64 * width))
+        for start in range(0, len(rows), per):
+            bits = np.zeros((len(rows[start : start + per]), 64 * width), dtype=np.uint8)
+            bits[np.arange(len(bits))[:, None], rows[start : start + per]] = 1
+            words[start : start + per] = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
     return words.reshape(points.shape[:-1] + (width,))
 
 
@@ -371,23 +427,18 @@ class _SetIndex:
     every word of the key, so a hash collision is never taken as a match.
     """
 
-    def __init__(self, sets, v: int):
+    def __init__(self, groups, v: int):
+        """groups: (numbers, points) per set size, as `_by_size` gives them."""
         self.v = v
-        by_size = {}
-        for row, pts in enumerate(sets):
-            by_size.setdefault(len(pts), []).append(row)
-        self.groups = [
-            (np.array(rows), np.array([sorted(sets[r]) for r in rows], dtype=np.intp).reshape(len(rows), size))
-            for size, rows in by_size.items()
-        ]
-        keys = np.empty((len(sets), (v + 63) // 64), dtype=np.uint64)
-        for rows, pts in self.groups:
+        self.groups = groups
+        keys = np.empty((sum(len(rows) for rows, _ in groups), max(1, (v + 63) // 64)), dtype=np.uint64)
+        for rows, pts in groups:
             keys[rows] = _mask_words(pts, v)
         self.columns = list(keys.T.copy())  # word w of every key, contiguous
-        self.bits = max(1, 4 * len(sets) - 1).bit_length()  # load at most 1/4
+        self.bits = max(1, 4 * len(keys) - 1).bit_length()  # load at most 1/4
         self.slots = np.full(1 << self.bits, -1, dtype=np.intp)
         home = self._home(keys)
-        pending = np.arange(len(sets))
+        pending = np.arange(len(keys))
         self.max_probe = -1
         while pending.size:  # round r places keys at home + r, first come first
             self.max_probe += 1
@@ -415,6 +466,8 @@ class _SetIndex:
 
     def find(self, words: np.ndarray) -> np.ndarray:
         """The row of each set given by its mask words, or -1 if absent."""
+        if not len(self):  # no key to compare with
+            return np.full(len(words), -1, dtype=np.intp)
         at = self._home(words)
         slot = self.slots[at]
         out = np.where(self._matches(slot, words), slot, -1)
@@ -484,7 +537,7 @@ def grassmann_graph(n: int, k: int, q: int) -> Graph:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     field = field_from_order(q)
     subs = list(enumerate_k_subspaces(full_space(field, n), k))
-    inc = _incidence(_point_sets(subs), len(_point_order(field, n)[0]))
+    inc = _incidence(_point_array(subs), len(_point_order(field, n)[0]))
     return _count_graph(subs, inc, _point_count(k - 1, q))
 
 
@@ -511,7 +564,7 @@ def pg_design(field: Field, e: int) -> Design:
 def _pg_design(subs, sets) -> Design:
     """The geometric design on the (e+1)-subspaces subs of V, given their point sets."""
     points = _point_order(subs[0].field, subs[0].ambient_dim)[0]
-    return Design(points, sets.tolist(), [("PG", u) for u in subs])
+    return Design(points, sets, [("PG", u) for u in subs])
 
 
 @dataclass(frozen=True)
@@ -529,16 +582,17 @@ def _sigma(s: Polarity) -> _Sigma:
     """The one table of sigma images of a polarity: each sigma(c) is a
     hyperplane of h, given for every point c of [h]."""
     points = _point_order(s.field, s.h.ambient_dim)[0]
-    (h_points,) = _point_sets([s.h])
-    images = tuple(s.apply(Subspace(s.field, s.h.ambient_dim, (points[c].rep,))) for c in h_points)
+    h_points = _point_array([s.h])[0].astype(np.intp)
+    images = tuple(s.apply(Subspace(s.field, s.h.ambient_dim, (points[c].rep,))) for c in h_points.tolist())
     sets = _point_array(images)
-    return _Sigma(np.array(h_points, dtype=np.intp), images, sets, _SetIndex(sets, len(points)))
+    return _Sigma(h_points, images, sets, _SetIndex(_by_size([sets]), len(points)))
 
 
-def _block_map(ws, sets, h: Subspace, s: Polarity) -> list:
-    """f of each subspace of ws, as sorted point indices (see `f_map`), given
-    their point sets: with N the 0/1 rows of those sets, one product N_h.S
-    per slab of rows (module docstring); outside h, f(W) holds the points of W."""
+def _block_map(ws, groups, h: Subspace, s: Polarity) -> np.ndarray:
+    """f of each subspace of ws (see `f_map`), one sorted row of [e+1]_q
+    point indices each, given their point sets grouped by size
+    (`_by_size`): with N the 0/1 rows of those sets, one product N_h.S per
+    slab of rows (module docstring); outside h, f(W) holds the points of W."""
     if h.dim % 2 != 0 or h.ambient_dim != h.dim + 1:
         raise ValueError("h must be a hyperplane of odd-dimensional ambient space")
     if s.h != h:
@@ -547,22 +601,26 @@ def _block_map(ws, sets, h: Subspace, s: Polarity) -> list:
         raise ValueError("w and h live in different ambient spaces")
     e = h.dim // 2
     v = len(_point_order(h.field, h.ambient_dim)[0])
+    k, k_b = _point_count(e + 1, h.field.q), _point_count(e - 1, h.field.q)
     sigma = _sigma(s)
     in_h = np.isin(np.arange(v), sigma.points)
     # S[c, x] = 1 when the point x lies in sigma(c), one row per point c of [h]
     sig = _incidence(sigma.sets, v).astype(np.float32)
-    out = []
+    out = np.empty((len(ws), k), dtype=_index_dtype(v))
     per = max(1, _SLAB_BYTES // (8 * v))  # rows per slab, about 8 bytes a column
-    for start in range(0, len(ws), per):
-        n = _incidence(sets[start : start + per], v)
-        size, inside = n.sum(axis=1), n[:, in_h].sum(axis=1)
-        dim = np.array([w.dim for w in ws[start : start + per]])
-        if not (((dim == e + 1) & (inside < size)) | ((dim == e - 1) & (inside == size))).all():
-            raise ValueError("w is in neither vertex family of the twisted graph")
-        # in [h], the points in sigma(c) for all |W ∩ h| points c of W ∩ h (all
-        # of [h] when there are none: sigma(0) = h); outside [h], those of W
-        blocks = np.where(in_h, n[:, sigma.points].astype(np.float32) @ sig == inside[:, None], n > 0)
-        out.extend(np.flatnonzero(block).tolist() for block in blocks)
+    for rows, pts in groups:
+        for start in range(0, len(rows), per):
+            n = _incidence(pts[start : start + per], v)
+            size, inside = n.sum(axis=1), n[:, in_h].sum(axis=1)
+            # a point set of [e+1]_q points is an (e+1)-subspace, one of [e-1]_q an (e-1)-subspace
+            if not (((size == k) & (inside < size)) | ((size == k_b) & (inside == size))).all():
+                raise ValueError("w is in neither vertex family of the twisted graph")
+            # in [h], the points in sigma(c) for all |W ∩ h| points c of W ∩ h (all
+            # of [h] when there are none: sigma(0) = h); outside [h], those of W
+            blocks = np.where(in_h, n[:, sigma.points].astype(np.float32) @ sig == inside[:, None], n > 0)
+            if (wrong := np.flatnonzero(blocks.sum(axis=1) != k)).size:
+                raise ValueError(f"f of {ws[rows[start + wrong[0]]]} has {blocks[wrong[0]].sum()} points, not {k}")
+            out[rows[start : start + per]] = np.nonzero(blocks)[1].reshape(len(blocks), k)
     return out
 
 
@@ -574,7 +632,7 @@ def f_map(w: Subspace, h: Subspace, s: Polarity) -> frozenset:
     the block has (q^(e+1)-1)/(q-1) points.  s(U) is the intersection of
     s(c) over the points c of U.  A batch of one of `_block_map`.
     """
-    return frozenset(_block_map([w], _point_sets([w]), h, s)[0])
+    return frozenset(_block_map([w], _point_sets([w]), h, s)[0].tolist())
 
 
 def jt_design(field: Field, e: int, h: Subspace = None, s: Polarity = None) -> Design:
@@ -597,7 +655,7 @@ def intersection_spectrum(d: Design) -> Counter:
     for _, counts in _pair_counts(inc):
         hist += np.bincount(counts.astype(np.intp).ravel(), minlength=d.v + 1)
     # Every unordered pair was counted twice, and each block met itself.
-    hist -= np.bincount([len(blk) for blk in d.blocks], minlength=d.v + 1)
+    hist -= np.bincount(inc.sum(axis=1, dtype=np.intp), minlength=d.v + 1)
     return Counter({size: int(c) // 2 for size, c in enumerate(hist) if c})
 
 
@@ -620,13 +678,14 @@ class IsoCertificate:
 
 def _certificate(d: Design, blocks) -> IsoCertificate:
     """The block map as an index permutation: vertex i goes to the block of
-    d holding exactly the sorted point indices blocks[i].  ValueError names
-    the first vertex whose image is not a block of d."""
-    mapping = [d._index.get(tuple(block), -1) for block in blocks]
-    if -1 in mapping:
-        i = mapping.index(-1)
-        raise ValueError(f"f of vertex {i} is not a block of the design: {tuple(blocks[i])}")
-    return IsoCertificate(tuple(mapping), source=f"twisted-grassmann[{len(blocks)}]", target=f"design-blocks[{d.b}]")
+    d holding exactly the point indices of row i of the 2-D array blocks.
+    ValueError names the first vertex whose image is not a block of d."""
+    inside = (blocks < d.v).all(axis=1)  # a point past d's is in no block of d
+    mapping = np.where(inside, d.index.find(_mask_words(np.where(inside[:, None], blocks, 0), d.v)), -1)
+    if (missing := np.flatnonzero(mapping < 0)).size:
+        i = int(missing[0])
+        raise ValueError(f"f of vertex {i} is not a block of the design: {tuple(blocks[i].tolist())}")
+    return IsoCertificate(tuple(mapping.tolist()), source=f"twisted-grassmann[{len(blocks)}]", target=f"design-blocks[{d.b}]")
 
 
 class _Instance:
@@ -665,7 +724,7 @@ class _Instance:
         the (e+1)-subspaces of h, in h's own enumeration order (module
         docstring).  B holds the (e-1)-subspaces of h."""
         subs, sets = self._subspaces
-        off = ~np.isin(sets, _point_sets([self.h])[0]).all(axis=1)
+        off = ~np.isin(sets, _point_array([self.h])[0]).all(axis=1)
         b = list(enumerate_k_subspaces(self.h, self.e - 1))
         return (list(compress(subs, off)), sets[off]), (b, _point_array(b)), (list(compress(subs, ~off)), sets[~off])
 
@@ -687,17 +746,18 @@ class _Instance:
         return _count_graph(self.labels, inc, target, np.repeat([0, 1], [len(a), len(b)]))
 
     @cached_property
-    def f(self) -> list:
-        """f(W) of every vertex, in vertex order, as sorted point indices."""
+    def f(self) -> np.ndarray:
+        """f(W) of every vertex, in vertex order: one sorted row of [e+1]_q
+        point indices each."""
         (a, a_sets), (b, b_sets), _ = self.families
-        return _block_map(a + b, a_sets.tolist() + b_sets.tolist(), self.h, self.s)
+        return _block_map(a + b, _by_size([a_sets, b_sets]), self.h, self.s)
 
     @cached_property
     def jt(self) -> Design:
         """The JT design: the blocks f(A), then the blocks inside h."""
         (a, _), _, (inside, inside_sets) = self.families
         labels = [("A", w) for w in a] + [("B", u) for u in inside]
-        return Design(self.points, self.f[: len(a)] + inside_sets.tolist(), labels)
+        return Design(self.points, np.vstack([self.f[: len(a)], inside_sets]), labels)
 
     @cached_property
     def pg(self) -> Design:
@@ -713,4 +773,4 @@ class _Instance:
     def vertex_index(self) -> _SetIndex:
         """The index of the vertex point sets, rows in vertex order."""
         (_, a_sets), (_, b_sets), _ = self.families
-        return _SetIndex(a_sets.tolist() + b_sets.tolist(), len(self.points))
+        return _SetIndex(_by_size([a_sets, b_sets]), len(self.points))

@@ -10,7 +10,8 @@ multiplication tables, and a negation table.  add, neg, sub and mul are
 then a range check and one lookup, the same code for every p and f.
 The row kernel `_lincomb` folds whole rows through the tables with no
 checks, so raw entries are checked where they enter (`_check_vector`):
-a table indexed by -1 would silently read its last row.  The q x q
+a table indexed by -1 would silently read its last row, and one indexed
+by 1.0 or True would raise a bare TypeError or pass for 1.  The q x q
 tables bound q by 256: they build in about 0.3 s there, against 2.4 s
 and some 60 MB at q = 1024, and no construction here needs q > 16.
 
@@ -21,7 +22,10 @@ coefficients), which makes every field deterministic across runs.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 Q_MAX = 256
+_INT = frozenset([int])
 
 _FIELD_CACHE: dict[tuple[int, int], "Field"] = {}
 
@@ -200,8 +204,15 @@ class Field:
         return range(self.q)
 
     def _check_vector(self, v) -> tuple:
-        """v as a tuple, after a range check of every entry."""
+        """v as a tuple of ints, after a type and range check of every entry.
+        A numpy integer becomes an int; a bool or any other value that is not
+        an integer raises ValueError."""
         v = tuple(v)
+        if not _INT.issuperset(map(type, v)):  # one set lookup per entry: this runs on every vector
+            for j, x in enumerate(v):
+                if isinstance(x, bool) or not isinstance(x, Integral):
+                    raise ValueError(f"vector entry {j} is not an integer: {x!r}")
+            v = tuple(map(int, v))
         if v and not (0 <= min(v) and max(v) < self.q):
             for x in v:
                 self.check(x)

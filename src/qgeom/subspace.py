@@ -72,10 +72,9 @@ class Subspace:
     pivots: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for row in self.basis_rows:
-            self.field._check_vector(row)
-        pivots = tuple(next(j for j, x in enumerate(row) if x) for row in self.basis_rows)
-        object.__setattr__(self, "pivots", pivots)
+        rows = tuple(map(self.field._check_vector, self.basis_rows))
+        object.__setattr__(self, "basis_rows", rows)
+        object.__setattr__(self, "pivots", tuple(next(j for j, x in enumerate(row) if x) for row in rows))
 
     @property
     def dim(self) -> int:

@@ -328,7 +328,7 @@ def test_set_index_finds_every_key_at_its_own_row(setting22, setting32, jt22, jt
     from qgeom.geometry import _Instance, _mask_words, _sigma
 
     for (field, h, s), d, g in ((setting22, jt22, tg22), (setting32, jt32, tg32)):
-        for index in (_set_index(d), _set_index(g), _sigma(s).index, _Instance(field, 2, h, s).vertex_index):
+        for index in (d.index, _set_index(g), _sigma(s).index, _Instance(field, 2, h, s).vertex_index):
             identity = np.arange(d.v, dtype=np.uint8)[None]
             assert index.images(identity)[0].tolist() == list(range(len(index)))
             for rows, pts in index.groups:
@@ -337,7 +337,6 @@ def test_set_index_finds_every_key_at_its_own_row(setting22, setting32, jt22, jt
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_set_index_agrees_with_has_block_on_random_sets(request, q):
-    from qgeom.autgroup import _set_index
     from qgeom.geometry import _mask_words
 
     d = request.getfixturevalue(f"jt{q}2")
@@ -345,7 +344,7 @@ def test_set_index_agrees_with_has_block_on_random_sets(request, q):
     rng = random.Random(q)
     sets = [sorted(rng.sample(range(d.v), k)) for _ in range(2000)]
     sets += [list(d.blocks[rng.randrange(d.b)]) for _ in range(200)]
-    found = _set_index(d).find(_mask_words(np.array(sets), d.v))
+    found = d.index.find(_mask_words(np.array(sets), d.v))
     for pts, row in zip(sets, found.tolist()):
         assert (row >= 0) == d.has_block(pts)
         if row >= 0:
@@ -366,11 +365,11 @@ def test_mask_words_are_the_point_mask(v):
 
 
 def test_set_index_compares_every_word():
-    from qgeom.geometry import _SetIndex, _mask_words
+    from qgeom.geometry import _by_size, _SetIndex, _mask_words
 
     # keys share their first word and differ only in the second
     keys = [[0, 1, 2, 64 + i] for i in range(20)]
-    index = _SetIndex(keys, 100)
+    index = _SetIndex(_by_size([np.array(keys)]), 100)
     assert len(index) == 20 and len(index.columns) == 2
     assert index.find(_mask_words(np.array(keys), 100)).tolist() == list(range(20))
     others = np.array([[0, 1, 2, 84 + i] for i in range(16)] + [[0, 1, 2, 3]] + [[1, 2, 3, 64 + i] for i in range(20)])

@@ -510,3 +510,28 @@ def test_gram_entries_must_be_integers(entry, tmp_path, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: gram entry at row 2, column 1 is not an integer")
+
+
+def _without_elapsed(obj):
+    """A report with every elapsed time taken out, at any depth."""
+    if isinstance(obj, dict):
+        return {key: _without_elapsed(value) for key, value in obj.items() if key != "elapsed"}
+    return [_without_elapsed(x) for x in obj] if isinstance(obj, list) else obj
+
+
+@pytest.mark.parametrize("q", ["2", "3"])
+def test_verify_all_never_reads_the_design_blocks(q, monkeypatch, capsys):
+    # every check reads the designs' point arrays and their index, not the tuple view
+    from qgeom import Design
+
+    code, out, _ = run(capsys, "verify", "all", "--q", q)
+    assert code == 0
+    expected = json.loads(out)
+
+    def refuse(self):
+        raise AssertionError("Design.blocks was read")
+
+    monkeypatch.setattr(Design, "blocks", property(refuse))
+    code, out, _ = run(capsys, "verify", "all", "--q", q)
+    assert code == 0
+    assert _without_elapsed(json.loads(out)) == _without_elapsed(expected)

@@ -401,7 +401,13 @@ def test_point_sets_match_projective_points(p, f, n):
     # every k-subspace, k = 0..n-1, in one call: one kernel batch per dimension
     subs = [w for k in range(n) for w in enumerate_k_subspaces(full_space(field, n), k)]
     assert len(subs) == sum(gaussian_binomial(n, k, field.q) for k in range(n))
-    assert _point_sets(subs) == [sorted(index[pt.rep] for pt in projective_points(w)) for w in subs]
+    groups = _point_sets(subs)
+    assert sorted(pts.shape[1] for _, pts in groups) == [(field.q ** k - 1) // (field.q - 1) for k in range(n)]
+    sets = [None] * len(subs)
+    for rows, pts in groups:
+        for r, row in zip(rows.tolist(), pts.tolist()):
+            sets[r] = row
+    assert sets == [sorted(index[pt.rep] for pt in projective_points(w)) for w in subs]
 
 
 def test_point_images_are_the_same_in_slabs_of_one(monkeypatch):
@@ -409,9 +415,9 @@ def test_point_images_are_the_same_in_slabs_of_one(monkeypatch):
 
     field = field_new(3, 2)
     subs = list(enumerate_k_subspaces(full_space(field, 3), 2))
-    whole = geometry._point_sets(subs)
+    whole = geometry._point_array(subs)
     monkeypatch.setattr(geometry, "_SLAB_BYTES", 1)
-    assert geometry._point_sets(subs) == whole
+    assert np.array_equal(geometry._point_array(subs), whole)
 
 
 @pytest.mark.parametrize("v,dtype", [(256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32)])
@@ -497,10 +503,105 @@ def test_incidence_is_the_same_from_arrays_lists_and_ragged_sets():
     from_array = _incidence(a_sets, v)
     assert from_array.dtype == np.uint8 and from_array.shape == (len(a_sets), v)
     assert (from_array.sum(axis=1) == a_sets.shape[1]).all()
-    assert from_array.tobytes() == _incidence(a_sets.tolist(), v).tobytes()
-    mixed = _incidence([*a_sets.tolist(), *b_sets.tolist()], v)
+    assert from_array.tobytes() == Design(range(v), a_sets).incidence().tobytes()
+    mixed = Design(range(v), [*a_sets.tolist(), *b_sets.tolist()]).incidence()
     assert mixed.tobytes() == np.vstack([from_array, _incidence(b_sets, v)]).tobytes()
-    for empty in ([], np.zeros((0, 4), dtype=np.uint8)):
-        assert _incidence(empty, v).tobytes() == np.zeros((0, v), dtype=np.uint8).tobytes()
+    for empty in (_incidence(np.zeros((0, 4), dtype=np.uint8), v), Design(range(v), []).incidence()):
+        assert empty.tobytes() == np.zeros((0, v), dtype=np.uint8).tobytes()
     ragged = Design(range(4), [(0, 1, 2), (3,), ()]).incidence()
     assert ragged.tobytes() == np.array([[1, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]], dtype=np.uint8).tobytes()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_instance_f_is_one_array_of_sorted_blocks(q):
+    from qgeom.geometry import _Instance
+
+    inst = _Instance(field_new(q), 2)
+    f = inst.f
+    assert isinstance(f, np.ndarray) and f.dtype.kind == "u"
+    assert f.shape == (len(inst.labels), q ** 2 + q + 1)
+    assert (np.diff(f.astype(np.intp), axis=1) > 0).all()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_design_from_an_array_equals_the_design_from_its_rows(q):
+    from qgeom.geometry import _Instance
+
+    inst = _Instance(field_new(q), 2)
+    (a, _), _, (_, inside_sets) = inst.families
+    arr = np.vstack([inst.f[: len(a)], inside_sets])[:, ::-1]  # rows unsorted: the design sorts them
+    from_array, from_rows = Design(inst.points, arr), Design(inst.points, arr.tolist())
+    assert from_array.blocks == from_rows.blocks == inst.jt.blocks
+    assert from_array.incidence().tobytes() == from_rows.incidence().tobytes() == inst.jt.incidence().tobytes()
+    for d in (from_array, from_rows):
+        assert [(r.tolist(), p.tolist()) for r, p in d.index.groups] == [
+            (r.tolist(), p.tolist()) for r, p in inst.jt.index.groups
+        ]
+        assert np.array_equal(d.index.slots, inst.jt.index.slots)
+
+
+@pytest.mark.parametrize(
+    "blocks, names",
+    [
+        (np.array([[True, False], [False, True]]), "block 0 has an index that is not an integer"),
+        (np.array([[0.0, 1.0], [1.0, 2.0]]), "block 0 has an index that is not an integer"),
+        (np.array([[0, 1], [2, 3], [1, 1]]), "block 2 repeats a point"),
+        (np.array([[0, 1], [2, 4], [1, 3]]), "block 1 has point indices outside 0..3"),
+        (np.array([[0, 1], [2, 3], [1, 0]]), "blocks 0 and 2 are identical"),
+    ],
+    ids=["bool", "float", "repeat", "range", "identical"],
+)
+def test_design_refuses_an_array_as_it_refuses_its_rows(blocks, names):
+    with pytest.raises(ValueError, match=names) as from_array:
+        Design(range(4), blocks)
+    with pytest.raises(ValueError, match=names) as from_rows:
+        Design(range(4), blocks.tolist())
+    assert str(from_array.value) == str(from_rows.value)
+
+
+def test_design_of_one_empty_block_builds_an_index():
+    from qgeom.geometry import _mask_words
+
+    d = Design([], [[]])
+    assert d.b == 1 and len(d.index) == 1 and d.has_block(()) and d.block_index([]) == 0
+    assert d.index.find(_mask_words(np.zeros((1, 0), dtype=np.uint8), 0)).tolist() == [0]
+    assert Design([], []).b == 0 and not Design([], []).has_block(())
+
+
+def test_design_lookups_refuse_what_is_not_a_block():
+    d = Design(range(4), [(0, 1), (1, 2, 3)])
+    assert d.block_index([3, 2, 1]) == 1 and d.has_block(np.array([1, 0]))
+    for other in ([0, 0, 1], [0, 4], [-1, 0], [0.0, 1], ["0", "1"], [None, 1], [2**70, 1], [1], [0, 1, 2]):
+        assert not d.has_block(other)
+    with pytest.raises(KeyError):
+        d.block_index([0, 2])
+
+
+def test_block_map_names_a_subspace_whose_image_has_the_wrong_size(monkeypatch):
+    import qgeom.geometry as geometry
+
+    inst = geometry._Instance(field_new(2), 2)
+    real = geometry._sigma(inst.s)
+    # every sigma(c) loses a point, so f(W) falls short of [e+1]_q = 7 points
+    broken = geometry._Sigma(real.points, real.images, real.sets[:, 1:], real.index)
+    monkeypatch.setattr(geometry, "_sigma", lambda s: broken)
+    with pytest.raises(ValueError, match=r"f of Subspace\(GF\(2\)\^5, dim \d: .*\) has \d+ points, not 7"):
+        inst.f
+
+
+def test_design_index_survives_pickling(jt22):
+    import pickle
+
+    from qgeom.geometry import _mask_words
+
+    index = pickle.loads(pickle.dumps(jt22.index))
+    for rows, pts in index.groups:
+        assert index.find(_mask_words(pts, jt22.v)).tolist() == rows.tolist()
+    d = pickle.loads(pickle.dumps(jt22))
+    assert d.blocks == jt22.blocks and d.block_labels == jt22.block_labels
+
+
+def test_certificate_refuses_blocks_past_the_design_points(setting32, tg32, jt22):
+    field, h, s = setting32
+    with pytest.raises(ValueError, match="f of vertex 0 is not a block of the design"):
+        f_certificate(tg32, jt22, h, s)

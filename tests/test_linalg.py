@@ -159,3 +159,35 @@ def test_shape_validation():
         Matrix(f, [(1, 0), (1,)])
     with pytest.raises(ValueError):
         Matrix(f, [(2, 0)])
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, np.bool_(True), "1", None], ids=repr)
+def test_field_entries_that_are_not_integers_are_refused(bad):
+    from qgeom import SemilinearMap, coordinate_hyperplane, polarity_new, span
+    from qgeom.subspace import Subspace, normalize_point
+
+    F = field_new(3)
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    makers = [
+        lambda: Matrix(F, [[bad, 0], [0, 1]]),
+        lambda: Matrix(F, [[1, 0], [0, 1]]).apply_col((bad, 1)),
+        lambda: Subspace(F, 2, ((1, bad),)),
+        lambda: span(F, 2, [(1, bad)]),
+        lambda: normalize_point(F, (1, bad)),
+        lambda: SemilinearMap(Matrix(F, [[1, 0, 0], [0, 1, 0], [0, 0, bad]]), 0),
+        lambda: polarity_new(F, coordinate_hyperplane(F, 5), Matrix(F, [*eye[:3], [0, 0, 0, bad]])),
+    ]
+    for make in makers:
+        with pytest.raises(ValueError, match=r"vector entry \d is not an integer: "):
+            make()
+
+
+def test_numpy_integer_field_entries_are_ints():
+    from qgeom.subspace import Subspace, normalize_point
+
+    F = field_new(3)
+    m = Matrix(F, [[np.int64(1), np.uint8(0)], [0, np.int32(1)]])
+    assert m == Matrix.identity(F, 2) and all(type(x) is int for row in m.entries for x in row)
+    assert normalize_point(F, (np.int64(2), 1)).rep == (1, 2)
+    w = Subspace(F, 2, ((np.int64(1), np.int64(2)),))
+    assert w.basis_rows == ((1, 2),) and type(w.basis_rows[0][0]) is int
