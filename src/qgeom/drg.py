@@ -300,15 +300,15 @@ def check_2design(d: Design):
         p = int(bad[0])
         return NotDesign("replication", (p,), r, int(rep[p]))
     lam = 0
-    cols = np.arange(v)
     for start, counts in _pair_counts(inc.T):
         if start == 0 and v > 1:
             lam = int(counts[0, 1])
-        rows = np.arange(start, start + len(counts))
-        wrong = np.argwhere((counts != lam) & (cols > rows[:, None]))
+        # column c is point start + c; the pairs past the diagonal, in row order
+        past = np.arange(counts.shape[1]) > np.arange(len(counts))[:, None]
+        wrong = np.argwhere((counts != lam) & past)
         if len(wrong):
-            a, bb = (int(x) for x in wrong[0])
-            return NotDesign("pair_count", (start + a, bb), lam, int(counts[a, bb]))
+            a, c = (int(x) for x in wrong[0])
+            return NotDesign("pair_count", (start + a, start + c), lam, int(counts[a, c]))
     return DesignParameters(v=v, b=d.b, r=r, k=k, lambda_=lam)
 
 

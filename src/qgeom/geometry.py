@@ -41,13 +41,18 @@ per vertex, and the JT design is built from its rows.
 Every pairwise count goes through one representation and one kernel:
 a subspace is the set of projective points it contains, a family of
 subspaces or blocks is the 0/1 incidence matrix N of those point sets,
-and all intersection sizes are entries of N·Nᵀ, computed in row blocks
-by `_pair_counts`.  A d-dimensional subspace has [d]_q = (q^d-1)/(q-1)
-points, so intersection dimensions are read off as point counts.
+and all intersection sizes are entries of N·Nᵀ, computed by
+`_pair_counts` in blocks of 64 rows, each against the rows from its own
+start on: only the upper triangle j >= i is formed, and every caller
+reads a pair i < j there.  A d-dimensional subspace has [d]_q =
+(q^d-1)/(q-1) points, so intersection dimensions are read off as point
+counts.
 
 A graph is one packed adjacency matrix: `_count_graph` packs each row
-block of counts straight into it, and the operations that need 0/1
-columns unpack at most 64 rows at a time (`_row_strips`).
+block of counts straight into its rows from the block's start on, and
+mirrors the block into its own 64 columns of the rows below it.  The
+operations that need 0/1 columns unpack at most 64 rows at a time
+(`_row_strips`).
 
 The block map f works on the same point sets.  A polarity sigma of h
 reverses inclusion, so sigma(U) is the intersection of sigma(c) over
@@ -106,8 +111,12 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges, labels=None):
         pairs = [_indices(e, f"edge {i}") for i, e in enumerate(edges)]
-        ends = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2)  # a 4-tuple is no two edges
-        if ends.size and not (ends.min() >= 0 and ends.max() < n):
+        try:
+            ends = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2)  # a 4-tuple is no two edges
+            inside = not ends.size or (ends.min() >= 0 and ends.max() < n)
+        except OverflowError:  # an endpoint past intp lies outside 0..n-1 too
+            inside = False
+        if not inside:
             raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
         adj = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
         u, v = np.concatenate([ends, ends[:, ::-1]]).T
@@ -200,9 +209,9 @@ class Design:
                 bi = sum(map(len, sets)) + int(bad[0])
                 fault = "repeats a point" if repeats[bad[0]] else f"has point indices outside 0..{v - 1}"
                 raise ValueError(f"block {bi} {fault}")
-            sets.append(a.astype(_index_dtype(v)))
+            sets.append(a.astype(_index_dtype(v), copy=False))
         self.index = _SetIndex(_by_size(sets), v)
-        first = self.index.find(np.stack(self.index.columns, axis=1))  # the first block with each key
+        first = self.index.find(self.index.columns)  # the first block with each key
         if (again := np.flatnonzero(first != np.arange(len(first)))).size:
             raise ValueError(f"blocks {first[again[0]]} and {again[0]} are identical")
         self._blocks = None
@@ -239,7 +248,7 @@ class Design:
             return -1
         if not ((0 <= pts) & (pts < self.v)).all():
             return -1
-        return int(self.index.find(_mask_words(pts.astype(np.intp), self.v)[None])[0])
+        return int(self.index.find(_mask_words(pts.astype(np.intp), self.v)[:, None])[0])
 
     def block_index(self, block) -> int:
         if (row := self._row(block)) < 0:
@@ -431,14 +440,16 @@ class _SetIndex:
         """groups: (numbers, points) per set size, as `_by_size` gives them."""
         self.v = v
         self.groups = groups
-        keys = np.empty((sum(len(rows) for rows, _ in groups), max(1, (v + 63) // 64)), dtype=np.uint64)
+        keys = np.empty((max(1, (v + 63) // 64), sum(len(rows) for rows, _ in groups)), dtype=np.uint64)
+        per = max(1, _SLAB_BYTES // (8 * len(keys)))  # sets per slab of mask words
         for rows, pts in groups:
-            keys[rows] = _mask_words(pts, v)
-        self.columns = list(keys.T.copy())  # word w of every key, contiguous
-        self.bits = max(1, 4 * len(keys) - 1).bit_length()  # load at most 1/4
+            for start in range(0, len(rows), per):
+                keys[:, rows[start : start + per]] = _mask_words(pts[start : start + per], v).T
+        self.columns = list(keys)  # word w of every key, contiguous
+        self.bits = max(1, 4 * len(self) - 1).bit_length()  # load at most 1/4
         self.slots = np.full(1 << self.bits, -1, dtype=np.intp)
-        home = self._home(keys)
-        pending = np.arange(len(keys))
+        home = self._home(self.columns)
+        pending = np.arange(len(self))
         self.max_probe = -1
         while pending.size:  # round r places keys at home + r, first come first
             self.max_probe += 1
@@ -451,23 +462,25 @@ class _SetIndex:
     def __len__(self):
         return len(self.columns[0])
 
-    def _home(self, words: np.ndarray) -> np.ndarray:
-        h = words[:, 0] * _MIX
-        for w in range(1, words.shape[1]):
-            h = (h ^ words[:, w]) * _MIX
+    def _home(self, words) -> np.ndarray:
+        h = words[0] * _MIX
+        for word in words[1:]:
+            h = (h ^ word) * _MIX
         return (h >> np.uint64(64 - self.bits)).astype(np.intp)
 
-    def _matches(self, slot: np.ndarray, words: np.ndarray) -> np.ndarray:
+    def _matches(self, slot: np.ndarray, words) -> np.ndarray:
         """Is each slot filled with a key equal to words in every word?"""
         same = slot >= 0
-        for w, column in enumerate(self.columns):
-            same &= column[slot] == words[:, w]
+        for column, word in zip(self.columns, words):
+            same &= column[slot] == word
         return same
 
-    def find(self, words: np.ndarray) -> np.ndarray:
-        """The row of each set given by its mask words, or -1 if absent."""
+    def find(self, words) -> np.ndarray:
+        """The row of each set given by its mask words, or -1 if absent.
+        words[w] holds word w of every set, as `columns` holds the keys': a
+        list of word arrays, or the transpose of `_mask_words` rows."""
         if not len(self):  # no key to compare with
-            return np.full(len(words), -1, dtype=np.intp)
+            return np.full(len(words[0]), -1, dtype=np.intp)
         at = self._home(words)
         slot = self.slots[at]
         out = np.where(self._matches(slot, words), slot, -1)
@@ -477,7 +490,7 @@ class _SetIndex:
             if not todo.size:
                 break
             slot = self.slots[(at[todo] + probe) & (len(self.slots) - 1)]
-            same = self._matches(slot, words[todo])
+            same = self._matches(slot, [word[todo] for word in words])
             out[todo[same]] = slot[same]
             todo = todo[(slot >= 0) & ~same]
         return out
@@ -494,40 +507,58 @@ class _SetIndex:
                 step = max(1, per // len(sets))  # elements per slab
                 for g in range(0, len(perms), step):
                     words = _mask_words(perms[g : g + step, sets], self.v)
-                    found = self.find(words.reshape(-1, words.shape[-1]))
+                    found = self.find(words.reshape(-1, words.shape[-1]).T)
                     out[g : g + step, rows[r : r + per]] = found.reshape(-1, len(sets))
         return out
 
 
 def _pair_counts(n: np.ndarray):
-    """Yield (start, counts) with counts = n[start:start+64] @ n.T.
+    """Yield (start, counts) with counts = n[start:start+64] @ n[start:].T.
 
     The one pairwise-intersection kernel: for a 0/1 matrix n, counts[i, j]
-    is the number of columns where rows start+i and j both hold a 1.  The
-    products run in float32 through BLAS, which is exact while every sum is
-    below 2**24; row blocks keep the full rows x rows matrix out of memory.
+    is the number of columns where rows start+i and start+j both hold a 1.
+    Each row block meets only the rows from its own start on, so every pair
+    j >= i is formed once and the lower triangle never; a caller that needs
+    a pair i > j reads it as (j, i).  The products run in float32 through
+    BLAS, which is exact while every sum is below 2**24; row blocks keep
+    the full rows x rows matrix out of memory.  Every counts is a view of
+    one buffer, which the next block overwrites.
     """
     if n.shape[1] >= _EXACT_F32:
         raise ValueError(f"{n.shape[1]} columns exceed exact float32 counting")
     f = n.astype(np.float32)
+    out = np.empty((_BLOCK_ROWS, len(f)), dtype=np.float32)
     for start in range(0, len(f), _BLOCK_ROWS):
-        yield start, f[start : start + _BLOCK_ROWS] @ f.T
+        rows = f[start : start + _BLOCK_ROWS]
+        yield start, np.matmul(rows, f[start:].T, out=out[: len(rows), : len(f) - start])
 
 
 def _count_graph(labels, n: np.ndarray, target, family=None) -> Graph:
     """The graph on the rows of n: rows i != j are adjacent when they share
     target[family[i]][family[j]] columns, or `target` columns when no
-    families are given."""
+    families are given.
+
+    Each row block of `_pair_counts` fills its rows from its own start on,
+    and its transpose fills its 64 columns (8 bytes, as _BLOCK_ROWS is a
+    multiple of 8) in the rows below it, so every byte is written once."""
     if family is None:
         family = np.zeros(len(n), dtype=np.intp)
         target = [[target]]
-    target = np.asarray(target)
+    # row a: the count that makes a family-a row adjacent to each row
+    target = np.asarray(target, dtype=np.float32)[:, family]
     adj = np.empty((len(n), (len(n) + 7) // 8), dtype=np.uint8)
+    hits = np.empty((_BLOCK_ROWS, len(n)), dtype=bool)
     for start, counts in _pair_counts(n):
-        rows = np.arange(start, start + len(counts))
-        hit = counts == target[family[rows, None], family]
-        hit[rows - start, rows] = False
-        adj[rows] = np.packbits(hit, axis=1, bitorder="little")
+        size = len(counts)
+        hit = hits[:size, : counts.shape[1]]
+        block = family[start : start + size]
+        for a in range(block.min(), block.max() + 1):  # the families of the block's rows
+            np.equal(counts, target[a, start:], out=hit, where=(block == a)[:, None])
+        hit[np.arange(size), np.arange(size)] = False
+        adj[start : start + size, start // 8 :] = np.packbits(hit, axis=1, bitorder="little")
+        # byte b of row start+size+j: the hits of rows start+8b..start+8b+7 in column j
+        col = start // 8
+        adj[start + size :, col : col + 8] = np.packbits(hit[:, size:], axis=0, bitorder="little").T
     return Graph(labels, adj)
 
 
@@ -650,13 +681,13 @@ def block_graph(d: Design, threshold: int) -> Graph:
 
 def intersection_spectrum(d: Design) -> Counter:
     """Multiset of |B1 ∩ B2| over unordered distinct block pairs."""
-    inc = d.incidence()
     hist = np.zeros(d.v + 1, dtype=np.int64)
-    for _, counts in _pair_counts(inc):
-        hist += np.bincount(counts.astype(np.intp).ravel(), minlength=d.v + 1)
-    # Every unordered pair was counted twice, and each block met itself.
-    hist -= np.bincount(inc.sum(axis=1, dtype=np.intp), minlength=d.v + 1)
-    return Counter({size: int(c) // 2 for size, c in enumerate(hist) if c})
+    for _, counts in _pair_counts(d.incidence()):
+        size = len(counts)
+        # the pairs j > i: above the diagonal of the block's own rows, then every later row
+        for part in counts[np.triu_indices(size, 1)], counts[:, size:]:
+            hist += np.bincount(part.astype(np.intp).ravel(), minlength=d.v + 1)
+    return Counter({size: int(c) for size, c in enumerate(hist) if c})
 
 
 @dataclass(frozen=True)
@@ -681,7 +712,7 @@ def _certificate(d: Design, blocks) -> IsoCertificate:
     d holding exactly the point indices of row i of the 2-D array blocks.
     ValueError names the first vertex whose image is not a block of d."""
     inside = (blocks < d.v).all(axis=1)  # a point past d's is in no block of d
-    mapping = np.where(inside, d.index.find(_mask_words(np.where(inside[:, None], blocks, 0), d.v)), -1)
+    mapping = np.where(inside, d.index.find(_mask_words(np.where(inside[:, None], blocks, 0), d.v).T), -1)
     if (missing := np.flatnonzero(mapping < 0)).size:
         i = int(missing[0])
         raise ValueError(f"f of vertex {i} is not a block of the design: {tuple(blocks[i].tolist())}")

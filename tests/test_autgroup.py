@@ -332,7 +332,7 @@ def test_set_index_finds_every_key_at_its_own_row(setting22, setting32, jt22, jt
             identity = np.arange(d.v, dtype=np.uint8)[None]
             assert index.images(identity)[0].tolist() == list(range(len(index)))
             for rows, pts in index.groups:
-                assert index.find(_mask_words(pts, d.v)).tolist() == rows.tolist()
+                assert index.find(_mask_words(pts, d.v).T).tolist() == rows.tolist()
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -344,7 +344,7 @@ def test_set_index_agrees_with_has_block_on_random_sets(request, q):
     rng = random.Random(q)
     sets = [sorted(rng.sample(range(d.v), k)) for _ in range(2000)]
     sets += [list(d.blocks[rng.randrange(d.b)]) for _ in range(200)]
-    found = d.index.find(_mask_words(np.array(sets), d.v))
+    found = d.index.find(_mask_words(np.array(sets), d.v).T)
     for pts, row in zip(sets, found.tolist()):
         assert (row >= 0) == d.has_block(pts)
         if row >= 0:
@@ -371,9 +371,9 @@ def test_set_index_compares_every_word():
     keys = [[0, 1, 2, 64 + i] for i in range(20)]
     index = _SetIndex(_by_size([np.array(keys)]), 100)
     assert len(index) == 20 and len(index.columns) == 2
-    assert index.find(_mask_words(np.array(keys), 100)).tolist() == list(range(20))
+    assert index.find(_mask_words(np.array(keys), 100).T).tolist() == list(range(20))
     others = np.array([[0, 1, 2, 84 + i] for i in range(16)] + [[0, 1, 2, 3]] + [[1, 2, 3, 64 + i] for i in range(20)])
-    assert (index.find(_mask_words(others, 100)) == -1).all()
+    assert (index.find(_mask_words(others, 100).T) == -1).all()
 
 
 def test_theorem2_batch_matches_single_calls(setting32, tg32, jt32):

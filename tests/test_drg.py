@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -245,6 +246,29 @@ def test_check_2design_pair_witness():
     # even replication, but the pair (0,3) is never covered
     d = Design(range(4), [(0, 1), (2, 3), (0, 2), (1, 3)])
     assert check_2design(d) == NotDesign("pair_count", (0, 3), 1, 0)
+
+
+def test_check_2design_pair_witness_in_a_later_row_block(jt32):
+    # Two blocks with the same points below 64 trade one point each: every
+    # replication and every pair count of a point below 64 stay, so the first
+    # bad pair lies in the second row block of 64 points.
+    blocks = list(jt32.blocks)
+    low = {}
+    for i, block in enumerate(blocks):
+        key = tuple(p for p in block if p < 64)
+        if key in low:
+            break
+        low[key] = i
+    j = low[key]
+    a, b = min(set(blocks[i]) - set(blocks[j])), min(set(blocks[j]) - set(blocks[i]))
+    blocks[i] = sorted(set(blocks[i]) - {a} | {b})
+    blocks[j] = sorted(set(blocks[j]) - {b} | {a})
+    d = Design(range(jt32.v), blocks)
+    inc = d.incidence().astype(int)
+    counts = ((x, y, int(inc[:, x] @ inc[:, y])) for x, y in combinations(range(d.v), 2))
+    x, y, found = next(c for c in counts if c[2] != 13)
+    assert x >= 64
+    assert check_2design(d) == NotDesign("pair_count", (x, y), 13, found)
 
 
 def test_p_rank_values(jt22, pg22):

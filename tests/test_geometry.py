@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -69,6 +70,12 @@ def test_graph_rejects_wrong_shape_or_dtype():
     for bad_edge in [(0, 3), (-1, 0)]:
         with pytest.raises(ValueError, match="edge endpoints"):
             Graph.from_edges(3, [bad_edge])
+
+
+@pytest.mark.parametrize("end", [2**70, -(2**70)])
+def test_graph_from_edges_names_an_endpoint_past_int64(end):
+    with pytest.raises(ValueError, match=r"edge endpoints must lie in 0\.\.2"):
+        Graph.from_edges(3, [(0, end)])
 
 
 def test_graph_symmetry_checked_beyond_the_first_strip():
@@ -177,6 +184,39 @@ def test_pair_counts_beyond_one_byte():
     d = Design(range(302), [range(0, 301), range(1, 302)])
     assert dict(intersection_spectrum(d)) == {300: 1}
     assert block_graph(d, 300).edges() == [(0, 1)]
+
+
+@pytest.mark.parametrize("height", [1, 7, 8, 63, 64, 65, 129, 200])
+def test_pair_counts_and_count_graph_match_the_full_product(height):
+    from qgeom.geometry import _count_graph, _pair_counts
+
+    rng = np.random.default_rng(height)
+    n = (rng.random((height, 12)) < 0.4).astype(np.uint8)
+    full = n.astype(np.int64) @ n.T.astype(np.int64)
+    starts = []
+    for start, counts in _pair_counts(n):
+        starts.append(start)
+        assert np.array_equal(counts, full[start : start + 64, start:])
+    assert starts == list(range(0, height, 64))
+    # one family, and two families split at row 70, inside the second row block
+    split = (np.arange(height) >= 70).astype(np.intp)
+    for target, family in ((3, None), ([[3, 2], [2, 1]], split)):
+        rows = np.zeros(height, dtype=np.intp) if family is None else family
+        table = np.array([[target]] if family is None else target)
+        expected = full == table[rows[:, None], rows]
+        np.fill_diagonal(expected, False)
+        g = _count_graph(range(height), n, target, family)
+        assert np.array_equal(np.unpackbits(g.adj, axis=1, count=height, bitorder="little"), expected)
+        assert height < 8 or expected.any()
+
+
+def test_intersection_spectrum_matches_every_pair_beyond_one_row_block(jt22):
+    rng = random.Random(5)
+    blocks = sorted({tuple(sorted(rng.sample(range(20), rng.randrange(1, 12)))) for _ in range(150)})
+    for d in (Design(range(20), blocks), jt22):
+        assert d.b > 64
+        literal = Counter(len(set(x) & set(y)) for x, y in combinations(d.blocks, 2))
+        assert intersection_spectrum(d) == literal
 
 
 def test_pg_design_shape(pg22):
@@ -564,7 +604,7 @@ def test_design_of_one_empty_block_builds_an_index():
 
     d = Design([], [[]])
     assert d.b == 1 and len(d.index) == 1 and d.has_block(()) and d.block_index([]) == 0
-    assert d.index.find(_mask_words(np.zeros((1, 0), dtype=np.uint8), 0)).tolist() == [0]
+    assert d.index.find(_mask_words(np.zeros((1, 0), dtype=np.uint8), 0).T).tolist() == [0]
     assert Design([], []).b == 0 and not Design([], []).has_block(())
 
 
@@ -596,7 +636,7 @@ def test_design_index_survives_pickling(jt22):
 
     index = pickle.loads(pickle.dumps(jt22.index))
     for rows, pts in index.groups:
-        assert index.find(_mask_words(pts, jt22.v)).tolist() == rows.tolist()
+        assert index.find(_mask_words(pts, jt22.v).T).tolist() == rows.tolist()
     d = pickle.loads(pickle.dumps(jt22))
     assert d.blocks == jt22.blocks and d.block_labels == jt22.block_labels
 
