@@ -318,7 +318,7 @@ def _verify_aut_sample(cfg: RunConfig, inst: _Instance):
 
 def _verify_aut_exhaustive(cfg: RunConfig, inst: _Instance):
     progress = _progress("aut-exhaustive")
-    rep = exhaustive_lift_check(inst.field, cfg.e, jobs=cfg.jobs, progress=progress, s=inst.s)
+    rep = exhaustive_lift_check(jobs=cfg.jobs, progress=progress, inst=inst)
     details = rep.to_json()
     details["expected_order"] = stabilizer_order(cfg.q, cfg.e, inst.field.f)
     return rep.ok, details

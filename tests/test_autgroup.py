@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -489,3 +490,123 @@ def test_census_raises_when_it_diverges_from_the_literal_lift(monkeypatch):
     with pytest.raises(RuntimeError, match="element 0:"):
         exhaustive_lift_check(field_new(2), 2)
     assert len(calls) == 1
+
+
+def _direct_census_chunk(start, mats, *, s, blocks, spot_stride):
+    """The census chunk with the block check on every element: the oracle
+    for the factored proof of `_census_chunk`."""
+    from qgeom.autgroup import _lift_batch, _spot_check_lifts
+    from qgeom.geometry import _point_images
+
+    field, n, m = s.field, mats.shape[1] + 1, mats.shape[1]
+    bs = np.array(list(product(range(field.p), repeat=m)), dtype=np.intp)
+    phis = np.zeros((len(mats), len(bs), n, n), dtype=np.intp)
+    phis[:, :, :m, :m] = mats[:, None]
+    phis[:, :, :m, m] = bs
+    phis[:, :, m, m] = 1
+    phis = phis.reshape(-1, n, n)
+    perms = _lift_batch(s, _point_images(field, phis, np.zeros(len(phis), dtype=np.intp)))
+    ok = blocks.images(perms) >= 0
+    failures = [
+        (tuple(map(tuple, phis[g].tolist())), int(np.argmin(ok[g])))
+        for g in np.flatnonzero(~ok.all(axis=1))
+    ]
+    return perms, failures, _spot_check_lifts(
+        "census", perms, lambda g: SemilinearMap(Matrix(field, phis[g].tolist()), 0), s, start, spot_stride
+    )
+
+
+@pytest.mark.parametrize("setting", ["identity", "symplectic", "mutant"])
+def test_factored_census_chunk_matches_the_direct_check(setting):
+    from qgeom import Design
+    from qgeom.autgroup import _census_chunk, _census_lifts, _general_linear
+    from qgeom.geometry import _Instance
+
+    f, s = _symplectic_polarity() if setting == "symplectic" else (field_new(2), None)
+    inst = _Instance(f, 2, None, s)
+    s, d = inst.s, inst.jt
+    if setting == "mutant":  # block 0 replaced by a 7-set that is no block: most lifts fail
+        assert not d.has_block(tuple(range(7)))
+        d = Design(d.points, [tuple(range(7))] + list(d.blocks[1:]))
+    _, trans = _census_lifts(s, np.eye(4, dtype=np.intp)[None])
+    trans_ok = (d.index.images(trans) >= 0).all(axis=1)
+    gl = _general_linear(2, 4)
+    (identity,) = np.flatnonzero((gl == np.eye(4)).all(axis=(1, 2)))
+    starts = (0, identity // 64 * 64, len(gl) - 64)  # the first chunk, A = I's, the last
+    linear_failed = 0
+    for a in starts:
+        mats = gl[a : a + 64]
+        perms, failures, spots = _census_chunk(
+            16 * a, mats, s=s, blocks=d.index, trans=trans, trans_ok=trans_ok, spot_stride=4001
+        )
+        direct_perms, direct_failures, direct_spots = _direct_census_chunk(
+            16 * a, mats, s=s, blocks=d.index, spot_stride=4001
+        )
+        assert np.array_equal(perms, direct_perms)
+        assert failures == direct_failures
+        assert spots == direct_spots
+        linear_failed += sum(all(row[4] == 0 for row in fail[0][:4]) for fail in failures)  # b = 0
+    if setting == "mutant":  # both kinds of factor fail somewhere
+        assert not trans_ok.all() and linear_failed
+    else:
+        assert trans_ok.all() and not linear_failed
+
+
+def test_census_reports_a_lift_that_is_not_the_product_of_its_factors(monkeypatch):
+    # Element x's batched lift repeats entry x+1 at entry x: it differs from
+    # lift(T_b).lift(L_A) in entry x alone, and maps a block through both
+    # points onto 6 points.  No element is a factor (b != 0) or on the spot
+    # stride, so only the block check can report it, whichever entry is hit.
+    import qgeom.autgroup as autgroup
+    from qgeom.autgroup import _general_linear, _lift_batch
+    from qgeom.geometry import _Instance, _point_images
+
+    f = field_new(2)
+    gl = _general_linear(2, 4)
+    bs = list(product(range(2), repeat=4))
+    elements = [16 * (600 * x + 7) + 1 + x % 15 for x in range(31)]
+    assert all(g % 16 and g % 4001 for g in elements)
+    phis = np.zeros((31, 5, 5), dtype=np.intp)
+    phis[:, :4, :4] = gl[[g // 16 for g in elements]]
+    phis[:, :4, 4] = [bs[g % 16] for g in elements]
+    phis[:, 4, 4] = 1
+    pi = _point_images(f, phis, np.zeros(31, dtype=np.intp))
+    targets = {row.tobytes(): x for x, row in enumerate(pi)}
+
+    def corrupted(s, pi):
+        lifted = _lift_batch(s, pi)
+        for g, row in enumerate(pi):
+            if (x := targets.get(row.tobytes())) is not None:
+                lifted[g, x] = lifted[g, (x + 1) % 31]
+        return lifted
+
+    inst = _Instance(f, 2)
+    wrong = corrupted(inst.s, pi)
+    blocks_ok = inst.jt.index.images(wrong) >= 0
+    monkeypatch.setattr(autgroup, "_lift_batch", corrupted)
+    rep = exhaustive_lift_check(inst=inst)
+    assert list(rep.failures) == [
+        (tuple(map(tuple, phi.tolist())), int(np.argmin(ok))) for phi, ok in zip(phis, blocks_ok)
+    ]
+    assert not rep.ok
+
+
+def test_census_pool_gives_the_single_process_report():
+    one, two = (exhaustive_lift_check(field_new(2), 2, jobs=jobs).to_json() for jobs in (1, 2))
+    assert {**two, "elapsed": None} == {**one, "elapsed": None}
+    assert one["pass"] and one["cross_checked"] == 81
+
+
+def test_census_reads_the_callers_instance(monkeypatch):
+    from qgeom.geometry import _Instance
+
+    inst = _Instance(field_new(2), 2)
+    with pytest.raises(TypeError, match="inst alone"):
+        exhaustive_lift_check(field_new(2), inst=inst)
+
+    def no_build(inst):
+        raise AssertionError("the census built a design before refusing")
+
+    monkeypatch.setattr(_Instance, "jt", property(no_build))
+    with pytest.raises(ValueError, match=r"\(q,e\)=\(2,2\)"):
+        exhaustive_lift_check(inst=_Instance(field_new(3), 2))

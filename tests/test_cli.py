@@ -185,8 +185,8 @@ def test_gram_file_reaches_the_census(tmp_path, monkeypatch, capsys):
     ]
     seen = []
 
-    def stub(field, e, jobs=1, progress=None, *, s=None):
-        seen.append(s)
+    def stub(jobs=1, progress=None, *, inst):
+        seen.append(inst.s)
         return LiftCheckReport(322560, 322560, 322560, 1, (), 81, 0.0)
 
     monkeypatch.setattr(cli, "exhaustive_lift_check", stub)
@@ -295,6 +295,24 @@ def test_verify_all_builds_each_thing_once(monkeypatch, capsys):
     assert enumerated.count((5, 3)) == 1  # the (e+1)-subspaces of V
     assert counted == [1210, 1210]  # the twisted graph, then the JT design's block graph
     assert mapped == [1210]  # f, once over every vertex
+
+
+def test_verify_all_at_2_2_forms_f_once(monkeypatch, capsys):
+    # the census reads the run's JT design, not one of its own
+    import qgeom.geometry as geometry
+
+    mapped = []
+    block_map = geometry._block_map
+
+    def map_spy(ws, *args):
+        mapped.append(len(ws))
+        return block_map(ws, *args)
+
+    monkeypatch.setattr(geometry, "_block_map", map_spy)
+    code, out, _ = run(capsys, "verify", "all", "--q", "2", "--e", "2")
+    assert code == 0
+    assert [r["check"] for r in json.loads(out)["details"]["reports"]][-1] == "aut-exhaustive"
+    assert mapped == [155]  # f, once over every vertex
 
 
 def test_verify_aut_sample_builds_no_adjacency(monkeypatch, capsys):
