@@ -368,8 +368,9 @@ def _vertex_images(labels, index, maps, pi) -> np.ndarray:
     images = index.images(pi)
     if (images < 0).any():
         raise ValueError("phi does not map the graph's vertex families onto themselves")
+    w = labels[0][1]
     for phi, first in zip(maps, images[:, 0].tolist()):
-        if labels[first][1] != phi.apply_subspace(labels[0][1]):
+        if labels[first][1] != phi.apply_subspace(w):
             raise RuntimeError("the point-level vertex action diverged from phi.apply_subspace at vertex 0")
     return images
 

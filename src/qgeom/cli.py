@@ -170,7 +170,10 @@ def _report(cfg: RunConfig, check: str, ok: bool, details: dict, t0: float) -> d
 
 def _make_object(kind: str, cfg: RunConfig, n: int | None = None, k: int | None = None):
     if kind == "grassmann":
-        return grassmann_graph(n or 2 * cfg.e + 1, k or cfg.e, cfg.q)
+        return grassmann_graph(2 * cfg.e + 1 if n is None else n, cfg.e if k is None else k, cfg.q)
+    for flag, value in (("--n", n), ("--k", k)):
+        if value is not None:
+            raise ValueError(f"{flag} applies to grassmann only, not to {kind}")
     if kind == "twisted":
         return _geometry(cfg).graph
     if kind == "pg-design":
@@ -252,12 +255,8 @@ def _verify_thm1(cfg: RunConfig, inst: _Instance):
 
 def _verify_drg(cfg: RunConfig, inst: _Instance):
     gens = stabilizer_generators(inst.field, cfg.e)
-    pi = _point_images(*_maps_as_arrays(gens))
-    progress = _progress("drg")
-    automorphisms = []
-    for i, phi in enumerate(gens):
-        automorphisms.extend(_vertex_images(inst.labels, inst.vertex_index, [phi], pi[i : i + 1]))
-        progress((i + 1) / len(gens))
+    automorphisms = _vertex_images(inst.labels, inst.vertex_index, gens, _point_images(*_maps_as_arrays(gens)))
+    _progress("drg")(1.0)
     ia_t = intersection_array(inst.graph, automorphisms)
     ia_g = grassmann_array(2 * cfg.e + 1, cfg.e, cfg.q)
     ok = isinstance(ia_t, IntersectionArray) and ia_t == ia_g

@@ -27,7 +27,7 @@ import numpy as np
 
 from .gf import field_new
 from .geometry import Design, DesignParameters, Graph, IsoCertificate
-from .geometry import _block_map, _certificate, _pair_counts, _point_count, _point_sets, _row_strips
+from .geometry import _block_map, _certificate, _pair_counts, _point_count, _row_strips, _vertex_sets
 from .linalg import _rref_mod_p
 from .polarity import Polarity
 from .subspace import Subspace
@@ -275,8 +275,7 @@ def f_certificate(g: Graph, d: Design, h: Subspace, s: Polarity) -> IsoCertifica
     """The block map as an index permutation: twisted vertex i goes to
     the design block holding exactly the points of f(W_i).  ValueError
     names the first vertex whose image is not a block of d."""
-    ws = [w for _, w in g.labels]
-    return _certificate(d, _block_map(ws, _point_sets(ws), h, s))
+    return _certificate(d, _block_map(g.labels, _vertex_sets([w for _, w in g.labels], h), h, s))
 
 
 def check_2design(d: Design):

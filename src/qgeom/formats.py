@@ -26,16 +26,22 @@ def _g6_size(n: int) -> str:
 
 
 def encode_graph6(g: Graph) -> str:
+    """The graph6 string, written 64 rows at a time: column j of the upper
+    triangle is row j up to the diagonal, and the bits short of a whole
+    6-bit group carry over into the next strip."""
     n = g.n
-    nbits = n * (n - 1) // 2
-    bits = np.zeros(-(-nbits // 6) * 6, dtype=np.uint8)  # zero-padded to whole groups
-    k = 0
-    for j in range(1, n):
-        # column j of the upper triangle is row j up to the diagonal
-        bits[k : k + j] = np.unpackbits(g.adj[j], count=j, bitorder="little")
-        k += j
-    groups = bits.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8) + 63
-    return _g6_size(n) + groups.tobytes().decode("ascii")
+    weights = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
+    parts, carry = [_g6_size(n)], np.zeros(0, dtype=np.uint8)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        rows = np.unpackbits(g.adj[start:stop], axis=1, count=stop, bitorder="little")
+        bits = np.concatenate([carry, rows[np.arange(stop) < np.arange(start, stop)[:, None]]])
+        whole = len(bits) - len(bits) % 6
+        parts.append((bits[:whole].reshape(-1, 6) @ weights + 63).tobytes().decode("ascii"))
+        carry = bits[whole:]
+    if carry.size:  # the last group, zero-padded
+        parts.append(chr(int(carry @ weights[: len(carry)]) + 63))
+    return "".join(parts)
 
 
 def decode_graph6(s: str) -> Graph:

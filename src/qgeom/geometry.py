@@ -17,6 +17,13 @@ own enumeration.  In each row of a basis inside h, the one column off
 h's pivots is fixed by the row's earlier entries, so two such bases
 first differ in a column both orders compare.
 
+The instance holds each family as two arrays, its RREF bases (from
+`subspace._rref_slabs`) and its point sets, and nothing else.  A label
+(tag, W) of a vertex or block is made from its basis row only when it is
+read (`_Labels`): the graph and the designs keep that sequence, and
+`Graph.labels` and `Design.block_labels` are the tuples made from it the
+first time they are read.  No check that passes, and no export, reads them.
+
 Every point set comes from one batched point action, `_point_images`:
 x -> M.frob^i(x), GF(q)^k to GF(q)^n with q = p^f, is GF(p)-linear on
 p-digits, so a batch of (n x k) matrices maps all points in one integer
@@ -67,27 +74,29 @@ reaches |W ∩ h| at x, so `_block_map` forms many blocks in one product.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress, groupby
+from itertools import groupby
 
 import numpy as np
 
 from .gf import Field, field_from_order
 from .polarity import Polarity, polarity_new
-from .subspace import Subspace, coordinate_hyperplane, enumerate_k_subspaces, full_space, projective_points
+from .subspace import Subspace, _rref_slabs, coordinate_hyperplane, enumerate_k_subspaces, full_space, projective_points
 
 
 class Graph:
     """Undirected graph: labels plus `adj`, a read-only (n, ceil(n/8))
     uint8 matrix whose bit j of row i, little-endian within each byte,
-    is set when vertices i and j are adjacent."""
+    is set when vertices i and j are adjacent.  Labels given as a
+    `_Labels` sequence are kept as given, and made a tuple when first read."""
 
-    __slots__ = ("labels", "adj", "__weakref__")
+    __slots__ = ("_labels", "adj", "__weakref__")
 
     def __init__(self, labels, adj):
-        labels = tuple(labels)
+        labels = labels if isinstance(labels, _Labels) else tuple(labels)
         n = len(labels)
         width = (n + 7) // 8
         if not (isinstance(adj, np.ndarray) and adj.dtype == np.uint8 and adj.shape == (n, width)):
@@ -105,7 +114,7 @@ class Graph:
                 raise ValueError("adjacency is not symmetric")
         adj = adj.view()
         adj.flags.writeable = False
-        self.labels = labels
+        self._labels = labels
         self.adj = adj
 
     @classmethod
@@ -122,6 +131,12 @@ class Graph:
         u, v = np.concatenate([ends, ends[:, ::-1]]).T
         np.bitwise_or.at(adj, (u, v >> 3), (1 << (v & 7)).astype(np.uint8))
         return cls(labels if labels is not None else range(n), adj)
+
+    @property
+    def labels(self) -> tuple:
+        if not isinstance(self._labels, tuple):
+            self._labels = tuple(self._labels)
+        return self._labels
 
     @property
     def n(self) -> int:
@@ -188,9 +203,11 @@ class Design:
     sequences, which may mix sizes.  Blocks must be distinct; repeated
     blocks raise at construction time, since the automorphism arguments
     downstream assume a block is recoverable from its point set.
+    Block labels given as a `_Labels` sequence are kept as given, and made
+    a tuple when first read, as `blocks` is.
     """
 
-    __slots__ = ("points", "block_labels", "index", "_blocks", "__weakref__")
+    __slots__ = ("points", "_block_labels", "index", "_blocks", "__weakref__")
 
     def __init__(self, points, blocks, block_labels=None):
         self.points = tuple(points)
@@ -217,8 +234,8 @@ class Design:
         self._blocks = None
         if block_labels is None:
             block_labels = range(self.b)
-        self.block_labels = tuple(block_labels)
-        if len(self.block_labels) != self.b:
+        self._block_labels = block_labels if isinstance(block_labels, _Labels) else tuple(block_labels)
+        if len(self._block_labels) != self.b:
             raise ValueError("one label per block required")
 
     @property
@@ -228,6 +245,12 @@ class Design:
     @property
     def b(self) -> int:
         return len(self.index)
+
+    @property
+    def block_labels(self) -> tuple:
+        if not isinstance(self._block_labels, tuple):
+            self._block_labels = tuple(self._block_labels)
+        return self._block_labels
 
     @property
     def blocks(self) -> tuple:
@@ -267,6 +290,38 @@ class Design:
 
     def __repr__(self):
         return f"Design(v={self.v}, b={self.b})"
+
+
+class _Labels:
+    """Labels (tag, W) held as runs of (tag, RREF bases): row i is the i-th
+    basis across the runs, with its run's tag.  Its Subspace is made from
+    the basis row, through the validating constructor, each time the row
+    is read."""
+
+    __slots__ = ("field", "runs")
+
+    def __init__(self, field: Field, runs):
+        self.field = field
+        self.runs = tuple(runs)  # (tag, a (count, k, n) uint8 array of bases) each
+
+    def __len__(self):
+        return sum(len(bases) for _, bases in self.runs)
+
+    def __getitem__(self, i):
+        i = operator.index(i)
+        for tag, bases in self.runs:  # i counts on from one run to the next
+            if 0 <= i < len(bases):
+                return tag, self._subspace(bases[i])
+            i -= len(bases)
+        raise IndexError("label index out of range")
+
+    def __iter__(self):
+        for tag, bases in self.runs:
+            for basis in bases:
+                yield tag, self._subspace(basis)
+
+    def _subspace(self, basis: np.ndarray) -> Subspace:
+        return Subspace(self.field, basis.shape[1], tuple(map(tuple, basis.tolist())))
 
 
 @dataclass(frozen=True)
@@ -358,13 +413,28 @@ def _point_images(field: Field, mats: np.ndarray, frobs: np.ndarray) -> np.ndarr
     return out
 
 
+def _basis_points(field: Field, bases: np.ndarray) -> np.ndarray:
+    """The point sets of the subspaces whose bases are the rows of a
+    (count, k, n) array, one sorted row each: the points of GF(q)^k under
+    each transposed basis."""
+    if not bases.shape[1]:  # the zero subspace has no points
+        return np.zeros((len(bases), 0), dtype=np.uint8)
+    out = _point_images(field, bases.transpose(0, 2, 1), np.zeros(len(bases), dtype=np.intp))
+    out.sort(axis=1)
+    return out
+
+
 def _point_array(subspaces) -> np.ndarray:
-    """The point sets of subspaces of one dimension k, one sorted row each:
-    the points of GF(q)^k under each transposed basis."""
-    if not subspaces[0].dim:  # the zero subspace has no points
-        return np.zeros((len(subspaces), 0), dtype=np.uint8)
-    mats = np.array([w.basis_rows for w in subspaces], dtype=np.intp).transpose(0, 2, 1)
-    return np.sort(_point_images(subspaces[0].field, mats, np.zeros(len(mats), dtype=np.intp)), axis=1)
+    """The point sets of subspaces of one dimension, one sorted row each."""
+    w = subspaces[0]
+    bases = np.array([u.basis_rows for u in subspaces], dtype=np.uint8)
+    return _basis_points(w.field, bases.reshape(len(subspaces), w.dim, w.ambient_dim))
+
+
+def _all_bases(ambient: Subspace, k: int) -> np.ndarray:
+    """The RREF bases of the k-subspaces of ambient, in enumeration order,
+    as one (count, k, n) uint8 array."""
+    return np.concatenate([*_rref_slabs(ambient, k)])
 
 
 def _point_sets(subspaces) -> list:
@@ -588,14 +658,9 @@ def pg_design(field: Field, e: int) -> Design:
     """The geometric design: points of PG(2e,q), blocks the (e+1)-subspaces."""
     if e < 1:
         raise ValueError(f"e must be >= 1, got {e}")
-    subs = list(enumerate_k_subspaces(full_space(field, 2 * e + 1), e + 1))
-    return _pg_design(subs, _point_array(subs))
-
-
-def _pg_design(subs, sets) -> Design:
-    """The geometric design on the (e+1)-subspaces subs of V, given their point sets."""
-    points = _point_order(subs[0].field, subs[0].ambient_dim)[0]
-    return Design(points, sets, [("PG", u) for u in subs])
+    bases = _all_bases(full_space(field, 2 * e + 1), e + 1)
+    points = _point_order(field, 2 * e + 1)[0]
+    return Design(points, _basis_points(field, bases), _Labels(field, [("PG", bases)]))
 
 
 @dataclass(frozen=True)
@@ -619,17 +684,16 @@ def _sigma(s: Polarity) -> _Sigma:
     return _Sigma(h_points, images, sets, _SetIndex(_by_size([sets]), len(points)))
 
 
-def _block_map(ws, groups, h: Subspace, s: Polarity) -> np.ndarray:
-    """f of each subspace of ws (see `f_map`), one sorted row of [e+1]_q
-    point indices each, given their point sets grouped by size
+def _block_map(labels, groups, h: Subspace, s: Polarity) -> np.ndarray:
+    """f of each subspace W of GF(q)^n (see `f_map`), one sorted row of
+    [e+1]_q point indices each, given their point sets grouped by size
     (`_by_size`): with N the 0/1 rows of those sets, one product N_h.S per
-    slab of rows (module docstring); outside h, f(W) holds the points of W."""
+    slab of rows (module docstring); outside h, f(W) holds the points of W.
+    Row i of labels is (tag, W) for set i; only a W named in an error is read."""
     if h.dim % 2 != 0 or h.ambient_dim != h.dim + 1:
         raise ValueError("h must be a hyperplane of odd-dimensional ambient space")
     if s.h != h:
         raise ValueError("polarity is not a polarity of h")
-    if any(w.field != h.field or w.ambient_dim != h.ambient_dim for w in ws):
-        raise ValueError("w and h live in different ambient spaces")
     e = h.dim // 2
     v = len(_point_order(h.field, h.ambient_dim)[0])
     k, k_b = _point_count(e + 1, h.field.q), _point_count(e - 1, h.field.q)
@@ -637,7 +701,7 @@ def _block_map(ws, groups, h: Subspace, s: Polarity) -> np.ndarray:
     in_h = np.isin(np.arange(v), sigma.points)
     # S[c, x] = 1 when the point x lies in sigma(c), one row per point c of [h]
     sig = _incidence(sigma.sets, v).astype(np.float32)
-    out = np.empty((len(ws), k), dtype=_index_dtype(v))
+    out = np.empty((sum(len(rows) for rows, _ in groups), k), dtype=_index_dtype(v))
     per = max(1, _SLAB_BYTES // (8 * v))  # rows per slab, about 8 bytes a column
     for rows, pts in groups:
         for start in range(0, len(rows), per):
@@ -650,7 +714,7 @@ def _block_map(ws, groups, h: Subspace, s: Polarity) -> np.ndarray:
             # of [h] when there are none: sigma(0) = h); outside [h], those of W
             blocks = np.where(in_h, n[:, sigma.points].astype(np.float32) @ sig == inside[:, None], n > 0)
             if (wrong := np.flatnonzero(blocks.sum(axis=1) != k)).size:
-                raise ValueError(f"f of {ws[rows[start + wrong[0]]]} has {blocks[wrong[0]].sum()} points, not {k}")
+                raise ValueError(f"f of {labels[rows[start + wrong[0]]][1]} has {blocks[wrong[0]].sum()} points, not {k}")
             out[rows[start : start + per]] = np.nonzero(blocks)[1].reshape(len(blocks), k)
     return out
 
@@ -663,7 +727,15 @@ def f_map(w: Subspace, h: Subspace, s: Polarity) -> frozenset:
     the block has (q^(e+1)-1)/(q-1) points.  s(U) is the intersection of
     s(c) over the points c of U.  A batch of one of `_block_map`.
     """
-    return frozenset(_block_map([w], _point_sets([w]), h, s)[0].tolist())
+    return frozenset(_block_map([(None, w)], _vertex_sets([w], h), h, s)[0].tolist())
+
+
+def _vertex_sets(ws, h: Subspace) -> list:
+    """The point sets of the subspaces ws, grouped by size (`_point_sets`),
+    once each is known to live in h's ambient space."""
+    if any(w.field != h.field or w.ambient_dim != h.ambient_dim for w in ws):
+        raise ValueError("w and h live in different ambient spaces")
+    return _point_sets(ws)
 
 
 def jt_design(field: Field, e: int, h: Subspace = None, s: Polarity = None) -> Design:
@@ -676,7 +748,7 @@ def block_graph(d: Design, threshold: int) -> Graph:
     """Blocks as vertices, adjacent when the intersection size hits threshold."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    return _count_graph(d.block_labels, d.incidence(), threshold)
+    return _count_graph(d._block_labels, d.incidence(), threshold)
 
 
 def intersection_spectrum(d: Design) -> Counter:
@@ -743,27 +815,31 @@ class _Instance:
 
     @cached_property
     def _subspaces(self):
-        """The (e+1)-subspaces of V, from one enumeration, and their point-set array."""
-        subs = list(enumerate_k_subspaces(full_space(self.field, 2 * self.e + 1), self.e + 1))
-        return subs, _point_array(subs)
+        """The RREF bases of the (e+1)-subspaces of V, from one enumeration,
+        and their point-set array."""
+        bases = _all_bases(full_space(self.field, 2 * self.e + 1), self.e + 1)
+        return bases, _basis_points(self.field, bases)
 
     @cached_property
     def families(self):
-        """(A, B, the blocks inside h), each as (subspaces, point-set array).
+        """(A, B, the blocks inside h), each as (RREF bases, point-set array).
 
         A holds the (e+1)-subspaces of V with a point off [h]; the rest are
         the (e+1)-subspaces of h, in h's own enumeration order (module
         docstring).  B holds the (e-1)-subspaces of h."""
-        subs, sets = self._subspaces
-        off = ~np.isin(sets, _point_array([self.h])[0]).all(axis=1)
-        b = list(enumerate_k_subspaces(self.h, self.e - 1))
-        return (list(compress(subs, off)), sets[off]), (b, _point_array(b)), (list(compress(subs, ~off)), sets[~off])
+        bases, sets = self._subspaces
+        in_h = np.zeros(len(self.points), dtype=bool)
+        in_h[_point_array([self.h])[0]] = True
+        off = ~in_h[sets].all(axis=1)
+        b = _all_bases(self.h, self.e - 1)
+        return (bases[off], sets[off]), (b, _basis_points(self.field, b)), (bases[~off], sets[~off])
 
     @cached_property
-    def labels(self) -> tuple:
-        """The vertex labels: ("A", W) for each of A, then ("B", W) for each of B."""
+    def labels(self) -> _Labels:
+        """The vertex labels: ("A", W) for each of A, then ("B", W) for each
+        of B, each made when it is read."""
         (a, _), (b, _), _ = self.families
-        return tuple([("A", w) for w in a] + [("B", w) for w in b])
+        return _Labels(self.field, [("A", a), ("B", b)])
 
     @cached_property
     def graph(self) -> Graph:
@@ -780,20 +856,22 @@ class _Instance:
     def f(self) -> np.ndarray:
         """f(W) of every vertex, in vertex order: one sorted row of [e+1]_q
         point indices each."""
-        (a, a_sets), (b, b_sets), _ = self.families
-        return _block_map(a + b, _by_size([a_sets, b_sets]), self.h, self.s)
+        (_, a_sets), (_, b_sets), _ = self.families
+        return _block_map(self.labels, _by_size([a_sets, b_sets]), self.h, self.s)
 
     @cached_property
     def jt(self) -> Design:
         """The JT design: the blocks f(A), then the blocks inside h."""
         (a, _), _, (inside, inside_sets) = self.families
-        labels = [("A", w) for w in a] + [("B", u) for u in inside]
+        labels = _Labels(self.field, [("A", a), ("B", inside)])
         return Design(self.points, np.vstack([self.f[: len(a)], inside_sets]), labels)
 
     @cached_property
     def pg(self) -> Design:
-        """The geometric design, from the same enumeration as the families."""
-        return _pg_design(*self._subspaces)
+        """The geometric design, from the same enumeration as the families
+        (see `pg_design`)."""
+        bases, sets = self._subspaces
+        return Design(self.points, sets, _Labels(self.field, [("PG", bases)]))
 
     @cached_property
     def certificate(self) -> IsoCertificate:

@@ -7,7 +7,10 @@ in a fixed order (echelon pivot pattern, then free entries), counts
 them with Gaussian binomials, and lists projective points.  Each pivot
 pattern is enumerated as arrays: a slab of coefficient matrices, the c-th
 holding the base-q digits of c in its free entries, times the ambient
-RREF basis through the field's add and mul tables.
+RREF basis through the field's add and mul tables.  That array core,
+`_rref_slabs`, yields each slab of RREF bases as a (count, k, n) uint8
+array; `enumerate_k_subspaces` makes a Subspace of each row as it is
+reached, and `geometry` reads the bases themselves.
 
 Vectors are tuples of field-element encodings; a projective point is
 represented by the unique spanning vector whose leading nonzero
@@ -26,7 +29,7 @@ import numpy as np
 from .gf import Field
 from .linalg import Matrix, _dot
 
-_SLAB = 1 << 16  # subspaces per slab of enumerate_k_subspaces
+_SLAB = 1 << 16  # subspaces per slab of _rref_slabs
 
 
 @dataclass(frozen=True)
@@ -217,7 +220,17 @@ def enumerate_k_subspaces(ambient: Subspace, k: int):
     Order is deterministic: pivot-column patterns lexicographically,
     then the free entries of the echelon form in row-major order with
     values ascending.  Total count is gaussian_binomial(dim, k, q).
+    Each is made from a row of `_rref_slabs`, only when it is reached.
     """
+    F, n = ambient.field, ambient.ambient_dim
+    for slab in _rref_slabs(ambient, k):
+        for rows in slab:
+            yield Subspace(F, n, tuple(map(tuple, rows.tolist())))
+
+
+def _rref_slabs(ambient: Subspace, k: int):
+    """Yield the RREF bases of the k-subspaces of `ambient`, in the order
+    of `enumerate_k_subspaces`, a (count, k, n) uint8 slab at a time."""
     d = ambient.dim
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= dim, got k={k}, dim={d}")
@@ -238,8 +251,7 @@ def enumerate_k_subspaces(ambient: Subspace, k: int):
             rows = np.repeat(basis[None, list(piv)], len(coeff), axis=0)
             for t in sorted({j for _, j in free}):
                 rows = add[rows, mul[coeff[:, :, t, None], basis[t]]]
-            for sub in rows:
-                yield Subspace(F, n, tuple(map(tuple, sub.tolist())))
+            yield rows
 
 
 def projective_points(w: Subspace):

@@ -39,6 +39,26 @@ def test_build_grassmann_with_overrides(tmp_path, monkeypatch, capsys):
     assert sorted(map(tuple, data["edges"])) == list(ref.edges())
 
 
+@pytest.mark.parametrize("flag", ["--n", "--k"])
+def test_build_grassmann_keeps_an_explicit_zero(flag, tmp_path, monkeypatch, capsys):
+    # 0 is a value, not a missing flag: grassmann_graph refuses it
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "build", "grassmann", flag, "0")
+    assert code == 2
+    assert out == "" and err.startswith("error: need 1 <= k <= n-1")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kind", ["twisted", "pg-design", "jt-design"])
+@pytest.mark.parametrize("flags", [("--n", "7"), ("--k", "3"), ("--n", "7", "--k", "3")], ids=["n", "k", "n-k"])
+def test_build_refuses_n_and_k_for_every_other_kind(kind, flags, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "build", kind, *flags)
+    assert code == 2
+    assert out == "" and err == f"error: {flags[0]} applies to grassmann only, not to {kind}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_build_jt_design_csv(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "build", "jt-design", "--format", "incidence-csv")
@@ -273,11 +293,11 @@ def test_verify_all_builds_each_thing_once(monkeypatch, capsys):
     import qgeom.geometry as geometry
 
     enumerated, counted, mapped = [], [], []
-    enumerate_k, count_graph, block_map = geometry.enumerate_k_subspaces, geometry._count_graph, geometry._block_map
+    slabs, count_graph, block_map = geometry._rref_slabs, geometry._count_graph, geometry._block_map
 
     def enumerate_spy(space, k):
         enumerated.append((space.dim, k))
-        return enumerate_k(space, k)
+        return slabs(space, k)
 
     def count_spy(labels, *args):
         counted.append(len(labels))
@@ -287,7 +307,8 @@ def test_verify_all_builds_each_thing_once(monkeypatch, capsys):
         mapped.append(len(ws))
         return block_map(ws, *args)
 
-    monkeypatch.setattr(geometry, "enumerate_k_subspaces", enumerate_spy)
+    monkeypatch.setattr(geometry, "_rref_slabs", enumerate_spy)
+    monkeypatch.setattr(geometry, "enumerate_k_subspaces", None)  # the instance reads the array core alone
     monkeypatch.setattr(geometry, "_count_graph", count_spy)
     monkeypatch.setattr(geometry, "_block_map", map_spy)
     code, _, _ = run(capsys, "verify", "all", "--q", "3")
@@ -553,3 +574,41 @@ def test_verify_all_never_reads_the_design_blocks(q, monkeypatch, capsys):
     code, out, _ = run(capsys, "verify", "all", "--q", q)
     assert code == 0
     assert _without_elapsed(json.loads(out)) == _without_elapsed(expected)
+
+
+def _refuse_label_tuples(monkeypatch):
+    """Make reading Graph.labels or Design.block_labels, which forms their
+    label tuples, raise."""
+    from qgeom import Design, Graph
+
+    def refuse(self):
+        raise AssertionError("a label tuple was formed")
+
+    monkeypatch.setattr(Graph, "labels", property(refuse))
+    monkeypatch.setattr(Design, "block_labels", property(refuse))
+
+
+@pytest.mark.parametrize("q", ["2", "3"])
+def test_verify_all_never_forms_the_label_tuples(q, monkeypatch, capsys):
+    # the checks read the instance's label sequence, one label at a time
+    code, out, _ = run(capsys, "verify", "all", "--q", q)
+    assert code == 0
+    expected = json.loads(out)
+    _refuse_label_tuples(monkeypatch)
+    code, out, _ = run(capsys, "verify", "all", "--q", q)
+    assert code == 0
+    assert _without_elapsed(json.loads(out)) == _without_elapsed(expected)
+
+
+def test_build_exports_never_form_the_label_tuples(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    exports = [("twisted", fmt) for fmt in ("graph6", "dimacs-edges", "json")]
+    exports += [(kind, fmt) for kind in ("jt-design", "pg-design") for fmt in ("incidence-csv", "json")]
+    for kind, fmt in exports:
+        assert run(capsys, "build", kind, "--q", "3", "--format", fmt, "--out", f"{kind}.{fmt}")[0] == 0
+    with monkeypatch.context() as patched:
+        _refuse_label_tuples(patched)
+        for kind, fmt in exports:
+            assert run(capsys, "build", kind, "--q", "3", "--format", fmt, "--out", f"{kind}.{fmt}.patched")[0] == 0
+    for kind, fmt in exports:
+        assert (tmp_path / f"{kind}.{fmt}.patched").read_bytes() == (tmp_path / f"{kind}.{fmt}").read_bytes(), (kind, fmt)

@@ -38,6 +38,26 @@ def test_graph6_base_cases():
     assert encode_graph6(c5) == "Dhc"
 
 
+def _literal_graph6(g):
+    """graph6 one bit at a time: the size header, then bit (i, j), i < j, of
+    the upper triangle column by column, six bits per character."""
+    n = g.n
+    header = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+    bits = [int(g.is_adjacent(i, j)) for j in range(1, n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    return header + "".join(chr(63 + int("".join(map(str, bits[t : t + 6])), 2)) for t in range(0, len(bits), 6))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 63, 64, 65, 129, 200])
+def test_graph6_matches_the_literal_encoder(n):
+    # rows 0..127 hold 8128 bits, 4 past a whole group, so from n = 129 on a
+    # 6-bit group spans two strips of 64 rows
+    rng = random.Random(n)
+    for p in (0.0, 0.5, 1.0):
+        g = random_graph(n, p, rng)
+        assert encode_graph6(g) == _literal_graph6(g)
+
+
 def test_graph6_decode_base_cases():
     g = decode_graph6("Dhc")
     assert g.n == 5

@@ -495,12 +495,15 @@ def test_split_by_points_keeps_the_order_of_the_hyperplane(q):
     # the (e+1)-subspaces of V inside h come out of V's enumeration in the
     # order of h's own enumeration, so one enumeration gives both families
     from qgeom.geometry import _Instance
+    from qgeom.subspace import Subspace
 
     field = field_from_order(q)
     rng = random.Random(q)
     for _ in range(3):
         h = _random_hyperplane(field, 5, rng)
-        (a_subs, a_sets), _, (rest, rest_sets) = _Instance(field, 2, h).families
+        (a_bases, a_sets), _, (rest_bases, rest_sets) = _Instance(field, 2, h).families
+        assert a_bases.dtype == rest_bases.dtype == np.uint8 and a_bases.shape[1:] == rest_bases.shape[1:] == (3, 5)
+        a_subs, rest = ([Subspace(field, 5, tuple(map(tuple, b))) for b in bases.tolist()] for bases in (a_bases, rest_bases))
         assert rest == list(enumerate_k_subspaces(h, 3))
         assert len(set(a_subs)) + len(rest) == gaussian_binomial(5, 3, q) and set(a_subs).isdisjoint(rest)
         index = point_index_map(field, 5)
@@ -645,3 +648,46 @@ def test_certificate_refuses_blocks_past_the_design_points(setting32, tg32, jt22
     field, h, s = setting32
     with pytest.raises(ValueError, match="f of vertex 0 is not a block of the design"):
         f_certificate(tg32, jt22, h, s)
+
+
+_SYMPLECTIC = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+
+
+@pytest.mark.parametrize("gram", [None, _SYMPLECTIC], ids=["identity", "symplectic"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_labels_are_made_on_read_and_equal_the_enumeration(q, gram):
+    from qgeom.geometry import _Instance
+
+    field = field_new(q)
+    h = coordinate_hyperplane(field, 5)
+    gram = None if gram is None else [[x % q for x in row] for row in gram]
+    inst = _Instance(field, 2, h, polarity_new(field, h, gram))
+    everything = list(enumerate_k_subspaces(full_space(field, 5), 3))
+    a = [w for w in everything if not h.contains(w)]
+    inside = [w for w in everything if h.contains(w)]
+    b = list(enumerate_k_subspaces(h, 1))
+    literal = {
+        "graph": [("A", w) for w in a] + [("B", w) for w in b],
+        "jt": [("A", w) for w in a] + [("B", u) for u in inside],
+        "pg": [("PG", u) for u in everything],
+    }
+    built = {"graph": inst.graph, "jt": inst.jt, "pg": inst.pg, "pg_design": pg_design(field, 2)}
+    for name, obj in built.items():
+        stored = "_labels" if name == "graph" else "_block_labels"
+        assert not isinstance(getattr(obj, stored), tuple), name  # nothing has read them yet
+        labels = obj.labels if name == "graph" else obj.block_labels
+        assert isinstance(labels, tuple) and labels == tuple(literal[name.split("_")[0]]), name
+        assert getattr(obj, stored) is labels  # made once, then kept
+
+
+def test_pickled_graph_and_design_keep_their_labels(setting22):
+    import pickle
+
+    from qgeom.geometry import _Instance
+
+    field, h, s = setting22
+    inst = _Instance(field, 2, h, s)
+    g, d = pickle.loads(pickle.dumps(inst.graph)), pickle.loads(pickle.dumps(inst.jt))
+    assert not isinstance(g._labels, tuple) and not isinstance(d._block_labels, tuple)  # still made on read
+    assert g.labels == inst.graph.labels and d.block_labels == inst.jt.block_labels
+    assert np.array_equal(g.adj, inst.graph.adj) and d.blocks == inst.jt.blocks
