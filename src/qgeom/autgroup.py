@@ -71,7 +71,7 @@ from itertools import product
 
 import numpy as np
 
-from .gf import Field, field_new, is_prime
+from .gf import Field, _prime_power, field_new
 from .geometry import Design, Graph, _Instance
 from .geometry import _SetIndex, _index_dtype, _point_images, _point_order, _point_sets, _sigma
 from .linalg import Matrix
@@ -456,7 +456,7 @@ def stabilizer_order(q: int, e: int, f: int) -> int:
     the mixing column, and the field automorphisms.  Python integers
     are unbounded, so the product is exact at any size.
     """
-    if _char_root(q, f) is None:
+    if _prime_power(q)[1] != f:
         raise ValueError(f"q={q} is not p^f for f={f} with p prime")
     if e < 0:
         raise ValueError("e must be >= 0")
@@ -465,16 +465,6 @@ def stabilizer_order(q: int, e: int, f: int) -> int:
     for i in range(m):
         gl *= q ** m - q ** i
     return q ** m * gl * f
-
-
-def _char_root(q: int, f: int):
-    if f < 1:
-        return None
-    p = round(q ** (1.0 / f))
-    for cand in (p - 1, p, p + 1):
-        if cand >= 2 and cand ** f == q:
-            return cand if is_prime(cand) else None
-    return None
 
 
 @dataclass(frozen=True)

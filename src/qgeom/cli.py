@@ -169,6 +169,8 @@ def _report(cfg: RunConfig, check: str, ok: bool, details: dict, t0: float) -> d
 
 
 def _make_object(kind: str, cfg: RunConfig, n: int | None = None, k: int | None = None):
+    if cfg.gram is not None and kind in ("grassmann", "pg-design"):
+        raise ValueError(f"--gram applies to twisted and jt-design only, not to {kind}: it has no polarity")
     if kind == "grassmann":
         return grassmann_graph(2 * cfg.e + 1 if n is None else n, cfg.e if k is None else k, cfg.q)
     for flag, value in (("--n", n), ("--k", k)):

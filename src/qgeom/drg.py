@@ -262,11 +262,11 @@ def check_isomorphism(g1: Graph, g2: Graph, cert: IsoCertificate) -> bool:
 
 def _maps_onto(adj1: np.ndarray, adj2: np.ndarray, mp: np.ndarray, n: int) -> bool:
     """Does the vertex bijection mp carry the packed adjacency adj1 onto
-    adj2, edges to edges and non-edges to non-edges?"""
-    inverse = np.argsort(mp)
+    adj2, edges to edges and non-edges to non-edges?  Entry (i, j) of a
+    strip's target is adj2[mp(i), mp(j)], read through the map."""
     for start, rows in _row_strips(adj1, n):
-        image = np.packbits(rows[:, inverse], axis=1, bitorder="little")
-        if not np.array_equal(image, adj2[mp[start : start + len(rows)]]):
+        target = np.unpackbits(adj2[mp[start : start + len(rows)]], axis=1, count=n, bitorder="little")
+        if not np.array_equal(rows, np.take(target, mp, axis=1)):
             return False
     return True
 

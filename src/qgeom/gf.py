@@ -256,8 +256,9 @@ def field_new(p: int, f: int = 1) -> Field:
     return _FIELD_CACHE[key]
 
 
-def field_from_order(q: int) -> Field:
-    """The field of order q, for q any prime power."""
+def _prime_power(q: int) -> tuple[int, int]:
+    """(p, f) with q = p^f and p prime, by trial division in integers.
+    It builds no field, so q is not bounded by Q_MAX."""
     if q < 2:
         raise ValueError(f"q={q} is not a prime power")
     p = 2
@@ -273,4 +274,9 @@ def field_from_order(q: int) -> Field:
             raise ValueError(f"q={q} is not a prime power")
         m //= p
         f += 1
-    return field_new(p, f)
+    return p, f
+
+
+def field_from_order(q: int) -> Field:
+    """The field of order q, for q any prime power."""
+    return field_new(*_prime_power(q))

@@ -428,6 +428,7 @@ def test_stabilizer_order_values():
     assert stabilizer_order(3, 2, 1) == 1965150720
     assert stabilizer_order(2, 0, 1) == 1
     assert stabilizer_order(4, 1, 2) == 2 * (16 * (16 - 1) * (16 - 4))
+    assert stabilizer_order(2**10, 1, 10) == 10 * (2**20 * (2**20 - 1) * (2**20 - 2**10))  # past Q_MAX
     with pytest.raises(ValueError):
         stabilizer_order(6, 2, 1)
     with pytest.raises(ValueError):

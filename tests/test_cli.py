@@ -59,6 +59,31 @@ def test_build_refuses_n_and_k_for_every_other_kind(kind, flags, tmp_path, monke
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("kind", ["grassmann", "pg-design"])
+@pytest.mark.parametrize("gram", [[[1]], [[1, 2], [3]]], ids=["1x1", "ragged"])
+def test_build_refuses_gram_for_objects_without_a_polarity(kind, gram, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.gram").write_text(json.dumps(gram))
+    code, out, err = run(capsys, "build", kind, "--gram", "g.gram")
+    assert code == 2
+    assert out == "" and err == f"error: --gram applies to twisted and jt-design only, not to {kind}: it has no polarity\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.gram"]
+
+
+@pytest.mark.parametrize("kind", ["twisted", "jt-design"])
+@pytest.mark.parametrize(
+    "gram, message",
+    [([[1]], "gram must be 4x4 for this hyperplane, got 1x1"), ([[1, 2], [3]], "2 is not an element of GF(2)")],
+    ids=["1x1", "ragged"],
+)
+def test_build_still_validates_the_gram_of_twisted_and_jt(kind, gram, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.gram").write_text(json.dumps(gram))
+    code, out, err = run(capsys, "build", kind, "--gram", "g.gram")
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_build_jt_design_csv(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "build", "jt-design", "--format", "incidence-csv")

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from qgeom import (
@@ -12,9 +13,11 @@ from qgeom import (
     IsoCertificate,
     NotDRG,
     NotDesign,
+    block_graph,
     check_2design,
     check_isomorphism,
     coordinate_hyperplane,
+    f_certificate,
     field_new,
     grassmann_array,
     grassmann_graph,
@@ -27,6 +30,7 @@ from qgeom import (
     vertex_permutation,
     vertex_statistics,
 )
+from qgeom.drg import _maps_onto
 
 
 def cycle(n):
@@ -199,6 +203,65 @@ def test_check_isomorphism_detects_corruption(tg22):
     swapped[0], swapped[1] = swapped[1], swapped[0]
     # 0 and 1 have different neighborhoods, so the swap breaks adjacency
     assert not check_isomorphism(tg22, tg22, IsoCertificate(tuple(swapped), "g", "g"))
+
+
+def _packed(dense):
+    return np.packbits(dense, axis=1, bitorder="little")
+
+
+def _maps_onto_literally(dense1, dense2, mp):
+    n = len(mp)
+    return all(dense2[mp[i], mp[j]] == dense1[i, j] for i in range(n) for j in range(n))
+
+
+def _swapped(mp, i, j):
+    mp = mp.copy()
+    mp[i], mp[j] = mp[j], mp[i]
+    return mp
+
+
+# (n, swap): the images of two vertices swapped in the first 64-row strip,
+# across rows 63 and 64, and reaching into the last, partial strip
+_DENSE_CASES = [(n, None) for n in (0, 1, 7, 8, 63, 64, 65, 129)] + [
+    (7, (0, 1)), (8, (0, 5)), (63, (0, 1)), (129, (0, 63)),
+    (65, (63, 64)), (129, (63, 64)),
+    (7, (5, 6)), (65, (1, 64)), (129, (128, 127)),
+]
+
+
+@pytest.mark.parametrize("n, swap", _DENSE_CASES, ids=[f"n{n}" + (f"-swap{s[0]}-{s[1]}" if s else "") for n, s in _DENSE_CASES])
+def test_maps_onto_matches_the_literal_test(n, swap):
+    # a random graph, its image under a random bijection, and that bijection
+    # (then with two images swapped) or an unrelated one, each against the oracle
+    rng = np.random.default_rng(n)
+    upper = np.triu(rng.integers(0, 2, (n, n), dtype=np.uint8), 1)
+    dense1 = upper | upper.T
+    perm = rng.permutation(n)
+    dense2 = np.zeros_like(dense1)
+    dense2[np.ix_(perm, perm)] = dense1
+    maps = [perm, rng.permutation(n)] if swap is None else [_swapped(perm, *swap)]
+    for mp in maps:
+        expected = _maps_onto_literally(dense1, dense2, mp)
+        assert _maps_onto(_packed(dense1), _packed(dense2), mp, n) == expected
+    if swap is None:
+        assert _maps_onto_literally(dense1, dense2, perm)
+    else:  # each swap breaks adjacency in these seeded graphs
+        assert not expected
+
+
+def test_check_isomorphism_refuses_a_target_with_one_edge_moved(tg22, jt22, setting22):
+    _, h, s = setting22
+    cert = f_certificate(tg22, jt22, h, s)
+    target = block_graph(jt22, 3)
+    assert check_isomorphism(tg22, target, cert)
+    dense = np.unpackbits(target.adj, axis=1, count=target.n, bitorder="little")
+    u = 0
+    v = int(np.flatnonzero(dense[u])[0])
+    w = int(np.flatnonzero(dense[u] == 0)[1])  # [0] is u itself
+    dense[[u, v], [v, u]] = 0
+    dense[[u, w], [w, u]] = 1
+    moved = Graph(target.labels, _packed(dense))
+    assert not check_isomorphism(tg22, moved, cert)
 
 
 def test_certificate_rejects_non_bijection():

@@ -10,7 +10,7 @@ from qgeom import (
     field_from_order,
     field_new,
 )
-from qgeom.gf import Q_MAX
+from qgeom.gf import Q_MAX, _prime_power
 from qgeom.linalg import _dot
 from qgeom.subspace import normalize_point
 
@@ -104,6 +104,15 @@ def test_field_from_order_rejects_non_prime_powers():
     for q in (1, 6, 10, 12, 0, -4):
         with pytest.raises(ValueError):
             field_from_order(q)
+
+
+def test_prime_power_factors_past_the_field_bound():
+    # integers only: no field tables, so no Q_MAX limit
+    cases = {2: (2, 1), 4: (2, 2), 9: (3, 2), 256: (2, 8), 257: (257, 1), 1024: (2, 10), 3**13: (3, 13), 1009**2: (1009, 2)}
+    assert {q: _prime_power(q) for q in cases} == cases
+    for q in (1, 0, -4, 6, 12, 2**10 * 3, 1009 * 1013):
+        with pytest.raises(ValueError, match=f"q={q} is not a prime power"):
+            _prime_power(q)
 
 
 def test_field_new_is_cached():
