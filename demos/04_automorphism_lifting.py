@@ -58,7 +58,7 @@ def main(full: bool):
     if full:
         print("running the exhaustive census...")
         t0 = time.time()
-        rep = exhaustive_lift_check(f, 2)
+        rep = exhaustive_lift_check(s)
         print(f"verified {rep.verified} elements in {time.time() - t0:.1f}s; "
               f"{rep.distinct} distinct point permutations, "
               f"{rep.identity_count} identity, {len(rep.failures)} failures")

@@ -73,7 +73,7 @@ import numpy as np
 
 from .gf import Field, _prime_power, field_new
 from .geometry import Design, Graph, _Instance
-from .geometry import _SetIndex, _index_dtype, _point_images, _point_order, _point_sets, _sigma
+from .geometry import _SetIndex, _index_dtype, _permutation, _point_images, _point_order, _point_sets, _sigma
 from .linalg import Matrix
 from .polarity import Polarity
 from .subspace import (
@@ -154,11 +154,13 @@ class SemilinearMap:
 
 @dataclass(frozen=True)
 class PointPermutation:
+    """A permutation of the points 0..n-1: perm holds their integer images
+    (read by `geometry._permutation`), kept as Python ints."""
+
     perm: tuple
 
     def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError("not a permutation of 0..n-1")
+        object.__setattr__(self, "perm", tuple(_permutation(self.perm, "perm").tolist()))
 
     def apply(self, i: int) -> int:
         return self.perm[i]
@@ -384,6 +386,7 @@ def vertex_permutation(g: Graph, phi: SemilinearMap) -> tuple:
 
 
 _ORACLE_STRIDE = 31  # prime; elements 0, 31, 62, ... are also lifted literally
+_CENSUS_STRIDE = 4001  # prime; the census compares 81 of its lifts with lift()
 _THEOREM2_CHUNK = 64  # elements per batch
 
 
@@ -528,7 +531,7 @@ def _census_lifts(s: Polarity, mats: np.ndarray):
     return phis, _lift_batch(s, _point_images(field, phis, np.zeros(len(phis), dtype=np.intp)))
 
 
-def _census_chunk(start, mats, *, s, blocks, trans, trans_ok, spot_stride):
+def _census_chunk(start, mats, *, s, blocks, trans, trans_ok):
     """Lift [[A, b], [0, 1]] = T_b.L_A for every A in mats and every b, and
     prove each lift a design automorphism; pure function.
 
@@ -558,20 +561,20 @@ def _census_chunk(start, mats, *, s, blocks, trans, trans_ok, spot_stride):
         for g, row in zip(rest.tolist(), ok) if not row.all()
     ]
     return perms, failures, _spot_check_lifts(
-        "census", perms, lambda g: SemilinearMap(Matrix(s.field, phis[g].tolist()), 0), s, start, spot_stride
+        "census", perms, lambda g: SemilinearMap(Matrix(s.field, phis[g].tolist()), 0), s, start, _CENSUS_STRIDE
     )
 
 
-def exhaustive_lift_check(field: Field = None, e: int = None, jobs: int = 1,
-                          progress=None, *, s: Polarity = None, inst: _Instance = None) -> LiftCheckReport:
+def exhaustive_lift_check(s: Polarity = None, jobs: int = 1, progress=None, *,
+                          inst: _Instance = None) -> LiftCheckReport:
     """Lift every element of the (2,2) hyperplane stabilizer and verify.
 
     Enumerates GL(2e, p) times all mixing columns, the corner fixed at 1
-    modulo scalars (the field is prime, so no Frobenius), under the
-    polarity of the coordinate hyperplane.  The field, e, the polarity and
+    modulo scalars (the field is prime, so no Frobenius), under a
+    polarity s of the coordinate hyperplane of GF(2)^5.  The polarity and
     the JT design come from inst, a verify run's instance, when it is
-    given; otherwise from field (GF(2) by default), e (2 by default) and s
-    (identity gram by default), with an instance of their own.
+    given; otherwise from s (the identity gram by default), with an
+    instance of its own.
 
     Proves each lift a design automorphism by its factors (see
     `_census_chunk`): the 16 translation lifts are checked directly here,
@@ -582,11 +585,11 @@ def exhaustive_lift_check(field: Field = None, e: int = None, jobs: int = 1,
     builds anything.
     """
     if inst is not None:
-        if any(x is not None for x in (field, e, s)):
-            raise TypeError("pass inst alone: it carries the field, e and the polarity")
+        if s is not None:
+            raise TypeError("pass inst alone: it carries the polarity")
         field, e, s = inst.field, inst.e, inst.s
-    field = field_new(2, 1) if field is None else field
-    e = 2 if e is None else e
+    else:  # s.h is a hyperplane of GF(q)^(2e+1)
+        field, e = (field_new(2, 1), 2) if s is None else (s.field, s.h.dim // 2)
     if field.q != 2 or e != 2:
         raise ValueError("exhaustive enumeration is supported only at (q,e)=(2,2)")
     t0 = time.perf_counter()
@@ -604,10 +607,7 @@ def exhaustive_lift_check(field: Field = None, e: int = None, jobs: int = 1,
     trans_ok = (d.index.images(trans) >= 0).all(axis=1)
     step = 64  # A blocks per chunk
     starts = range(0, len(gl), step)
-    work = partial(
-        _census_chunk, s=s, blocks=d.index, trans=trans, trans_ok=trans_ok,
-        spot_stride=4001,  # prime; 81 literal lifts
-    )
+    work = partial(_census_chunk, s=s, blocks=d.index, trans=trans, trans_ok=trans_ok)
     perms = np.empty((order, v), dtype=np.uint8)
     verified = cross_checked = 0
     failures = []

@@ -27,8 +27,8 @@ import numpy as np
 
 from .gf import field_new
 from .geometry import Design, DesignParameters, Graph, IsoCertificate
-from .geometry import _block_map, _certificate, _pair_counts, _point_count, _row_strips, _vertex_sets
-from .linalg import _rref_mod_p
+from .geometry import _block_map, _certificate, _incidence, _pair_counts, _permutation, _point_count, _row_strips, _vertex_sets
+from .linalg import _CHUNK_ROWS, _rref_mod_p
 from .polarity import Polarity
 from .subspace import Subspace
 
@@ -164,9 +164,7 @@ def _orbit_bases(g: Graph, automorphisms):
     parent = list(range(n))  # union-find; the smaller root wins, so a root is that smallest vertex
     checked = 0
     for k, images in enumerate(automorphisms):
-        perm = np.asarray(images, dtype=np.intp)
-        if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
-            raise ValueError(f"automorphism {k} is not a permutation of 0..{n - 1}")
+        perm = _permutation(images, f"automorphism {k}", n)
         moved = orbit != orbit[perm]
         if not moved.any():
             continue
@@ -312,9 +310,13 @@ def check_2design(d: Design):
 
 
 def p_rank(d: Design, p: int) -> int:
-    """Rank of the b x v incidence matrix over GF(p)."""
+    """Rank of the b x v incidence matrix over GF(p), which is never formed:
+    each slice of _CHUNK_ROWS blocks of each `Design.index` group is
+    scattered to 0/1 rows and reduced in turn.  The rank does not depend
+    on the order of the rows."""
     field_new(p, 1)  # ValueError unless p is a prime up to Q_MAX, which keeps the rank exact
-    return len(_rref_mod_p(d.incidence(), p)[1])
+    chunks = (_incidence(pts[i : i + _CHUNK_ROWS], d.v) for _, pts in d.index.groups for i in range(0, len(pts), _CHUNK_ROWS))
+    return len(_rref_mod_p(chunks, (d.b, d.v), p)[1])
 
 
 def vertex_statistics(g: Graph):

@@ -84,7 +84,7 @@ import numpy as np
 
 from .gf import Field, field_from_order
 from .polarity import Polarity, polarity_new
-from .subspace import Subspace, _rref_slabs, coordinate_hyperplane, enumerate_k_subspaces, full_space, projective_points
+from .subspace import Subspace, _rref_slabs, coordinate_hyperplane, full_space, projective_points
 
 
 class Graph:
@@ -192,6 +192,23 @@ def _indices(values, what: str) -> tuple:
     return values if types <= {int} else tuple(map(int, values))
 
 
+def _permutation(images, what: str, n: int = None) -> np.ndarray:
+    """images, a permutation of 0..n-1 (n its length by default), as a 1-D
+    intp array.  A 1-D integer numpy array is taken as it is, anything else
+    is read through `_indices`; ValueError names what if it is no such
+    permutation."""
+    if not (isinstance(images, np.ndarray) and images.ndim == 1 and images.dtype.kind in "iu"):
+        images = _indices(images, what)
+    n = len(images) if n is None else n
+    try:
+        perm = np.asarray(images, dtype=np.intp)
+    except OverflowError:  # an image past intp lies outside 0..n-1 too
+        perm = None
+    if perm is None or not np.array_equal(np.sort(perm), np.arange(n)):
+        raise ValueError(f"{what} is not a permutation of 0..{n - 1}")
+    return perm
+
+
 class Design:
     """Point set plus blocks, each a set of point indices.
 
@@ -294,9 +311,9 @@ class Design:
 
 class _Labels:
     """Labels (tag, W) held as runs of (tag, RREF bases): row i is the i-th
-    basis across the runs, with its run's tag.  Its Subspace is made from
-    the basis row, through the validating constructor, each time the row
-    is read."""
+    basis across the runs, with its run's tag, or the bare W in a run whose
+    tag is None.  Its Subspace is made from the basis row, through the
+    validating constructor, each time the row is read."""
 
     __slots__ = ("field", "runs")
 
@@ -311,17 +328,18 @@ class _Labels:
         i = operator.index(i)
         for tag, bases in self.runs:  # i counts on from one run to the next
             if 0 <= i < len(bases):
-                return tag, self._subspace(bases[i])
+                return self._label(tag, bases[i])
             i -= len(bases)
         raise IndexError("label index out of range")
 
     def __iter__(self):
         for tag, bases in self.runs:
             for basis in bases:
-                yield tag, self._subspace(basis)
+                yield self._label(tag, basis)
 
-    def _subspace(self, basis: np.ndarray) -> Subspace:
-        return Subspace(self.field, basis.shape[1], tuple(map(tuple, basis.tolist())))
+    def _label(self, tag, basis: np.ndarray):
+        w = Subspace(self.field, basis.shape[1], tuple(map(tuple, basis.tolist())))
+        return w if tag is None else (tag, w)
 
 
 @dataclass(frozen=True)
@@ -637,9 +655,9 @@ def grassmann_graph(n: int, k: int, q: int) -> Graph:
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     field = field_from_order(q)
-    subs = list(enumerate_k_subspaces(full_space(field, n), k))
-    inc = _incidence(_point_array(subs), len(_point_order(field, n)[0]))
-    return _count_graph(subs, inc, _point_count(k - 1, q))
+    bases = _all_bases(full_space(field, n), k)
+    inc = _incidence(_basis_points(field, bases), len(_point_order(field, n)[0]))
+    return _count_graph(_Labels(field, [(None, bases)]), inc, _point_count(k - 1, q))
 
 
 def twisted_grassmann(field: Field, e: int, h: Subspace = None, s: Polarity = None) -> Graph:
@@ -764,16 +782,16 @@ def intersection_spectrum(d: Design) -> Counter:
 
 @dataclass(frozen=True)
 class IsoCertificate:
-    """An explicit vertex permutation claimed to be an isomorphism."""
+    """An explicit vertex permutation claimed to be an isomorphism: mapping
+    holds the image of each vertex, integers that permute 0..n-1 (read by
+    `_permutation`), kept as Python ints."""
 
     mapping: tuple
     source: str
     target: str
 
     def __post_init__(self):
-        n = len(self.mapping)
-        if sorted(self.mapping) != list(range(n)):
-            raise ValueError("mapping is not a bijection of 0..n-1")
+        object.__setattr__(self, "mapping", tuple(_permutation(self.mapping, "mapping").tolist()))
 
     def to_json(self):
         return {"mapping": list(self.mapping), "source": self.source, "target": self.target}
@@ -788,7 +806,7 @@ def _certificate(d: Design, blocks) -> IsoCertificate:
     if (missing := np.flatnonzero(mapping < 0)).size:
         i = int(missing[0])
         raise ValueError(f"f of vertex {i} is not a block of the design: {tuple(blocks[i].tolist())}")
-    return IsoCertificate(tuple(mapping.tolist()), source=f"twisted-grassmann[{len(blocks)}]", target=f"design-blocks[{d.b}]")
+    return IsoCertificate(mapping, source=f"twisted-grassmann[{len(blocks)}]", target=f"design-blocks[{d.b}]")
 
 
 class _Instance:

@@ -10,24 +10,22 @@ table RREF is the one elimination for `Matrix`, over every GF(p^f), and
 `rank()` reads it.
 
 Incidence ranks take one array path instead: `_rref_mod_p` streams the
-rows of a 2-D integer array over GF(p) into an RREF basis, one chunk of
-rows converted to float64 at a time, reducing each chunk in one BLAS
-product (blocked elimination over a word-size prime field, as in Dumas,
-Giorgi and Pernet, "Dense linear algebra over word-size prime fields:
-the FFLAS and FFPACK packages", ACM TOMS 35(3), 2008).  It is exact while
+row chunks its caller gives over GF(p) into an RREF basis, each chunk
+converted to float64 in turn and reduced in one BLAS product (blocked
+elimination over a word-size prime field, as in Dumas, Giorgi and
+Pernet, "Dense linear algebra over word-size prime fields: the FFLAS
+and FFPACK packages", ACM TOMS 35(3), 2008).  It is exact while
 every product sum, at most r*(p-1)^2 for a basis of r rows, stays below
 2^53.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
-
 import numpy as np
 
 from .gf import Field
 
-_CHUNK_ROWS = 256  # rows of the array converted to float64 at a time
+_CHUNK_ROWS = 256  # rows per chunk that p_rank scatters and _rref_mod_p converts to float64
 
 
 class Matrix:
@@ -182,37 +180,38 @@ def _dot(F: Field, u, v):
     return acc
 
 
-def _rref_mod_p(a: np.ndarray, p: int):
-    """(E, pivots): the RREF basis of the row space of a over GF(p).
+def _rref_mod_p(chunks, shape, p: int):
+    """(E, pivots): the RREF basis over GF(p) of the row space of a matrix
+    of the given (rows, cols) shape, given as 2-D integer row chunks.
 
-    a is a 2-D integer array with entries in 0..p-1 and p a prime; E
-    holds the nonzero RREF rows as uint8 (the rows of `Matrix.rref` over
-    GF(p)) and pivots their leading columns.  Each chunk X of rows is
-    reduced against E in one product, X <- (X - X[:, pivots] E) mod p.
-    Then, while X has a nonzero row, its first one is made monic, its
-    pivot column c is cleared from E (E <- (E - E[:, c] row) mod p) and
-    from the rest of X, so that every later row of the chunk is reduced
-    against it too, and it is inserted into E in pivot order.  Sums reach
-    at most len(pivots) * (p-1)^2, exact in float64 while that is below
-    2^53: for p <= 251 any a narrower than about 10^11 columns.
+    Entries lie in 0..p-1 and p is a prime; E holds the nonzero RREF rows
+    as uint8 (the rows of `Matrix.rref` over GF(p)) and pivots their
+    leading columns.  Each chunk X is reduced against E in one product,
+    X <- (X - X[:, pivots] E) mod p.  Then, while X has a nonzero row, its
+    first one is made monic, its pivot column c is cleared from E
+    (E <- (E - E[:, c] row) mod p) and from the rest of X, so that every
+    later row of the chunk is reduced against it too, and it becomes the
+    next row of E.  E is allocated once, min(rows, cols) rows, the rank
+    bound; its rows stay in the order their pivots were found, paired with
+    the pivots list, and are put in pivot order at the end.  Sums reach at
+    most len(pivots) * (p-1)^2, exact in float64 while that is below 2^53:
+    for p <= 251 any matrix narrower than about 10^11 columns.
     """
     inv = [0] + [pow(x, -1, p) for x in range(1, p)]
-    e = np.zeros((0, a.shape[1]))
+    e = np.empty((min(shape), shape[1]))
     piv = []
-    for start in range(0, len(a), _CHUNK_ROWS):
-        x = a[start : start + _CHUNK_ROWS].astype(np.float64)
-        x = _mod(x - x[:, piv] @ e, p)
+    for x in chunks:
+        x = _mod(x - x[:, piv] @ e[: len(piv)], p)  # a float64 copy of the chunk, reduced
         x = x[x.any(axis=1)]
         while len(x):
             c = int(np.flatnonzero(x[0])[0])
             row = _mod(x[0] * inv[int(x[0, c])], p)
-            e = _mod(e - np.outer(e[:, c], row), p)
+            e[: len(piv)] = _mod(e[: len(piv)] - np.outer(e[: len(piv), c], row), p)
             x = _mod(x[1:] - np.outer(x[1:, c], row), p)
             x = x[x.any(axis=1)]
-            at = bisect(piv, c)
-            e = np.insert(e, at, row, axis=0)
-            piv.insert(at, c)
-    return e.astype(np.uint8), tuple(piv)
+            e[len(piv)] = row
+            piv.append(c)
+    return e[: len(piv)].astype(np.uint8)[np.argsort(piv)], tuple(sorted(piv))
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:

@@ -236,7 +236,7 @@ def test_criterion_6_automorphism_lifting(capsys):
 
 def test_criterion_7_exhaustive_lift_census(capsys):
     t0 = time.perf_counter()
-    rep = exhaustive_lift_check(field_new(2), 2)
+    rep = exhaustive_lift_check()
     # order independently from the block-triangular count:
     # |GL(4,2)| * q^4 mixing columns * (q-1) corners * f frobenius powers
     gl4 = 1

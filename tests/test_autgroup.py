@@ -453,7 +453,7 @@ def _symplectic_polarity():
 
 def test_census_under_a_symplectic_polarity():
     f, s = _symplectic_polarity()
-    rep = exhaustive_lift_check(f, 2, s=s)
+    rep = exhaustive_lift_check(s)
     assert rep.ok
     assert rep.verified == rep.distinct == 322560
     assert rep.identity_count == 1
@@ -467,12 +467,13 @@ def test_census_refuses_other_instances_before_building(monkeypatch):
         raise AssertionError("the census built a design before refusing")
 
     monkeypatch.setattr(_Instance, "jt", property(no_build))
-    with pytest.raises(ValueError, match=r"\(q,e\)=\(2,2\)"):
-        exhaustive_lift_check(field_new(3), 2)
-    f = field_new(2)
+    f3, f = field_new(3), field_new(2)
+    for field, e in ((f3, 2), (f, 3)):  # the polarity's field, and its hyperplane's dimension 2e
+        with pytest.raises(ValueError, match=r"\(q,e\)=\(2,2\)"):
+            exhaustive_lift_check(polarity_new(field, coordinate_hyperplane(field, 2 * e + 1)))
     other = span(f, 5, [(1, 0, 0, 0, 1), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)])
     with pytest.raises(ValueError, match="coordinate hyperplane"):
-        exhaustive_lift_check(f, 2, s=polarity_new(f, other))
+        exhaustive_lift_check(polarity_new(f, other))
 
 
 def test_census_raises_when_it_diverges_from_the_literal_lift(monkeypatch):
@@ -489,14 +490,14 @@ def test_census_raises_when_it_diverges_from_the_literal_lift(monkeypatch):
 
     monkeypatch.setattr(autgroup, "lift", swapped)
     with pytest.raises(RuntimeError, match="element 0:"):
-        exhaustive_lift_check(field_new(2), 2)
+        exhaustive_lift_check()
     assert len(calls) == 1
 
 
-def _direct_census_chunk(start, mats, *, s, blocks, spot_stride):
+def _direct_census_chunk(start, mats, *, s, blocks):
     """The census chunk with the block check on every element: the oracle
     for the factored proof of `_census_chunk`."""
-    from qgeom.autgroup import _lift_batch, _spot_check_lifts
+    from qgeom.autgroup import _CENSUS_STRIDE, _lift_batch, _spot_check_lifts
     from qgeom.geometry import _point_images
 
     field, n, m = s.field, mats.shape[1] + 1, mats.shape[1]
@@ -513,7 +514,7 @@ def _direct_census_chunk(start, mats, *, s, blocks, spot_stride):
         for g in np.flatnonzero(~ok.all(axis=1))
     ]
     return perms, failures, _spot_check_lifts(
-        "census", perms, lambda g: SemilinearMap(Matrix(field, phis[g].tolist()), 0), s, start, spot_stride
+        "census", perms, lambda g: SemilinearMap(Matrix(field, phis[g].tolist()), 0), s, start, _CENSUS_STRIDE
     )
 
 
@@ -538,11 +539,9 @@ def test_factored_census_chunk_matches_the_direct_check(setting):
     for a in starts:
         mats = gl[a : a + 64]
         perms, failures, spots = _census_chunk(
-            16 * a, mats, s=s, blocks=d.index, trans=trans, trans_ok=trans_ok, spot_stride=4001
+            16 * a, mats, s=s, blocks=d.index, trans=trans, trans_ok=trans_ok
         )
-        direct_perms, direct_failures, direct_spots = _direct_census_chunk(
-            16 * a, mats, s=s, blocks=d.index, spot_stride=4001
-        )
+        direct_perms, direct_failures, direct_spots = _direct_census_chunk(16 * a, mats, s=s, blocks=d.index)
         assert np.array_equal(perms, direct_perms)
         assert failures == direct_failures
         assert spots == direct_spots
@@ -593,7 +592,7 @@ def test_census_reports_a_lift_that_is_not_the_product_of_its_factors(monkeypatc
 
 
 def test_census_pool_gives_the_single_process_report():
-    one, two = (exhaustive_lift_check(field_new(2), 2, jobs=jobs).to_json() for jobs in (1, 2))
+    one, two = (exhaustive_lift_check(jobs=jobs).to_json() for jobs in (1, 2))
     assert {**two, "elapsed": None} == {**one, "elapsed": None}
     assert one["pass"] and one["cross_checked"] == 81
 
@@ -603,7 +602,7 @@ def test_census_reads_the_callers_instance(monkeypatch):
 
     inst = _Instance(field_new(2), 2)
     with pytest.raises(TypeError, match="inst alone"):
-        exhaustive_lift_check(field_new(2), inst=inst)
+        exhaustive_lift_check(inst.s, inst=inst)
 
     def no_build(inst):
         raise AssertionError("the census built a design before refusing")

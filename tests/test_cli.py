@@ -333,7 +333,7 @@ def test_verify_all_builds_each_thing_once(monkeypatch, capsys):
         return block_map(ws, *args)
 
     monkeypatch.setattr(geometry, "_rref_slabs", enumerate_spy)
-    monkeypatch.setattr(geometry, "enumerate_k_subspaces", None)  # the instance reads the array core alone
+    assert not hasattr(geometry, "enumerate_k_subspaces")  # geometry reads the array core alone
     monkeypatch.setattr(geometry, "_count_graph", count_spy)
     monkeypatch.setattr(geometry, "_block_map", map_spy)
     code, _, _ = run(capsys, "verify", "all", "--q", "3")

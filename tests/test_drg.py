@@ -1,4 +1,6 @@
+import json
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +15,7 @@ from qgeom import (
     IsoCertificate,
     NotDRG,
     NotDesign,
+    PointPermutation,
     block_graph,
     check_2design,
     check_isomorphism,
@@ -30,7 +33,9 @@ from qgeom import (
     vertex_permutation,
     vertex_statistics,
 )
+from qgeom.cli import main
 from qgeom.drg import _maps_onto
+from qgeom.linalg import Matrix
 
 
 def cycle(n):
@@ -269,6 +274,38 @@ def test_certificate_rejects_non_bijection():
         IsoCertificate((0, 0, 1), "s", "t")
 
 
+def _integer_entry_points():
+    """Each public reader of a vertex map or point permutation, on 0..2."""
+    k3 = complete(3)
+    return {
+        "automorphism": lambda images: intersection_array(k3, [images]),
+        "certificate": lambda images: IsoCertificate(images, "s", "t"),
+        "point permutation": lambda images: PointPermutation(images),
+    }
+
+
+@pytest.mark.parametrize("entry", ["automorphism", "certificate", "point permutation"])
+@pytest.mark.parametrize(
+    "images",
+    [("1", "0", "2"), (1.0, 0.0, 2.0), (1.7, 0.2, 2.0), (True, False, 2), (None, 0, 2), (1, 0, 2**70),
+     np.array([1.0, 0.0, 2.0]), np.array([True, False, True]), np.array([1, 0, 2**64 - 1], dtype=np.uint64)],
+    ids=["str", "float", "truncating-float", "bool", "None", "2**70", "float-array", "bool-array", "uint64-array"],
+)
+def test_vertex_maps_and_permutations_take_integers_only(entry, images):
+    with pytest.raises(ValueError, match="not an integer|not a permutation"):
+        _integer_entry_points()[entry](images)
+
+
+@pytest.mark.parametrize("images", [(np.int64(1), 0, np.uint8(2)), np.array([1, 0, 2], dtype=np.int32)], ids=["scalars", "array"])
+def test_numpy_integer_images_are_kept_as_python_ints(images):
+    k3 = complete(3)
+    assert intersection_array(k3, [images]).scan.automorphisms_checked == 1
+    cert, perm = IsoCertificate(images, "s", "t"), PointPermutation(images)
+    assert cert.mapping == perm.perm == (1, 0, 2)
+    assert {type(x) for x in cert.mapping + perm.perm} == {int}
+    assert json.loads(json.dumps(cert.to_json()))["mapping"] == json.loads(json.dumps(perm.to_json()))["perm"] == [1, 0, 2]
+
+
 def test_check_isomorphism_needs_matching_sizes(tg22):
     small = complete(3)
     with pytest.raises(ValueError):
@@ -375,6 +412,48 @@ def test_p_rank_is_permutation_invariant(jt22):
         range(31), [sorted(perm[p] for p in blk) for blk in jt22.blocks]
     )
     assert p_rank(relabeled, 2) == p_rank(jt22, 2)
+
+
+def test_p_rank_of_mixed_and_empty_blocks():
+    # one Design.index group per block size (the empty block's has width 0), two of
+    # them past one chunk of rows, met in an order other than the block order
+    rng = random.Random(12)
+    blocks = {()}
+    while len(blocks) < 700:
+        blocks.add(tuple(sorted(rng.sample(range(40), rng.choice((1, 3, 5))))))
+    blocks = list(blocks)
+    rng.shuffle(blocks)
+    d = Design(range(40), blocks)
+    assert sorted(len(pts) for _, pts in d.index.groups)[-1] > 256
+    for p in (2, 3, 5):
+        assert p_rank(d, p) == Matrix(field_new(p), d.incidence().tolist()).rank()
+
+
+def test_p_rank_of_few_blocks_on_many_points_stays_small():
+    # the basis is sized by the rank bound min(b, v) = 3 rows; v x v floats would be
+    # 3.2 GB, which np.empty allocates without touching, so only tracemalloc sees it
+    d = Design(range(20000), [(0, 1), (1, 2), (19998, 19999)])
+    tracemalloc.start()
+    try:
+        rank = p_rank(d, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank == 3
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("q, rank", [(2, 16), (3, 61)])
+def test_p_rank_never_forms_the_incidence_matrix(monkeypatch, capsys, q, rank):
+    def refuse(d):
+        raise AssertionError("the incidence matrix was formed")
+
+    jt, pg = jt_design(field_new(q), 2), pg_design(field_new(q), 2)
+    monkeypatch.setattr(Design, "incidence", refuse)
+    assert p_rank(jt, q) == p_rank(pg, q) == rank
+    assert main(["verify", "prank", "--q", str(q)]) == 0
+    details = json.loads(capsys.readouterr().out)["details"]
+    assert details == {"p": q, "jt_rank": rank, "pg_rank": rank}
 
 
 def test_vertex_statistics_constant_on_drg(tg22):

@@ -691,3 +691,16 @@ def test_pickled_graph_and_design_keep_their_labels(setting22):
     assert not isinstance(g._labels, tuple) and not isinstance(d._block_labels, tuple)  # still made on read
     assert g.labels == inst.graph.labels and d.block_labels == inst.jt.block_labels
     assert np.array_equal(g.adj, inst.graph.adj) and d.blocks == inst.jt.blocks
+
+
+@pytest.mark.parametrize("n, k, q", [(5, 2, 2), (5, 3, 2), (4, 2, 3), (5, 2, 4)])
+def test_grassmann_graph_reads_the_array_core(n, k, q):
+    from qgeom.geometry import _count_graph, _incidence, _point_array
+
+    g = grassmann_graph(n, k, q)
+    assert not isinstance(g._labels, tuple)  # made on read
+    subs = tuple(enumerate_k_subspaces(full_space(field_from_order(q), n), k))
+    assert g.labels == subs  # bare subspaces, in enumeration order
+    # the adjacency of the literal subspace list's point sets
+    literal = _count_graph(subs, _incidence(_point_array(subs), (q ** n - 1) // (q - 1)), (q ** (k - 1) - 1) // (q - 1))
+    assert g.adj.tobytes() == literal.adj.tobytes()

@@ -56,7 +56,8 @@ def test_gf2_and_generic_rank_paths_agree():
     f = field_new(2)
     for _ in range(50):
         m = random_matrix(f, rng.randrange(1, 10), rng.randrange(1, 10), rng)
-        assert m.rank() == len(linalg._rref_mod_p(np.array(m.entries), 2)[1])
+        a = np.array(m.entries)
+        assert m.rank() == len(linalg._rref_mod_p([a], a.shape, 2)[1])
 
 
 def _array_cases(rng, p):
@@ -85,20 +86,39 @@ def _array_cases(rng, p):
     ]
 
 
+def _assert_table_rref(field, a, basis, pivots, name):
+    """basis and pivots are the nonzero rows and pivot columns of Matrix.rref."""
+    r, rank, expected = Matrix(field, a.tolist()).rref()
+    assert pivots == expected, name
+    assert basis.dtype == np.uint8 and basis.shape == (rank, a.shape[1]), name
+    assert basis.tolist() == [list(row) for row in r.entries[:rank]], name
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("chunk", [1, 3, "height"])
-def test_array_rref_matches_the_table_rref(monkeypatch, p, chunk):
+def test_array_rref_matches_the_table_rref(p, chunk):
     rng = np.random.default_rng(100 * p + (0 if chunk == "height" else chunk))
     field = field_new(p)
     for _ in range(4):
         for name, a in _array_cases(rng, p):
-            monkeypatch.setattr(linalg, "_CHUNK_ROWS", len(a) if chunk == "height" else chunk)
-            basis, pivots = linalg._rref_mod_p(a.astype(np.uint8), p)
-            r, rank, expected = Matrix(field, a.tolist()).rref()
-            assert pivots == expected, name
-            assert rank == 9 or name != "full rank"
-            assert basis.dtype == np.uint8 and basis.shape == (rank, a.shape[1]), name
-            assert basis.tolist() == [list(row) for row in r.entries[:rank]], name
+            size = len(a) if chunk == "height" else chunk
+            chunks = [a[i : i + size].astype(np.uint8) for i in range(0, len(a), size)]
+            basis, pivots = linalg._rref_mod_p(chunks, a.shape, p)
+            assert len(pivots) == 9 or name != "full rank"
+            _assert_table_rref(field, a, basis, pivots, name)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_array_rref_of_shuffled_rows_in_random_chunks(p):
+    # the row space, and so its RREF, does not depend on the order or the grouping of the rows
+    rng = np.random.default_rng(1000 + p)
+    field = field_new(p)
+    for _ in range(4):
+        for name, a in _array_cases(rng, p):
+            rows = a[rng.permutation(len(a))].astype(np.uint8)
+            cuts = np.sort(rng.choice(np.arange(1, len(a)), rng.integers(0, len(a)), replace=False))
+            basis, pivots = linalg._rref_mod_p(np.split(rows, cuts), a.shape, p)
+            _assert_table_rref(field, a, basis, pivots, name)
 
 
 def test_matmul_and_apply():
