@@ -27,10 +27,12 @@ import numpy as np
 
 from .gf import field_new
 from .geometry import Design, DesignParameters, Graph, IsoCertificate
-from .geometry import _block_map, _certificate, _incidence, _pair_counts, _permutation, _point_count, _row_strips, _vertex_sets
+from .geometry import _EXACT_F32, _block_map, _certificate, _permutation, _point_count, _row_chunks, _row_strips, _vertex_sets
 from .linalg import _CHUNK_ROWS, _rref_mod_p
 from .polarity import Polarity
 from .subspace import Subspace
+
+_F32_SLAB_BYTES = 4 << 20  # one float32 slab of blocks or of pair counts in check_2design
 
 
 class GraphStructureError(Exception):
@@ -280,42 +282,50 @@ def check_2design(d: Design):
     """DesignParameters if d is a 2-design, else the first violation.
 
     Scans blocks, then points, then point pairs, each in index order,
-    so a failing design always reports the same witness.
+    so a failing design always reports the same witness.  Every count is
+    read from the block groups of `Design.index`, and no b x v matrix is
+    formed.  k comes from the group widths: block 0 lies in the first
+    group, and every other group has another size.  Replication comes from
+    bincounts of slices of the one group left, and the pair counts from
+    N^T N, summed in float32 over `_row_chunks` of the blocks for one strip
+    of points (the rows of N^T N from the strip's first point on) at a
+    time.  Chunks and strips are one _F32_SLAB_BYTES slab high.
     """
-    if d.b == 0:
+    v, groups = d.v, d.index.groups
+    if d.b == 0 or v == 0:
         raise ValueError("empty design")
-    v = d.v
-    inc = d.incidence()
-    sizes = inc.sum(axis=1, dtype=np.int64)
-    k = int(sizes[0])
-    if (bad := np.flatnonzero(sizes != k)).size:
-        return NotDesign("block_size", (int(bad[0]),), k, int(sizes[bad[0]]))
-    rep = inc.sum(axis=0, dtype=np.int64)
+    (_, pts), *others = groups
+    k = pts.shape[1]
+    if others:
+        bi, found = min((int(numbers[0]), sets.shape[1]) for numbers, sets in others)
+        return NotDesign("block_size", (bi,), k, found)
+    per = max(1, _F32_SLAB_BYTES // (4 * v))  # blocks per chunk, points per strip
+    # bincount copies its input to intp, so it reads one slice at a time
+    rep = sum(np.bincount(pts[i : i + per].ravel(), minlength=v) for i in range(0, len(pts), per))
     r = int(rep[0])
-    (bad,) = np.nonzero(rep != r)
-    if bad.size:
-        p = int(bad[0])
-        return NotDesign("replication", (p,), r, int(rep[p]))
+    if (bad := np.flatnonzero(rep != r)).size:
+        return NotDesign("replication", (int(bad[0]),), r, int(rep[bad[0]]))
+    if d.b >= _EXACT_F32:
+        raise ValueError(f"{d.b} blocks exceed exact float32 counting")
     lam = 0
-    for start, counts in _pair_counts(inc.T):
-        if start == 0 and v > 1:
+    for s in range(0, v, per):
+        counts = sum(n[:, s : s + per].T @ n[:, s:] for _, n in _row_chunks(groups, v, per))
+        if s == 0 and v > 1:
             lam = int(counts[0, 1])
-        # column c is point start + c; the pairs past the diagonal, in row order
-        past = np.arange(counts.shape[1]) > np.arange(len(counts))[:, None]
-        wrong = np.argwhere((counts != lam) & past)
-        if len(wrong):
-            a, c = (int(x) for x in wrong[0])
-            return NotDesign("pair_count", (start + a, start + c), lam, int(counts[a, c]))
+        # column c is point s + c; the pairs past the diagonal, the first in row order
+        wrong = (counts != lam) & (np.arange(counts.shape[1]) > np.arange(len(counts))[:, None])
+        if wrong.any():
+            a, c = divmod(int(wrong.argmax()), wrong.shape[1])
+            return NotDesign("pair_count", (s + a, s + c), lam, int(counts[a, c]))
     return DesignParameters(v=v, b=d.b, r=r, k=k, lambda_=lam)
 
 
 def p_rank(d: Design, p: int) -> int:
     """Rank of the b x v incidence matrix over GF(p), which is never formed:
-    each slice of _CHUNK_ROWS blocks of each `Design.index` group is
-    scattered to 0/1 rows and reduced in turn.  The rank does not depend
-    on the order of the rows."""
+    the `_row_chunks` of _CHUNK_ROWS blocks of `Design.index` are reduced
+    in turn.  The rank does not depend on the order of the rows."""
     field_new(p, 1)  # ValueError unless p is a prime up to Q_MAX, which keeps the rank exact
-    chunks = (_incidence(pts[i : i + _CHUNK_ROWS], d.v) for _, pts in d.index.groups for i in range(0, len(pts), _CHUNK_ROWS))
+    chunks = (n for _, n in _row_chunks(d.index.groups, d.v, _CHUNK_ROWS))
     return len(_rref_mod_p(chunks, (d.b, d.v), p)[1])
 
 

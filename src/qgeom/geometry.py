@@ -47,13 +47,15 @@ per vertex, and the JT design is built from its rows.
 
 Every pairwise count goes through one representation and one kernel:
 a subspace is the set of projective points it contains, a family of
-subspaces or blocks is the 0/1 incidence matrix N of those point sets,
-and all intersection sizes are entries of N·Nᵀ, computed by
-`_pair_counts` in blocks of 64 rows, each against the rows from its own
-start on: only the upper triangle j >= i is formed, and every caller
-reads a pair i < j there.  A d-dimensional subspace has [d]_q =
-(q^d-1)/(q-1) points, so intersection dimensions are read off as point
-counts.
+subspaces or blocks is its point sets grouped by size, and its 0/1
+incidence matrix N is scattered from those groups by one routine,
+`_incidence`, whole or one slice of a group at a time (`_row_chunks`).
+All intersection sizes are entries of N·Nᵀ, computed by `_pair_counts`
+in blocks of 64 rows, each against the rows from its own start on: only
+the upper triangle j >= i is formed, and every caller reads a pair i < j
+there.  A d-dimensional subspace has [d]_q = (q^d-1)/(q-1) points, so
+intersection dimensions are read off as point counts.  No check forms
+the uint8 matrix of `Design.incidence()`, which serves the CSV export.
 
 A graph is one packed adjacency matrix: `_count_graph` packs each row
 block of counts straight into its rows from the block's start on, and
@@ -184,11 +186,13 @@ def _edge_strips(adj: np.ndarray, n: int):
 
 
 def _indices(values, what: str) -> tuple:
-    """values as Python ints; a bool or another non-integer raises ValueError."""
+    """values as Python ints; a bool or another non-integer raises a
+    ValueError that names the first such entry."""
     values = tuple(values)
     types = set(map(type, values))  # checked per type: a design has many blocks
-    if any(t is bool or not issubclass(t, (int, np.integer)) for t in types):
-        raise ValueError(f"{what} has an index that is not an integer: {values}")
+    if bad := {t for t in types if t is bool or not issubclass(t, (int, np.integer))}:
+        i = next(i for i, x in enumerate(values) if type(x) in bad)
+        raise ValueError(f"{what} has an index that is not an integer: entry {i} is {values[i]!r}")
     return values if types <= {int} else tuple(map(int, values))
 
 
@@ -300,10 +304,7 @@ class Design:
 
     def incidence(self) -> np.ndarray:
         """The b x v 0/1 incidence matrix (uint8), rows in block order."""
-        out = np.zeros((self.b, self.v), dtype=np.uint8)
-        for rows, pts in self.index.groups:
-            out[rows[:, None], pts] = 1
-        return out
+        return _incidence(self.index.groups, self.v, np.uint8)
 
     def __repr__(self):
         return f"Design(v={self.v}, b={self.b})"
@@ -477,12 +478,21 @@ def _point_count(d: int, q: int) -> int:
     return (q ** d - 1) // (q - 1)
 
 
-def _incidence(point_sets: np.ndarray, v: int) -> np.ndarray:
-    """One uint8 row per row of a 2-D point-index array, with a 1 in each of
-    its v columns that the row holds."""
-    out = np.zeros((len(point_sets), v), dtype=np.uint8)
-    np.put_along_axis(out, point_sets.astype(np.intp), 1, axis=1)
+def _incidence(groups, v: int, dtype) -> np.ndarray:
+    """The 0/1 rows, of the given dtype, of point sets grouped by size
+    (`_by_size`): row i has a 1 in each of its v columns that set i holds."""
+    out = np.zeros((sum(len(numbers) for numbers, _ in groups), v), dtype=dtype)
+    for numbers, pts in groups:
+        out[numbers[:, None], pts] = 1
     return out
+
+
+def _row_chunks(groups, v: int, height: int):
+    """Yield (numbers, rows) for each slice of at most height sets of each
+    group: the slice's set numbers and its float32 `_incidence` rows."""
+    for numbers, pts in groups:
+        for start in range(0, len(numbers), height):
+            yield numbers[start : start + height], _incidence(_by_size([pts[start : start + height]]), v, np.float32)
 
 
 _BLOCK_ROWS = 64
@@ -600,43 +610,46 @@ class _SetIndex:
         return out
 
 
-def _pair_counts(n: np.ndarray):
+def _pair_counts(groups, v: int):
     """Yield (start, counts) with counts = n[start:start+64] @ n[start:].T.
 
-    The one pairwise-intersection kernel: for a 0/1 matrix n, counts[i, j]
-    is the number of columns where rows start+i and start+j both hold a 1.
-    Each row block meets only the rows from its own start on, so every pair
-    j >= i is formed once and the lower triangle never; a caller that needs
-    a pair i > j reads it as (j, i).  The products run in float32 through
-    BLAS, which is exact while every sum is below 2**24; row blocks keep
-    the full rows x rows matrix out of memory.  Every counts is a view of
-    one buffer, which the next block overwrites.
+    The one pairwise-intersection kernel: n is the float32 `_incidence` of
+    point sets over v points, grouped by size (`_by_size`), scattered from
+    the groups, and counts[i, j] is the number of points that sets start+i
+    and start+j share.  Each row block meets only the rows from its own
+    start on, so every pair j >= i is formed once and the lower triangle
+    never; a caller that needs a pair i > j reads it as (j, i).  The
+    products run in float32 through BLAS, which is exact while every sum is
+    below 2**24; row blocks keep the full rows x rows matrix out of memory.
+    Every counts is a view of one buffer, which the next block overwrites.
     """
-    if n.shape[1] >= _EXACT_F32:
-        raise ValueError(f"{n.shape[1]} columns exceed exact float32 counting")
-    f = n.astype(np.float32)
+    if v >= _EXACT_F32:
+        raise ValueError(f"{v} columns exceed exact float32 counting")
+    f = _incidence(groups, v, np.float32)
     out = np.empty((_BLOCK_ROWS, len(f)), dtype=np.float32)
     for start in range(0, len(f), _BLOCK_ROWS):
         rows = f[start : start + _BLOCK_ROWS]
         yield start, np.matmul(rows, f[start:].T, out=out[: len(rows), : len(f) - start])
 
 
-def _count_graph(labels, n: np.ndarray, target, family=None) -> Graph:
-    """The graph on the rows of n: rows i != j are adjacent when they share
-    target[family[i]][family[j]] columns, or `target` columns when no
+def _count_graph(labels, groups, v: int, target, family=None) -> Graph:
+    """The graph on point sets over v points, grouped by size (`_by_size`),
+    one per label: sets i != j are adjacent when they share
+    target[family[i]][family[j]] points, or `target` points when no
     families are given.
 
     Each row block of `_pair_counts` fills its rows from its own start on,
     and its transpose fills its 64 columns (8 bytes, as _BLOCK_ROWS is a
     multiple of 8) in the rows below it, so every byte is written once."""
+    n = len(labels)
     if family is None:
-        family = np.zeros(len(n), dtype=np.intp)
+        family = np.zeros(n, dtype=np.intp)
         target = [[target]]
     # row a: the count that makes a family-a row adjacent to each row
     target = np.asarray(target, dtype=np.float32)[:, family]
-    adj = np.empty((len(n), (len(n) + 7) // 8), dtype=np.uint8)
-    hits = np.empty((_BLOCK_ROWS, len(n)), dtype=bool)
-    for start, counts in _pair_counts(n):
+    adj = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+    hits = np.empty((_BLOCK_ROWS, n), dtype=bool)
+    for start, counts in _pair_counts(groups, v):
         size = len(counts)
         hit = hits[:size, : counts.shape[1]]
         block = family[start : start + size]
@@ -656,8 +669,8 @@ def grassmann_graph(n: int, k: int, q: int) -> Graph:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     field = field_from_order(q)
     bases = _all_bases(full_space(field, n), k)
-    inc = _incidence(_basis_points(field, bases), len(_point_order(field, n)[0]))
-    return _count_graph(_Labels(field, [(None, bases)]), inc, _point_count(k - 1, q))
+    groups = _by_size([_basis_points(field, bases)])
+    return _count_graph(_Labels(field, [(None, bases)]), groups, len(_point_order(field, n)[0]), _point_count(k - 1, q))
 
 
 def twisted_grassmann(field: Field, e: int, h: Subspace = None, s: Polarity = None) -> Graph:
@@ -718,22 +731,19 @@ def _block_map(labels, groups, h: Subspace, s: Polarity) -> np.ndarray:
     sigma = _sigma(s)
     in_h = np.isin(np.arange(v), sigma.points)
     # S[c, x] = 1 when the point x lies in sigma(c), one row per point c of [h]
-    sig = _incidence(sigma.sets, v).astype(np.float32)
+    sig = _incidence(_by_size([sigma.sets]), v, np.float32)
     out = np.empty((sum(len(rows) for rows, _ in groups), k), dtype=_index_dtype(v))
-    per = max(1, _SLAB_BYTES // (8 * v))  # rows per slab, about 8 bytes a column
-    for rows, pts in groups:
-        for start in range(0, len(rows), per):
-            n = _incidence(pts[start : start + per], v)
-            size, inside = n.sum(axis=1), n[:, in_h].sum(axis=1)
-            # a point set of [e+1]_q points is an (e+1)-subspace, one of [e-1]_q an (e-1)-subspace
-            if not (((size == k) & (inside < size)) | ((size == k_b) & (inside == size))).all():
-                raise ValueError("w is in neither vertex family of the twisted graph")
-            # in [h], the points in sigma(c) for all |W ∩ h| points c of W ∩ h (all
-            # of [h] when there are none: sigma(0) = h); outside [h], those of W
-            blocks = np.where(in_h, n[:, sigma.points].astype(np.float32) @ sig == inside[:, None], n > 0)
-            if (wrong := np.flatnonzero(blocks.sum(axis=1) != k)).size:
-                raise ValueError(f"f of {labels[rows[start + wrong[0]]][1]} has {blocks[wrong[0]].sum()} points, not {k}")
-            out[rows[start : start + per]] = np.nonzero(blocks)[1].reshape(len(blocks), k)
+    for rows, n in _row_chunks(groups, v, max(1, _SLAB_BYTES // (16 * v))):  # about 16 bytes a column
+        size, inside = n.sum(axis=1), n[:, in_h].sum(axis=1)
+        # a point set of [e+1]_q points is an (e+1)-subspace, one of [e-1]_q an (e-1)-subspace
+        if not (((size == k) & (inside < size)) | ((size == k_b) & (inside == size))).all():
+            raise ValueError("w is in neither vertex family of the twisted graph")
+        # in [h], the points in sigma(c) for all |W ∩ h| points c of W ∩ h (all
+        # of [h] when there are none: sigma(0) = h); outside [h], those of W
+        blocks = np.where(in_h, n[:, sigma.points] @ sig == inside[:, None], n > 0)
+        if (wrong := np.flatnonzero(blocks.sum(axis=1) != k)).size:
+            raise ValueError(f"f of {labels[rows[wrong[0]]][1]} has {blocks[wrong[0]].sum()} points, not {k}")
+        out[rows] = np.nonzero(blocks)[1].reshape(len(blocks), k)
     return out
 
 
@@ -766,13 +776,13 @@ def block_graph(d: Design, threshold: int) -> Graph:
     """Blocks as vertices, adjacent when the intersection size hits threshold."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    return _count_graph(d._block_labels, d.incidence(), threshold)
+    return _count_graph(d._block_labels, d.index.groups, d.v, threshold)
 
 
 def intersection_spectrum(d: Design) -> Counter:
     """Multiset of |B1 ∩ B2| over unordered distinct block pairs."""
     hist = np.zeros(d.v + 1, dtype=np.int64)
-    for _, counts in _pair_counts(d.incidence()):
+    for _, counts in _pair_counts(d.index.groups, d.v):
         size = len(counts)
         # the pairs j > i: above the diagonal of the block's own rows, then every later row
         for part in counts[np.triu_indices(size, 1)], counts[:, size:]:
@@ -864,11 +874,10 @@ class _Instance:
         """The twisted Grassmann graph (see `twisted_grassmann`)."""
         (a, a_sets), (b, b_sets), _ = self.families
         q, e, v = self.field.q, self.e, len(self.points)
-        inc = np.vstack([_incidence(a_sets, v), _incidence(b_sets, v)])
         # families i and j (A = 0, B = 1) are adjacent on [e-i-j]_q shared
         # points; A covering B means all [e-1]_q points of B lie in A.
         target = [[_point_count(e - i - j, q) for j in range(2)] for i in range(2)]
-        return _count_graph(self.labels, inc, target, np.repeat([0, 1], [len(a), len(b)]))
+        return _count_graph(self.labels, _by_size([a_sets, b_sets]), v, target, np.repeat([0, 1], [len(a), len(b)]))
 
     @cached_property
     def f(self) -> np.ndarray:

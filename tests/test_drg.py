@@ -296,6 +296,25 @@ def test_vertex_maps_and_permutations_take_integers_only(entry, images):
         _integer_entry_points()[entry](images)
 
 
+@pytest.mark.parametrize(
+    "what, read",
+    [
+        ("mapping", lambda images: IsoCertificate(images, "s", "t")),
+        ("automorphism 0", lambda images: intersection_array(complete(3), [images])),
+        ("block 0", lambda images: Design(range(len(images)), [images])),
+    ],
+    ids=["certificate", "automorphism", "block"],
+)
+def test_a_non_integer_index_is_named_alone(what, read):
+    # a (7,2)-size vertex map with one float: the message names that entry, not all of them
+    images = list(range(140050))
+    images[5] = 5.0
+    with pytest.raises(ValueError) as err:
+        read(images)
+    assert str(err.value) == f"{what} has an index that is not an integer: entry 5 is 5.0"
+    assert len(str(err.value)) < 200
+
+
 @pytest.mark.parametrize("images", [(np.int64(1), 0, np.uint8(2)), np.array([1, 0, 2], dtype=np.int32)], ids=["scalars", "array"])
 def test_numpy_integer_images_are_kept_as_python_ints(images):
     k3 = complete(3)
@@ -338,6 +357,12 @@ def test_check_2design_witnesses():
     assert check_2design(Design(range(1), [(0,)])) == DesignParameters(1, 1, 1, 1, 0)
 
 
+@pytest.mark.parametrize("blocks", [[], [()]], ids=["no blocks", "no points"])
+def test_check_2design_refuses_an_empty_design(blocks):
+    with pytest.raises(ValueError, match="^empty design$"):
+        check_2design(Design(range(0), blocks))
+
+
 def test_check_2design_pair_witness():
     with pytest.raises(ValueError):
         Design(range(4), [(0, 1), (2, 3), (0, 1)])  # duplicate blocks rejected
@@ -369,6 +394,73 @@ def test_check_2design_pair_witness_in_a_later_row_block(jt32):
     x, y, found = next(c for c in counts if c[2] != 13)
     assert x >= 64
     assert check_2design(d) == NotDesign("pair_count", (x, y), 13, found)
+
+
+def _literal_2design(d: Design):
+    """check_2design's verdict from an int64 incidence matrix and every
+    point pair, in the same scan order."""
+    inc = d.incidence().astype(np.int64)
+    sizes, rep = inc.sum(axis=1), inc.sum(axis=0)
+    k, r = int(sizes[0]), int(rep[0])
+    if (bad := np.flatnonzero(sizes != k)).size:
+        return NotDesign("block_size", (int(bad[0]),), k, int(sizes[bad[0]]))
+    if (bad := np.flatnonzero(rep != r)).size:
+        return NotDesign("replication", (int(bad[0]),), r, int(rep[bad[0]]))
+    lam = int(inc[:, 0] @ inc[:, 1]) if d.v > 1 else 0
+    for x, y in combinations(range(d.v), 2):
+        if (found := int(inc[:, x] @ inc[:, y])) != lam:
+            return NotDesign("pair_count", (x, y), lam, found)
+    return DesignParameters(v=d.v, b=d.b, r=r, k=k, lambda_=lam)
+
+
+def _mutated(d: Design, rng: random.Random) -> Design:
+    """d with one seeded fault: two blocks trading a point (pair counts
+    change, replication does not), a point moved, a point or a block
+    dropped, or nothing."""
+    blocks = [set(b) for b in d.blocks]
+    i, j = rng.sample(range(d.b), 2)
+    kind = rng.randrange(5)
+    if kind == 0 and blocks[i] - blocks[j] and blocks[j] - blocks[i]:
+        a, b = rng.choice(sorted(blocks[i] - blocks[j])), rng.choice(sorted(blocks[j] - blocks[i]))
+        blocks[i] ^= {a, b}
+        blocks[j] ^= {a, b}
+    elif kind == 1:
+        blocks[i] ^= {rng.choice(sorted(blocks[i])), rng.choice(sorted(set(range(d.v)) - blocks[i]))}
+    elif kind == 2:
+        blocks[i].discard(rng.choice(sorted(blocks[i])))
+    elif kind == 3:
+        del blocks[i]
+    rows = [sorted(b) for b in blocks]
+    return Design(range(d.v), rows) if len(set(map(tuple, rows))) == len(rows) else d
+
+
+@pytest.mark.parametrize("small", [True, False], ids=["small-slabs", "real-slabs"])
+def test_check_2design_matches_the_literal_check_on_mutated_designs(jt22, jt32, small, monkeypatch):
+    import qgeom.drg as drg
+
+    rng = random.Random(20)
+    kinds = set()
+    for trial in range(40):
+        d = _mutated(jt22 if trial % 2 else jt32, rng)
+        if small:  # 7 points per strip and 7 blocks per chunk: many of each
+            monkeypatch.setattr(drg, "_F32_SLAB_BYTES", 4 * d.v * 7)
+        expected = _literal_2design(d)
+        assert check_2design(d) == expected, trial
+        kinds.add(getattr(expected, "kind", "design"))
+    assert kinds == {"block_size", "replication", "pair_count", "design"}
+
+
+def test_check_2design_of_few_blocks_on_many_points_stays_small():
+    # N^T N is 20000 x 20000, 1.6 GB in float32; it is formed one 4 MiB strip of rows at a time
+    d = Design(range(20000), [range(10000), range(10000, 20000)])
+    tracemalloc.start()
+    try:
+        found = check_2design(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == NotDesign("pair_count", (0, 10000), 1, 0)
+    assert peak <= 27.2 * 2**20
 
 
 def test_p_rank_values(jt22, pg22):
@@ -443,8 +535,22 @@ def test_p_rank_of_few_blocks_on_many_points_stays_small():
     assert peak < 8 * 2**20
 
 
+def _timeless(report):
+    """A verify report with every elapsed time taken out, at any depth."""
+    if isinstance(report, dict):
+        return {key: _timeless(value) for key, value in report.items() if key != "elapsed"}
+    return [_timeless(x) for x in report] if isinstance(report, list) else report
+
+
 @pytest.mark.parametrize("q, rank", [(2, 16), (3, 61)])
 def test_p_rank_never_forms_the_incidence_matrix(monkeypatch, capsys, q, rank):
+    # nor does any other verify check: only the incidence-CSV export reads it
+    checks = ["design", "spectrum", "thm1", *(["all"] if q == 3 else [])]
+    expected = {}
+    for check in checks:
+        assert main(["verify", check, "--q", str(q)]) == 0
+        expected[check] = _timeless(json.loads(capsys.readouterr().out))
+
     def refuse(d):
         raise AssertionError("the incidence matrix was formed")
 
@@ -454,6 +560,9 @@ def test_p_rank_never_forms_the_incidence_matrix(monkeypatch, capsys, q, rank):
     assert main(["verify", "prank", "--q", str(q)]) == 0
     details = json.loads(capsys.readouterr().out)["details"]
     assert details == {"p": q, "jt_rank": rank, "pg_rank": rank}
+    for check in checks:
+        assert main(["verify", check, "--q", str(q)]) == 0
+        assert _timeless(json.loads(capsys.readouterr().out)) == expected[check]
 
 
 def test_vertex_statistics_constant_on_drg(tg22):

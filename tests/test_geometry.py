@@ -188,13 +188,14 @@ def test_pair_counts_beyond_one_byte():
 
 @pytest.mark.parametrize("height", [1, 7, 8, 63, 64, 65, 129, 200])
 def test_pair_counts_and_count_graph_match_the_full_product(height):
-    from qgeom.geometry import _count_graph, _pair_counts
+    from qgeom.geometry import _by_size, _count_graph, _pair_counts
 
     rng = np.random.default_rng(height)
     n = (rng.random((height, 12)) < 0.4).astype(np.uint8)
     full = n.astype(np.int64) @ n.T.astype(np.int64)
+    groups = _by_size([np.flatnonzero(row)[None] for row in n])  # one group per row size
     starts = []
-    for start, counts in _pair_counts(n):
+    for start, counts in _pair_counts(groups, 12):
         starts.append(start)
         assert np.array_equal(counts, full[start : start + 64, start:])
     assert starts == list(range(0, height, 64))
@@ -205,7 +206,7 @@ def test_pair_counts_and_count_graph_match_the_full_product(height):
         table = np.array([[target]] if family is None else target)
         expected = full == table[rows[:, None], rows]
         np.fill_diagonal(expected, False)
-        g = _count_graph(range(height), n, target, family)
+        g = _count_graph(range(height), groups, 12, target, family)
         assert np.array_equal(np.unpackbits(g.adj, axis=1, count=height, bitorder="little"), expected)
         assert height < 8 or expected.any()
 
@@ -536,20 +537,23 @@ def test_families_are_chosen_without_subspace_containment(monkeypatch):
 
 
 def test_incidence_is_the_same_from_arrays_lists_and_ragged_sets():
-    from qgeom.geometry import _incidence, _Instance, _point_array
+    from qgeom.geometry import _by_size, _incidence, _Instance, _point_array
 
     field = field_new(3)
     h = coordinate_hyperplane(field, 5)
     (_, a_sets), _, _ = _Instance(field, 2, h).families
     b_sets = _point_array(list(enumerate_k_subspaces(h, 1)))
     v = 121
-    from_array = _incidence(a_sets, v)
+    from_array = _incidence(_by_size([a_sets]), v, np.uint8)
     assert from_array.dtype == np.uint8 and from_array.shape == (len(a_sets), v)
     assert (from_array.sum(axis=1) == a_sets.shape[1]).all()
     assert from_array.tobytes() == Design(range(v), a_sets).incidence().tobytes()
+    assert _incidence(_by_size([a_sets]), v, np.float32).tobytes() == from_array.astype(np.float32).tobytes()
     mixed = Design(range(v), [*a_sets.tolist(), *b_sets.tolist()]).incidence()
-    assert mixed.tobytes() == np.vstack([from_array, _incidence(b_sets, v)]).tobytes()
-    for empty in (_incidence(np.zeros((0, 4), dtype=np.uint8), v), Design(range(v), []).incidence()):
+    # two groups, each scattered to the rows of its own set numbers
+    assert mixed.tobytes() == _incidence(_by_size([a_sets, b_sets]), v, np.uint8).tobytes()
+    assert mixed.tobytes() == np.vstack([from_array, _incidence(_by_size([b_sets]), v, np.uint8)]).tobytes()
+    for empty in (_incidence(_by_size([np.zeros((0, 4), dtype=np.uint8)]), v, np.uint8), Design(range(v), []).incidence()):
         assert empty.tobytes() == np.zeros((0, v), dtype=np.uint8).tobytes()
     ragged = Design(range(4), [(0, 1, 2), (3,), ()]).incidence()
     assert ragged.tobytes() == np.array([[1, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]], dtype=np.uint8).tobytes()
@@ -695,12 +699,12 @@ def test_pickled_graph_and_design_keep_their_labels(setting22):
 
 @pytest.mark.parametrize("n, k, q", [(5, 2, 2), (5, 3, 2), (4, 2, 3), (5, 2, 4)])
 def test_grassmann_graph_reads_the_array_core(n, k, q):
-    from qgeom.geometry import _count_graph, _incidence, _point_array
+    from qgeom.geometry import _by_size, _count_graph, _point_array
 
     g = grassmann_graph(n, k, q)
     assert not isinstance(g._labels, tuple)  # made on read
     subs = tuple(enumerate_k_subspaces(full_space(field_from_order(q), n), k))
     assert g.labels == subs  # bare subspaces, in enumeration order
     # the adjacency of the literal subspace list's point sets
-    literal = _count_graph(subs, _incidence(_point_array(subs), (q ** n - 1) // (q - 1)), (q ** (k - 1) - 1) // (q - 1))
+    literal = _count_graph(subs, _by_size([_point_array(subs)]), (q ** n - 1) // (q - 1), (q ** (k - 1) - 1) // (q - 1))
     assert g.adj.tobytes() == literal.adj.tobytes()
