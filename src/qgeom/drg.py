@@ -27,12 +27,10 @@ import numpy as np
 
 from .gf import field_new
 from .geometry import Design, DesignParameters, Graph, IsoCertificate
-from .geometry import _EXACT_F32, _block_map, _certificate, _permutation, _point_count, _row_chunks, _row_strips, _vertex_sets
+from .geometry import _block_map, _certificate, _permutation, _point_count, _row_chunks, _row_strips, _vertex_sets
 from .linalg import _CHUNK_ROWS, _rref_mod_p
 from .polarity import Polarity
 from .subspace import Subspace
-
-_F32_SLAB_BYTES = 4 << 20  # one float32 slab of blocks or of pair counts in check_2design
 
 
 class GraphStructureError(Exception):
@@ -285,11 +283,14 @@ def check_2design(d: Design):
     so a failing design always reports the same witness.  Every count is
     read from the block groups of `Design.index`, and no b x v matrix is
     formed.  k comes from the group widths: block 0 lies in the first
-    group, and every other group has another size.  Replication comes from
-    bincounts of slices of the one group left, and the pair counts from
-    N^T N, summed in float32 over `_row_chunks` of the blocks for one strip
-    of points (the rows of N^T N from the strip's first point on) at a
-    time.  Chunks and strips are one _F32_SLAB_BYTES slab high.
+    group, and every other group has another size.  Replication is one
+    bincount of the group left.  For the pair counts, the entries of its
+    (b, k) point array are sorted by point, and their rows, r at a time,
+    are the blocks through each point in turn (a point -> block
+    transpose).  The counts of point x with every point are one exact
+    integer bincount of the points of the blocks through x, and the scan
+    stops at the first y > x whose count is not lambda, the count of the
+    pair (0, 1).
     """
     v, groups = d.v, d.index.groups
     if d.b == 0 or v == 0:
@@ -299,24 +300,19 @@ def check_2design(d: Design):
     if others:
         bi, found = min((int(numbers[0]), sets.shape[1]) for numbers, sets in others)
         return NotDesign("block_size", (bi,), k, found)
-    per = max(1, _F32_SLAB_BYTES // (4 * v))  # blocks per chunk, points per strip
-    # bincount copies its input to intp, so it reads one slice at a time
-    rep = sum(np.bincount(pts[i : i + per].ravel(), minlength=v) for i in range(0, len(pts), per))
+    rep = np.bincount(pts.ravel(), minlength=v)
     r = int(rep[0])
     if (bad := np.flatnonzero(rep != r)).size:
         return NotDesign("replication", (int(bad[0]),), r, int(rep[bad[0]]))
-    if d.b >= _EXACT_F32:
-        raise ValueError(f"{d.b} blocks exceed exact float32 counting")
+    through = (np.argsort(pts, axis=None) // k).reshape(v, r)  # row x: the blocks through point x
     lam = 0
-    for s in range(0, v, per):
-        counts = sum(n[:, s : s + per].T @ n[:, s:] for _, n in _row_chunks(groups, v, per))
-        if s == 0 and v > 1:
-            lam = int(counts[0, 1])
-        # column c is point s + c; the pairs past the diagonal, the first in row order
-        wrong = (counts != lam) & (np.arange(counts.shape[1]) > np.arange(len(counts))[:, None])
-        if wrong.any():
-            a, c = divmod(int(wrong.argmax()), wrong.shape[1])
-            return NotDesign("pair_count", (s + a, s + c), lam, int(counts[a, c]))
+    for x in range(v):
+        counts = np.bincount(pts[through[x]].ravel(), minlength=v)
+        if x == 0 and v > 1:
+            lam = int(counts[1])
+        if (bad := np.flatnonzero(counts[x + 1 :] != lam)).size:
+            y = x + 1 + int(bad[0])
+            return NotDesign("pair_count", (x, y), lam, int(counts[y]))
     return DesignParameters(v=v, b=d.b, r=r, k=k, lambda_=lam)
 
 

@@ -465,12 +465,13 @@ def _point_sets(subspaces) -> list:
 def _by_size(arrays) -> list:
     """Point sets given as the rows of 2-D arrays, numbered on from one
     array to the next, as (numbers, points) per set size: the numbers of
-    the sets of that size and their points, one row each."""
+    the sets of that size and their points, one row each.  A size held by
+    one array keeps that array as its points, not a copy."""
     groups, start = {}, 0
     for a in arrays:
         groups.setdefault(a.shape[1], []).append((np.arange(start, start + len(a)), a))
         start += len(a)
-    return [tuple(np.concatenate(part) for part in zip(*parts)) for parts in groups.values()]
+    return [parts[0] if len(parts) == 1 else tuple(np.concatenate(part) for part in zip(*parts)) for parts in groups.values()]
 
 
 def _point_count(d: int, q: int) -> int:

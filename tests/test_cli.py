@@ -343,6 +343,27 @@ def test_verify_all_builds_each_thing_once(monkeypatch, capsys):
     assert mapped == [1210]  # f, once over every vertex
 
 
+def test_verify_all_leaves_the_family_arrays_as_built(monkeypatch, capsys):
+    # the point-set groups of the graph, f and the vertex index are A's own array, not copies
+    import qgeom.cli as cli
+    from qgeom.geometry import _Instance
+
+    made, geometry = [], cli._geometry
+
+    def keep(cfg):
+        made.append(inst := geometry(cfg))
+        return inst
+
+    monkeypatch.setattr(cli, "_geometry", keep)
+    code, _, _ = run(capsys, "verify", "all", "--q", "3")
+    assert code == 0
+    (inst,) = made
+    fresh = _Instance(inst.field, inst.e, inst.h, inst.s)
+    for family, built in zip(inst.families, fresh.families):
+        for a, b in zip(family, built):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_verify_all_at_2_2_forms_f_once(monkeypatch, capsys):
     # the census reads the run's JT design, not one of its own
     import qgeom.geometry as geometry

@@ -371,6 +371,9 @@ def test_check_2design_pair_witness():
     # even replication, but the pair (0,3) is never covered
     d = Design(range(4), [(0, 1), (2, 3), (0, 2), (1, 3)])
     assert check_2design(d) == NotDesign("pair_count", (0, 3), 1, 0)
+    # lambda is the count of the pair (0,1), so here (0,2) is the wrong pair
+    d = Design(range(4), [(0, 1), (2, 3), (0, 3), (1, 2)])
+    assert check_2design(d) == NotDesign("pair_count", (0, 2), 1, 0)
 
 
 def test_check_2design_pair_witness_in_a_later_row_block(jt32):
@@ -434,16 +437,11 @@ def _mutated(d: Design, rng: random.Random) -> Design:
     return Design(range(d.v), rows) if len(set(map(tuple, rows))) == len(rows) else d
 
 
-@pytest.mark.parametrize("small", [True, False], ids=["small-slabs", "real-slabs"])
-def test_check_2design_matches_the_literal_check_on_mutated_designs(jt22, jt32, small, monkeypatch):
-    import qgeom.drg as drg
-
+def test_check_2design_matches_the_literal_check_on_mutated_designs(jt22, jt32):
     rng = random.Random(20)
     kinds = set()
     for trial in range(40):
         d = _mutated(jt22 if trial % 2 else jt32, rng)
-        if small:  # 7 points per strip and 7 blocks per chunk: many of each
-            monkeypatch.setattr(drg, "_F32_SLAB_BYTES", 4 * d.v * 7)
         expected = _literal_2design(d)
         assert check_2design(d) == expected, trial
         kinds.add(getattr(expected, "kind", "design"))
@@ -451,7 +449,7 @@ def test_check_2design_matches_the_literal_check_on_mutated_designs(jt22, jt32, 
 
 
 def test_check_2design_of_few_blocks_on_many_points_stays_small():
-    # N^T N is 20000 x 20000, 1.6 GB in float32; it is formed one 4 MiB strip of rows at a time
+    # N^T N would be 20000 x 20000, 1.6 GB in float32; the scan forms one row of pair counts at a time
     d = Design(range(20000), [range(10000), range(10000, 20000)])
     tracemalloc.start()
     try:

@@ -536,6 +536,19 @@ def test_families_are_chosen_without_subspace_containment(monkeypatch):
     assert (d.blocks, d.block_labels) == (expected[1].blocks, expected[1].block_labels)
 
 
+def test_by_size_keeps_a_one_part_group_as_given():
+    from qgeom.geometry import _by_size
+
+    a, b, c = (np.arange(n * w, dtype=np.uint16).reshape(n, w) for n, w in ((3, 2), (2, 4), (4, 2)))
+    ((numbers, pts),) = _by_size([a])
+    assert np.shares_memory(pts, a) and numbers.tolist() == [0, 1, 2]
+    (two, two_pts), (four, four_pts) = _by_size([a, b, c])
+    assert np.shares_memory(four_pts, b) and four.tolist() == [3, 4]
+    # a size held by two arrays is one new array, in set order
+    assert not np.shares_memory(two_pts, a) and not np.shares_memory(two_pts, c)
+    assert two.tolist() == [0, 1, 2, 5, 6, 7, 8] and two_pts.tolist() == [*a.tolist(), *c.tolist()]
+
+
 def test_incidence_is_the_same_from_arrays_lists_and_ragged_sets():
     from qgeom.geometry import _by_size, _incidence, _Instance, _point_array
 
