@@ -16,7 +16,8 @@ Everything else acts through one batched point action:
 
 - `geometry._point_images`, which also gives the point sets of
   subspaces: the point permutations of a batch of maps x -> M.frob^i(x)
-  as one integer product mod p (see the `geometry` docstring).
+  as one float32 BLAS product, reduced mod p, exact below 2**24 (see
+  the `geometry` docstring).
 - `_lift_batch`: a point c of [H] goes to the point whose sigma point
   set is pi(sigma(c)), with pi phi's point permutation; every other point
   goes through pi.  It finds pi(sigma(c)) in the index that `_sigma`

@@ -26,9 +26,10 @@ first time they are read.  No check that passes, and no export, reads them.
 
 Every point set comes from one batched point action, `_point_images`:
 x -> M.frob^i(x), GF(q)^k to GF(q)^n with q = p^f, is GF(p)-linear on
-p-digits, so a batch of (n x k) matrices maps all points in one integer
-product mod p.  Square maps give `autgroup` its point permutations; the
-transposed RREF basis of a k-subspace gives its points (`_point_sets`).
+p-digits, so a batch of (n x k) matrices maps all points in one float32
+BLAS product, reduced mod p, exact below 2**24.  Square maps give
+`autgroup` its point permutations; the transposed RREF basis of a
+k-subspace gives its points (`_point_sets`).
 `_SetIndex` finds point sets among many by their point masks, exactly:
 the instance's vertex index, the sigma point sets, and the blocks of a
 design.  Point sets of several sizes are held as `_by_size` gives them:
@@ -85,6 +86,7 @@ from itertools import groupby
 import numpy as np
 
 from .gf import Field, field_from_order
+from .linalg import _mod
 from .polarity import Polarity, polarity_new
 from .subspace import Subspace, _rref_slabs, coordinate_hyperplane, full_space, projective_points
 
@@ -379,22 +381,24 @@ def _index_dtype(v: int):
 
 @lru_cache(maxsize=None)
 def _field_arrays(field: Field):
-    """(mul, digit, basis): the field's product table; digit[x, d], the
-    d-th p-digit of x; and basis[i, k] = frob^i(p^k), the image of the
-    k-th GF(p)-basis element under the i-th Frobenius power."""
+    """(mul, digit, table): the field's product table; digit[x, d], the
+    d-th p-digit of x; and the float32 GF(p) matrices of the maps
+    y -> x.frob^i(y), one per element x and Frobenius power i:
+    table[t, i*q + x, d] is the d-th p-digit of x.frob^i(p^t)."""
     p, f = field.p, field.f
     mul = np.array(field._mul, dtype=np.intp)
     digit = (np.arange(field.q)[:, None] // p ** np.arange(f) % p).astype(np.uint8)
-    basis = np.array([[field.frobenius(p ** k, i) for k in range(f)] for i in range(f)], dtype=np.intp)
-    return mul, digit, basis
+    basis = np.array([[field.frobenius(p ** t, i) for t in range(f)] for i in range(f)], dtype=np.intp)
+    return mul, digit, digit[mul[:, basis]].transpose(2, 1, 0, 3).reshape(f, f * field.q, f).astype(np.float32)
 
 
 @lru_cache(maxsize=None)
 def _vector_tables(field: Field, n: int):
     """(digits, radix, point_of) for GF(q)^n read as GF(p)^(n*f).
 
-    digits holds the p-digit expansion of each canonical point
-    representative, coordinate-major; radix turns an expansion into the
+    digits holds the float32 p-digit expansion of each canonical point
+    representative, digit-major (column t*n + c is digit t of coordinate
+    c); the float32 radix turns a coordinate-major expansion into the
     vector's code, the sum of x_r q^(n-1-r); point_of[code] is the point
     of each of the (q-1)v nonzero vectors, so no image is rescaled.
     """
@@ -402,33 +406,36 @@ def _vector_tables(field: Field, n: int):
     mul, digit, _ = _field_arrays(field)
     reps = np.array([pt.rep for pt in points], dtype=np.intp)
     weights = field.q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    radix = (weights[:, None] * field.p ** np.arange(field.f)).ravel()
+    radix = (weights[:, None] * field.p ** np.arange(field.f)).ravel().astype(np.float32)
     point_of = np.zeros(field.q ** n, dtype=_index_dtype(len(points)))
     point_of[mul[1:][:, reps] @ weights] = np.arange(len(points))
-    return digit[reps].reshape(len(points), -1), radix, point_of
+    return digit[reps].transpose(0, 2, 1).reshape(len(points), -1).astype(np.float32), radix, point_of
 
 
 def _point_images(field: Field, mats: np.ndarray, frobs: np.ndarray) -> np.ndarray:
     """Entry (g, j): the point of GF(q)^n that the map x -> mats[g].frob^frobs[g](x)
     sends point j of GF(q)^k to, for (n x k) matrices of rank k.  Maps are
-    taken a slab of about _SLAB_BYTES of temporaries at a time."""
-    mul, digit, basis = _field_arrays(field)
+    taken a slab of about _SLAB_BYTES of temporaries at a time.
+
+    A slab's image digits are one float32 BLAS product, reduced mod p, and
+    their codes one more product: exact while every sum, at most
+    k*f*(p-1)^2, and every code, below q^n, stay within 2**24."""
     n, k = mats.shape[1:]
-    digits = _vector_tables(field, k)[0]
+    p, f = field.p, field.f
+    if max(field.q ** n, k * f * (p - 1) ** 2) > _EXACT_F32:
+        raise ValueError(f"GF({field.q})^{n} is beyond exact float32 point codes and sums (2**24)")
+    digits, table = _vector_tables(field, k)[0], _field_arrays(field)[2]
     _, radix, point_of = _vector_tables(field, n)
-    # int32 where a sum of products could leave uint8
-    dtype = np.dtype(np.int32 if digits.shape[1] * (field.p - 1) ** 2 > 255 else np.uint8)
     out = np.empty((len(mats), len(digits)), dtype=point_of.dtype)
-    # per map: the image digits, their int64 copy for the product with radix, the codes
-    per = max(1, _SLAB_BYTES // (len(digits) * (len(radix) * (dtype.itemsize + 8) + 8)))
+    # per map: its table rows and their intp indices, the images and their quotient by p,
+    # the codes and their intp copy
+    per = max(1, _SLAB_BYTES // (k * n * (4 * f * f + 8) + len(digits) * (8 * n * f + 12)))
     for start in range(0, len(mats), per):
         m, i = mats[start : start + per], frobs[start : start + per]
-        # block (r, c) of a map is the f x f GF(p) matrix of x -> M[r,c].frob^i(x):
-        # column t holds the digits of M[r,c].frob^i(p^t)
-        parts = digit[mul[m[..., None], basis[i][:, None, None]]]  # map, r, c, t, d
-        expanded = parts.transpose(0, 1, 4, 2, 3).reshape(len(m), len(radix), -1).astype(dtype, copy=False)
-        images = digits @ expanded.transpose(0, 2, 1) % field.p
-        out[start : start + per] = point_of[images @ radix]
+        # rows (t, c), columns (map, r, d): block (r, c) of a map is the GF(p) matrix of x -> M[r,c].frob^i(x)
+        blocks = np.take(table, (m + field.q * i[:, None, None]).transpose(2, 0, 1), axis=1)
+        codes = _mod(digits @ blocks.reshape(k * f, -1), p).reshape(-1, n * f) @ radix
+        out[start : start + per] = point_of[codes.astype(np.intp).reshape(len(digits), -1).T]
     return out
 
 

@@ -215,8 +215,9 @@ def _rref_mod_p(chunks, shape, p: int):
 
 
 def _mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in place, for integer-valued float64 x with |x| < 2^53: x / p
-    then rounds to no further than a distance 1/p below the next integer, so
-    its floor is exact."""
-    x -= np.floor(x / p) * p
+    """x mod p in place, for integer-valued float64 x with |x| < 2^53, or
+    float32 x with |x| <= 2^24: x / p then rounds to no further than a
+    distance 1/p below the next integer, so its floor is exact."""
+    quotient = x / p
+    x -= np.multiply(np.floor(quotient, out=quotient), p, out=quotient)
     return x

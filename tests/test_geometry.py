@@ -429,11 +429,12 @@ def test_adjacency_iff_block_intersection_sampled(tg22, jt22, cert22):
         assert tg22.is_adjacent(i, j) == same
 
 
-# (p, f, n): GF(q)^n for q = 2, 3, 4, an odd-p extension field and an f = 3 field
-_POINT_SET_SPACES = [(2, 1, 5), (3, 1, 4), (2, 2, 4), (3, 2, 3), (2, 3, 3)]
+# (p, f, n): GF(q)^n for q = 2, 3, 4, an odd-p extension field and an f = 3 field; then the
+# planes of the largest prime field and of the fields of most p-digits, the edges of float32 exactness
+_POINT_SET_SPACES = [(2, 1, 5), (3, 1, 4), (2, 2, 4), (3, 2, 3), (2, 3, 3), (251, 1, 2), (2, 8, 2), (3, 5, 2)]
 
 
-@pytest.mark.parametrize("p,f,n", _POINT_SET_SPACES, ids=["q2", "q3", "q4", "q9", "q8"])
+@pytest.mark.parametrize("p,f,n", _POINT_SET_SPACES, ids=["q2", "q3", "q4", "q9", "q8", "q251", "q256", "q243"])
 def test_point_sets_match_projective_points(p, f, n):
     from qgeom.geometry import _point_sets
 
@@ -451,14 +452,69 @@ def test_point_sets_match_projective_points(p, f, n):
     assert sets == [sorted(index[pt.rep] for pt in projective_points(w)) for w in subs]
 
 
+@pytest.mark.parametrize("p,f", [(251, 1), (2, 8), (3, 5)], ids=["q251", "q256", "q243"])
+def test_point_images_of_square_maps_at_the_edges_of_exactness(p, f):
+    # q = 251 has the largest digit products, q = 256 and 243 the most digits per coordinate
+    from qgeom.autgroup import SemilinearMap, _maps_as_arrays
+    from qgeom.geometry import _point_images, _point_order
+    from qgeom.linalg import Matrix
+
+    field, rng = field_new(p, f), random.Random(p * f)
+    q = field.q
+    rows = [[[q - 1, q - 1], [0, q - 1]]]  # every digit p - 1
+    rows += [[[rng.randrange(1, q), rng.randrange(q)], [0, rng.randrange(1, q)]] for _ in range(11)]
+    maps = [SemilinearMap(Matrix(field, r), j % f) for j, r in enumerate(rows)]  # every Frobenius power
+    points, index = _point_order(field, 2)
+    literal = [[index[phi.apply_point(pt).rep] for pt in points] for phi in maps]
+    assert _point_images(*_maps_as_arrays(maps)).tolist() == literal
+
+
+def test_point_images_refuse_codes_and_sums_beyond_exact_float32():
+    from types import SimpleNamespace
+
+    from qgeom.geometry import _field_arrays, _point_images, _vector_tables
+
+    before = _vector_tables.cache_info(), _field_arrays.cache_info()
+    with pytest.raises(ValueError, match=r"GF\(256\)\^4 .*\(2\*\*24\)"):
+        _point_images(field_new(2, 8), np.zeros((1, 4, 1), dtype=np.intp), np.zeros(1, dtype=np.intp))
+    # 4093^2 < 2**24, but a sum of two digit products reaches 2 * 4092^2
+    with pytest.raises(ValueError, match=r"GF\(4093\)\^2 .*\(2\*\*24\)"):
+        _point_images(SimpleNamespace(p=4093, f=1, q=4093), np.zeros((1, 2, 2), dtype=np.intp), np.zeros(1, np.intp))
+    assert (_vector_tables.cache_info(), _field_arrays.cache_info()) == before  # nothing built
+
+
 def test_point_images_are_the_same_in_slabs_of_one(monkeypatch):
     import qgeom.geometry as geometry
+    from qgeom.autgroup import _maps_as_arrays, random_stabilizer_element
 
     field = field_new(3, 2)
     subs = list(enumerate_k_subspaces(full_space(field, 3), 2))
     whole = geometry._point_array(subs)
     monkeypatch.setattr(geometry, "_SLAB_BYTES", 1)
     assert np.array_equal(geometry._point_array(subs), whole)
+
+    sizes = []  # maps per slab, read off the products that _mod reduces
+
+    def spy(x, p):
+        sizes.append(x.shape[1] // (5 * field.f))
+        return mod(x, p)
+
+    mod = geometry._mod
+    monkeypatch.setattr(geometry, "_mod", spy)
+    # square semilinear maps with every Frobenius power in one batch of 23, a prime, so
+    # that every slab of 2..22 maps ends mid-way through it
+    for p, f, split in [(2, 2, 1 << 17), (2, 3, 3 << 20), (3, 2, 3 << 20)]:
+        field = field_new(p, f)
+        maps = [random_stabilizer_element(field, 2, (p, f, j)) for j in range(23)]
+        assert {phi.frob for phi in maps} == set(range(f))
+        runs = {}
+        for slab in (1 << 30, 1, split):
+            monkeypatch.setattr(geometry, "_SLAB_BYTES", slab)
+            sizes.clear()
+            runs[slab] = geometry._point_images(*_maps_as_arrays(maps)), tuple(sizes)
+        assert runs[1 << 30][1] == (23,) and runs[1][1] == (1,) * 23
+        assert 1 < runs[split][1][0] < 23, runs[split][1]
+        assert all(np.array_equal(images, runs[1 << 30][0]) for images, _ in runs.values())
 
 
 @pytest.mark.parametrize("v,dtype", [(256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32)])
