@@ -23,9 +23,10 @@ Everything else acts through one batched point action:
   goes through pi.  It finds pi(sigma(c)) in the index that `_sigma`
   keeps beside the sigma point sets.
 - `geometry._SetIndex`: the one exact index of point sets (blocks,
-  vertex point sets, sigma point sets).  A key is the ceil(v/64) words
-  of a set's point mask; lookups are hashed and answer a row only after
-  comparing every word.  A design's blocks live in its own index,
+  vertex point sets, sigma point sets).  It is asked with point rows or
+  point permutations and keeps its key, the set's point mask, to itself;
+  lookups are hashed and answer a row only after comparing the whole
+  key.  A design's blocks live in its own index,
   `Design.index`.  A verify run reads the vertex index from its
   `geometry._Instance`; the public functions here that take a graph keep
   its vertex index, held weakly.

@@ -30,11 +30,12 @@ p-digits, so a batch of (n x k) matrices maps all points in one float32
 BLAS product, reduced mod p, exact below 2**24.  Square maps give
 `autgroup` its point permutations; the transposed RREF basis of a
 k-subspace gives its points (`_point_sets`).
-`_SetIndex` finds point sets among many by their point masks, exactly:
-the instance's vertex index, the sigma point sets, and the blocks of a
-design.  Point sets of several sizes are held as `_by_size` gives them:
-per size, the numbers of the sets of that size and one 2-D array of
-their points.
+`_SetIndex` finds point sets among many, exactly, from rows of their
+points in any order: the instance's vertex index, the sigma point sets,
+and the blocks of a design.  Its key, the point mask, is its own; no
+caller builds or reads one.  Point sets of several sizes are held as
+`_by_size` gives them: per size, the numbers of the sets of that size
+and one 2-D array of their points.
 
 A `Design` holds its blocks only that way, in one `_SetIndex` over its
 points (`Design.index`): one sorted point row per block.  That index is
@@ -251,7 +252,7 @@ class Design:
                 raise ValueError(f"block {bi} {fault}")
             sets.append(a.astype(_index_dtype(v), copy=False))
         self.index = _SetIndex(_by_size(sets), v)
-        first = self.index.find(self.index.columns)  # the first block with each key
+        first = self.index.firsts()
         if (again := np.flatnonzero(first != np.arange(len(first)))).size:
             raise ValueError(f"blocks {first[again[0]]} and {again[0]} are identical")
         self._blocks = None
@@ -290,11 +291,9 @@ class Design:
     def _row(self, block) -> int:
         """The number of the block holding exactly the points of block, or -1."""
         pts = np.array(list(block))
-        if (len(pts) and pts.dtype.kind not in "iu") or len(np.unique(pts)) < len(pts):
+        if len(pts) and pts.dtype.kind not in "iu":
             return -1
-        if not ((0 <= pts) & (pts < self.v)).all():
-            return -1
-        return int(self.index.find(_mask_words(pts.astype(np.intp), self.v)[:, None])[0])
+        return int(self.index.find(pts.reshape(1, -1).astype(np.intp))[0])
 
     def block_index(self, block) -> int:
         if (row := self._row(block)) < 0:
@@ -536,10 +535,16 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd; its product's top bits mix all word
 class _SetIndex:
     """An exact hashed index of point sets over v points.
 
-    The key of a set is the ceil(v/64) words of its point mask.  Keys sit
-    in an open-addressed table with linear probing, found by the top bits
-    of a multiplicative hash; a lookup answers a row only after comparing
-    every word of the key, so a hash collision is never taken as a match.
+    The key of a set is the ceil(v/64) words of its point mask; only this
+    class builds or reads one (`_mask_words`), and callers pass point rows
+    or point permutations.
+    Keys sit in an open-addressed table with linear probing, found by the
+    top bits of a multiplicative hash; a lookup answers a row only after
+    comparing every word of the key, so a hash collision is never taken as
+    a match.  Keys go in by one pass in the order of their home slots, a
+    stable sort, so equal keys keep set order: the i-th takes slot
+    i + max over j <= i of (home_j - j), linear probing done in home order.
+    The table has one spare slot per set past its end, so no probe wraps.
     """
 
     def __init__(self, groups, v: int):
@@ -551,22 +556,17 @@ class _SetIndex:
         for rows, pts in groups:
             for start in range(0, len(rows), per):
                 keys[:, rows[start : start + per]] = _mask_words(pts[start : start + per], v).T
-        self.columns = list(keys)  # word w of every key, contiguous
+        self._keys = list(keys)  # word w of every key, contiguous
         self.bits = max(1, 4 * len(self) - 1).bit_length()  # load at most 1/4
-        self.slots = np.full(1 << self.bits, -1, dtype=np.intp)
-        home = self._home(self.columns)
-        pending = np.arange(len(self))
-        self.max_probe = -1
-        while pending.size:  # round r places keys at home + r, first come first
-            self.max_probe += 1
-            at = (home[pending] + self.max_probe) & (len(self.slots) - 1)
-            free = np.flatnonzero(self.slots[at] < 0)
-            at, first = np.unique(at[free], return_index=True)
-            self.slots[at] = pending[free[first]]
-            pending = np.delete(pending, free[first])
+        home = self._home(self._keys)
+        order = np.argsort(home, kind="stable")
+        at = np.maximum.accumulate(home[order] - np.arange(len(self))) + np.arange(len(self))
+        self.slots = np.full((1 << self.bits) + len(self), -1, dtype=np.intp)
+        self.slots[at] = order
+        self.max_probe = int((at - home[order]).max(initial=0))
 
     def __len__(self):
-        return len(self.columns[0])
+        return len(self._keys[0])
 
     def _home(self, words) -> np.ndarray:
         h = words[0] * _MIX
@@ -577,14 +577,13 @@ class _SetIndex:
     def _matches(self, slot: np.ndarray, words) -> np.ndarray:
         """Is each slot filled with a key equal to words in every word?"""
         same = slot >= 0
-        for column, word in zip(self.columns, words):
+        for column, word in zip(self._keys, words):
             same &= column[slot] == word
         return same
 
-    def find(self, words) -> np.ndarray:
-        """The row of each set given by its mask words, or -1 if absent.
-        words[w] holds word w of every set, as `columns` holds the keys': a
-        list of word arrays, or the transpose of `_mask_words` rows."""
+    def _lookup(self, words) -> np.ndarray:
+        """The row of the first set with each key, or -1 if absent; words[w]
+        holds word w of every key, as `_keys` does."""
         if not len(self):  # no key to compare with
             return np.full(len(words[0]), -1, dtype=np.intp)
         at = self._home(words)
@@ -595,25 +594,42 @@ class _SetIndex:
         for probe in range(1, self.max_probe + 1):
             if not todo.size:
                 break
-            slot = self.slots[(at[todo] + probe) & (len(self.slots) - 1)]
+            slot = self.slots[at[todo] + probe]
             same = self._matches(slot, [word[todo] for word in words])
             out[todo[same]] = slot[same]
             todo = todo[(slot >= 0) & ~same]
         return out
 
+    def find(self, points: np.ndarray) -> np.ndarray:
+        """The row of the set holding exactly the points of each row of a 2-D
+        integer array, in any order, or -1 where that row is no set here:
+        a point outside 0..v-1, a repeated point, or a set not held."""
+        inside = ((points >= 0) & (points < self.v)).all(axis=1)
+        words = _mask_words(np.where(inside[:, None], points, 0), self.v)
+        # a repeated point sets fewer bits than the row has entries
+        inside &= np.bitwise_count(words).sum(axis=1) == points.shape[1]
+        return np.where(inside, self._lookup(words.T), -1)
+
+    def firsts(self) -> np.ndarray:
+        """Entry i: the row of the first set equal to set i (i itself unless
+        an earlier set holds the same points)."""
+        return self._lookup(self._keys)
+
     def images(self, perms: np.ndarray) -> np.ndarray:
         """Entry (g, j): the row of the image of set j under the point
         permutation perms[g], or -1 where that image is not a set here.
-        Images are formed a slab of about _SLAB_BYTES at a time."""
+        Images are formed a slab of about _SLAB_BYTES at a time; a
+        permutation's images are in range and distinct, so no row is
+        checked as `find` checks it."""
         out = np.empty((len(perms), len(self)), dtype=np.int32)
         for rows, pts in self.groups:
-            per = max(1, _SLAB_BYTES // (64 * len(self.columns)))  # sets per slab, 64 bytes per key word
+            per = max(1, _SLAB_BYTES // (64 * len(self._keys)))  # sets per slab, 64 bytes per key word
             for r in range(0, len(rows), per):
                 sets = pts[r : r + per]
                 step = max(1, per // len(sets))  # elements per slab
                 for g in range(0, len(perms), step):
                     words = _mask_words(perms[g : g + step, sets], self.v)
-                    found = self.find(words.reshape(-1, words.shape[-1]).T)
+                    found = self._lookup(words.reshape(-1, words.shape[-1]).T)
                     out[g : g + step, rows[r : r + per]] = found.reshape(-1, len(sets))
         return out
 
@@ -819,8 +835,7 @@ def _certificate(d: Design, blocks) -> IsoCertificate:
     """The block map as an index permutation: vertex i goes to the block of
     d holding exactly the point indices of row i of the 2-D array blocks.
     ValueError names the first vertex whose image is not a block of d."""
-    inside = (blocks < d.v).all(axis=1)  # a point past d's is in no block of d
-    mapping = np.where(inside, d.index.find(_mask_words(np.where(inside[:, None], blocks, 0), d.v).T), -1)
+    mapping = d.index.find(blocks)
     if (missing := np.flatnonzero(mapping < 0)).size:
         i = int(missing[0])
         raise ValueError(f"f of vertex {i} is not a block of the design: {tuple(blocks[i].tolist())}")
@@ -878,21 +893,26 @@ class _Instance:
         return _Labels(self.field, [("A", a), ("B", b)])
 
     @cached_property
+    def vertex_groups(self) -> list:
+        """The vertex point sets grouped by size (`_by_size`): A's array,
+        then B's, each kept as it is, not copied."""
+        return _by_size([sets for _, sets in self.families[:2]])
+
+    @cached_property
     def graph(self) -> Graph:
         """The twisted Grassmann graph (see `twisted_grassmann`)."""
-        (a, a_sets), (b, b_sets), _ = self.families
+        (a, _), (b, _), _ = self.families
         q, e, v = self.field.q, self.e, len(self.points)
         # families i and j (A = 0, B = 1) are adjacent on [e-i-j]_q shared
         # points; A covering B means all [e-1]_q points of B lie in A.
         target = [[_point_count(e - i - j, q) for j in range(2)] for i in range(2)]
-        return _count_graph(self.labels, _by_size([a_sets, b_sets]), v, target, np.repeat([0, 1], [len(a), len(b)]))
+        return _count_graph(self.labels, self.vertex_groups, v, target, np.repeat([0, 1], [len(a), len(b)]))
 
     @cached_property
     def f(self) -> np.ndarray:
         """f(W) of every vertex, in vertex order: one sorted row of [e+1]_q
         point indices each."""
-        (_, a_sets), (_, b_sets), _ = self.families
-        return _block_map(self.labels, _by_size([a_sets, b_sets]), self.h, self.s)
+        return _block_map(self.labels, self.vertex_groups, self.h, self.s)
 
     @cached_property
     def jt(self) -> Design:
@@ -916,5 +936,4 @@ class _Instance:
     @cached_property
     def vertex_index(self) -> _SetIndex:
         """The index of the vertex point sets, rows in vertex order."""
-        (_, a_sets), (_, b_sets), _ = self.families
-        return _SetIndex(_by_size([a_sets, b_sets]), len(self.points))
+        return _SetIndex(self.vertex_groups, len(self.points))

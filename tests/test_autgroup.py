@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qgeom import (
+    Design,
     Matrix,
     NotAutomorphism,
     PointPermutation,
@@ -326,26 +327,24 @@ def test_batched_point_action_matches_the_literal_maps(p, f, e, paired):
 
 def test_set_index_finds_every_key_at_its_own_row(setting22, setting32, jt22, jt32, tg22, tg32):
     from qgeom.autgroup import _set_index
-    from qgeom.geometry import _Instance, _mask_words, _sigma
+    from qgeom.geometry import _Instance, _sigma
 
     for (field, h, s), d, g in ((setting22, jt22, tg22), (setting32, jt32, tg32)):
         for index in (d.index, _set_index(g), _sigma(s).index, _Instance(field, 2, h, s).vertex_index):
             identity = np.arange(d.v, dtype=np.uint8)[None]
             assert index.images(identity)[0].tolist() == list(range(len(index)))
             for rows, pts in index.groups:
-                assert index.find(_mask_words(pts, d.v).T).tolist() == rows.tolist()
+                assert index.find(pts).tolist() == rows.tolist()
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_set_index_agrees_with_has_block_on_random_sets(request, q):
-    from qgeom.geometry import _mask_words
-
     d = request.getfixturevalue(f"jt{q}2")
     k = len(d.blocks[0])
     rng = random.Random(q)
     sets = [sorted(rng.sample(range(d.v), k)) for _ in range(2000)]
     sets += [list(d.blocks[rng.randrange(d.b)]) for _ in range(200)]
-    found = d.index.find(_mask_words(np.array(sets), d.v).T)
+    found = d.index.find(np.array(sets))
     for pts, row in zip(sets, found.tolist()):
         assert (row >= 0) == d.has_block(pts)
         if row >= 0:
@@ -366,15 +365,52 @@ def test_mask_words_are_the_point_mask(v):
 
 
 def test_set_index_compares_every_word():
-    from qgeom.geometry import _by_size, _SetIndex, _mask_words
+    from qgeom.geometry import _by_size, _SetIndex
 
     # keys share their first word and differ only in the second
     keys = [[0, 1, 2, 64 + i] for i in range(20)]
     index = _SetIndex(_by_size([np.array(keys)]), 100)
-    assert len(index) == 20 and len(index.columns) == 2
-    assert index.find(_mask_words(np.array(keys), 100).T).tolist() == list(range(20))
+    assert len(index) == 20
+    assert index.find(np.array(keys)).tolist() == list(range(20))
     others = np.array([[0, 1, 2, 84 + i] for i in range(16)] + [[0, 1, 2, 3]] + [[1, 2, 3, 64 + i] for i in range(20)])
-    assert (index.find(_mask_words(others, 100).T) == -1).all()
+    assert (index.find(others) == -1).all()
+
+
+def test_set_index_walks_one_chain_of_every_key(monkeypatch, jt32):
+    # every key's home is slot 0, so the index is one probe chain of all b blocks
+    import qgeom.geometry as geometry
+
+    monkeypatch.setattr(geometry._SetIndex, "_home", lambda self, words: np.zeros(len(words[0]), dtype=np.intp))
+    blocks = np.array(jt32.blocks)
+    d = Design(jt32.points, blocks)
+    assert d.index.max_probe == d.b - 1
+    rng = np.random.default_rng(32)
+    assert d.index.find(rng.permuted(blocks, axis=1)).tolist() == list(range(d.b))
+    held = set(jt32.blocks)
+    others = []
+    while len(others) < 50:
+        if (pts := tuple(sorted(rng.choice(d.v, blocks.shape[1], replace=False).tolist()))) not in held:
+            others.append(pts)
+    assert (d.index.find(np.array(others)) == -1).all()
+    assert d.index.images(np.arange(d.v, dtype=np.uint8)[None])[0].tolist() == list(range(d.b))
+    with pytest.raises(ValueError, match="blocks 0 and 2 are identical"):
+        Design(jt32.points, blocks[[0, 1, 0]])
+
+
+@pytest.mark.parametrize("v", [64, 65])
+def test_set_index_lookups_across_the_word_boundary(v):
+    # v = 64 keys fill one mask word, v = 65 spill point 64 into a second
+    rng = random.Random(v)
+    blocks = sorted({tuple(sorted(rng.sample(range(v), 5))) for _ in range(60)} | {(0, 1, 2, 3, v - 1)})
+    a, b, c, e, f = blocks[0]
+    d = Design(range(v), blocks + [(a, b, c, e)])  # a repeated point in a row of five could name this one
+    last = [i for i, pts in enumerate(blocks) if v - 1 in pts]
+    shuffled = np.array([rng.sample(blocks[i], 5) for i in last])
+    assert len(last) > 1 and d.index.find(shuffled).tolist() == last
+    assert d.index.find(np.array([[e, c, b, a]])).tolist() == [len(blocks)]
+    bad = np.array([[a, a, b, c, e], [a, b, c, e, v], [a, b, c, e, f + 2 * v], [-1, b, c, e, f]], dtype=np.intp)
+    assert (d.index.find(bad) == -1).all()
+    assert not d.has_block((-1, b, c, e, f)) and not d.has_block((a, a, b, c, e))
 
 
 def test_theorem2_batch_matches_single_calls(setting32, tg32, jt32):
@@ -520,7 +556,6 @@ def _direct_census_chunk(start, mats, *, s, blocks):
 
 @pytest.mark.parametrize("setting", ["identity", "symplectic", "mutant"])
 def test_factored_census_chunk_matches_the_direct_check(setting):
-    from qgeom import Design
     from qgeom.autgroup import _census_chunk, _census_lifts, _general_linear
     from qgeom.geometry import _Instance
 

@@ -676,11 +676,9 @@ def test_design_refuses_an_array_as_it_refuses_its_rows(blocks, names):
 
 
 def test_design_of_one_empty_block_builds_an_index():
-    from qgeom.geometry import _mask_words
-
     d = Design([], [[]])
     assert d.b == 1 and len(d.index) == 1 and d.has_block(()) and d.block_index([]) == 0
-    assert d.index.find(_mask_words(np.zeros((1, 0), dtype=np.uint8), 0).T).tolist() == [0]
+    assert d.index.find(np.zeros((1, 0), dtype=np.uint8)).tolist() == [0]
     assert Design([], []).b == 0 and not Design([], []).has_block(())
 
 
@@ -708,13 +706,38 @@ def test_block_map_names_a_subspace_whose_image_has_the_wrong_size(monkeypatch):
 def test_design_index_survives_pickling(jt22):
     import pickle
 
-    from qgeom.geometry import _mask_words
-
     index = pickle.loads(pickle.dumps(jt22.index))
     for rows, pts in index.groups:
-        assert index.find(_mask_words(pts, jt22.v).T).tolist() == rows.tolist()
+        assert index.find(pts).tolist() == rows.tolist()
     d = pickle.loads(pickle.dumps(jt22))
     assert d.blocks == jt22.blocks and d.block_labels == jt22.block_labels
+
+
+def test_only_the_set_index_builds_or_reads_mask_words():
+    # a new key for `_SetIndex` changes that class alone
+    import ast
+    from pathlib import Path
+
+    import qgeom
+
+    def outside(node):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in ("_SetIndex", "_mask_words"):
+            return
+        if (
+            (isinstance(node, ast.Name) and node.id == "_mask_words")
+            or (isinstance(node, ast.alias) and node.name == "_mask_words")
+            or (isinstance(node, ast.Attribute) and node.attr in ("_mask_words", "_keys"))
+        ):
+            yield node
+        for child in ast.iter_child_nodes(node):
+            yield from outside(child)
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(qgeom.__file__).parent.glob("*.py"))
+        for node in outside(ast.parse(path.read_text()))
+    ]
+    assert found == []
 
 
 def test_certificate_refuses_blocks_past_the_design_points(setting32, tg32, jt22):
