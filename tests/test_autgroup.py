@@ -325,6 +325,66 @@ def test_batched_point_action_matches_the_literal_maps(p, f, e, paired):
         assert tuple(lifted_perm) == lift(phi, s).perm
 
 
+def _census_maps(p, mats):
+    """[[A, b], [0, 1]] for each A in mats and every b in GF(p)^m, A major
+    and b minor: the census's batch order."""
+    m = mats.shape[1]
+    bs = np.array(list(product(range(p), repeat=m)), dtype=np.intp)
+    phis = np.zeros((len(mats), len(bs), m + 1, m + 1), dtype=np.intp)
+    phis[:, :, :m, :m] = mats[:, None]
+    phis[:, :, :m, m] = bs
+    phis[:, :, m, m] = 1
+    return phis.reshape(-1, m + 1, m + 1)
+
+
+def _census_pi(s, mats):
+    """The point permutations of `_census_maps` over s's field."""
+    from qgeom.geometry import _point_images
+
+    phis = _census_maps(s.field.p, mats)
+    return _point_images(s.field, phis, np.zeros(len(phis), dtype=np.intp))
+
+
+@pytest.mark.parametrize("paired", [False, True], ids=["identity", "paired"])
+def test_lift_batch_shares_sigma_lookups_exactly(paired):
+    # A census chunk shares one lookup per A (runs of 16 rows); random maps
+    # start a run at every row.  Either way the batch gives each row's lift
+    # alone, a batch of one, where no run is shared.
+    from qgeom.autgroup import _general_linear, _lift_batch, _maps_as_arrays, _point_images
+
+    f = field_new(2)
+    s = polarity_new(f, coordinate_hyperplane(f, 5), _paired_gram(4) if paired else None)
+    f3 = field_new(3)
+    s3 = polarity_new(f3, coordinate_hyperplane(f3, 5), _paired_gram(4) if paired else None)
+    random_pi = _point_images(*_maps_as_arrays([random_stabilizer_element(f3, 2, (13, i)) for i in range(40)]))
+    for t, pi in ((s, _census_pi(s, _general_linear(2, 4)[:64])), (s3, random_pi)):
+        lifted = _lift_batch(t, pi)
+        assert np.array_equal(lifted, np.concatenate([_lift_batch(t, row[None]) for row in pi]))
+
+
+def test_lift_batch_looks_up_a_row_that_differs_on_one_point_of_h(setting22):
+    # Row 1 is row 0 with the images of a point c of [h] and a point off [h]
+    # swapped: the two agree on every point of [h] but c.  A permutation
+    # that maps every sigma point set onto one is a collineation of [h], so
+    # row 1 maps some sigma(c') off them, and the batch must raise as row 1
+    # alone does, whichever point of [h] c is.
+    from qgeom.autgroup import _lift_batch, _maps_as_arrays, _point_images
+    from qgeom.geometry import _sigma
+
+    field, h, s = setting22
+    h_points = _sigma(s).points
+    off_h = np.setdiff1d(np.arange(31), h_points)
+    pi = _point_images(*_maps_as_arrays([random_stabilizer_element(field, 2, (14, 0))]))
+    _lift_batch(s, pi)  # the map itself stabilizes [h]
+    for c in h_points.tolist():
+        row = pi[0].copy()
+        row[[c, off_h[0]]] = row[[off_h[0], c]]
+        assert (row[h_points] != pi[0, h_points]).sum() == 1
+        for batch in (row[None], np.stack([pi[0], row]), np.stack([pi[0], pi[0], row, pi[0]])):
+            with pytest.raises(ValueError, match="does not stabilize"):
+                _lift_batch(s, batch)
+
+
 def test_set_index_finds_every_key_at_its_own_row(setting22, setting32, jt22, jt32, tg22, tg32):
     from qgeom.autgroup import _set_index
     from qgeom.geometry import _Instance, _sigma
@@ -534,16 +594,10 @@ def _direct_census_chunk(start, mats, *, s, blocks):
     """The census chunk with the block check on every element: the oracle
     for the factored proof of `_census_chunk`."""
     from qgeom.autgroup import _CENSUS_STRIDE, _lift_batch, _spot_check_lifts
-    from qgeom.geometry import _point_images
 
-    field, n, m = s.field, mats.shape[1] + 1, mats.shape[1]
-    bs = np.array(list(product(range(field.p), repeat=m)), dtype=np.intp)
-    phis = np.zeros((len(mats), len(bs), n, n), dtype=np.intp)
-    phis[:, :, :m, :m] = mats[:, None]
-    phis[:, :, :m, m] = bs
-    phis[:, :, m, m] = 1
-    phis = phis.reshape(-1, n, n)
-    perms = _lift_batch(s, _point_images(field, phis, np.zeros(len(phis), dtype=np.intp)))
+    field = s.field
+    phis = _census_maps(field.p, mats)
+    perms = _lift_batch(s, _census_pi(s, mats))
     ok = blocks.images(perms) >= 0
     failures = [
         (tuple(map(tuple, phis[g].tolist())), int(np.argmin(ok[g])))
@@ -645,3 +699,61 @@ def test_census_reads_the_callers_instance(monkeypatch):
     monkeypatch.setattr(_Instance, "jt", property(no_build))
     with pytest.raises(ValueError, match=r"\(q,e\)=\(2,2\)"):
         exhaustive_lift_check(inst=_Instance(field_new(3), 2))
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 31, 32, 33])
+def test_distinct_rows_is_the_exact_count(monkeypatch, width):
+    import qgeom.autgroup as autgroup
+
+    def unique_count(rows):
+        return len(np.unique(rows.view(np.dtype((np.void, rows.shape[1])))))
+
+    rng = np.random.default_rng(width)
+    for n in (2, 50, 1000):
+        rows = rng.integers(0, 4, (n, width), dtype=np.uint8)
+        rows[rng.integers(0, n, n // 3)] = rows[rng.integers(0, n, n // 3)]  # planted duplicates
+        counts = [autgroup._distinct_rows(rows)]
+        with monkeypatch.context() as m:
+            m.setattr(autgroup, "_MIX", np.uint64(0))  # every row shares one key
+            counts.append(autgroup._distinct_rows(rows))
+        assert counts == [unique_count(rows)] * 2
+    for n in (0, 1):
+        rows = rng.integers(0, 4, (n, width), dtype=np.uint8)
+        assert autgroup._distinct_rows(rows) == n
+
+
+def test_census_counts_a_copied_lift_once(monkeypatch):
+    # Element 16006's batched lift is replaced by element 16005's, its
+    # neighbour in the same chunk.  Neither is a factor (b != 0) or on the
+    # spot stride, and the copy is a design automorphism, so the block
+    # check passes and only the distinct count shows it.
+    import qgeom.autgroup as autgroup
+    from qgeom.autgroup import _general_linear, _lift_batch
+
+    f = field_new(2)
+    g = 16005
+    assert g % 16 and (g + 1) % 16 and (g + 1) % 4001
+    target = _census_pi(polarity_new(f, coordinate_hyperplane(f, 5)), _general_linear(2, 4)[[g // 16]])[(g + 1) % 16]
+    copies = []
+
+    def copied(s, pi):
+        lifted = _lift_batch(s, pi)
+        for k in np.flatnonzero((pi == target).all(axis=1)).tolist():
+            copies.append(k)
+            lifted[k] = lifted[k - 1]
+        return lifted
+
+    monkeypatch.setattr(autgroup, "_lift_batch", copied)
+    rep = exhaustive_lift_check()
+    assert copies == [(g + 1) % 1024]
+    assert rep.distinct == 322559 and rep.verified == 322560 and rep.identity_count == 1
+    assert rep.failures == () and not rep.ok
+
+
+def test_census_refuses_a_short_general_linear(monkeypatch):
+    import qgeom.autgroup as autgroup
+
+    full = autgroup._general_linear
+    monkeypatch.setattr(autgroup, "_general_linear", lambda p, m: full(p, m)[:-1])
+    with pytest.raises(RuntimeError, match="322544 elements, not the stabilizer order 322560"):
+        exhaustive_lift_check()
