@@ -61,10 +61,11 @@ automorphisms is one.  Every other element takes the block check
 itself, so the failures are those of the direct check.  The maps go
 A major and b minor, and [[A, b], [0, 1]] acts on [H] as A, so each
 A's 16 elements form one run of `_lift_batch` and share its sigma
-lookups: 20160 rows looked up, not 322560.  Distinctness, the identity
-count and the literal-lift spot checks read every lift; distinctness
-is counted by one 64-bit key per lift (`_distinct_rows`), with the
-lifts that share a key compared in full.
+lookups: 20160 rows looked up, not 322560.  The census runs its 315
+chunks of 64 A in turn, in the calling process.  Distinctness, the
+identity count and the literal-lift spot checks read every lift;
+distinctness is counted by one 64-bit key per lift (`_distinct_rows`),
+with the lifts that share a key compared in full.
 """
 
 from __future__ import annotations
@@ -72,16 +73,14 @@ from __future__ import annotations
 import random
 import time
 import weakref
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 
 import numpy as np
 
 from .gf import Field, _prime_power, field_new
 from .geometry import Design, Graph, _Instance
-from .geometry import _MIX, _SetIndex, _index_dtype, _permutation, _point_images, _point_order, _point_sets, _sigma
+from .geometry import _SetIndex, _fold, _index_dtype, _permutation, _point_images, _point_order, _point_sets, _sigma
 from .linalg import Matrix
 from .polarity import Polarity
 from .subspace import (
@@ -539,17 +538,15 @@ def _distinct_rows(rows: np.ndarray) -> int:
     """The number of distinct rows of a 2-D uint8 array, exactly.
 
     Each row, zero-padded to whole uint64 words, folds into one 64-bit
-    key by `geometry._SetIndex`'s multiplicative hash, and the keys are
-    sorted once.  Equal rows share a key, so rows of different keys are
-    distinct; the rows whose key is shared are compared in full, by one
-    sort of those rows, so a collision is never taken as a duplicate.
+    key by `geometry._fold`, the hash of `geometry._SetIndex`, and the
+    keys are sorted once.  Equal rows share a key, so rows of different
+    keys are distinct; the rows whose key is shared are compared in full,
+    by one sort of those rows, so a collision is never taken as a
+    duplicate.
     """
     padded = np.zeros((len(rows), (rows.shape[1] + 7) // 8 * 8), dtype=np.uint8)
     padded[:, : rows.shape[1]] = rows
-    words = padded.view(np.uint64)
-    key = words[:, 0] * _MIX
-    for word in words.T[1:]:
-        key = (key ^ word) * _MIX
+    key = _fold(padded.view(np.uint64).T)
     ordered = np.sort(key)
     shared = np.unique(ordered[1:][ordered[1:] == ordered[:-1]])
     if not shared.size:
@@ -573,7 +570,8 @@ def _census_lifts(s: Polarity, mats: np.ndarray):
 
 def _census_chunk(start, mats, *, s, blocks, trans, trans_ok):
     """Lift [[A, b], [0, 1]] = T_b.L_A for every A in mats and every b, and
-    prove each lift a design automorphism; pure function.
+    prove each lift a design automorphism: one chunk of the census, which
+    `exhaustive_lift_check` runs in turn, in one process.
 
     Every lift is formed from its own matrix.  The b = 0 lift of each A is
     lift(L_A), checked directly against blocks.  trans holds lift(T_b) for
@@ -605,8 +603,7 @@ def _census_chunk(start, mats, *, s, blocks, trans, trans_ok):
     )
 
 
-def exhaustive_lift_check(s: Polarity = None, jobs: int = 1, progress=None, *,
-                          inst: _Instance = None) -> LiftCheckReport:
+def exhaustive_lift_check(s: Polarity = None, progress=None, *, inst: _Instance = None) -> LiftCheckReport:
     """Lift every element of the (2,2) hyperplane stabilizer and verify.
 
     Enumerates GL(2e, p) times all mixing columns, the corner fixed at 1
@@ -618,10 +615,11 @@ def exhaustive_lift_check(s: Polarity = None, jobs: int = 1, progress=None, *,
 
     Proves each lift a design automorphism by its factors (see
     `_census_chunk`): the 16 translation lifts are checked directly here,
-    once, and the linear lifts in their chunks.  Checks that all 322560
-    point permutations are pairwise distinct with exactly one identity; a
-    fixed prime stride of them, element 0 first, is compared with the
-    literal lift().  Refuses instances other than (q,e) = (2,2) before it
+    once, and the linear lifts in chunks of 64 A, one chunk after another
+    in this process; progress, if given, is called with the fraction done
+    after each.  Checks that all 322560 point permutations are pairwise
+    distinct with exactly one identity; a fixed prime stride of them,
+    element 0 first, is compared with the literal lift().  Refuses instances other than (q,e) = (2,2) before it
     builds anything.
     """
     if inst is not None:
@@ -647,29 +645,19 @@ def exhaustive_lift_check(s: Polarity = None, jobs: int = 1, progress=None, *,
     _, trans = _census_lifts(s, np.eye(2 * e, dtype=np.intp)[None])
     trans_ok = (d.index.images(trans) >= 0).all(axis=1)
     step = 64  # A blocks per chunk
-    starts = range(0, len(gl), step)
-    work = partial(_census_chunk, s=s, blocks=d.index, trans=trans, trans_ok=trans_ok)
     perms = np.empty((order, v), dtype=np.uint8)
     verified = cross_checked = 0
     failures = []
-    pool = None
-    if jobs > 1:
-        # imported here, so that every other command starts without them
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        pool = ProcessPoolExecutor(jobs, mp_context=get_context("spawn"))
-    with pool or nullcontext():
-        results = (pool.map if pool else map)(
-            work, [i * per_a for i in starts], [gl[i : i + step] for i in starts]
+    for i in range(0, len(gl), step):
+        chunk, chunk_failures, spots = _census_chunk(
+            i * per_a, gl[i : i + step], s=s, blocks=d.index, trans=trans, trans_ok=trans_ok
         )
-        for i, (chunk, chunk_failures, spots) in zip(starts, results):
-            perms[i * per_a : i * per_a + len(chunk)] = chunk
-            verified += len(chunk)
-            failures.extend(chunk_failures)
-            cross_checked += spots
-            if progress:
-                progress(min(1.0, (i + step) / len(gl)))
+        perms[i * per_a : i * per_a + len(chunk)] = chunk
+        verified += len(chunk)
+        failures.extend(chunk_failures)
+        cross_checked += spots
+        if progress:
+            progress(min(1.0, (i + step) / len(gl)))
 
     return LiftCheckReport(
         group_order=order,

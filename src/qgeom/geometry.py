@@ -125,8 +125,10 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges, labels=None):
         pairs = [_indices(e, f"edge {i}") for i, e in enumerate(edges)]
+        if (bad := next((i for i, pair in enumerate(pairs) if len(pair) != 2), None)) is not None:
+            raise ValueError(f"edge {bad} is not a pair of endpoints: {pairs[bad]}")
         try:
-            ends = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2)  # a 4-tuple is no two edges
+            ends = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2)  # no edges: shape (0, 2)
             inside = not ends.size or (ends.min() >= 0 and ends.max() < n)
         except OverflowError:  # an endpoint past intp lies outside 0..n-1 too
             inside = False
@@ -231,7 +233,7 @@ class Design:
     a tuple when first read, as `blocks` is.
     """
 
-    __slots__ = ("points", "_block_labels", "index", "_blocks", "__weakref__")
+    __slots__ = ("points", "_block_labels", "index", "_blocks")
 
     def __init__(self, points, blocks, block_labels=None):
         self.points = tuple(points)
@@ -532,6 +534,15 @@ def _mask_words(points: np.ndarray, v: int) -> np.ndarray:
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd; its product's top bits mix all words
 
 
+def _fold(words) -> np.ndarray:
+    """One 64-bit multiplicative hash per key: words[w] holds word w of
+    every key, as uint64; equal keys fold to equal hashes."""
+    h = words[0] * _MIX
+    for word in words[1:]:
+        h = (h ^ word) * _MIX
+    return h
+
+
 class _SetIndex:
     """An exact hashed index of point sets over v points.
 
@@ -569,10 +580,7 @@ class _SetIndex:
         return len(self._keys[0])
 
     def _home(self, words) -> np.ndarray:
-        h = words[0] * _MIX
-        for word in words[1:]:
-            h = (h ^ word) * _MIX
-        return (h >> np.uint64(64 - self.bits)).astype(np.intp)
+        return (_fold(words) >> np.uint64(64 - self.bits)).astype(np.intp)
 
     def _matches(self, slot: np.ndarray, words) -> np.ndarray:
         """Is each slot filled with a key equal to words in every word?"""

@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 
@@ -6,7 +5,7 @@ import numpy as np
 import pytest
 
 from qgeom import decode_graph6, grassmann_graph, jt_design, field_new
-from qgeom.cli import RunConfig, main
+from qgeom.cli import main
 
 
 def run(capsys, *argv):
@@ -230,7 +229,7 @@ def test_gram_file_reaches_the_census(tmp_path, monkeypatch, capsys):
     ]
     seen = []
 
-    def stub(jobs=1, progress=None, *, inst):
+    def stub(progress=None, *, inst):
         seen.append(inst.s)
         return LiftCheckReport(322560, 322560, 322560, 1, (), 81, 0.0)
 
@@ -242,6 +241,47 @@ def test_gram_file_reaches_the_census(tmp_path, monkeypatch, capsys):
     assert json.loads(out)["instance"]["gram"] == gram
     (s,) = seen
     assert s.gram == Matrix(field_new(2), gram)
+
+
+@pytest.mark.parametrize("jobs", [["--jobs", "1"], ["--jobs", "3"], []], ids=["jobs1", "jobs3", "none"])
+def test_jobs_is_accepted_and_read_by_nothing(jobs, monkeypatch, capsys):
+    # the census runs in one process, so every --jobs gives one call and one report
+    import qgeom.cli as cli
+    from qgeom import LiftCheckReport
+
+    calls = []
+    report = LiftCheckReport(322560, 322560, 322560, 1, (), 81, 0.0)
+
+    def stub(*args, **kwargs):
+        calls.append((args, sorted(kwargs)))
+        return report
+
+    monkeypatch.setattr(cli, "exhaustive_lift_check", stub)
+    code, out, _ = run(capsys, "verify", "aut-exhaustive", *jobs)
+    assert code == 0
+    assert calls == [((), ["inst", "progress"])]
+    rep = json.loads(out)
+    assert rep.pop("elapsed") >= 0
+    assert rep == {
+        "schema": 1,
+        "check": "aut-exhaustive",
+        "instance": {"q": 2, "e": 2, "gram": "identity", "seed": 0},
+        "pass": True,
+        "details": {**report.to_json(), "expected_order": 322560},
+    }
+
+
+def test_drg_progress_reaches_100_only_after_the_work(monkeypatch, capsys):
+    import qgeom.cli as cli
+
+    def stop(*args):
+        raise RuntimeError("intersection_array stopped")
+
+    monkeypatch.setattr(cli, "intersection_array", stop)
+    code, _, err = run(capsys, "verify", "drg")
+    assert code == 1
+    assert "intersection_array stopped" in err
+    assert "drg 100.0%" not in err
 
 
 def test_export_matches_library_design(tmp_path, monkeypatch, capsys):
@@ -285,15 +325,6 @@ def test_verify_all_lists_skipped_checks(monkeypatch, capsys):
     assert code == 0
     assert "aut-exhaustive" in ran and "prank" in ran
     assert json.loads(out)["details"]["skipped"] == []
-
-
-def test_jobs_bounds(capsys):
-    code, _, err = run(capsys, "verify", "aut-exhaustive", "--jobs", "0")
-    assert code == 2
-    assert "--jobs" in err
-    # capped at construction, so no worker is ever asked for
-    big = argparse.Namespace(q=2, e=2, jobs=10**6)
-    assert RunConfig.from_args(big).jobs == (os.cpu_count() or 1)
 
 
 @pytest.mark.parametrize("gram", [None, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]], ids=["identity", "paired"])

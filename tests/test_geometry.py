@@ -19,6 +19,7 @@ from qgeom import (
     field_new,
     full_space,
     gaussian_binomial,
+    graph_from_json,
     grassmann_graph,
     intersection_spectrum,
     jt_design,
@@ -76,6 +77,23 @@ def test_graph_rejects_wrong_shape_or_dtype():
 def test_graph_from_edges_names_an_endpoint_past_int64(end):
     with pytest.raises(ValueError, match=r"edge endpoints must lie in 0\.\.2"):
         Graph.from_edges(3, [(0, end)])
+
+
+@pytest.mark.parametrize(
+    "edges, bad",
+    [
+        ([(0,)], "edge 0 is not a pair of endpoints: (0,)"),
+        ([(0, 1, 2)], "edge 0 is not a pair of endpoints: (0, 1, 2)"),
+        ([(0, 1), (1, 2, 0, 2)], "edge 1 is not a pair of endpoints: (1, 2, 0, 2)"),
+        ([(0, 1), (1,), (1, 2, 0)], "edge 1 is not a pair of endpoints: (1,)"),
+    ],
+    ids=["1-tuple", "3-tuple", "4-tuple", "mixed"],
+)
+def test_graph_from_edges_names_an_edge_that_is_not_a_pair(edges, bad):
+    for build in (lambda: Graph.from_edges(3, edges), lambda: graph_from_json({"n": 3, "edges": edges})):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == bad
 
 
 def test_graph_symmetry_checked_beyond_the_first_strip():
@@ -714,29 +732,41 @@ def test_design_index_survives_pickling(jt22):
 
 
 def test_only_the_set_index_builds_or_reads_mask_words():
-    # a new key for `_SetIndex` changes that class alone
+    # a new key for `_SetIndex` changes that class alone, `_MIX` is named
+    # in geometry alone (everything else folds through `_fold`), and the
+    # package starts no worker processes
     import ast
     from pathlib import Path
 
     import qgeom
 
-    def outside(node):
+    def named(node, name):
+        return (
+            (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.alias) and node.name == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+        )
+
+    def outside(node, module):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in ("_SetIndex", "_mask_words"):
             return
-        if (
-            (isinstance(node, ast.Name) and node.id == "_mask_words")
-            or (isinstance(node, ast.alias) and node.name == "_mask_words")
-            or (isinstance(node, ast.Attribute) and node.attr in ("_mask_words", "_keys"))
-        ):
+        if named(node, "_mask_words") or named(node, "_keys") or (module != "geometry" and named(node, "_MIX")):
             yield node
         for child in ast.iter_child_nodes(node):
-            yield from outside(child)
+            yield from outside(child, module)
 
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(Path(qgeom.__file__).parent.glob("*.py"))
-        for node in outside(ast.parse(path.read_text()))
-    ]
+    def pools(tree):
+        for node in ast.walk(tree):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            if any(n.split(".")[0] in ("multiprocessing", "concurrent") for n in names):
+                yield node
+
+    paths = sorted(Path(qgeom.__file__).parent.glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text()) for path in paths}
+    found = [f"{name}:{node.lineno}" for name, tree in trees.items() for node in outside(tree, name[:-3])]
+    found += [f"{name}:{node.lineno} imports a pool" for name, tree in trees.items() for node in pools(tree)]
     assert found == []
 
 
