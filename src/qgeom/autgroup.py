@@ -29,8 +29,9 @@ Everything else acts through one batched point action:
   lookups are hashed and answer a row only after comparing the whole
   key.  A design's blocks live in its own index,
   `Design.index`.  A verify run reads the vertex index from its
-  `geometry._Instance`; the public functions here that take a graph keep
-  its vertex index, held weakly.
+  `geometry._Instance`; the public functions here that take a graph read
+  `geometry._vertex_index`, which checks the graph's labels and forms its
+  vertex point sets once per graph.
 - `_vertex_images`: the vertex action, the vertex index's rows of the
   images of the vertex point sets under point permutations it is given,
   not ones it forms.  `vertex_permutation`, `check_theorem2_batch` and
@@ -72,7 +73,6 @@ from __future__ import annotations
 
 import random
 import time
-import weakref
 from dataclasses import dataclass
 from itertools import product
 
@@ -80,7 +80,7 @@ import numpy as np
 
 from .gf import Field, _prime_power, field_new
 from .geometry import Design, Graph, _Instance
-from .geometry import _SetIndex, _fold, _index_dtype, _permutation, _point_images, _point_order, _point_sets, _sigma
+from .geometry import _fold, _index_dtype, _permutation, _point_images, _point_order, _sigma, _vertex_index
 from .linalg import Matrix
 from .polarity import Polarity
 from .subspace import (
@@ -304,19 +304,6 @@ def lift(phi: SemilinearMap, s: Polarity) -> PointPermutation:
 # -- one batched point action (see the module docstring) ---------------------
 
 
-# per graph, held weakly: an index goes when its graph does
-_INDEXES = weakref.WeakKeyDictionary()
-
-
-def _set_index(g: Graph) -> _SetIndex:
-    """The index of a twisted graph's vertex point sets."""
-    if (index := _INDEXES.get(g)) is None:
-        subs = [w for _, w in g.labels]
-        index = _SetIndex(_point_sets(subs), len(_point_order(subs[0].field, subs[0].ambient_dim)[0]))
-        _INDEXES[g] = index
-    return index
-
-
 def _lift_batch(s: Polarity, pi: np.ndarray) -> np.ndarray:
     """The lifts of the maps whose point permutations are the rows of pi.
 
@@ -398,7 +385,7 @@ def vertex_permutation(g: Graph, phi: SemilinearMap) -> tuple:
     j is the vertex phi(W_j).  Computed at point level; vertex 0's image
     is compared with the literal phi.apply_subspace on every call."""
     pi = _point_images(*_maps_as_arrays([phi]))
-    return tuple(_vertex_images(g.labels, _set_index(g), [phi], pi)[0].tolist())
+    return tuple(_vertex_images(g.labels, _vertex_index(g), [phi], pi)[0].tolist())
 
 
 _ORACLE_STRIDE = 31  # prime; elements 0, 31, 62, ... are also lifted literally
@@ -465,7 +452,7 @@ def check_theorem2_relation(d: Design, g: Graph, cert, phi: SemilinearMap, s: Po
     order) where the relation fails, as a Theorem2Violation.  The
     batched lift is compared with the literal lift() on every call.
     """
-    return check_theorem2_batch(d, g.labels, _set_index(g), cert, [phi], s)[0][0]
+    return check_theorem2_batch(d, g.labels, _vertex_index(g), cert, [phi], s)[0][0]
 
 
 def stabilizer_order(q: int, e: int, f: int) -> int:

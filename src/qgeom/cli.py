@@ -98,8 +98,9 @@ def _atomic_write(path: str, text: str):
     """Write text to path, with the mode `open(path, "w")` would give: the
     old file's, or 0666 less the umask.  A regular file (or none) is
     replaced atomically; a symlink's target is the one replaced; any other
-    existing path (a FIFO, a device) is written in place."""
-    path = os.path.realpath(path)
+    existing path (a FIFO, a device) is written in place.  An OSError in
+    making the temporary file names the path given."""
+    given, path = path, os.path.realpath(path)
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
@@ -110,7 +111,10 @@ def _atomic_write(path: str, text: str):
         with open(path, "w") as fh:
             fh.write(text)
         return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".qgeom-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".qgeom-")
+    except OSError as exc:  # name the path asked for, not the temporary file
+        raise OSError(exc.errno, exc.strerror, given) from None
     try:
         with os.fdopen(fd, "w") as fh:
             os.fchmod(fh.fileno(), stat.S_IMODE(mode))

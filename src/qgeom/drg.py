@@ -27,7 +27,7 @@ import numpy as np
 
 from .gf import field_new
 from .geometry import Design, DesignParameters, Graph, IsoCertificate
-from .geometry import _block_map, _certificate, _permutation, _point_count, _row_chunks, _row_strips, _vertex_sets
+from .geometry import _block_map, _certificate, _permutation, _point_count, _row_chunks, _row_strips, _vertex_index
 from .linalg import _CHUNK_ROWS, _rref_mod_p
 from .polarity import Polarity
 from .subspace import Subspace
@@ -221,7 +221,6 @@ def intersection_array(g: Graph, automorphisms=()):
                     ScanCounts(run, len(bases), checked),
                 )
     d = max(b)
-    assert b[d] == 0 and all(b[i] > 0 for i in range(d))
     return IntersectionArray(
         tuple(b[i] for i in range(d)),
         tuple(c[i] for i in range(1, d + 1)),
@@ -272,8 +271,9 @@ def _maps_onto(adj1: np.ndarray, adj2: np.ndarray, mp: np.ndarray, n: int) -> bo
 def f_certificate(g: Graph, d: Design, h: Subspace, s: Polarity) -> IsoCertificate:
     """The block map as an index permutation: twisted vertex i goes to
     the design block holding exactly the points of f(W_i).  ValueError
-    names the first vertex whose image is not a block of d."""
-    return _certificate(d, _block_map(g.labels, _vertex_sets([w for _, w in g.labels], h), h, s))
+    names the first vertex whose image is not a block of d, and any label
+    that `geometry._vertex_index` refuses."""
+    return _certificate(d, _block_map(g.labels, _vertex_index(g).groups, h, s))
 
 
 def check_2design(d: Design):

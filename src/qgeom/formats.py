@@ -102,8 +102,19 @@ def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [[i, j] for i, j in g.edges()]}
 
 
+def _entry(obj, key: str, kind: type):
+    """obj[key], refused with a ValueError that names key unless obj is a
+    JSON object whose entry there has type kind: a list, or an int that is
+    not negative (a bool or a float is no int)."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"the JSON object has no {key!r} entry")
+    if type(value := obj[key]) is not kind or kind is int and value < 0:
+        raise ValueError(f"{key!r} must be {'a non-negative integer' if kind is int else 'a list'}, got {value!r}")
+    return value
+
+
 def graph_from_json(obj: dict) -> Graph:
-    return Graph.from_edges(obj["n"], obj["edges"])
+    return Graph.from_edges(_entry(obj, "n", int), _entry(obj, "edges", list))
 
 
 def design_to_json(d: Design) -> dict:
@@ -111,7 +122,7 @@ def design_to_json(d: Design) -> dict:
 
 
 def design_from_json(obj: dict) -> Design:
-    return Design(range(obj["v"]), obj["blocks"])
+    return Design(range(_entry(obj, "v", int)), _entry(obj, "blocks", list))
 
 
 def incidence_csv(d: Design) -> str:

@@ -33,7 +33,10 @@ k-subspace gives its points (`_point_sets`).
 `_SetIndex` finds point sets among many, exactly, from rows of their
 points in any order: the instance's vertex index, the sigma point sets,
 and the blocks of a design.  Its key, the point mask, is its own; no
-caller builds or reads one.  Point sets of several sizes are held as
+caller builds or reads one.  A graph given to the public functions gets
+its vertex index from `_vertex_index`, the one place that forms point
+sets from a graph's labels (tag, W): it checks them when it first builds
+the index, and keeps the index per graph, held weakly.  Point sets of several sizes are held as
 `_by_size` gives them: per size, the numbers of the sets of that size
 and one 2-D array of their points.
 
@@ -79,6 +82,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -192,8 +196,12 @@ def _edge_strips(adj: np.ndarray, n: int):
 
 def _indices(values, what: str) -> tuple:
     """values as Python ints; a bool or another non-integer raises a
-    ValueError that names the first such entry."""
-    values = tuple(values)
+    ValueError that names the first such entry, or values if they are no
+    sequence."""
+    try:
+        values = tuple(values)
+    except TypeError:  # 5 or None where an edge or a block belongs
+        raise ValueError(f"{what} is not a sequence of indices: {values!r}") from None
     types = set(map(type, values))  # checked per type: a design has many blocks
     if bad := {t for t in types if t is bool or not issubclass(t, (int, np.integer))}:
         i = next(i for i, x in enumerate(values) if type(x) in bad)
@@ -642,6 +650,27 @@ class _SetIndex:
         return out
 
 
+# per graph, held weakly: an index goes when its graph does
+_VERTEX_INDEXES = weakref.WeakKeyDictionary()
+
+
+def _vertex_index(g: Graph) -> _SetIndex:
+    """The index of a graph's vertex point sets, rows in vertex order, from
+    its labels (tag, W): the one place that forms point sets from a graph,
+    once per graph.  ValueError if the graph has no vertices, or names the
+    first label that is no (tag, Subspace) pair or whose W lies in another
+    space than vertex 0's."""
+    if (index := _VERTEX_INDEXES.get(g)) is None:
+        if not g.labels:
+            raise ValueError("the graph has no vertices")
+        ws = [label[1] if isinstance(label, tuple) and len(label) == 2 else None for label in g.labels]
+        for j, w in enumerate(ws):  # ws[0] is checked first, so it is a Subspace when read
+            if not isinstance(w, Subspace) or (w.field, w.ambient_dim) != (ws[0].field, ws[0].ambient_dim):
+                raise ValueError(f"vertex {j} has label {g.labels[j]!r}: labels must be (tag, Subspace) pairs of one space")
+        index = _VERTEX_INDEXES[g] = _SetIndex(_point_sets(ws), len(_point_order(w.field, w.ambient_dim)[0]))
+    return index
+
+
 def _pair_counts(groups, v: int):
     """Yield (start, counts) with counts = n[start:start+64] @ n[start:].T.
 
@@ -752,11 +781,14 @@ def _block_map(labels, groups, h: Subspace, s: Polarity) -> np.ndarray:
     [e+1]_q point indices each, given their point sets grouped by size
     (`_by_size`): with N the 0/1 rows of those sets, one product N_h.S per
     slab of rows (module docstring); outside h, f(W) holds the points of W.
-    Row i of labels is (tag, W) for set i; only a W named in an error is read."""
+    Row i of labels is (tag, W) for set i; W_0 is read to check its space
+    against h's, and any other W only when an error names it."""
     if h.dim % 2 != 0 or h.ambient_dim != h.dim + 1:
         raise ValueError("h must be a hyperplane of odd-dimensional ambient space")
     if s.h != h:
         raise ValueError("polarity is not a polarity of h")
+    if (labels[0][1].field, labels[0][1].ambient_dim) != (h.field, h.ambient_dim):
+        raise ValueError("w and h live in different ambient spaces")
     e = h.dim // 2
     v = len(_point_order(h.field, h.ambient_dim)[0])
     k, k_b = _point_count(e + 1, h.field.q), _point_count(e - 1, h.field.q)
@@ -787,15 +819,7 @@ def f_map(w: Subspace, h: Subspace, s: Polarity) -> frozenset:
     the block has (q^(e+1)-1)/(q-1) points.  s(U) is the intersection of
     s(c) over the points c of U.  A batch of one of `_block_map`.
     """
-    return frozenset(_block_map([(None, w)], _vertex_sets([w], h), h, s)[0].tolist())
-
-
-def _vertex_sets(ws, h: Subspace) -> list:
-    """The point sets of the subspaces ws, grouped by size (`_point_sets`),
-    once each is known to live in h's ambient space."""
-    if any(w.field != h.field or w.ambient_dim != h.ambient_dim for w in ws):
-        raise ValueError("w and h live in different ambient spaces")
-    return _point_sets(ws)
+    return frozenset(_block_map([(None, w)], _point_sets([w]), h, s)[0].tolist())
 
 
 def jt_design(field: Field, e: int, h: Subspace = None, s: Polarity = None) -> Design:

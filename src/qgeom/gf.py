@@ -22,6 +22,7 @@ coefficients), which makes every field deterministic across runs.
 
 from __future__ import annotations
 
+import math
 from numbers import Integral
 
 Q_MAX = 256
@@ -30,15 +31,13 @@ _INT = frozenset([int])
 _FIELD_CACHE: dict[tuple[int, int], "Field"] = {}
 
 
+def _least_factor(n: int) -> int:
+    """The least prime factor of an integer n >= 2, by trial division."""
+    return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and _least_factor(n) == n
 
 
 # -- polynomial helpers over GF(p) ------------------------------------------
@@ -257,24 +256,15 @@ def field_new(p: int, f: int = 1) -> Field:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    """(p, f) with q = p^f and p prime, by trial division in integers.
-    It builds no field, so q is not bounded by Q_MAX."""
-    if q < 2:
-        raise ValueError(f"q={q} is not a prime power")
-    p = 2
-    while q % p:
-        p += 1
-        if p * p > q:
-            p = q
-            break
-    f = 0
-    m = q
-    while m > 1:
-        if m % p:
-            raise ValueError(f"q={q} is not a prime power")
-        m //= p
-        f += 1
-    return p, f
+    """(p, f) with q = p^f and p prime: p is q's least factor, by trial
+    division, and p^f is checked against q in integers.  It builds no
+    field, so q is not bounded by Q_MAX."""
+    if q >= 2:
+        p = _least_factor(q)
+        f = round(math.log(q, p))  # exact when q is a power of p, and checked
+        if p ** f == q:
+            return p, f
+    raise ValueError(f"q={q} is not a prime power")
 
 
 def field_from_order(q: int) -> Field:

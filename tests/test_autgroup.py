@@ -6,18 +6,22 @@ import pytest
 
 from qgeom import (
     Design,
+    Graph,
     Matrix,
     NotAutomorphism,
     PointPermutation,
     SemilinearMap,
+    Subspace,
     Theorem2Violation,
     check_theorem2_relation,
     coordinate_hyperplane,
     exhaustive_lift_check,
     f_certificate,
+    f_map,
     field_new,
     induced_block_permutation,
     is_design_automorphism,
+    jt_design,
     lift,
     point_index_map,
     polarity_new,
@@ -265,12 +269,13 @@ def test_theorem2_relation_raises_when_the_batched_lift_diverges(swap_lifted_poi
 
 
 def test_point_level_vertex_images_match_apply_subspace(setting22, tg22):
-    from qgeom.autgroup import _maps_as_arrays, _point_images, _set_index
+    from qgeom.autgroup import _maps_as_arrays, _point_images
+    from qgeom.geometry import _vertex_index
 
     field, h, s = setting22
     vertex_of = {label: j for j, label in enumerate(tg22.labels)}
     maps = [random_stabilizer_element(field, 2, (5, i)) for i in range(25)]
-    images = _set_index(tg22).images(_point_images(*_maps_as_arrays(maps)))
+    images = _vertex_index(tg22).images(_point_images(*_maps_as_arrays(maps)))
     for phi, row in zip(maps, images.tolist()):
         assert row == [vertex_of[(tag, phi.apply_subspace(w))] for tag, w in tg22.labels]
 
@@ -279,7 +284,7 @@ def test_theorem2_relation_raises_when_the_vertex_action_diverges(monkeypatch, s
     import qgeom.autgroup as autgroup
 
     field, h, s = setting22
-    point_level = autgroup._set_index
+    point_level = autgroup._vertex_index
 
     class Shifted:
         """The graph's vertex index, with every image of vertex 0 moved on by one."""
@@ -292,7 +297,7 @@ def test_theorem2_relation_raises_when_the_vertex_action_diverges(monkeypatch, s
             images[:, 0] = (images[:, 0] + 1) % tg22.n
             return images
 
-    monkeypatch.setattr(autgroup, "_set_index", lambda obj: Shifted(point_level(obj)) if obj is tg22 else point_level(obj))
+    monkeypatch.setattr(autgroup, "_vertex_index", lambda obj: Shifted(point_level(obj)) if obj is tg22 else point_level(obj))
     phi = random_stabilizer_element(field, 2, (6, 0))
     with pytest.raises(RuntimeError, match="vertex 0"):
         check_theorem2_relation(jt22, tg22, cert22, phi, s)
@@ -386,11 +391,10 @@ def test_lift_batch_looks_up_a_row_that_differs_on_one_point_of_h(setting22):
 
 
 def test_set_index_finds_every_key_at_its_own_row(setting22, setting32, jt22, jt32, tg22, tg32):
-    from qgeom.autgroup import _set_index
-    from qgeom.geometry import _Instance, _sigma
+    from qgeom.geometry import _Instance, _sigma, _vertex_index
 
     for (field, h, s), d, g in ((setting22, jt22, tg22), (setting32, jt32, tg32)):
-        for index in (d.index, _set_index(g), _sigma(s).index, _Instance(field, 2, h, s).vertex_index):
+        for index in (d.index, _vertex_index(g), _sigma(s).index, _Instance(field, 2, h, s).vertex_index):
             identity = np.arange(d.v, dtype=np.uint8)[None]
             assert index.images(identity)[0].tolist() == list(range(len(index)))
             for rows, pts in index.groups:
@@ -474,12 +478,13 @@ def test_set_index_lookups_across_the_word_boundary(v):
 
 
 def test_theorem2_batch_matches_single_calls(setting32, tg32, jt32):
-    from qgeom.autgroup import _set_index, check_theorem2_batch
+    from qgeom.autgroup import check_theorem2_batch
+    from qgeom.geometry import _vertex_index
 
     field, h, s = setting32
     cert = f_certificate(tg32, jt32, h, s)
     maps = [random_stabilizer_element(field, 2, (12, i)) for i in range(70)]
-    results, cross_checked = check_theorem2_batch(jt32, tg32.labels, _set_index(tg32), cert, maps, s)
+    results, cross_checked = check_theorem2_batch(jt32, tg32.labels, _vertex_index(tg32), cert, maps, s)
     assert results == [True] * 70
     assert cross_checked == 3  # elements 0, 31 and 62
     assert check_theorem2_relation(jt32, tg32, cert, maps[5], s) is True
@@ -517,6 +522,66 @@ def test_vertex_permutation_refuses_a_map_that_moves_the_families(f2):
     (phi,) = [g for g in stabilizer_generators(f2, 2) if g.matrix.entries[3][4]]
     with pytest.raises(ValueError, match="vertex families"):
         vertex_permutation(tg, phi)
+
+
+@pytest.mark.parametrize("setting", ["setting22", "setting32"])
+def test_readme_sequence_forms_the_vertex_point_sets_once(monkeypatch, request, setting):
+    # f_certificate, every generator's vertex permutation and a Theorem-2
+    # check all read the one vertex index of the graph
+    import qgeom.autgroup as autgroup
+    import qgeom.drg as drg
+    import qgeom.geometry as geometry
+
+    field, h, s = request.getfixturevalue(setting)
+    tg = twisted_grassmann(field, 2, h, s)
+    g, d = Graph(tg.labels, tg.adj), jt_design(field, 2, h, s)  # a graph nothing has indexed yet
+    formed, point_sets = [], geometry._point_sets
+    for module in (geometry, autgroup, drg):  # wherever a module could call it by name
+        monkeypatch.setattr(module, "_point_sets", lambda ws: formed.append(len(ws)) or point_sets(ws), raising=False)
+    cert = f_certificate(g, d, h, s)
+    gens = stabilizer_generators(field, 2)
+    assert all(len(vertex_permutation(g, phi)) == g.n for phi in gens)
+    assert check_theorem2_relation(d, g, cert, gens[0], s) is True
+    assert formed == [g.n]
+
+
+def _mixed_graph():
+    w = {p: Subspace(field_new(p), 5, ((1, 0, 0, 0, 0),)) for p in (2, 3)}
+    return Graph.from_edges(2, [], labels=[("A", w[2]), ("B", w[3])])
+
+
+@pytest.mark.parametrize(
+    "graph,message",
+    [
+        (lambda: Graph.from_edges(0, []), "the graph has no vertices"),
+        (lambda: Graph.from_edges(3, []), "vertex 0 has label 0: labels must be (tag, Subspace) pairs of one space"),
+        (
+            _mixed_graph,
+            "vertex 1 has label ('B', Subspace(GF(3)^5, dim 1: [10000])): labels must be (tag, Subspace) pairs of one space",
+        ),
+    ],
+    ids=["no-vertices", "integer-labels", "two-fields"],
+)
+@pytest.mark.parametrize("helper", ["f_certificate", "vertex_permutation", "check_theorem2_relation"])
+def test_graph_helpers_refuse_labels_that_are_no_subspaces_of_one_space(helper, graph, message, setting22, jt22, cert22):
+    field, h, s = setting22
+    phi = random_stabilizer_element(field, 2, seed=0)
+    call = {
+        "f_certificate": lambda g: f_certificate(g, jt22, h, s),
+        "vertex_permutation": lambda g: vertex_permutation(g, phi),
+        "check_theorem2_relation": lambda g: check_theorem2_relation(jt22, g, cert22, phi, s),
+    }[helper]
+    with pytest.raises(ValueError) as info:
+        call(graph())
+    assert str(info.value) == message
+
+
+def test_f_certificate_and_f_map_refuse_an_h_of_another_space(setting22, tg32, jt22):
+    field, h, s = setting22
+    with pytest.raises(ValueError, match="w and h live in different ambient spaces"):
+        f_certificate(tg32, jt22, h, s)
+    with pytest.raises(ValueError, match="w and h live in different ambient spaces"):
+        f_map(tg32.labels[0][1], h, s)
 
 
 def test_stabilizer_order_values():

@@ -616,6 +616,15 @@ def test_out_keeps_the_mode_of_the_file_it_replaces(tmp_path, capsys):
     assert json.loads(out.read_text())["check"] == "design"
 
 
+@pytest.mark.parametrize("command", [("verify", "design"), ("build", "twisted")], ids=["verify", "build"])
+def test_out_into_a_missing_directory_names_the_path_given(command, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code, stdout, err = run(capsys, *command, "--out", str(out))
+    assert code == 2
+    assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("entry", [1.0, 0.5, True, "1"], ids=["one-float", "half", "bool", "string"])
 def test_gram_entries_must_be_integers(entry, tmp_path, monkeypatch, capsys):
     gram = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]

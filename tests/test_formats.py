@@ -149,6 +149,40 @@ def test_graph_json_rejects_non_integer_endpoints(edge):
         graph_from_json(data)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"n": 3, "edges": [5]}', "edge 0 is not a sequence of indices: 5"),
+        ('{"n": 3, "edges": [null]}', "edge 0 is not a sequence of indices: None"),
+        ('{"n": "3", "edges": []}', "'n' must be a non-negative integer, got '3'"),
+        ('{"n": true, "edges": []}', "'n' must be a non-negative integer, got True"),
+        ('{"n": 3}', "the JSON object has no 'edges' entry"),
+        ('{"n": -1, "edges": []}', "'n' must be a non-negative integer, got -1"),
+    ],
+    ids=["edge-int", "edge-null", "n-string", "n-bool", "no-edges", "n-negative"],
+)
+def test_graph_json_refuses_malformed_input_by_name(text, message):
+    with pytest.raises(ValueError) as info:
+        graph_from_json(json.loads(text))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"v": 3, "blocks": [5]}', "block 0 is not a sequence of indices: 5"),
+        ('{"v": "3", "blocks": []}', "'v' must be a non-negative integer, got '3'"),
+        ('{"v": 3.0, "blocks": []}', "'v' must be a non-negative integer, got 3.0"),
+        ('{"v": -2, "blocks": []}', "'v' must be a non-negative integer, got -2"),
+    ],
+    ids=["block-int", "v-string", "v-float", "v-negative"],
+)
+def test_design_json_refuses_malformed_input_by_name(text, message):
+    with pytest.raises(ValueError) as info:
+        design_from_json(json.loads(text))
+    assert str(info.value) == message
+
+
 def test_numpy_integer_indices_are_plain_ints():
     d = Design(range(3), [np.array([2, 0], dtype=np.uint8), (np.int64(1), 2)])
     assert d.blocks == ((0, 2), (1, 2)) and all(type(x) is int for b in d.blocks for x in b)

@@ -732,9 +732,10 @@ def test_design_index_survives_pickling(jt22):
 
 
 def test_only_the_set_index_builds_or_reads_mask_words():
-    # a new key for `_SetIndex` changes that class alone, `_MIX` is named
-    # in geometry alone (everything else folds through `_fold`), and the
-    # package starts no worker processes
+    # a new key for `_SetIndex` changes that class alone; `_MIX`,
+    # `_SetIndex` and `_point_sets` are named in geometry alone (everything
+    # else folds through `_fold` and reads a graph's point sets through
+    # `_vertex_index`), and the package starts no worker processes
     import ast
     from pathlib import Path
 
@@ -750,7 +751,7 @@ def test_only_the_set_index_builds_or_reads_mask_words():
     def outside(node, module):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in ("_SetIndex", "_mask_words"):
             return
-        if named(node, "_mask_words") or named(node, "_keys") or (module != "geometry" and named(node, "_MIX")):
+        if named(node, "_mask_words") or named(node, "_keys") or (module != "geometry" and any(named(node, name) for name in ("_MIX", "_SetIndex", "_point_sets"))):
             yield node
         for child in ast.iter_child_nodes(node):
             yield from outside(child, module)

@@ -10,7 +10,7 @@ from qgeom import (
     field_from_order,
     field_new,
 )
-from qgeom.gf import Q_MAX, _prime_power
+from qgeom.gf import Q_MAX, _prime_power, is_prime
 from qgeom.linalg import _dot
 from qgeom.subspace import normalize_point
 
@@ -104,6 +104,13 @@ def test_field_from_order_rejects_non_prime_powers():
     for q in (1, 6, 10, 12, 0, -4):
         with pytest.raises(ValueError):
             field_from_order(q)
+
+
+def test_is_prime_matches_a_sieve():
+    sieve = [False, False] + [True] * 999
+    for n in range(2, 32):
+        sieve[n * n :: n] = [False] * len(sieve[n * n :: n])
+    assert [is_prime(n) for n in range(1001)] == sieve
 
 
 def test_prime_power_factors_past_the_field_bound():
