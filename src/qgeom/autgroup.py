@@ -27,17 +27,21 @@ Everything else acts through one batched point action:
   vertex point sets, sigma point sets).  It is asked with point rows or
   point permutations and keeps its key, the set's point mask, to itself;
   lookups are hashed and answer a row only after comparing the whole
-  key.  A design's blocks live in its own index,
-  `Design.index`.  A verify run reads the vertex index from its
-  `geometry._Instance`; the public functions here that take a graph read
-  `geometry._vertex_index`, which checks the graph's labels and forms its
-  vertex point sets once per graph.
-- `_vertex_images`: the vertex action, the vertex index's rows of the
+  key.  A design's blocks live in its own index, `Design.index`.
+- A graph's vertices are one record, `geometry._Labels`: their labels,
+  point sets and index together, so no function here is given one
+  family's labels with another's index.  A verify run reads the record
+  of its `geometry._Instance`; the public functions here that take a
+  graph read `geometry._vertex_index`, which gives the record the graph
+  keeps, or checks the graph's label tuples and forms their record once.
+- `_vertex_images`: the vertex action, the record index's rows of the
   images of the vertex point sets under point permutations it is given,
   not ones it forms.  `vertex_permutation`, `check_theorem2_batch` and
   the drg check's generators go through it; `check_theorem2_batch` forms
   each chunk's point permutations once, for its lift and its vertex
   images both, and the drg check forms all of its generators' at once.
+  `vertex_permutation` and `check_theorem2_batch` refuse a map of another
+  space than the record's before any lookup.
 
 `check_theorem2_batch`, `check_theorem2_relation` (a batch of one),
 `vertex_permutation`, `is_design_automorphism` and the census all use
@@ -282,6 +286,8 @@ def lift(phi: SemilinearMap, s: Polarity) -> PointPermutation:
     field = phi.field
     n = phi.dim
     h = s.h
+    if field != s.field:
+        raise ValueError(f"phi acts over GF({field.q}), the polarity over GF({s.field.q})")
     if h.ambient_dim != n:
         raise ValueError("polarity hyperplane does not match the map's space")
     for r in h.basis_rows:
@@ -365,12 +371,21 @@ def induced_block_permutation(d: Design, p: PointPermutation):
     return None if (rows < 0).any() else tuple(rows.tolist())
 
 
-def _vertex_images(labels, index, maps, pi) -> np.ndarray:
-    """Row g: entry j is the vertex maps[g](W_j), for vertex labels (tag, W),
-    the index of their point sets and pi, the point permutations of maps
-    (row g for maps[g]).  Computed at point level; the image of vertex 0 is
-    compared with the literal phi.apply_subspace for every map."""
-    images = index.images(pi)
+def _refuse_maps_of_another_space(labels, maps):
+    """ValueError, naming both spaces, for the first map that acts on
+    another field or dimension than the subspaces of the vertex record
+    labels, before its point permutation is read against the record."""
+    if (phi := next((phi for phi in maps if (phi.field, phi.dim) != (labels.field, labels.n)), None)) is not None:
+        raise ValueError(f"phi acts on GF({phi.field.q})^{phi.dim}, the graph's vertices lie in GF({labels.field.q})^{labels.n}")
+
+
+def _vertex_images(labels, maps, pi) -> np.ndarray:
+    """Row g: entry j is the vertex maps[g](W_j), for a vertex record of
+    labels (tag, W) (`geometry._Labels`) and pi, the point permutations of
+    maps (row g for maps[g]), which act on the record's space.  Computed
+    at point level; the image of vertex 0 is compared with the literal
+    phi.apply_subspace for every map."""
+    images = labels.index.images(pi)
     if (images < 0).any():
         raise ValueError("phi does not map the graph's vertex families onto themselves")
     w = labels[0][1]
@@ -384,8 +399,8 @@ def vertex_permutation(g: Graph, phi: SemilinearMap) -> tuple:
     """phi's action on the vertices of a twisted Grassmann graph g: entry
     j is the vertex phi(W_j).  Computed at point level; vertex 0's image
     is compared with the literal phi.apply_subspace on every call."""
-    pi = _point_images(*_maps_as_arrays([phi]))
-    return tuple(_vertex_images(g.labels, _vertex_index(g), [phi], pi)[0].tolist())
+    _refuse_maps_of_another_space(labels := _vertex_index(g), [phi])
+    return tuple(_vertex_images(labels, [phi], _point_images(*_maps_as_arrays([phi])))[0].tolist())
 
 
 _ORACLE_STRIDE = 31  # prime; elements 0, 31, 62, ... are also lifted literally
@@ -404,16 +419,26 @@ def _spot_check_lifts(what: str, lifted: np.ndarray, phi_at, s: Polarity, start:
     return len(spots)
 
 
-def check_theorem2_batch(d: Design, labels, index, cert, maps, s: Polarity, progress=None):
+def check_theorem2_batch(d: Design, labels, cert, maps, s: Polarity, progress=None):
     """check_theorem2_relation for each of maps, in bounded chunks, on the
-    graph whose vertex labels are labels and whose vertex point sets index
-    indexes (`_vertex_images`).
+    graph whose vertex record is labels (`_vertex_images`).  ValueError,
+    naming both sides, if d has another point count than the record's
+    space, if cert has another length than the graph's vertex count or d's
+    block count, or if s or a map acts on another space.
 
     Returns (results, cross_checked): one result per map, in order, and
     the number of batched lifts compared with the literal lift() (every
     _ORACLE_STRIDE-th element, element 0 first; a difference raises
     RuntimeError).  progress, if given, is called with the fraction done.
     """
+    space = f"GF({labels.field.q})^{labels.n}"
+    if d.v != labels.points:
+        raise ValueError(f"the design has {d.v} points, the graph's space {space} has {labels.points}")
+    if len(cert.mapping) != len(labels) or len(cert.mapping) != d.b:
+        raise ValueError(f"the certificate maps {len(cert.mapping)} vertices, the graph has {len(labels)} and the design {d.b} blocks")
+    if s.field != labels.field or s.h.ambient_dim != labels.n:
+        raise ValueError(f"the polarity acts on GF({s.field.q})^{s.h.ambient_dim}, the graph's vertices lie in {space}")
+    _refuse_maps_of_another_space(labels, maps)
     results = []
     cross_checked = 0
     mapping = np.array(cert.mapping, dtype=np.intp)
@@ -423,7 +448,7 @@ def check_theorem2_batch(d: Design, labels, index, cert, maps, s: Polarity, prog
         lifted = _lift_batch(s, pi)
         alpha = d.index.images(lifted)
         cross_checked += _spot_check_lifts("batched lift", lifted, chunk.__getitem__, s, start, _ORACLE_STRIDE)
-        vertices = _vertex_images(labels, index, chunk, pi)
+        vertices = _vertex_images(labels, chunk, pi)
         for k in range(len(chunk)):
             if (missing := _not_automorphism(d, lifted[k], alpha[k])) is not None:
                 results.append(missing)
@@ -452,7 +477,7 @@ def check_theorem2_relation(d: Design, g: Graph, cert, phi: SemilinearMap, s: Po
     order) where the relation fails, as a Theorem2Violation.  The
     batched lift is compared with the literal lift() on every call.
     """
-    return check_theorem2_batch(d, g.labels, _vertex_index(g), cert, [phi], s)[0][0]
+    return check_theorem2_batch(d, _vertex_index(g), cert, [phi], s)[0][0]
 
 
 def stabilizer_order(q: int, e: int, f: int) -> int:

@@ -256,7 +256,7 @@ def _verify_thm1(cfg: RunConfig, inst: _Instance):
 
 def _verify_drg(cfg: RunConfig, inst: _Instance):
     gens = stabilizer_generators(inst.field, cfg.e)
-    automorphisms = _vertex_images(inst.labels, inst.vertex_index, gens, _point_images(*_maps_as_arrays(gens)))
+    automorphisms = _vertex_images(inst.labels, gens, _point_images(*_maps_as_arrays(gens)))
     ia_t = intersection_array(inst.graph, automorphisms)
     _progress("drg")(1.0)
     ia_g = grassmann_array(2 * cfg.e + 1, cfg.e, cfg.q)
@@ -305,9 +305,7 @@ def _verify_spectrum(cfg: RunConfig, inst: _Instance):
 def _verify_aut_sample(cfg: RunConfig, inst: _Instance):
     count = 1000 if (cfg.q, cfg.e) == (2, 2) else 100
     maps = [random_stabilizer_element(inst.field, cfg.e, (cfg.seed, i)) for i in range(count)]
-    results, cross_checked = check_theorem2_batch(
-        inst.jt, inst.labels, inst.vertex_index, inst.certificate, maps, inst.s, _progress("aut-sample")
-    )
+    results, cross_checked = check_theorem2_batch(inst.jt, inst.labels, inst.certificate, maps, inst.s, _progress("aut-sample"))
     failures = []
     for i, rel in enumerate(results):
         if rel is not True:

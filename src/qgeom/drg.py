@@ -273,7 +273,7 @@ def f_certificate(g: Graph, d: Design, h: Subspace, s: Polarity) -> IsoCertifica
     the design block holding exactly the points of f(W_i).  ValueError
     names the first vertex whose image is not a block of d, and any label
     that `geometry._vertex_index` refuses."""
-    return _certificate(d, _block_map(g.labels, _vertex_index(g).groups, h, s))
+    return _certificate(d, _block_map(_vertex_index(g), h, s))
 
 
 def check_2design(d: Design):

@@ -7,37 +7,40 @@ inside the hyperplane) before its B-family.  Designs index points by
 the sorted list of canonical projective representatives.
 
 One instance (field, e, h, s) is one `_Instance`: the twisted graph, the
-block map f, the JT design and the geometric design, the certificate
-and the vertex point-set index, each built the first time it is read and
-kept.  `twisted_grassmann` and `jt_design` read it, and a verify run
-shares one across its checks.  The families are chosen by point sets
-from one enumeration of the (e+1)-subspaces of V: A has a point off [h],
-and the rest, the JT design's blocks inside h, come in the order of h's
-own enumeration.  In each row of a basis inside h, the one column off
-h's pivots is fixed by the row's earlier entries, so two such bases
-first differ in a column both orders compare.
+block map f, the JT design, the geometric design and the certificate,
+each built the first time it is read and kept.  `twisted_grassmann` and
+`jt_design` read it, and a verify run shares one across its checks.
+The families are chosen by point sets from one enumeration of the
+(e+1)-subspaces of V: A has a point off [h], and the rest, the JT
+design's blocks inside h, come in the order of h's own enumeration.  In
+each row of a basis inside h, the one column off h's pivots is fixed by
+the row's earlier entries, so two such bases first differ in a column
+both orders compare.
 
-The instance holds each family as two arrays, its RREF bases (from
-`subspace._rref_slabs`) and its point sets, and nothing else.  A label
+A family of subspaces has one record, `_Labels`: runs of (tag, RREF
+bases from `subspace._rref_slabs`, point sets), and nothing else.  The
+record gives the family's point sets grouped by size and their
+`_SetIndex`, each made the first time it is read and kept.  A label
 (tag, W) of a vertex or block is made from its basis row only when it is
-read (`_Labels`): the graph and the designs keep that sequence, and
-`Graph.labels` and `Design.block_labels` are the tuples made from it the
-first time they are read.  No check that passes, and no export, reads them.
+read: the graph and the designs keep the record, and `Graph.labels` and
+`Design.block_labels` are the tuples made from it the first time they are
+read.  No check that passes, and no export, reads them.  A graph keeps
+its record beside its labels (`Graph._family`), and `_vertex_index` is
+the one function that turns a graph into its record: it reads the
+record the graph was built from, or, for a graph given label tuples
+(tag, W), checks them once and forms and keeps their record.
 
 Every point set comes from one batched point action, `_point_images`:
 x -> M.frob^i(x), GF(q)^k to GF(q)^n with q = p^f, is GF(p)-linear on
 p-digits, so a batch of (n x k) matrices maps all points in one float32
 BLAS product, reduced mod p, exact below 2**24.  Square maps give
 `autgroup` its point permutations; the transposed RREF basis of a
-k-subspace gives its points (`_point_sets`).
+k-subspace gives its points (`_basis_points`).
 `_SetIndex` finds point sets among many, exactly, from rows of their
-points in any order: the instance's vertex index, the sigma point sets,
-and the blocks of a design.  Its key, the point mask, is its own; no
-caller builds or reads one.  A graph given to the public functions gets
-its vertex index from `_vertex_index`, the one place that forms point
-sets from a graph's labels (tag, W): it checks them when it first builds
-the index, and keeps the index per graph, held weakly.  Point sets of several sizes are held as
-`_by_size` gives them: per size, the numbers of the sets of that size
+points in any order: a graph's vertices (`_Labels.index`), the sigma
+point sets, and the blocks of a design.  Its key, the point mask, is its
+own; no caller builds or reads one.  Point sets of several sizes are held
+as `_by_size` gives them: per size, the numbers of the sets of that size
 and one 2-D array of their points.
 
 A `Design` holds its blocks only that way, in one `_SetIndex` over its
@@ -82,7 +85,6 @@ from __future__ import annotations
 
 import math
 import operator
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -100,9 +102,11 @@ class Graph:
     """Undirected graph: labels plus `adj`, a read-only (n, ceil(n/8))
     uint8 matrix whose bit j of row i, little-endian within each byte,
     is set when vertices i and j are adjacent.  Labels given as a
-    `_Labels` sequence are kept as given, and made a tuple when first read."""
+    `_Labels` record are kept as given, and made a tuple when first read;
+    the record stays in `_family`, which `_vertex_index` fills for a graph
+    given label tuples."""
 
-    __slots__ = ("_labels", "adj", "__weakref__")
+    __slots__ = ("_labels", "_family", "adj")
 
     def __init__(self, labels, adj):
         labels = labels if isinstance(labels, _Labels) else tuple(labels)
@@ -124,6 +128,7 @@ class Graph:
         adj = adj.view()
         adj.flags.writeable = False
         self._labels = labels
+        self._family = labels if isinstance(labels, _Labels) else None
         self.adj = adj
 
     @classmethod
@@ -237,7 +242,7 @@ class Design:
     sequences, which may mix sizes.  Blocks must be distinct; repeated
     blocks raise at construction time, since the automorphism arguments
     downstream assume a block is recoverable from its point set.
-    Block labels given as a `_Labels` sequence are kept as given, and made
+    Block labels given as a `_Labels` record are kept as given, and made
     a tuple when first read, as `blocks` is.
     """
 
@@ -322,36 +327,57 @@ class Design:
 
 
 class _Labels:
-    """Labels (tag, W) held as runs of (tag, RREF bases): row i is the i-th
-    basis across the runs, with its run's tag, or the bare W in a run whose
-    tag is None.  Its Subspace is made from the basis row, through the
-    validating constructor, each time the row is read."""
-
-    __slots__ = ("field", "runs")
+    """The one record of a family of subspaces of GF(q)^n: runs of (tag,
+    RREF bases, point sets), a (count, k, n) uint8 array and a (count,
+    [k]_q) array of sorted point rows each.  Row i is the i-th subspace
+    across the runs; its label is (tag, W), or the bare W in a run whose tag
+    is None, with W made from the basis row, through the validating
+    constructor, each time the row is read.  The point sets grouped by size
+    and their index are made the first time they are read and kept, so the
+    runs of a family that nothing indexes are never joined into a copy."""
 
     def __init__(self, field: Field, runs):
         self.field = field
-        self.runs = tuple(runs)  # (tag, a (count, k, n) uint8 array of bases) each
+        self.runs = tuple(runs)
+        self.n = self.runs[0][1].shape[2]
+
+    @classmethod
+    def of(cls, field: Field, *runs) -> _Labels:
+        """The record of runs (tag, RREF bases), their point sets formed
+        from their bases."""
+        return cls(field, [(tag, bases, _basis_points(field, bases)) for tag, bases in runs])
 
     def __len__(self):
-        return sum(len(bases) for _, bases in self.runs)
+        return sum(len(bases) for _, bases, _ in self.runs)
 
     def __getitem__(self, i):
+        tag, w = self.pair(i)
+        return w if tag is None else (tag, w)
+
+    def pair(self, i) -> tuple:
+        """(tag, W) of row i, whatever its tag."""
         i = operator.index(i)
-        for tag, bases in self.runs:  # i counts on from one run to the next
+        for tag, bases, _ in self.runs:  # i counts on from one run to the next
             if 0 <= i < len(bases):
-                return self._label(tag, bases[i])
+                return tag, Subspace(self.field, self.n, tuple(map(tuple, bases[i].tolist())))
             i -= len(bases)
         raise IndexError("label index out of range")
 
-    def __iter__(self):
-        for tag, bases in self.runs:
-            for basis in bases:
-                yield self._label(tag, basis)
+    @property
+    def points(self) -> int:
+        """v, the number of points of GF(q)^n."""
+        return _point_count(self.n, self.field.q)
 
-    def _label(self, tag, basis: np.ndarray):
-        w = Subspace(self.field, basis.shape[1], tuple(map(tuple, basis.tolist())))
-        return w if tag is None else (tag, w)
+    @cached_property
+    def groups(self) -> list:
+        """The point sets grouped by size (`_by_size`); a size held by one
+        run keeps its array, not a copy."""
+        return _by_size([sets for _, _, sets in self.runs])
+
+    @cached_property
+    def index(self) -> _SetIndex:
+        """The index of the point sets, rows in record order."""
+        return _SetIndex(self.groups, self.points)
 
 
 @dataclass(frozen=True)
@@ -459,23 +485,22 @@ def _basis_points(field: Field, bases: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bases(subspaces) -> np.ndarray:
+    """The RREF bases of subspaces of one dimension and space, as one
+    (count, k, n) uint8 array."""
+    w = subspaces[0]
+    return np.array([u.basis_rows for u in subspaces], dtype=np.uint8).reshape(len(subspaces), w.dim, w.ambient_dim)
+
+
 def _point_array(subspaces) -> np.ndarray:
     """The point sets of subspaces of one dimension, one sorted row each."""
-    w = subspaces[0]
-    bases = np.array([u.basis_rows for u in subspaces], dtype=np.uint8)
-    return _basis_points(w.field, bases.reshape(len(subspaces), w.dim, w.ambient_dim))
+    return _basis_points(subspaces[0].field, _bases(subspaces))
 
 
 def _all_bases(ambient: Subspace, k: int) -> np.ndarray:
     """The RREF bases of the k-subspaces of ambient, in enumeration order,
     as one (count, k, n) uint8 array."""
     return np.concatenate([*_rref_slabs(ambient, k)])
-
-
-def _point_sets(subspaces) -> list:
-    """The point sets of subspaces (one field and ambient space) grouped by
-    size (`_by_size`), one `_point_array` batch per run of one dimension."""
-    return _by_size([_point_array(list(run)) for _, run in groupby(subspaces, lambda w: w.dim)])
 
 
 def _by_size(arrays) -> list:
@@ -650,25 +675,28 @@ class _SetIndex:
         return out
 
 
-# per graph, held weakly: an index goes when its graph does
-_VERTEX_INDEXES = weakref.WeakKeyDictionary()
-
-
-def _vertex_index(g: Graph) -> _SetIndex:
-    """The index of a graph's vertex point sets, rows in vertex order, from
-    its labels (tag, W): the one place that forms point sets from a graph,
-    once per graph.  ValueError if the graph has no vertices, or names the
-    first label that is no (tag, Subspace) pair or whose W lies in another
-    space than vertex 0's."""
-    if (index := _VERTEX_INDEXES.get(g)) is None:
-        if not g.labels:
+def _vertex_index(g: Graph) -> _Labels:
+    """The record of a graph's vertex family, rows in vertex order: the one
+    function that turns a graph into its record.  A graph built from a
+    record keeps it; one given label tuples (tag, W) gets its record here
+    on first use, one run per run of labels of one tag and dimension, and
+    keeps it.  ValueError if the graph has no vertices, or names the first
+    label that is no (tag, Subspace) pair or whose W lies in another space
+    than vertex 0's; a run of bare subspaces holds no such pairs."""
+    if g._family is None:
+        labels = g.labels
+        if not labels:
             raise ValueError("the graph has no vertices")
-        ws = [label[1] if isinstance(label, tuple) and len(label) == 2 else None for label in g.labels]
+        ws = [label[1] if isinstance(label, tuple) and len(label) == 2 else None for label in labels]
         for j, w in enumerate(ws):  # ws[0] is checked first, so it is a Subspace when read
             if not isinstance(w, Subspace) or (w.field, w.ambient_dim) != (ws[0].field, ws[0].ambient_dim):
-                raise ValueError(f"vertex {j} has label {g.labels[j]!r}: labels must be (tag, Subspace) pairs of one space")
-        index = _VERTEX_INDEXES[g] = _SetIndex(_point_sets(ws), len(_point_order(w.field, w.ambient_dim)[0]))
-    return index
+                raise ValueError(f"vertex {j} has label {labels[j]!r}: labels must be (tag, Subspace) pairs of one space")
+        runs = [list(run) for _, run in groupby(labels, lambda label: (label[0], label[1].dim))]
+        g._family = _Labels.of(ws[0].field, *[(run[0][0], _bases([w for _, w in run])) for run in runs])
+    sizes = [len(bases) for _, bases, _ in g._family.runs]  # a bare run's first vertex is refused
+    if (bare := next((sum(sizes[:i]) for i, (tag, *_) in enumerate(g._family.runs) if tag is None), None)) is not None:
+        raise ValueError(f"vertex {bare} has label {g._labels[bare]!r}: labels must be (tag, Subspace) pairs of one space")
+    return g._family
 
 
 def _pair_counts(groups, v: int):
@@ -729,9 +757,8 @@ def grassmann_graph(n: int, k: int, q: int) -> Graph:
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     field = field_from_order(q)
-    bases = _all_bases(full_space(field, n), k)
-    groups = _by_size([_basis_points(field, bases)])
-    return _count_graph(_Labels(field, [(None, bases)]), groups, len(_point_order(field, n)[0]), _point_count(k - 1, q))
+    labels = _Labels.of(field, (None, _all_bases(full_space(field, n), k)))
+    return _count_graph(labels, labels.groups, labels.points, _point_count(k - 1, q))
 
 
 def twisted_grassmann(field: Field, e: int, h: Subspace = None, s: Polarity = None) -> Graph:
@@ -750,9 +777,8 @@ def pg_design(field: Field, e: int) -> Design:
     """The geometric design: points of PG(2e,q), blocks the (e+1)-subspaces."""
     if e < 1:
         raise ValueError(f"e must be >= 1, got {e}")
-    bases = _all_bases(full_space(field, 2 * e + 1), e + 1)
-    points = _point_order(field, 2 * e + 1)[0]
-    return Design(points, _basis_points(field, bases), _Labels(field, [("PG", bases)]))
+    labels = _Labels.of(field, ("PG", _all_bases(full_space(field, 2 * e + 1), e + 1)))
+    return Design(_point_order(field, 2 * e + 1)[0], labels.runs[0][2], labels)
 
 
 @dataclass(frozen=True)
@@ -776,28 +802,25 @@ def _sigma(s: Polarity) -> _Sigma:
     return _Sigma(h_points, images, sets, _SetIndex(_by_size([sets]), len(points)))
 
 
-def _block_map(labels, groups, h: Subspace, s: Polarity) -> np.ndarray:
-    """f of each subspace W of GF(q)^n (see `f_map`), one sorted row of
-    [e+1]_q point indices each, given their point sets grouped by size
-    (`_by_size`): with N the 0/1 rows of those sets, one product N_h.S per
-    slab of rows (module docstring); outside h, f(W) holds the points of W.
-    Row i of labels is (tag, W) for set i; W_0 is read to check its space
-    against h's, and any other W only when an error names it."""
+def _block_map(labels: _Labels, h: Subspace, s: Polarity) -> np.ndarray:
+    """f of each subspace W of a record (see `f_map`), one sorted row of
+    [e+1]_q point indices each: with N the 0/1 rows of the record's point
+    sets, one product N_h.S per slab of rows (module docstring); outside
+    h, f(W) holds the points of W.  A W is made only when an error names it."""
     if h.dim % 2 != 0 or h.ambient_dim != h.dim + 1:
         raise ValueError("h must be a hyperplane of odd-dimensional ambient space")
     if s.h != h:
         raise ValueError("polarity is not a polarity of h")
-    if (labels[0][1].field, labels[0][1].ambient_dim) != (h.field, h.ambient_dim):
+    if (labels.field, labels.n) != (h.field, h.ambient_dim):
         raise ValueError("w and h live in different ambient spaces")
-    e = h.dim // 2
-    v = len(_point_order(h.field, h.ambient_dim)[0])
+    e, v = h.dim // 2, labels.points
     k, k_b = _point_count(e + 1, h.field.q), _point_count(e - 1, h.field.q)
     sigma = _sigma(s)
     in_h = np.isin(np.arange(v), sigma.points)
     # S[c, x] = 1 when the point x lies in sigma(c), one row per point c of [h]
     sig = _incidence(_by_size([sigma.sets]), v, np.float32)
-    out = np.empty((sum(len(rows) for rows, _ in groups), k), dtype=_index_dtype(v))
-    for rows, n in _row_chunks(groups, v, max(1, _SLAB_BYTES // (16 * v))):  # about 16 bytes a column
+    out = np.empty((len(labels), k), dtype=_index_dtype(v))
+    for rows, n in _row_chunks(labels.groups, v, max(1, _SLAB_BYTES // (16 * v))):  # about 16 bytes a column
         size, inside = n.sum(axis=1), n[:, in_h].sum(axis=1)
         # a point set of [e+1]_q points is an (e+1)-subspace, one of [e-1]_q an (e-1)-subspace
         if not (((size == k) & (inside < size)) | ((size == k_b) & (inside == size))).all():
@@ -806,7 +829,7 @@ def _block_map(labels, groups, h: Subspace, s: Polarity) -> np.ndarray:
         # of [h] when there are none: sigma(0) = h); outside [h], those of W
         blocks = np.where(in_h, n[:, sigma.points] @ sig == inside[:, None], n > 0)
         if (wrong := np.flatnonzero(blocks.sum(axis=1) != k)).size:
-            raise ValueError(f"f of {labels[rows[wrong[0]]][1]} has {blocks[wrong[0]].sum()} points, not {k}")
+            raise ValueError(f"f of {labels.pair(rows[wrong[0]])[1]} has {blocks[wrong[0]].sum()} points, not {k}")
         out[rows] = np.nonzero(blocks)[1].reshape(len(blocks), k)
     return out
 
@@ -819,7 +842,7 @@ def f_map(w: Subspace, h: Subspace, s: Polarity) -> frozenset:
     the block has (q^(e+1)-1)/(q-1) points.  s(U) is the intersection of
     s(c) over the points c of U.  A batch of one of `_block_map`.
     """
-    return frozenset(_block_map([(None, w)], _point_sets([w]), h, s)[0].tolist())
+    return frozenset(_block_map(_Labels.of(w.field, (None, _bases([w]))), h, s)[0].tolist())
 
 
 def jt_design(field: Field, e: int, h: Subspace = None, s: Polarity = None) -> Design:
@@ -905,7 +928,8 @@ class _Instance:
 
     @cached_property
     def families(self):
-        """(A, B, the blocks inside h), each as (RREF bases, point-set array).
+        """(A, B, the blocks inside h), each a run of a `_Labels` record:
+        (tag, RREF bases, point-set array), tagged "A", "B" and "B".
 
         A holds the (e+1)-subspaces of V with a point off [h]; the rest are
         the (e+1)-subspaces of h, in h's own enumeration order (module
@@ -915,57 +939,44 @@ class _Instance:
         in_h[_point_array([self.h])[0]] = True
         off = ~in_h[sets].all(axis=1)
         b = _all_bases(self.h, self.e - 1)
-        return (bases[off], sets[off]), (b, _basis_points(self.field, b)), (bases[~off], sets[~off])
+        return ("A", bases[off], sets[off]), ("B", b, _basis_points(self.field, b)), ("B", bases[~off], sets[~off])
 
     @cached_property
     def labels(self) -> _Labels:
-        """The vertex labels: ("A", W) for each of A, then ("B", W) for each
-        of B, each made when it is read."""
-        (a, _), (b, _), _ = self.families
-        return _Labels(self.field, [("A", a), ("B", b)])
-
-    @cached_property
-    def vertex_groups(self) -> list:
-        """The vertex point sets grouped by size (`_by_size`): A's array,
-        then B's, each kept as it is, not copied."""
-        return _by_size([sets for _, sets in self.families[:2]])
+        """The vertex record: ("A", W) for each of A, then ("B", W) for each
+        of B, each made when it is read, and their point sets and index."""
+        return _Labels(self.field, self.families[:2])
 
     @cached_property
     def graph(self) -> Graph:
         """The twisted Grassmann graph (see `twisted_grassmann`)."""
-        (a, _), (b, _), _ = self.families
         q, e, v = self.field.q, self.e, len(self.points)
         # families i and j (A = 0, B = 1) are adjacent on [e-i-j]_q shared
         # points; A covering B means all [e-1]_q points of B lie in A.
         target = [[_point_count(e - i - j, q) for j in range(2)] for i in range(2)]
-        return _count_graph(self.labels, self.vertex_groups, v, target, np.repeat([0, 1], [len(a), len(b)]))
+        family = np.repeat([0, 1], [len(bases) for _, bases, _ in self.labels.runs])
+        return _count_graph(self.labels, self.labels.groups, v, target, family)
 
     @cached_property
     def f(self) -> np.ndarray:
         """f(W) of every vertex, in vertex order: one sorted row of [e+1]_q
         point indices each."""
-        return _block_map(self.labels, self.vertex_groups, self.h, self.s)
+        return _block_map(self.labels, self.h, self.s)
 
     @cached_property
     def jt(self) -> Design:
         """The JT design: the blocks f(A), then the blocks inside h."""
-        (a, _), _, (inside, inside_sets) = self.families
-        labels = _Labels(self.field, [("A", a), ("B", inside)])
-        return Design(self.points, np.vstack([self.f[: len(a)], inside_sets]), labels)
+        a, _, inside = self.families  # runs (tag, RREF bases, point sets)
+        return Design(self.points, np.vstack([self.f[: len(a[1])], inside[2]]), _Labels(self.field, [a, inside]))
 
     @cached_property
     def pg(self) -> Design:
         """The geometric design, from the same enumeration as the families
         (see `pg_design`)."""
         bases, sets = self._subspaces
-        return Design(self.points, sets, _Labels(self.field, [("PG", bases)]))
+        return Design(self.points, sets, _Labels(self.field, [("PG", bases, sets)]))
 
     @cached_property
     def certificate(self) -> IsoCertificate:
         """The JT block of every f(W), as `f_certificate` gives it."""
         return _certificate(self.jt, self.f)
-
-    @cached_property
-    def vertex_index(self) -> _SetIndex:
-        """The index of the vertex point sets, rows in vertex order."""
-        return _SetIndex(self.vertex_groups, len(self.points))

@@ -7,6 +7,7 @@ import pytest
 from qgeom import (
     Design,
     Graph,
+    IsoCertificate,
     Matrix,
     NotAutomorphism,
     PointPermutation,
@@ -18,7 +19,9 @@ from qgeom import (
     exhaustive_lift_check,
     f_certificate,
     f_map,
+    field_from_order,
     field_new,
+    grassmann_graph,
     induced_block_permutation,
     is_design_automorphism,
     jt_design,
@@ -275,16 +278,16 @@ def test_point_level_vertex_images_match_apply_subspace(setting22, tg22):
     field, h, s = setting22
     vertex_of = {label: j for j, label in enumerate(tg22.labels)}
     maps = [random_stabilizer_element(field, 2, (5, i)) for i in range(25)]
-    images = _vertex_index(tg22).images(_point_images(*_maps_as_arrays(maps)))
+    images = _vertex_index(tg22).index.images(_point_images(*_maps_as_arrays(maps)))
     for phi, row in zip(maps, images.tolist()):
         assert row == [vertex_of[(tag, phi.apply_subspace(w))] for tag, w in tg22.labels]
 
 
 def test_theorem2_relation_raises_when_the_vertex_action_diverges(monkeypatch, setting22, tg22, jt22, cert22):
-    import qgeom.autgroup as autgroup
+    from qgeom.geometry import _vertex_index
 
     field, h, s = setting22
-    point_level = autgroup._vertex_index
+    labels = _vertex_index(tg22)
 
     class Shifted:
         """The graph's vertex index, with every image of vertex 0 moved on by one."""
@@ -297,7 +300,7 @@ def test_theorem2_relation_raises_when_the_vertex_action_diverges(monkeypatch, s
             images[:, 0] = (images[:, 0] + 1) % tg22.n
             return images
 
-    monkeypatch.setattr(autgroup, "_vertex_index", lambda obj: Shifted(point_level(obj)) if obj is tg22 else point_level(obj))
+    monkeypatch.setattr(labels, "index", Shifted(labels.index))  # the index the graph's record keeps
     phi = random_stabilizer_element(field, 2, (6, 0))
     with pytest.raises(RuntimeError, match="vertex 0"):
         check_theorem2_relation(jt22, tg22, cert22, phi, s)
@@ -394,7 +397,7 @@ def test_set_index_finds_every_key_at_its_own_row(setting22, setting32, jt22, jt
     from qgeom.geometry import _Instance, _sigma, _vertex_index
 
     for (field, h, s), d, g in ((setting22, jt22, tg22), (setting32, jt32, tg32)):
-        for index in (d.index, _vertex_index(g), _sigma(s).index, _Instance(field, 2, h, s).vertex_index):
+        for index in (d.index, _vertex_index(g).index, _sigma(s).index, _Instance(field, 2, h, s).labels.index):
             identity = np.arange(d.v, dtype=np.uint8)[None]
             assert index.images(identity)[0].tolist() == list(range(len(index)))
             for rows, pts in index.groups:
@@ -484,7 +487,7 @@ def test_theorem2_batch_matches_single_calls(setting32, tg32, jt32):
     field, h, s = setting32
     cert = f_certificate(tg32, jt32, h, s)
     maps = [random_stabilizer_element(field, 2, (12, i)) for i in range(70)]
-    results, cross_checked = check_theorem2_batch(jt32, tg32.labels, _vertex_index(tg32), cert, maps, s)
+    results, cross_checked = check_theorem2_batch(jt32, _vertex_index(tg32), cert, maps, s)
     assert results == [True] * 70
     assert cross_checked == 3  # elements 0, 31 and 62
     assert check_theorem2_relation(jt32, tg32, cert, maps[5], s) is True
@@ -527,22 +530,21 @@ def test_vertex_permutation_refuses_a_map_that_moves_the_families(f2):
 @pytest.mark.parametrize("setting", ["setting22", "setting32"])
 def test_readme_sequence_forms_the_vertex_point_sets_once(monkeypatch, request, setting):
     # f_certificate, every generator's vertex permutation and a Theorem-2
-    # check all read the one vertex index of the graph
-    import qgeom.autgroup as autgroup
-    import qgeom.drg as drg
+    # check all read the one record of the graph, formed from its label tuples once
     import qgeom.geometry as geometry
 
     field, h, s = request.getfixturevalue(setting)
     tg = twisted_grassmann(field, 2, h, s)
-    g, d = Graph(tg.labels, tg.adj), jt_design(field, 2, h, s)  # a graph nothing has indexed yet
-    formed, point_sets = [], geometry._point_sets
-    for module in (geometry, autgroup, drg):  # wherever a module could call it by name
-        monkeypatch.setattr(module, "_point_sets", lambda ws: formed.append(len(ws)) or point_sets(ws), raising=False)
+    g, d = Graph(tg.labels, tg.adj), jt_design(field, 2, h, s)  # a graph given label tuples
+    assert g._family is None
+    formed, basis_points = [], geometry._basis_points
+    monkeypatch.setattr(geometry, "_basis_points", lambda field, bases: formed.append(len(bases)) or basis_points(field, bases))
     cert = f_certificate(g, d, h, s)
     gens = stabilizer_generators(field, 2)
     assert all(len(vertex_permutation(g, phi)) == g.n for phi in gens)
     assert check_theorem2_relation(d, g, cert, gens[0], s) is True
-    assert formed == [g.n]
+    assert formed == [len(bases) for _, bases, _ in tg._family.runs]  # one batch per run: A, then B
+    assert sum(formed) == g.n and [tag for tag, *_ in g._family.runs] == ["A", "B"]
 
 
 def _mixed_graph():
@@ -559,8 +561,16 @@ def _mixed_graph():
             _mixed_graph,
             "vertex 1 has label ('B', Subspace(GF(3)^5, dim 1: [10000])): labels must be (tag, Subspace) pairs of one space",
         ),
+        (  # a record of bare subspaces, kept by the graph
+            lambda: grassmann_graph(5, 2, 2),
+            "vertex 0 has label Subspace(GF(2)^5, dim 2: [10000,01000]): labels must be (tag, Subspace) pairs of one space",
+        ),
+        (  # a tag None marks a run of bare subspaces in a record
+            lambda: Graph.from_edges(1, [], labels=[(None, Subspace(field_new(2), 5, ((1, 0, 0, 0, 0),)))]),
+            "vertex 0 has label (None, Subspace(GF(2)^5, dim 1: [10000])): labels must be (tag, Subspace) pairs of one space",
+        ),
     ],
-    ids=["no-vertices", "integer-labels", "two-fields"],
+    ids=["no-vertices", "integer-labels", "two-fields", "grassmann", "none-tag"],
 )
 @pytest.mark.parametrize("helper", ["f_certificate", "vertex_permutation", "check_theorem2_relation"])
 def test_graph_helpers_refuse_labels_that_are_no_subspaces_of_one_space(helper, graph, message, setting22, jt22, cert22):
@@ -582,6 +592,86 @@ def test_f_certificate_and_f_map_refuse_an_h_of_another_space(setting22, tg32, j
         f_certificate(tg32, jt22, h, s)
     with pytest.raises(ValueError, match="w and h live in different ambient spaces"):
         f_map(tg32.labels[0][1], h, s)
+
+
+@pytest.mark.parametrize("gram", ["identity", "paired"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_graph_helpers_read_the_record_twisted_grassmann_built(monkeypatch, q, gram):
+    # the graph keeps its record after its labels are read, and the helpers
+    # give the values of the same labels as tuples without forming any
+    field = field_new(q)
+    h = coordinate_hyperplane(field, 5)
+    s = polarity_new(field, h, None if gram == "identity" else _paired_gram(4))
+    tg, d = twisted_grassmann(field, 2, h, s), jt_design(field, 2, h, s)
+    maps = [*stabilizer_generators(field, 2), random_stabilizer_element(field, 2, (27, q))]
+
+    def helpers(g):
+        cert = f_certificate(g, d, h, s)
+        return cert, [vertex_permutation(g, phi) for phi in maps], [check_theorem2_relation(d, g, cert, phi, s) for phi in maps[-2:]]
+
+    expected = helpers(Graph(tg.labels, tg.adj))  # tg's labels are read, and its record kept
+
+    def refuse(self):
+        raise AssertionError("a label tuple was formed")
+
+    monkeypatch.setattr(Graph, "labels", property(refuse))
+    assert helpers(tg) == expected
+    assert expected[2] == [True, True] and all(sorted(images) == list(range(tg.n)) for images in expected[1])
+
+
+@pytest.mark.parametrize(
+    "graph,q,n,message",
+    [
+        ("tg32", 2, 5, "phi acts on GF(2)^5, the graph's vertices lie in GF(3)^5"),
+        ("tg22", 3, 5, "phi acts on GF(3)^5, the graph's vertices lie in GF(2)^5"),
+        ("tg22", 2, 7, "phi acts on GF(2)^7, the graph's vertices lie in GF(2)^5"),
+    ],
+    ids=["gf2-map-gf3-graph", "gf3-map-gf2-graph", "another-dimension"],
+)
+def test_vertex_permutation_refuses_a_map_of_another_space(request, graph, q, n, message):
+    phi = random_stabilizer_element(field_new(q), (n - 1) // 2, 0)
+    with pytest.raises(ValueError) as info:
+        vertex_permutation(request.getfixturevalue(graph), phi)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        ("short-certificate", "the certificate maps 100 vertices, the graph has 155 and the design 155 blocks"),
+        ("fewer-blocks", "the certificate maps 155 vertices, the graph has 155 and the design 154 blocks"),
+        ("gf3-design", "the design has 121 points, the graph's space GF(2)^5 has 31"),
+        ("more-points", "the design has 40 points, the graph's space GF(2)^5 has 31"),
+        ("gf3-polarity", "the polarity acts on GF(3)^5, the graph's vertices lie in GF(2)^5"),
+        ("gf3-map", "phi acts on GF(3)^5, the graph's vertices lie in GF(2)^5"),
+    ],
+)
+def test_theorem2_relation_refuses_parts_of_another_graph(case, message, setting22, setting32, tg22, jt22, jt32, cert22):
+    field, h, s = setting22
+    d, cert, phi = jt22, cert22, random_stabilizer_element(field, 2, 0)
+    if case == "short-certificate":
+        cert = IsoCertificate(range(100), "twisted-grassmann[100]", "design-blocks[100]")
+    elif case == "fewer-blocks":
+        d = Design(jt22.points, jt22.blocks[:154])
+    elif case == "gf3-design":
+        d = jt32
+    elif case == "more-points":
+        d = Design(range(40), jt22.blocks)
+    elif case == "gf3-polarity":
+        s = setting32[2]
+    else:
+        phi = random_stabilizer_element(setting32[0], 2, 0)
+    with pytest.raises(ValueError) as info:
+        check_theorem2_relation(d, tg22, cert, phi, s)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_lift_refuses_a_map_over_another_field(setting22, q):
+    field, h, s = setting22
+    with pytest.raises(ValueError) as info:
+        lift(random_stabilizer_element(field_from_order(q), 2, 0), s)
+    assert str(info.value) == f"phi acts over GF({q}), the polarity over GF(2)"
 
 
 def test_stabilizer_order_values():

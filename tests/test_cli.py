@@ -390,7 +390,8 @@ def test_verify_all_leaves_the_family_arrays_as_built(monkeypatch, capsys):
     assert code == 0
     (inst,) = made
     fresh = _Instance(inst.field, inst.e, inst.h, inst.s)
-    for family, built in zip(inst.families, fresh.families):
+    for (tag, *family), (fresh_tag, *built) in zip(inst.families, fresh.families):
+        assert tag == fresh_tag
         for a, b in zip(family, built):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 

@@ -28,7 +28,9 @@ from qgeom import (
     polarity_new,
     projective_points,
     span,
+    stabilizer_generators,
     twisted_grassmann,
+    vertex_permutation,
 )
 
 E = [tuple(1 if j == i else 0 for j in range(5)) for i in range(5)]
@@ -454,14 +456,14 @@ _POINT_SET_SPACES = [(2, 1, 5), (3, 1, 4), (2, 2, 4), (3, 2, 3), (2, 3, 3), (251
 
 @pytest.mark.parametrize("p,f,n", _POINT_SET_SPACES, ids=["q2", "q3", "q4", "q9", "q8", "q251", "q256", "q243"])
 def test_point_sets_match_projective_points(p, f, n):
-    from qgeom.geometry import _point_sets
+    from qgeom.geometry import _vertex_index
 
     field = field_new(p, f)
     index = point_index_map(field, n)
-    # every k-subspace, k = 0..n-1, in one call: one kernel batch per dimension
+    # every k-subspace, k = 0..n-1, as the label tuples of one graph: one kernel batch per dimension
     subs = [w for k in range(n) for w in enumerate_k_subspaces(full_space(field, n), k)]
     assert len(subs) == sum(gaussian_binomial(n, k, field.q) for k in range(n))
-    groups = _point_sets(subs)
+    groups = _vertex_index(Graph.from_edges(len(subs), [], labels=[(w.dim, w) for w in subs])).groups
     assert sorted(pts.shape[1] for _, pts in groups) == [(field.q ** k - 1) // (field.q - 1) for k in range(n)]
     sets = [None] * len(subs)
     for rows, pts in groups:
@@ -576,7 +578,8 @@ def test_split_by_points_keeps_the_order_of_the_hyperplane(q):
     rng = random.Random(q)
     for _ in range(3):
         h = _random_hyperplane(field, 5, rng)
-        (a_bases, a_sets), _, (rest_bases, rest_sets) = _Instance(field, 2, h).families
+        (tag_a, a_bases, a_sets), (tag_b, *_), (tag_rest, rest_bases, rest_sets) = _Instance(field, 2, h).families
+        assert (tag_a, tag_b, tag_rest) == ("A", "B", "B")
         assert a_bases.dtype == rest_bases.dtype == np.uint8 and a_bases.shape[1:] == rest_bases.shape[1:] == (3, 5)
         a_subs, rest = ([Subspace(field, 5, tuple(map(tuple, b))) for b in bases.tolist()] for bases in (a_bases, rest_bases))
         assert rest == list(enumerate_k_subspaces(h, 3))
@@ -628,7 +631,7 @@ def test_incidence_is_the_same_from_arrays_lists_and_ragged_sets():
 
     field = field_new(3)
     h = coordinate_hyperplane(field, 5)
-    (_, a_sets), _, _ = _Instance(field, 2, h).families
+    (_, _, a_sets), _, _ = _Instance(field, 2, h).families
     b_sets = _point_array(list(enumerate_k_subspaces(h, 1)))
     v = 121
     from_array = _incidence(_by_size([a_sets]), v, np.uint8)
@@ -662,7 +665,7 @@ def test_design_from_an_array_equals_the_design_from_its_rows(q):
     from qgeom.geometry import _Instance
 
     inst = _Instance(field_new(q), 2)
-    (a, _), _, (_, inside_sets) = inst.families
+    (_, a, _), _, (_, _, inside_sets) = inst.families
     arr = np.vstack([inst.f[: len(a)], inside_sets])[:, ::-1]  # rows unsorted: the design sorts them
     from_array, from_rows = Design(inst.points, arr), Design(inst.points, arr.tolist())
     assert from_array.blocks == from_rows.blocks == inst.jt.blocks
@@ -733,9 +736,10 @@ def test_design_index_survives_pickling(jt22):
 
 def test_only_the_set_index_builds_or_reads_mask_words():
     # a new key for `_SetIndex` changes that class alone; `_MIX`,
-    # `_SetIndex` and `_point_sets` are named in geometry alone (everything
-    # else folds through `_fold` and reads a graph's point sets through
-    # `_vertex_index`), and the package starts no worker processes
+    # `_SetIndex` and `_Labels` are named, and a record's `.runs` read, in
+    # geometry alone (everything else folds through `_fold` and reads a
+    # graph's point sets through the record `_vertex_index` gives), and the
+    # package starts no worker processes
     import ast
     from pathlib import Path
 
@@ -751,7 +755,9 @@ def test_only_the_set_index_builds_or_reads_mask_words():
     def outside(node, module):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in ("_SetIndex", "_mask_words"):
             return
-        if named(node, "_mask_words") or named(node, "_keys") or (module != "geometry" and any(named(node, name) for name in ("_MIX", "_SetIndex", "_point_sets"))):
+        if named(node, "_mask_words") or named(node, "_keys"):
+            yield node
+        elif module != "geometry" and (any(named(node, name) for name in ("_MIX", "_SetIndex", "_Labels")) or (isinstance(node, ast.Attribute) and node.attr == "runs")):
             yield node
         for child in ast.iter_child_nodes(node):
             yield from outside(child, module)
@@ -816,8 +822,15 @@ def test_pickled_graph_and_design_keep_their_labels(setting22):
     inst = _Instance(field, 2, h, s)
     g, d = pickle.loads(pickle.dumps(inst.graph)), pickle.loads(pickle.dumps(inst.jt))
     assert not isinstance(g._labels, tuple) and not isinstance(d._block_labels, tuple)  # still made on read
+    assert g._family is g._labels  # the record the graph keeps
     assert g.labels == inst.graph.labels and d.block_labels == inst.jt.block_labels
     assert np.array_equal(g.adj, inst.graph.adj) and d.blocks == inst.jt.blocks
+    # after its labels are read, the graph still keeps its record, and it gives the same vertex permutations
+    assert [tag for tag, *_ in g._family.runs] == ["A", "B"]
+    gens = stabilizer_generators(field, 2)
+    assert [vertex_permutation(g, phi) for phi in gens] == [vertex_permutation(inst.graph, phi) for phi in gens]
+    indexed = pickle.loads(pickle.dumps(g))  # its record now holds its index
+    assert "index" in vars(indexed._family) and vertex_permutation(indexed, gens[3]) == vertex_permutation(g, gens[3])
 
 
 @pytest.mark.parametrize("n, k, q", [(5, 2, 2), (5, 3, 2), (4, 2, 3), (5, 2, 4)])
@@ -826,6 +839,7 @@ def test_grassmann_graph_reads_the_array_core(n, k, q):
 
     g = grassmann_graph(n, k, q)
     assert not isinstance(g._labels, tuple)  # made on read
+    assert g._family is g._labels and [tag for tag, *_ in g._family.runs] == [None]  # a record of bare subspaces
     subs = tuple(enumerate_k_subspaces(full_space(field_from_order(q), n), k))
     assert g.labels == subs  # bare subspaces, in enumeration order
     # the adjacency of the literal subspace list's point sets
