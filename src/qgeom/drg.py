@@ -216,8 +216,9 @@ def intersection_array(g: Graph, automorphisms=()):
                 j = wrong[0]
                 u = int(members[j])
                 kind, expected, found = ("b", b[i], bu[j]) if wrong_b[j] else ("c", c[i], cu[j])
+                # the two labels alone, read from what the graph holds: a record forms no other
                 return NotDRG(
-                    base, u, i, kind, expected, int(found), repr(g.labels[base]), repr(g.labels[u]),
+                    base, u, i, kind, expected, int(found), repr(g._labels[base]), repr(g._labels[u]),
                     ScanCounts(run, len(bases), checked),
                 )
     d = max(b)

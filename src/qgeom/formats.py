@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import _BLOCK_ROWS, Design, Graph, _edge_strips
+from .geometry import _BLOCK_ROWS, Design, Graph, _edge_strips, _transpose_strip
 
 _G6_MAX = 258047
 
@@ -66,16 +66,22 @@ def decode_graph6(s: str) -> Graph:
     vals = np.frombuffer(body.encode("utf-32-le"), dtype=np.uint32).astype(np.int64) - 63
     if (bad := np.flatnonzero((vals < 0) | (vals >= 64))).size:
         raise ValueError(f"byte {body[bad[0]]!r} outside graph6 range")
-    bits = np.zeros(need + 1, dtype=np.uint8)  # bits[need] stays 0: the diagonal reads it
-    bits[:need] = np.unpackbits(vals.astype(np.uint8)[:, None], axis=1)[:, 2:].ravel()[:need]
-    # Bit (i, j) with i < j sits at j(j-1)/2 + i; fill 64 rows at a time.
-    adj = np.empty((n, (n + 7) // 8), dtype=np.uint8)
-    cols = np.arange(n)
+    bits = np.unpackbits(vals.astype(np.uint8)[:, None], axis=1)[:, 2:].ravel()
+    # Bit (i, j) with i < j sits at j(j-1)/2 + i, so row j's strictly lower
+    # prefix is the stream's next j bits: fill those 64 rows at a time, then
+    # OR into each strip the transpose of its 64 columns.  Rows an earlier
+    # strip's OR changed gained, in these columns, only the mirrors of this
+    # strip's own lower bits, so the transpose is the same in any order.
+    adj = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
     for start in range(0, n, _BLOCK_ROWS):
-        rows = np.arange(start, min(start + _BLOCK_ROWS, n))[:, None]
-        hi, lo = np.maximum(rows, cols), np.minimum(rows, cols)
-        index = np.where(rows == cols, need, hi * (hi - 1) // 2 + lo)
-        adj[start : start + len(rows)] = np.packbits(bits[index], axis=1, bitorder="little")
+        stop = min(start + _BLOCK_ROWS, n)
+        below = np.arange(stop) < np.arange(start, stop)[:, None]
+        lower = np.zeros(below.shape, dtype=np.uint8)
+        lower[below] = bits[start * (start - 1) // 2 : stop * (stop - 1) // 2]
+        adj[start:stop, : (stop + 7) // 8] = np.packbits(lower, axis=1, bitorder="little")
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = adj[start : start + _BLOCK_ROWS]
+        rows |= _transpose_strip(adj, n, start // 8)[: len(rows)]
     return Graph(range(n), adj)
 
 

@@ -67,8 +67,12 @@ the uint8 matrix of `Design.incidence()`, which serves the CSV export.
 
 A graph is one packed adjacency matrix: `_count_graph` packs each row
 block of counts straight into its rows from the block's start on, and
-mirrors the block into its own 64 columns of the rows below it.  The
-operations that need 0/1 columns unpack at most 64 rows at a time
+fills the same rows left of the block from the rows above it by
+`_transpose_strip`, the packed transpose of one 8-byte column strip,
+each 8 x 8 bit block transposed inside one uint64.  `Graph` checks
+symmetry, and `formats.decode_graph6` mirrors its lower triangle, by the
+same transpose, one strip at a time, so no whole transpose is formed.
+The operations that need 0/1 columns unpack at most 64 rows at a time
 (`_row_strips`).
 
 The block map f works on the same point sets.  A polarity sigma of h
@@ -119,11 +123,13 @@ class Graph:
         diag = np.arange(n)
         if (loops := np.flatnonzero(adj[diag, diag >> 3] >> (diag & 7) & 1)).size:
             raise ValueError(f"self-loop at vertex {loops[0]}")
-        # Symmetry, 64 rows at a time: those rows against the same 64 columns.
-        for start, rows in _row_strips(adj, n):
-            cols = adj[:, start // 8 : (start + _BLOCK_ROWS) // 8]
-            cols = np.unpackbits(cols, axis=1, count=len(rows), bitorder="little")
-            if not np.array_equal(rows, cols.T):
+        # Symmetry, 64 rows at a time, packed: those rows up to the strip's
+        # end against the transpose of the same 64 columns, so each pair is
+        # checked in the strip of its later row (bits past n are zero, above).
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
+            rows = adj[start:stop, : (stop + 7) // 8]
+            if not np.array_equal(rows, _transpose_strip(adj, stop, start // 8)[: stop - start]):
                 raise ValueError("adjacency is not symmetric")
         adj = adj.view()
         adj.flags.writeable = False
@@ -182,6 +188,28 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.num_edges()})"
+
+
+def _transpose_strip(adj: np.ndarray, r: int, c: int) -> np.ndarray:
+    """Rows 8c..8c+8w-1 of the transpose of adj[:r], packed like adj: the
+    (8w, ceil(r/8)) transpose of the w <= 8 byte column strip adj[:r, c:c+8].
+
+    Each 8 x 8 bit block (8 rows, one byte column) is gathered into one
+    uint64, one byte per row, and transposed in place by three
+    shift/mask/XOR steps (Warren, Hacker's Delight, 7-3); the grid of
+    blocks is then transposed by reordering their bytes.  Rows past r
+    read as zero, so the last byte of each row is zero past bit r."""
+    strip = adj[:r, c : c + 8]
+    blocks = np.zeros(((r + 7) // 8 * 8, 8), dtype=np.uint8)
+    blocks[:r, : strip.shape[1]] = strip
+    # x[b, k]: byte i is the byte column c+k of row 8b+i, so bit 8i+j is (8b+i, 8(c+k)+j)
+    x = blocks.reshape(-1, 8, 8).transpose(0, 2, 1).copy().view("<u8").reshape(-1, 8)
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)):
+        t = (x ^ (x >> np.uint64(shift))) & np.uint64(mask)
+        x ^= t ^ (t << np.uint64(shift))
+    # now bit 8j+i of x[b, k] is (8b+i, 8(c+k)+j): byte j is row 8(c+k)+j's byte b
+    out = x.view(np.uint8).reshape(-1, 8, 8).transpose(1, 2, 0)
+    return out[: strip.shape[1]].reshape(8 * strip.shape[1], (r + 7) // 8)
 
 
 def _row_strips(adj: np.ndarray, n: int):
@@ -727,9 +755,11 @@ def _count_graph(labels, groups, v: int, target, family=None) -> Graph:
     target[family[i]][family[j]] points, or `target` points when no
     families are given.
 
-    Each row block of `_pair_counts` fills its rows from its own start on,
-    and its transpose fills its 64 columns (8 bytes, as _BLOCK_ROWS is a
-    multiple of 8) in the rows below it, so every byte is written once."""
+    Each row block of `_pair_counts` fills its rows from its own start on
+    (start is a multiple of 64, so a whole byte), and the same rows left of
+    the block are the transpose of the block's 64 columns in the rows above
+    it (`_transpose_strip`), which their own blocks wrote before, so every
+    byte is written once."""
     n = len(labels)
     if family is None:
         family = np.zeros(n, dtype=np.intp)
@@ -742,13 +772,12 @@ def _count_graph(labels, groups, v: int, target, family=None) -> Graph:
         size = len(counts)
         hit = hits[:size, : counts.shape[1]]
         block = family[start : start + size]
-        for a in range(block.min(), block.max() + 1):  # the families of the block's rows
-            np.equal(counts, target[a, start:], out=hit, where=(block == a)[:, None])
+        runs = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), size]  # rows of one family
+        for a, b in zip(runs, runs[1:]):
+            np.equal(counts[a:b], target[block[a], start:], out=hit[a:b])
         hit[np.arange(size), np.arange(size)] = False
         adj[start : start + size, start // 8 :] = np.packbits(hit, axis=1, bitorder="little")
-        # byte b of row start+size+j: the hits of rows start+8b..start+8b+7 in column j
-        col = start // 8
-        adj[start + size :, col : col + 8] = np.packbits(hit[:, size:], axis=0, bitorder="little").T
+        adj[start : start + size, : start // 8] = _transpose_strip(adj, start, start // 8)[:size]
     return Graph(labels, adj)
 
 

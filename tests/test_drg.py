@@ -269,6 +269,26 @@ def test_check_isomorphism_refuses_a_target_with_one_edge_moved(tg22, jt22, sett
     assert not check_isomorphism(tg22, moved, cert)
 
 
+def test_notdrg_names_its_witnesses_from_two_labels(monkeypatch, tg32):
+    # one degree-preserving edge switch, (0, a) and (c, d) to (0, d) and
+    # (c, a), on a graph that keeps tg32's record: naming the two witness
+    # vertices forms two Subspaces, not one per vertex
+    from qgeom.subspace import Subspace
+
+    dense = np.unpackbits(tg32.adj, axis=1, count=tg32.n, bitorder="little")
+    a = tg32.neighbors(0)[0]
+    c, d = next((c, d) for c, d in tg32.edges() if len({0, a, c, d}) == 4 and not dense[0, d] and not dense[c, a])
+    for i, j, bit in ((0, a, 0), (c, d, 0), (0, d, 1), (c, a, 1)):
+        dense[i, j] = dense[j, i] = bit
+    g = Graph(tg32._family, _packed(dense))
+    formed, post_init = [], Subspace.__post_init__
+    monkeypatch.setattr(Subspace, "__post_init__", lambda w: formed.append(w) or post_init(w))
+    res = intersection_array(g)
+    assert isinstance(res, NotDRG) and len(formed) == 2
+    assert (res.base_label, res.vertex_label) == (repr(tg32._family[res.base]), repr(tg32._family[res.vertex]))
+    assert res == intersection_array(Graph([tg32._family[i] for i in range(g.n)], g.adj))  # label tuples alike
+
+
 def test_certificate_rejects_non_bijection():
     with pytest.raises(ValueError):
         IsoCertificate((0, 0, 1), "s", "t")

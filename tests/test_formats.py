@@ -66,6 +66,28 @@ def test_graph6_decode_base_cases():
     assert decode_graph6("A_").is_adjacent(0, 1)
 
 
+def _literal_decode(text):
+    """The 0/1 matrix of a graph6 string, one bit at a time."""
+    n = ord(text[0]) - 63 if text[0] != "~" else sum((ord(ch) - 63) << s for ch, s in zip(text[1:4], (12, 6, 0)))
+    bits = [ord(ch) - 63 >> t & 1 for ch in text[1 if text[0] != "~" else 4 :] for t in range(5, -1, -1)]
+    dense = np.zeros((n, n), dtype=np.uint8)
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    for (i, j), bit in zip(pairs, bits):
+        dense[i, j] = dense[j, i] = bit
+    return dense
+
+
+@pytest.mark.parametrize("n", [*range(1, 71), 130])
+def test_graph6_decode_matches_the_literal_decoder(n):
+    # random bodies, padding bits included, and the empty and complete graphs
+    rng = random.Random(n)
+    header = _literal_graph6(Graph.from_edges(n, []))[: 1 if n <= 62 else 4]
+    length = (n * (n - 1) // 2 + 5) // 6
+    for body in ("?" * length, "~" * length, "".join(chr(rng.randrange(63, 127)) for _ in range(length))):
+        g = decode_graph6(header + body)
+        assert np.array_equal(np.unpackbits(g.adj, axis=1, count=n, bitorder="little"), _literal_decode(header + body))
+
+
 def test_graph6_round_trip_small():
     rng = random.Random(1)
     for n in (1, 2, 3, 5, 8, 13, 30, 62, 63, 100):

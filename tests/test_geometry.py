@@ -113,6 +113,36 @@ def test_graph_symmetry_checked_beyond_the_first_strip():
             Graph(range(n), np.packbits(bad, axis=1, bitorder="little"))
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 129, 130])
+def test_transpose_strip_matches_the_unpacked_transpose(n):
+    # every byte column strip, the last one ragged when 8 does not divide n,
+    # of the rows above a row block (r = 64t) and of all rows
+    from qgeom.geometry import _transpose_strip
+
+    adj = np.random.default_rng(n).integers(0, 256, (n, (n + 7) // 8), dtype=np.uint8)
+    for r in sorted({0, 1, 63, 64, 128, n - 1, n} & set(range(n + 1))):
+        for c in range(0, adj.shape[1], 8):
+            cols = np.unpackbits(adj[:r, c : c + 8], axis=1, bitorder="little")
+            assert np.array_equal(_transpose_strip(adj, r, c), np.packbits(cols.T, axis=1, bitorder="little"))
+
+
+@pytest.mark.parametrize("n", [9, 65, 130])
+def test_graph_refuses_every_flipped_off_diagonal_bit(n):
+    # all n(n-1) flips at n = 9 and 65, a seeded sample of 400 at n = 130
+    rng = np.random.default_rng(n)
+    upper = np.triu(rng.integers(0, 2, (n, n), dtype=np.uint8), 1)
+    adj = np.packbits(upper | upper.T, axis=1, bitorder="little")
+    Graph(range(n), adj)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    if n > 65:
+        pairs = [pairs[t] for t in rng.choice(len(pairs), 400, replace=False)]
+    for i, j in pairs:
+        bad = adj.copy()
+        bad[i, j >> 3] ^= 1 << (j & 7)
+        with pytest.raises(ValueError, match="not symmetric"):
+            Graph(range(n), bad)
+
+
 def test_design_validation():
     d = Design(range(3), [(0, 1), (1, 2)])
     assert d.v == 3 and d.b == 2
@@ -219,9 +249,12 @@ def test_pair_counts_and_count_graph_match_the_full_product(height):
         starts.append(start)
         assert np.array_equal(counts, full[start : start + 64, start:])
     assert starts == list(range(0, height, 64))
-    # one family, and two families split at row 70, inside the second row block
-    split = (np.arange(height) >= 70).astype(np.intp)
-    for target, family in ((3, None), ([[3, 2], [2, 1]], split)):
+    # one family; two families split at row 5 (inside the first row block),
+    # at row 64 (on a block boundary) and at row 70 (inside the second); and
+    # families that alternate every 3 rows, several runs per block
+    splits = [(np.arange(height) >= at).astype(np.intp) for at in (5, 64, 70)]
+    splits.append(np.arange(height) // 3 % 2)
+    for target, family in ((3, None), *(([[3, 2], [2, 1]], split) for split in splits)):
         rows = np.zeros(height, dtype=np.intp) if family is None else family
         table = np.array([[target]] if family is None else target)
         expected = full == table[rows[:, None], rows]
