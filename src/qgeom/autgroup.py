@@ -17,7 +17,8 @@ Everything else acts through one batched point action:
 - `geometry._point_images`, which also gives the point sets of
   subspaces: the point permutations of a batch of maps x -> M.frob^i(x)
   as one float32 BLAS product, reduced mod p, exact below 2**24 (see
-  the `geometry` docstring).
+  the `geometry` docstring).  `_point_perms` gives it a batch of
+  `SemilinearMap`s.
 - `_lift_batch`: a point c of [H] goes to the point whose sigma point
   set is pi(sigma(c)), with pi phi's point permutation; every other point
   goes through pi.  It finds pi(sigma(c)) in the index that `_sigma`
@@ -34,14 +35,16 @@ Everything else acts through one batched point action:
   of its `geometry._Instance`; the public functions here that take a
   graph read `geometry._vertex_index`, which gives the record the graph
   keeps, or checks the graph's label tuples and forms their record once.
-- `_vertex_images`: the vertex action, the record index's rows of the
-  images of the vertex point sets under point permutations it is given,
-  not ones it forms.  `vertex_permutation`, `check_theorem2_batch` and
-  the drg check's generators go through it; `check_theorem2_batch` forms
-  each chunk's point permutations once, for its lift and its vertex
-  images both, and the drg check forms all of its generators' at once.
-  `vertex_permutation` and `check_theorem2_batch` refuse a map of another
-  space than the record's before any lookup.
+- `_vertex_images`: the vertex action, the one path from a batch of
+  maps to vertex images.  It refuses the first map of another space than
+  the record's before that map's point permutation is formed, forms the
+  maps' point permutations itself, once (`_point_perms`), looks the
+  images of the vertex point sets up in the record's index, and returns
+  the permutations with the images.  `vertex_permutation`,
+  `check_theorem2_batch` and the drg check's generators go through it:
+  `check_theorem2_batch` lifts each chunk by the permutations it returns,
+  so one point action serves the lift and the vertex images both, and
+  the drg check passes all of its generators at once.
 
 `check_theorem2_batch`, `check_theorem2_relation` (a batch of one),
 `vertex_permutation`, `is_design_automorphism` and the census all use
@@ -334,13 +337,11 @@ def _lift_batch(s: Polarity, pi: np.ndarray) -> np.ndarray:
     return lifted
 
 
-def _maps_as_arrays(maps):
-    """(field, matrices, Frobenius powers) of a batch of maps on one space."""
-    field = maps[0].field
-    if any(phi.field != field or phi.dim != maps[0].dim for phi in maps):
-        raise ValueError("maps act on different spaces")
+def _point_perms(maps) -> np.ndarray:
+    """The point permutations of a batch of maps that act on one space (as
+    `_vertex_images` checks), row g for maps[g]: one `_point_images` call."""
     mats = np.array([phi.matrix.entries for phi in maps], dtype=np.intp)
-    return field, mats, np.array([phi.frob for phi in maps], dtype=np.intp)
+    return _point_images(maps[0].field, mats, np.array([phi.frob for phi in maps], dtype=np.intp))
 
 
 def _not_automorphism(d: Design, perm, rows: np.ndarray):
@@ -371,20 +372,17 @@ def induced_block_permutation(d: Design, p: PointPermutation):
     return None if (rows < 0).any() else tuple(rows.tolist())
 
 
-def _refuse_maps_of_another_space(labels, maps):
-    """ValueError, naming both spaces, for the first map that acts on
-    another field or dimension than the subspaces of the vertex record
-    labels, before its point permutation is read against the record."""
+def _vertex_images(labels, maps) -> tuple:
+    """(pi, images) for a vertex record of labels (tag, W) (`geometry._Labels`):
+    row g of pi is the point permutation of maps[g], and entry j of row g
+    of images is the vertex maps[g](W_j).  ValueError, naming both spaces,
+    for the first map that acts on another field or dimension than the
+    record's, before any point permutation is formed.  Computed at point
+    level; the image of vertex 0 is compared with the literal
+    phi.apply_subspace for every map."""
     if (phi := next((phi for phi in maps if (phi.field, phi.dim) != (labels.field, labels.n)), None)) is not None:
         raise ValueError(f"phi acts on GF({phi.field.q})^{phi.dim}, the graph's vertices lie in GF({labels.field.q})^{labels.n}")
-
-
-def _vertex_images(labels, maps, pi) -> np.ndarray:
-    """Row g: entry j is the vertex maps[g](W_j), for a vertex record of
-    labels (tag, W) (`geometry._Labels`) and pi, the point permutations of
-    maps (row g for maps[g]), which act on the record's space.  Computed
-    at point level; the image of vertex 0 is compared with the literal
-    phi.apply_subspace for every map."""
+    pi = _point_perms(maps)
     images = labels.index.images(pi)
     if (images < 0).any():
         raise ValueError("phi does not map the graph's vertex families onto themselves")
@@ -392,15 +390,14 @@ def _vertex_images(labels, maps, pi) -> np.ndarray:
     for phi, first in zip(maps, images[:, 0].tolist()):
         if labels[first][1] != phi.apply_subspace(w):
             raise RuntimeError("the point-level vertex action diverged from phi.apply_subspace at vertex 0")
-    return images
+    return pi, images
 
 
 def vertex_permutation(g: Graph, phi: SemilinearMap) -> tuple:
     """phi's action on the vertices of a twisted Grassmann graph g: entry
     j is the vertex phi(W_j).  Computed at point level; vertex 0's image
     is compared with the literal phi.apply_subspace on every call."""
-    _refuse_maps_of_another_space(labels := _vertex_index(g), [phi])
-    return tuple(_vertex_images(labels, [phi], _point_images(*_maps_as_arrays([phi])))[0].tolist())
+    return tuple(_vertex_images(_vertex_index(g), [phi])[1][0].tolist())
 
 
 _ORACLE_STRIDE = 31  # prime; elements 0, 31, 62, ... are also lifted literally
@@ -424,7 +421,8 @@ def check_theorem2_batch(d: Design, labels, cert, maps, s: Polarity, progress=No
     graph whose vertex record is labels (`_vertex_images`).  ValueError,
     naming both sides, if d has another point count than the record's
     space, if cert has another length than the graph's vertex count or d's
-    block count, or if s or a map acts on another space.
+    block count, or if s or a map acts on another space (a map in its
+    chunk, before the chunk's point permutations are formed).
 
     Returns (results, cross_checked): one result per map, in order, and
     the number of batched lifts compared with the literal lift() (every
@@ -438,17 +436,15 @@ def check_theorem2_batch(d: Design, labels, cert, maps, s: Polarity, progress=No
         raise ValueError(f"the certificate maps {len(cert.mapping)} vertices, the graph has {len(labels)} and the design {d.b} blocks")
     if s.field != labels.field or s.h.ambient_dim != labels.n:
         raise ValueError(f"the polarity acts on GF({s.field.q})^{s.h.ambient_dim}, the graph's vertices lie in {space}")
-    _refuse_maps_of_another_space(labels, maps)
     results = []
     cross_checked = 0
     mapping = np.array(cert.mapping, dtype=np.intp)
     for start in range(0, len(maps), _THEOREM2_CHUNK):
         chunk = maps[start : start + _THEOREM2_CHUNK]
-        pi = _point_images(*_maps_as_arrays(chunk))
+        pi, vertices = _vertex_images(labels, chunk)
         lifted = _lift_batch(s, pi)
         alpha = d.index.images(lifted)
         cross_checked += _spot_check_lifts("batched lift", lifted, chunk.__getitem__, s, start, _ORACLE_STRIDE)
-        vertices = _vertex_images(labels, chunk, pi)
         for k in range(len(chunk)):
             if (missing := _not_automorphism(d, lifted[k], alpha[k])) is not None:
                 results.append(missing)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from .autgroup import (
     NotAutomorphism,
-    _maps_as_arrays,
     _vertex_images,
     check_theorem2_batch,
     exhaustive_lift_check,
@@ -52,7 +51,6 @@ from .geometry import (
     DesignParameters,
     Graph,
     _Instance,
-    _point_images,
     block_graph,
     grassmann_graph,
     intersection_spectrum,
@@ -256,7 +254,7 @@ def _verify_thm1(cfg: RunConfig, inst: _Instance):
 
 def _verify_drg(cfg: RunConfig, inst: _Instance):
     gens = stabilizer_generators(inst.field, cfg.e)
-    automorphisms = _vertex_images(inst.labels, gens, _point_images(*_maps_as_arrays(gens)))
+    automorphisms = _vertex_images(inst.labels, gens)[1]
     ia_t = intersection_array(inst.graph, automorphisms)
     _progress("drg")(1.0)
     ia_g = grassmann_array(2 * cfg.e + 1, cfg.e, cfg.q)

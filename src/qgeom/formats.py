@@ -63,21 +63,24 @@ def decode_graph6(s: str) -> Graph:
     need = n * (n - 1) // 2
     if len(body) != (need + 5) // 6:
         raise ValueError(f"graph6 body length {len(body)} does not fit {n} vertices")
-    vals = np.frombuffer(body.encode("utf-32-le"), dtype=np.uint32).astype(np.int64) - 63
-    if (bad := np.flatnonzero((vals < 0) | (vals >= 64))).size:
-        raise ValueError(f"byte {body[bad[0]]!r} outside graph6 range")
-    bits = np.unpackbits(vals.astype(np.uint8)[:, None], axis=1)[:, 2:].ravel()
+    raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8) if body.isascii() else None
+    if raw is None or raw.size and (raw.min() < 63 or raw.max() > 126):
+        bad = next(ch for ch in body if not "?" <= ch <= "~")
+        raise ValueError(f"byte {bad!r} outside graph6 range")
     # Bit (i, j) with i < j sits at j(j-1)/2 + i, so row j's strictly lower
-    # prefix is the stream's next j bits: fill those 64 rows at a time, then
-    # OR into each strip the transpose of its 64 columns.  Rows an earlier
-    # strip's OR changed gained, in these columns, only the mirrors of this
-    # strip's own lower bits, so the transpose is the same in any order.
+    # prefix is the stream's next j bits: fill those 64 rows at a time, each
+    # strip from the characters that hold its bits, then OR into each strip
+    # the transpose of its 64 columns.  Rows an earlier strip's OR changed
+    # gained, in these columns, only the mirrors of this strip's own lower
+    # bits, so the transpose is the same in any order.
     adj = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
+        first, last = start * (start - 1) // 2, stop * (stop - 1) // 2
+        chars = raw[first // 6 : (last + 5) // 6] - 63
         below = np.arange(stop) < np.arange(start, stop)[:, None]
         lower = np.zeros(below.shape, dtype=np.uint8)
-        lower[below] = bits[start * (start - 1) // 2 : stop * (stop - 1) // 2]
+        lower[below] = np.unpackbits(chars[:, None], axis=1)[:, 2:].ravel()[first % 6 : last - first // 6 * 6]
         adj[start:stop, : (stop + 7) // 8] = np.packbits(lower, axis=1, bitorder="little")
     for start in range(0, n, _BLOCK_ROWS):
         rows = adj[start : start + _BLOCK_ROWS]

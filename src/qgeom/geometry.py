@@ -83,6 +83,9 @@ the literal `autgroup.lift`), their point-set array and its `_SetIndex`
 (read by the batched lift).  With S[c, x] = 1 when x lies in
 sigma(c), x lies in sigma(W ∩ h) when W's row of points in [h] times S
 reaches |W ∩ h| at x, so `_block_map` forms many blocks in one product.
+Every sigma(c) lies in [h], so S is taken over [h]'s columns only: the
+product covers [h] and nothing else, and the points of f(W) off [h] are
+W's own.
 """
 
 from __future__ import annotations
@@ -845,21 +848,23 @@ def _block_map(labels: _Labels, h: Subspace, s: Polarity) -> np.ndarray:
     e, v = h.dim // 2, labels.points
     k, k_b = _point_count(e + 1, h.field.q), _point_count(e - 1, h.field.q)
     sigma = _sigma(s)
-    in_h = np.isin(np.arange(v), sigma.points)
-    # S[c, x] = 1 when the point x lies in sigma(c), one row per point c of [h]
-    sig = _incidence(_by_size([sigma.sets]), v, np.float32)
+    # S[c, x] = 1 when the point x lies in sigma(c), for points c and x of [h]
+    # (every sigma(c) lies in [h]), rows and columns in the order of sigma.points
+    sig = _incidence(_by_size([np.searchsorted(sigma.points, sigma.sets)]), len(sigma.points), np.float32)
     out = np.empty((len(labels), k), dtype=_index_dtype(v))
     for rows, n in _row_chunks(labels.groups, v, max(1, _SLAB_BYTES // (16 * v))):  # about 16 bytes a column
-        size, inside = n.sum(axis=1), n[:, in_h].sum(axis=1)
+        on_h = n[:, sigma.points]
+        size, inside = n.sum(axis=1), on_h.sum(axis=1)
         # a point set of [e+1]_q points is an (e+1)-subspace, one of [e-1]_q an (e-1)-subspace
         if not (((size == k) & (inside < size)) | ((size == k_b) & (inside == size))).all():
             raise ValueError("w is in neither vertex family of the twisted graph")
-        # in [h], the points in sigma(c) for all |W ∩ h| points c of W ∩ h (all
-        # of [h] when there are none: sigma(0) = h); outside [h], those of W
-        blocks = np.where(in_h, n[:, sigma.points] @ sig == inside[:, None], n > 0)
+        # outside [h], the points of W; in [h], the points in sigma(c) for all
+        # |W ∩ h| points c of W ∩ h (all of [h] when there are none: sigma(0) = h)
+        blocks = n > 0
+        blocks[:, sigma.points] = on_h @ sig == inside[:, None]
         if (wrong := np.flatnonzero(blocks.sum(axis=1) != k)).size:
             raise ValueError(f"f of {labels.pair(rows[wrong[0]])[1]} has {blocks[wrong[0]].sum()} points, not {k}")
-        out[rows] = np.nonzero(blocks)[1].reshape(len(blocks), k)
+        out[rows] = (np.flatnonzero(blocks) % v).reshape(len(blocks), k)  # 2-D nonzero is several times slower
     return out
 
 

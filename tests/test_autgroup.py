@@ -272,13 +272,13 @@ def test_theorem2_relation_raises_when_the_batched_lift_diverges(swap_lifted_poi
 
 
 def test_point_level_vertex_images_match_apply_subspace(setting22, tg22):
-    from qgeom.autgroup import _maps_as_arrays, _point_images
+    from qgeom.autgroup import _point_perms
     from qgeom.geometry import _vertex_index
 
     field, h, s = setting22
     vertex_of = {label: j for j, label in enumerate(tg22.labels)}
     maps = [random_stabilizer_element(field, 2, (5, i)) for i in range(25)]
-    images = _vertex_index(tg22).index.images(_point_images(*_maps_as_arrays(maps)))
+    images = _vertex_index(tg22).index.images(_point_perms(maps))
     for phi, row in zip(maps, images.tolist()):
         assert row == [vertex_of[(tag, phi.apply_subspace(w))] for tag, w in tg22.labels]
 
@@ -317,7 +317,7 @@ _KERNEL_INSTANCES = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)]
 @pytest.mark.parametrize("paired", [False, True], ids=["identity", "paired"])
 @pytest.mark.parametrize("p,f,e", _KERNEL_INSTANCES, ids=["q2e2", "q3e2", "q4e2", "q2e3"])
 def test_batched_point_action_matches_the_literal_maps(p, f, e, paired):
-    from qgeom.autgroup import _lift_batch, _maps_as_arrays, _point_images
+    from qgeom.autgroup import _lift_batch, _point_perms
     from qgeom.geometry import _point_order
 
     field = field_new(p, f)
@@ -326,7 +326,7 @@ def test_batched_point_action_matches_the_literal_maps(p, f, e, paired):
     points, index = _point_order(field, 2 * e + 1)
     maps = stabilizer_generators(field, e) + [random_stabilizer_element(field, e, (11, i)) for i in range(20)]
     assert {phi.frob for phi in maps} == set(range(f))
-    pi = _point_images(*_maps_as_arrays(maps))
+    pi = _point_perms(maps)
     lifted = _lift_batch(s, pi)
     for phi, images, lifted_perm in zip(maps, pi.tolist(), lifted.tolist()):
         assert images == [index[phi.apply_point(pt).rep] for pt in points]
@@ -358,13 +358,13 @@ def test_lift_batch_shares_sigma_lookups_exactly(paired):
     # A census chunk shares one lookup per A (runs of 16 rows); random maps
     # start a run at every row.  Either way the batch gives each row's lift
     # alone, a batch of one, where no run is shared.
-    from qgeom.autgroup import _general_linear, _lift_batch, _maps_as_arrays, _point_images
+    from qgeom.autgroup import _general_linear, _lift_batch, _point_perms
 
     f = field_new(2)
     s = polarity_new(f, coordinate_hyperplane(f, 5), _paired_gram(4) if paired else None)
     f3 = field_new(3)
     s3 = polarity_new(f3, coordinate_hyperplane(f3, 5), _paired_gram(4) if paired else None)
-    random_pi = _point_images(*_maps_as_arrays([random_stabilizer_element(f3, 2, (13, i)) for i in range(40)]))
+    random_pi = _point_perms([random_stabilizer_element(f3, 2, (13, i)) for i in range(40)])
     for t, pi in ((s, _census_pi(s, _general_linear(2, 4)[:64])), (s3, random_pi)):
         lifted = _lift_batch(t, pi)
         assert np.array_equal(lifted, np.concatenate([_lift_batch(t, row[None]) for row in pi]))
@@ -376,13 +376,13 @@ def test_lift_batch_looks_up_a_row_that_differs_on_one_point_of_h(setting22):
     # that maps every sigma point set onto one is a collineation of [h], so
     # row 1 maps some sigma(c') off them, and the batch must raise as row 1
     # alone does, whichever point of [h] c is.
-    from qgeom.autgroup import _lift_batch, _maps_as_arrays, _point_images
+    from qgeom.autgroup import _lift_batch, _point_perms
     from qgeom.geometry import _sigma
 
     field, h, s = setting22
     h_points = _sigma(s).points
     off_h = np.setdiff1d(np.arange(31), h_points)
-    pi = _point_images(*_maps_as_arrays([random_stabilizer_element(field, 2, (14, 0))]))
+    pi = _point_perms([random_stabilizer_element(field, 2, (14, 0))])
     _lift_batch(s, pi)  # the map itself stabilizes [h]
     for c in h_points.tolist():
         row = pi[0].copy()

@@ -113,6 +113,26 @@ def test_graph6_rejects_malformed():
         decode_graph6("D")  # truncated body
     with pytest.raises(ValueError):
         decode_graph6("D" + chr(30))  # byte below printable range
+    for ch in ("\u00e9", "\ud800", ">", "\x7f"):  # non-ASCII, a lone surrogate, just below and above the range
+        with pytest.raises(ValueError) as info:
+            decode_graph6("D" + ch + "c")
+        assert str(info.value) == f"byte {ch!r} outside graph6 range"
+
+
+def test_graph6_decode_peak_stays_near_the_adjacency(tg32):
+    # the (3,2) graph's adjacency is 0.18 MiB and its body 0.12 MiB; the
+    # decoder reads the body as bytes once and unpacks 64 rows at a time
+    import tracemalloc
+
+    text = encode_graph6(tg32)
+    tracemalloc.start()
+    try:
+        back = decode_graph6(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.adj, tg32.adj)
+    assert peak < 1.5 * 2**20, peak
 
 
 def test_dimacs_exact():

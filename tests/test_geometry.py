@@ -362,12 +362,18 @@ PAIRED_GRAM = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
 
 
 @pytest.mark.parametrize("gram", [None, PAIRED_GRAM], ids=["identity", "paired"])
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_f_map_matches_the_literal_subspace_map(q, gram):
+@pytest.mark.parametrize(
+    "q,seed", [(2, None), (3, None), (4, None), (2, 0), (2, 1), (3, 0), (3, 1)],
+    ids=["2", "3", "4", "2-random0", "2-random1", "3-random0", "3-random1"],
+)
+def test_f_map_matches_the_literal_subspace_map(q, seed, gram):
     # the batched rows (jt_design's A blocks, f_certificate's blocks) and
-    # f_map against f taken subspace by subspace; a seeded sample at q = 4
+    # f_map against f taken subspace by subspace; a seeded sample at q = 4.
+    # Under a seeded random hyperplane, [h]'s points fall anywhere in the
+    # point order, not on the coordinate hyperplane's regular stride.
     field = field_from_order(q)
-    h = coordinate_hyperplane(field, 5)
+    h = coordinate_hyperplane(field, 5) if seed is None else _random_hyperplane(field, 5, random.Random(10 * q + seed))
+    assert seed is None or h != coordinate_hyperplane(field, 5)
     s = polarity_new(field, h, gram)
     g = twisted_grassmann(field, 2, h, s)
     d = jt_design(field, 2, h, s)
@@ -505,10 +511,17 @@ def test_point_sets_match_projective_points(p, f, n):
     assert sets == [sorted(index[pt.rep] for pt in projective_points(w)) for w in subs]
 
 
+def _map_batch(maps):
+    """The (field, matrices, Frobenius powers) arguments of `_point_images`
+    for a batch of semilinear maps."""
+    mats = np.array([phi.matrix.entries for phi in maps], dtype=np.intp)
+    return maps[0].field, mats, np.array([phi.frob for phi in maps], dtype=np.intp)
+
+
 @pytest.mark.parametrize("p,f", [(251, 1), (2, 8), (3, 5)], ids=["q251", "q256", "q243"])
 def test_point_images_of_square_maps_at_the_edges_of_exactness(p, f):
     # q = 251 has the largest digit products, q = 256 and 243 the most digits per coordinate
-    from qgeom.autgroup import SemilinearMap, _maps_as_arrays
+    from qgeom.autgroup import SemilinearMap
     from qgeom.geometry import _point_images, _point_order
     from qgeom.linalg import Matrix
 
@@ -519,7 +532,7 @@ def test_point_images_of_square_maps_at_the_edges_of_exactness(p, f):
     maps = [SemilinearMap(Matrix(field, r), j % f) for j, r in enumerate(rows)]  # every Frobenius power
     points, index = _point_order(field, 2)
     literal = [[index[phi.apply_point(pt).rep] for pt in points] for phi in maps]
-    assert _point_images(*_maps_as_arrays(maps)).tolist() == literal
+    assert _point_images(*_map_batch(maps)).tolist() == literal
 
 
 def test_point_images_refuse_codes_and_sums_beyond_exact_float32():
@@ -538,7 +551,7 @@ def test_point_images_refuse_codes_and_sums_beyond_exact_float32():
 
 def test_point_images_are_the_same_in_slabs_of_one(monkeypatch):
     import qgeom.geometry as geometry
-    from qgeom.autgroup import _maps_as_arrays, random_stabilizer_element
+    from qgeom.autgroup import random_stabilizer_element
 
     field = field_new(3, 2)
     subs = list(enumerate_k_subspaces(full_space(field, 3), 2))
@@ -564,7 +577,7 @@ def test_point_images_are_the_same_in_slabs_of_one(monkeypatch):
         for slab in (1 << 30, 1, split):
             monkeypatch.setattr(geometry, "_SLAB_BYTES", slab)
             sizes.clear()
-            runs[slab] = geometry._point_images(*_maps_as_arrays(maps)), tuple(sizes)
+            runs[slab] = geometry._point_images(*_map_batch(maps)), tuple(sizes)
         assert runs[1 << 30][1] == (23,) and runs[1][1] == (1,) * 23
         assert 1 < runs[split][1][0] < 23, runs[split][1]
         assert all(np.array_equal(images, runs[1 << 30][0]) for images, _ in runs.values())
@@ -771,8 +784,11 @@ def test_only_the_set_index_builds_or_reads_mask_words():
     # a new key for `_SetIndex` changes that class alone; `_MIX`,
     # `_SetIndex` and `_Labels` are named, and a record's `.runs` read, in
     # geometry alone (everything else folds through `_fold` and reads a
-    # graph's point sets through the record `_vertex_index` gives), and the
-    # package starts no worker processes
+    # graph's point sets through the record `_vertex_index` gives), maps
+    # reach vertex images through `autgroup._vertex_images` alone, so no
+    # module but geometry and autgroup names `_point_images` and none names
+    # the map-array helper `_maps_as_arrays`, and the package starts no
+    # worker processes
     import ast
     from pathlib import Path
 
@@ -788,7 +804,9 @@ def test_only_the_set_index_builds_or_reads_mask_words():
     def outside(node, module):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in ("_SetIndex", "_mask_words"):
             return
-        if named(node, "_mask_words") or named(node, "_keys"):
+        if named(node, "_mask_words") or named(node, "_keys") or named(node, "_maps_as_arrays"):
+            yield node
+        elif module not in ("geometry", "autgroup") and named(node, "_point_images"):
             yield node
         elif module != "geometry" and (any(named(node, name) for name in ("_MIX", "_SetIndex", "_Labels")) or (isinstance(node, ast.Attribute) and node.attr == "runs")):
             yield node
