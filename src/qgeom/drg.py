@@ -15,7 +15,10 @@ values carrying the first witness of the scan; malformed inputs
 automorphisms) raise instead.
 
 Graph checks work on `Graph`'s packed adjacency rows: a BFS level is a
-packed vertex mask, and b and c are popcounts of rows ANDed with levels.
+packed vertex mask, and b and c are popcounts of rows ANDed with levels,
+the rows of a level read about _SLAB_BYTES at a time.  A vertex map is
+tested column strip by column strip through `geometry._transpose_strip`,
+so no adjacency is unpacked.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import numpy as np
 
 from .gf import field_new
 from .geometry import Design, DesignParameters, Graph, IsoCertificate
-from .geometry import _block_map, _certificate, _permutation, _point_count, _row_chunks, _row_strips, _vertex_index
+from .geometry import _SLAB_BYTES, _block_map, _certificate, _members, _permutation, _point_count, _row_chunks
+from .geometry import _transpose_strip, _vertex_index
 from .linalg import _CHUNK_ROWS, _rref_mod_p
 from .polarity import Polarity
 from .subspace import Subspace
@@ -132,16 +136,21 @@ def _bfs_levels(adj: np.ndarray, base: int, n: int):
     seen[base >> 3] = 1 << (base & 7)
     levels = [seen.copy()]
     while True:
-        nxt = np.bitwise_or.reduce(adj[_members(levels[-1], n)], axis=0) & ~seen
+        ors = [np.bitwise_or.reduce(rows, axis=0) for _, rows in _level_rows(adj, levels[-1], n)]
+        nxt = np.bitwise_or.reduce(ors, axis=0) & ~seen
         if not nxt.any():
             return levels, seen
         levels.append(nxt)
         seen |= nxt
 
 
-def _members(mask: np.ndarray, n: int) -> np.ndarray:
-    """The vertices of a packed mask, in increasing order."""
-    return np.flatnonzero(np.unpackbits(mask, count=n, bitorder="little"))
+def _level_rows(adj: np.ndarray, level: np.ndarray, n: int):
+    """Yield (members, rows): the vertices of a packed level in increasing
+    order and their adjacency rows, about _SLAB_BYTES of rows at a time."""
+    members = _members(level, n)
+    per = max(1, _SLAB_BYTES // adj.shape[1])
+    for start in range(0, len(members), per):
+        yield members[start : start + per], adj[members[start : start + per]]
 
 
 def _find(parent: list, v: int) -> int:
@@ -206,21 +215,20 @@ def intersection_array(g: Graph, automorphisms=()):
             raise GraphStructureError("disconnected", (base, int(missing[0])))
         # the levels before the base and past the last are empty, so c_0 = 0 every time
         for i, (down, level, up) in enumerate(zip([0, *levels], levels, [*levels[1:], 0])):
-            members = _members(level, n)
-            rows = g.adj[members]
-            bu = np.bitwise_count(rows & up).sum(axis=1)
-            cu = np.bitwise_count(rows & down).sum(axis=1)
-            wrong_b = bu != b.setdefault(i, int(bu[0]))
-            wrong = np.flatnonzero(wrong_b | (cu != c.setdefault(i, int(cu[0]))))
-            if wrong.size:
-                j = wrong[0]
-                u = int(members[j])
-                kind, expected, found = ("b", b[i], bu[j]) if wrong_b[j] else ("c", c[i], cu[j])
-                # the two labels alone, read from what the graph holds: a record forms no other
-                return NotDRG(
-                    base, u, i, kind, expected, int(found), repr(g._labels[base]), repr(g._labels[u]),
-                    ScanCounts(run, len(bases), checked),
-                )
+            for members, rows in _level_rows(g.adj, level, n):
+                bu = np.bitwise_count(rows & up).sum(axis=1)
+                cu = np.bitwise_count(rows & down).sum(axis=1)
+                wrong_b = bu != b.setdefault(i, int(bu[0]))
+                wrong = np.flatnonzero(wrong_b | (cu != c.setdefault(i, int(cu[0]))))
+                if wrong.size:
+                    j = wrong[0]
+                    u = int(members[j])
+                    kind, expected, found = ("b", b[i], bu[j]) if wrong_b[j] else ("c", c[i], cu[j])
+                    # the two labels alone, read from what the graph holds: a record forms no other
+                    return NotDRG(
+                        base, u, i, kind, expected, int(found), repr(g._labels[base]), repr(g._labels[u]),
+                        ScanCounts(run, len(bases), checked),
+                    )
     d = max(b)
     return IntersectionArray(
         tuple(b[i] for i in range(d)),
@@ -260,11 +268,14 @@ def check_isomorphism(g1: Graph, g2: Graph, cert: IsoCertificate) -> bool:
 
 def _maps_onto(adj1: np.ndarray, adj2: np.ndarray, mp: np.ndarray, n: int) -> bool:
     """Does the vertex bijection mp carry the packed adjacency adj1 onto
-    adj2, edges to edges and non-edges to non-edges?  Entry (i, j) of a
-    strip's target is adj2[mp(i), mp(j)], read through the map."""
-    for start, rows in _row_strips(adj1, n):
-        target = np.unpackbits(adj2[mp[start : start + len(rows)]], axis=1, count=n, bitorder="little")
-        if not np.array_equal(rows, np.take(target, mp, axis=1)):
+    adj2, edges to edges and non-edges to non-edges?  Each 8-byte column
+    strip of adj2's rows mp(0), ..., mp(n-1) is transposed packed: its row
+    for vertex mp(j) holds adj2[mp(i), mp(j)] for every i, so it must be
+    row j of adj1, which is symmetric (`Graph` checks it)."""
+    inv = np.argsort(mp)
+    for c in range(0, adj1.shape[1], 8):
+        cols = _transpose_strip(adj2[mp, c : c + 8], n, 0)  # row k: adj2[mp(i), 8c + k] for each i
+        if not np.array_equal(cols[: n - 8 * c], adj1[inv[8 * c : 8 * c + 64]]):
             return False
     return True
 

@@ -48,18 +48,17 @@ def decode_graph6(s: str) -> Graph:
     s = s.strip()
     if not s:
         raise ValueError("empty graph6 string")
-    if s[0] == "~":
-        if len(s) < 4:
-            raise ValueError("truncated graph6 size")
-        n = 0
-        for ch in s[1:4]:
-            n = (n << 6) | (ord(ch) - 63)
-        body = s[4:]
-    else:
-        n = ord(s[0]) - 63
-        body = s[1:]
-    if n < 0:
-        raise ValueError("bad graph6 size byte")
+    if s[:2] == "~~":  # the 8-byte form, for sizes the encoder never writes
+        raise ValueError(f"graphs beyond {_G6_MAX} vertices are not supported")
+    if s[0] == "~" and len(s) < 4:
+        raise ValueError("truncated graph6 size")
+    # one size byte of 0..62 ('?'..'}'), or '~' and three of 0..63 each
+    size, top, body = (s[1:4], "~", s[4:]) if s[0] == "~" else (s[0], "}", s[1:])
+    if (bad := next((ch for ch in size if not "?" <= ch <= top), None)) is not None:
+        raise ValueError(f"byte {bad!r} outside graph6 range")
+    n = 0
+    for ch in size:
+        n = (n << 6) | (ord(ch) - 63)
     need = n * (n - 1) // 2
     if len(body) != (need + 5) // 6:
         raise ValueError(f"graph6 body length {len(body)} does not fit {n} vertices")

@@ -72,8 +72,9 @@ fills the same rows left of the block from the rows above it by
 each 8 x 8 bit block transposed inside one uint64.  `Graph` checks
 symmetry, and `formats.decode_graph6` mirrors its lower triangle, by the
 same transpose, one strip at a time, so no whole transpose is formed.
-The operations that need 0/1 columns unpack at most 64 rows at a time
-(`_row_strips`).
+`drg` reads a vertex map's columns by the same transpose too.  Only the
+exports unpack 0/1 strips, at most 64 rows at a time (`_edge_strips` and
+the graph6 codec).
 
 The block map f works on the same point sets.  A polarity sigma of h
 reverses inclusion, so sigma(U) is the intersection of sigma(c) over
@@ -177,7 +178,7 @@ class Graph:
         return np.bitwise_count(self.adj).sum(axis=1).tolist()
 
     def neighbors(self, i: int):
-        return np.flatnonzero(np.unpackbits(self.adj[i], count=self.n, bitorder="little")).tolist()
+        return _members(self.adj[i], self.n).tolist()
 
     def num_edges(self) -> int:
         return int(np.bitwise_count(self.adj).sum()) // 2
@@ -215,17 +216,18 @@ def _transpose_strip(adj: np.ndarray, r: int, c: int) -> np.ndarray:
     return out[: strip.shape[1]].reshape(8 * strip.shape[1], (r + 7) // 8)
 
 
-def _row_strips(adj: np.ndarray, n: int):
-    """Yield (start, rows): rows start..start+63 of a packed adjacency
-    matrix, unpacked to n 0/1 columns, so n x n bits are never formed."""
-    for start in range(0, n, _BLOCK_ROWS):
-        yield start, np.unpackbits(adj[start : start + _BLOCK_ROWS], axis=1, count=n, bitorder="little")
+def _members(mask: np.ndarray, n: int) -> np.ndarray:
+    """The vertices of a packed mask, in increasing order."""
+    return np.flatnonzero(np.unpackbits(mask, count=n, bitorder="little"))
 
 
 def _edge_strips(adj: np.ndarray, n: int):
-    """Yield the edges (i, j), i < j, of each strip of `_row_strips` as two
-    index arrays, in sorted order, so no list of all edges is formed."""
-    for start, rows in _row_strips(adj, n):
+    """Yield the edges (i, j), i < j, of rows start..start+63 of a packed
+    adjacency matrix at a time as two index arrays, in sorted order: each
+    strip is unpacked to n 0/1 columns, so neither n x n bits nor a list
+    of all edges is formed."""
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = np.unpackbits(adj[start : start + _BLOCK_ROWS], axis=1, count=n, bitorder="little")
         i, j = np.nonzero(np.triu(rows, start + 1))  # columns past the diagonal
         yield i + start, j
 

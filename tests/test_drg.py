@@ -226,11 +226,14 @@ def _swapped(mp, i, j):
 
 
 # (n, swap): the images of two vertices swapped in the first 64-row strip,
-# across rows 63 and 64, and reaching into the last, partial strip
-_DENSE_CASES = [(n, None) for n in (0, 1, 7, 8, 63, 64, 65, 129)] + [
+# across rows 63 and 64, and reaching into the last, partial strip; at
+# n = 72 and 136 the last 8-byte column strip is one byte wide, at byte 8
+# and at byte 16
+_DENSE_CASES = [(n, None) for n in (0, 1, 7, 8, 63, 64, 65, 72, 129, 136)] + [
     (7, (0, 1)), (8, (0, 5)), (63, (0, 1)), (129, (0, 63)),
     (65, (63, 64)), (129, (63, 64)),
     (7, (5, 6)), (65, (1, 64)), (129, (128, 127)),
+    (72, (0, 71)), (136, (64, 135)),
 ]
 
 
@@ -269,24 +272,54 @@ def test_check_isomorphism_refuses_a_target_with_one_edge_moved(tg22, jt22, sett
     assert not check_isomorphism(tg22, moved, cert)
 
 
-def test_notdrg_names_its_witnesses_from_two_labels(monkeypatch, tg32):
-    # one degree-preserving edge switch, (0, a) and (c, d) to (0, d) and
-    # (c, a), on a graph that keeps tg32's record: naming the two witness
-    # vertices forms two Subspaces, not one per vertex
-    from qgeom.subspace import Subspace
-
-    dense = np.unpackbits(tg32.adj, axis=1, count=tg32.n, bitorder="little")
-    a = tg32.neighbors(0)[0]
-    c, d = next((c, d) for c, d in tg32.edges() if len({0, a, c, d}) == 4 and not dense[0, d] and not dense[c, a])
+def _edge_switched(tg):
+    """tg after one degree-preserving edge switch, (0, a) and (c, d) to
+    (0, d) and (c, a), as a graph that keeps tg's record."""
+    dense = np.unpackbits(tg.adj, axis=1, count=tg.n, bitorder="little")
+    a = tg.neighbors(0)[0]
+    c, d = next((c, d) for c, d in tg.edges() if len({0, a, c, d}) == 4 and not dense[0, d] and not dense[c, a])
     for i, j, bit in ((0, a, 0), (c, d, 0), (0, d, 1), (c, a, 1)):
         dense[i, j] = dense[j, i] = bit
-    g = Graph(tg32._family, _packed(dense))
+    return Graph(tg._family, _packed(dense))
+
+
+def test_notdrg_names_its_witnesses_from_two_labels(monkeypatch, tg32):
+    # on the edge-switched graph, naming the two witness vertices forms
+    # two Subspaces, not one per vertex
+    from qgeom.subspace import Subspace
+
+    g = _edge_switched(tg32)
     formed, post_init = [], Subspace.__post_init__
     monkeypatch.setattr(Subspace, "__post_init__", lambda w: formed.append(w) or post_init(w))
     res = intersection_array(g)
     assert isinstance(res, NotDRG) and len(formed) == 2
     assert (res.base_label, res.vertex_label) == (repr(tg32._family[res.base]), repr(tg32._family[res.vertex]))
     assert res == intersection_array(Graph([tg32._family[i] for i in range(g.n)], g.adj))  # label tuples alike
+
+
+def test_bfs_reads_each_level_in_strips_of_rows(monkeypatch, tg32, setting32):
+    # with two 152-byte rows per strip, the (3,2) levels of 156 and 1053
+    # vertices span hundreds of strips; the array, its scan counts and the
+    # edge-switched graph's witness (the third vertex of level 1, so in the
+    # second strip) are those of the one-strip scan
+    import qgeom.drg as drg
+
+    gens = [vertex_permutation(tg32, phi) for phi in stabilizer_generators(setting32[0], 2)]
+    g = _edge_switched(tg32)
+    whole = [intersection_array(tg32, gens), intersection_array(g)]
+    sizes, level_rows = [], drg._level_rows
+
+    def spy(adj, level, n):
+        for members, rows in level_rows(adj, level, n):
+            sizes.append(len(rows))
+            yield members, rows
+
+    monkeypatch.setattr(drg, "_level_rows", spy)
+    monkeypatch.setattr(drg, "_SLAB_BYTES", 2 * tg32.adj.shape[1] + 1)
+    strips = [intersection_array(tg32, gens), intersection_array(g)]
+    assert strips == whole and [r.scan for r in strips] == [r.scan for r in whole]
+    assert strips[0].scan.bfs_bases == 2 and isinstance(strips[1], NotDRG) and strips[1].distance == 1
+    assert max(sizes) == 2 and len(sizes) > 1000
 
 
 def test_certificate_rejects_non_bijection():

@@ -117,6 +117,15 @@ def test_graph6_rejects_malformed():
         with pytest.raises(ValueError) as info:
             decode_graph6("D" + ch + "c")
         assert str(info.value) == f"byte {ch!r} outside graph6 range"
+    # a one-byte size is '?'..'}', and the three bytes after '~' are '?'..'~';
+    # 336 body bytes fit 64 vertices, so only the header is wrong
+    for header, ch in ((chr(127), chr(127)), ("~??" + chr(127), chr(127)), ("~?>?", ">")):
+        with pytest.raises(ValueError) as info:
+            decode_graph6(header + "?" * 336)
+        assert str(info.value) == f"byte {ch!r} outside graph6 range"
+    with pytest.raises(ValueError) as info:
+        decode_graph6("~~?????~" + "?" * 10)  # the 8-byte form
+    assert str(info.value) == "graphs beyond 258047 vertices are not supported"
 
 
 def test_graph6_decode_peak_stays_near_the_adjacency(tg32):

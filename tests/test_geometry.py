@@ -828,6 +828,26 @@ def test_only_the_set_index_builds_or_reads_mask_words():
     assert found == []
 
 
+def test_only_the_exports_unpack_adjacency_bits():
+    # packed adjacency columns are read through `_transpose_strip` alone:
+    # no module but geometry (`_edge_strips`, `_members`, the mask words)
+    # and formats (the graph6 codec) names np.unpackbits or np.packbits,
+    # and no module names or defines `_row_strips`
+    import ast
+    from pathlib import Path
+
+    import qgeom
+
+    found = []
+    for path in sorted(Path(qgeom.__file__).parent.glob("*.py")):
+        banned = {"_row_strips"} | ({"unpackbits", "packbits"} if path.stem not in ("geometry", "formats") else set())
+        for node in ast.walk(ast.parse(path.read_text())):
+            # an attribute, a name, an imported alias or a definition
+            if {getattr(node, key, None) for key in ("attr", "id", "name")} & banned:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_certificate_refuses_blocks_past_the_design_points(setting32, tg32, jt22):
     field, h, s = setting32
     with pytest.raises(ValueError, match="f of vertex 0 is not a block of the design"):
