@@ -44,7 +44,11 @@ Everything else acts through one batched point action:
   `check_theorem2_batch` and the drg check's generators go through it:
   `check_theorem2_batch` lifts each chunk by the permutations it returns,
   so one point action serves the lift and the vertex images both, and
-  the drg check passes all of its generators at once.
+  the drg check passes all of its generators at once.  Finding every
+  image is the drg check's proof that a generator is an automorphism of
+  the twisted graph: adjacency there depends only on the two families,
+  told apart by point-set size, and on the size of the intersection of
+  the point sets, and a point permutation keeps both.
 
 `check_theorem2_batch`, `check_theorem2_relation` (a batch of one),
 `vertex_permutation`, `is_design_automorphism` and the census all use
@@ -54,7 +58,7 @@ batch (so every single check_theorem2_relation call), every 4001st of
 the census.  Vertex 0's image is compared with the literal
 phi.apply_subspace for every element.  `stabilizer_generators` lists
 generators of the stabilizer; their vertex permutations give the orbits
-that `drg.intersection_array` runs its BFS from.
+that the drg check runs its BFS from.
 
 The (2,2) census, `exhaustive_lift_check`, proves all 322560 lifts
 design automorphisms by factorization.  Every element factors uniquely
@@ -180,7 +184,9 @@ class PointPermutation:
         return self.perm[i]
 
     def compose(self, other: "PointPermutation") -> "PointPermutation":
-        """self after other."""
+        """self after other; ValueError, naming both degrees, unless they agree."""
+        if len(self.perm) != len(other.perm):
+            raise ValueError(f"cannot compose a permutation of {len(self.perm)} points after one of {len(other.perm)}")
         return PointPermutation(tuple(self.perm[j] for j in other.perm))
 
     def inverse(self) -> "PointPermutation":

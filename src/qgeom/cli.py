@@ -33,10 +33,11 @@ from .autgroup import (
 )
 from .drg import (
     IntersectionArray,
+    _orbit_bases,
+    _scan,
     check_2design,
     check_isomorphism,
     grassmann_array,
-    intersection_array,
     p_rank,
 )
 from .formats import (
@@ -254,8 +255,15 @@ def _verify_thm1(cfg: RunConfig, inst: _Instance):
 
 def _verify_drg(cfg: RunConfig, inst: _Instance):
     gens = stabilizer_generators(inst.field, cfg.e)
-    automorphisms = _vertex_images(inst.labels, gens)[1]
-    ia_t = intersection_array(inst.graph, automorphisms)
+    # Each generator is proved an automorphism of Γ at point level, so no
+    # dense map test runs.  Γ is `_count_graph` over its own record, so
+    # whether two vertices are adjacent depends only on their two families
+    # and on |P(u) ∩ P(w)|, and a vertex's family is the size of its point
+    # set: [e+1]_q points for A, [e-1]_q for B.  A point permutation keeps
+    # both sizes, so once `_vertex_images` finds every image (it refuses a
+    # -1), each row of images is an automorphism of Γ.  Γ is built first:
+    # the images then take memory its build freed, and ru_maxrss is lower.
+    ia_t = _scan(inst.graph, *_orbit_bases(inst.graph.n, _vertex_images(inst.labels, gens)[1]))
     _progress("drg")(1.0)
     ia_g = grassmann_array(2 * cfg.e + 1, cfg.e, cfg.q)
     ok = isinstance(ia_t, IntersectionArray) and ia_t == ia_g

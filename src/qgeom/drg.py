@@ -6,19 +6,30 @@ automorphisms the caller supplies, or from every vertex when none are
 given.  The definition quantifies over all vertex pairs, and the graphs
 this package cares about are not all vertex-transitive, but an
 automorphism carries the BFS levels of u onto those of its image, so the
-counts seen from u hold from every vertex of u's orbit.  Each supplied
-permutation is verified as an automorphism before it merges orbits, so
-the orbits used lie inside orbits of the full automorphism group; too
-few generators cost extra bases, never rigour.  Violations come back as
+counts seen from u hold from every vertex of u's orbit.  Each
+permutation that merges orbits is proved an automorphism, so the orbits
+used lie inside orbits of the full automorphism group; too few
+generators cost extra bases, never rigour.  Violations come back as
 values carrying the first witness of the scan; malformed inputs
 (disconnected or irregular graphs, permutations that are not
 automorphisms) raise instead.
 
+The check has two private parts: `_orbit_bases`, the union-find that
+gives the orbit bases and the permutations that merged orbits, and
+`_scan`, the BFS and its counts.  Between the two, the caller proves
+each merging permutation once.  `intersection_array`, the public entry,
+proves the bare vertex permutations it is given densely, by
+`_maps_onto`; `verify drg` proves the stabilizer's generators at point
+level instead, when `autgroup._vertex_images` finds every image in the
+vertex index (the argument is at `cli._verify_drg`), and runs no dense
+map test.
+
 Graph checks work on `Graph`'s packed adjacency rows: a BFS level is a
-packed vertex mask, and b and c are popcounts of rows ANDed with levels,
-the rows of a level read about _SLAB_BYTES at a time.  A vertex map is
-tested column strip by column strip through `geometry._transpose_strip`,
-so no adjacency is unpacked.
+packed vertex mask, read about _SLAB_BYTES of rows at a time, and one
+read of a level's rows gives the next level and each vertex's b and c as
+popcounts of its row ANDed with masks.  A vertex map is tested column
+strip by column strip through `geometry._transpose_strip`, so no
+adjacency is unpacked.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from dataclasses import field as dataclass_field
 
 import numpy as np
 
-from .gf import field_new
+from .gf import _prime_power, field_new
 from .geometry import Design, DesignParameters, Graph, IsoCertificate
 from .geometry import _SLAB_BYTES, _block_map, _certificate, _members, _permutation, _point_count, _row_chunks
 from .geometry import _transpose_strip, _vertex_index
@@ -129,21 +140,6 @@ class NotDesign:
         }
 
 
-def _bfs_levels(adj: np.ndarray, base: int, n: int):
-    """Packed masks of the distance classes from base, and of all vertices
-    seen: each level is the OR of the last one's rows, minus those seen."""
-    seen = np.zeros(adj.shape[1], dtype=np.uint8)
-    seen[base >> 3] = 1 << (base & 7)
-    levels = [seen.copy()]
-    while True:
-        ors = [np.bitwise_or.reduce(rows, axis=0) for _, rows in _level_rows(adj, levels[-1], n)]
-        nxt = np.bitwise_or.reduce(ors, axis=0) & ~seen
-        if not nxt.any():
-            return levels, seen
-        levels.append(nxt)
-        seen |= nxt
-
-
 def _level_rows(adj: np.ndarray, level: np.ndarray, n: int):
     """Yield (members, rows): the vertices of a packed level in increasing
     order and their adjacency rows, about _SLAB_BYTES of rows at a time."""
@@ -159,65 +155,66 @@ def _find(parent: list, v: int) -> int:
     return v
 
 
-def _orbit_bases(g: Graph, automorphisms):
-    """The smallest vertex of each orbit of the group the automorphisms
-    generate, and how many of them were verified.
+def _orbit_bases(n: int, perms):
+    """The smallest vertex of each orbit of the group the vertex
+    permutations perms generate, and a dict that maps the index k of
+    each permutation that merged orbits to perms[k] as a 1-D intp array.
 
-    Each automorphism is a sequence of vertex images.  One that merges
-    orbits is verified first, and ValueError names it if it does not
-    preserve adjacency; one that merges none changes nothing and is
-    passed over unverified.
+    ValueError names the first of perms that `_permutation` refuses.
+    Nothing here proves a permutation an automorphism: one that merges
+    no orbits changes nothing, and the caller proves those returned.
     """
-    n = g.n
     orbit = np.arange(n)  # each vertex's orbit, named by its smallest vertex
     parent = list(range(n))  # union-find; the smaller root wins, so a root is that smallest vertex
-    checked = 0
-    for k, images in enumerate(automorphisms):
+    merging = {}
+    for k, images in enumerate(perms):
         perm = _permutation(images, f"automorphism {k}", n)
         moved = orbit != orbit[perm]
         if not moved.any():
             continue
-        if not _maps_onto(g.adj, g.adj, perm, n):
-            raise ValueError(f"automorphism {k} is not a graph automorphism: it does not preserve adjacency")
-        checked += 1
+        merging[k] = perm
         for u, v in set(zip(orbit[moved].tolist(), orbit[perm[moved]].tolist())):
             u, v = _find(parent, u), _find(parent, v)
             parent[max(u, v)] = min(u, v)
         orbit = np.array([_find(parent, u) for u in orbit.tolist()])
-    return sorted(set(orbit.tolist())), checked
+    return sorted(set(orbit.tolist())), merging
 
 
-def intersection_array(g: Graph, automorphisms=()):
-    """The intersection array, or a NotDRG witness.
+def _scan(g: Graph, bases, checked):
+    """The intersection array from a BFS at each of bases, or the NotDRG
+    witness; its ScanCounts count the automorphisms proved, `checked`.
+    g has a vertex and bases covers the orbits of proved automorphisms:
+    degrees are constant on an orbit, so were g irregular, b at distance
+    0 would differ between two bases (`intersection_array` raises on an
+    irregular graph before it gets here).
 
-    Runs a BFS from the smallest vertex of each orbit of the group the
-    automorphisms generate, so from every vertex when none are given.
-    Each automorphism is a sequence of vertex images; ValueError names
-    one that is not a permutation, or that merges orbits but does not
-    preserve adjacency.  For a vertex u at distance i from a base, the
-    neighbor counts one level out and one level back must agree with the
-    first occurrence of distance i anywhere in the scan.  The witness is
-    the scan's first disagreeing vertex, b before c.  The result's
-    `scan` holds the counts of bases, orbits and verified automorphisms.
+    One pass over the rows of each level i gives the next level (the OR
+    of the rows, less the vertices seen) and, for each vertex u of level
+    i, b(u) = |N(u) - seen| and c(u) = |N(u) & level i-1|: each neighbor
+    of u not yet seen lies at distance i+1.  Every count is kept until
+    the base's BFS ends, so a disconnected graph raises before any count
+    is compared.  The first occurrence of distance i anywhere in the scan
+    sets the expected counts, and the witness is the scan's first
+    disagreeing vertex, b before c.
     """
-    n = g.n
-    if n == 0:
-        raise GraphStructureError("empty", ())
-    degs = np.asarray(g.degrees())
-    if (irregular := np.flatnonzero(degs != degs[0])).size:
-        raise GraphStructureError("irregular", (0, int(irregular[0])))
-    bases, checked = _orbit_bases(g, automorphisms)
     b = {}
     c = {}
     for run, base in enumerate(bases, 1):
-        levels, seen = _bfs_levels(g.adj, base, n)
-        if (missing := _members(~seen, n)).size:
+        seen = np.zeros(g.adj.shape[1], dtype=np.uint8)
+        seen[base >> 3] = 1 << (base & 7)
+        down, level, levels = 0, seen.copy(), []  # down: the level before; c_0 = 0 every time
+        while level.any():
+            up, counts = np.zeros_like(seen), []
+            for members, rows in _level_rows(g.adj, level, g.n):
+                up |= np.bitwise_or.reduce(rows, axis=0)
+                counts.append((members, np.bitwise_count(rows & ~seen).sum(axis=1), np.bitwise_count(rows & down).sum(axis=1)))
+            levels.append(counts)
+            down, level = level, up & ~seen
+            seen |= level
+        if (missing := _members(~seen, g.n)).size:
             raise GraphStructureError("disconnected", (base, int(missing[0])))
-        # the levels before the base and past the last are empty, so c_0 = 0 every time
-        for i, (down, level, up) in enumerate(zip([0, *levels], levels, [*levels[1:], 0])):
-            for members, rows in _level_rows(g.adj, level, n):
-                bu = np.bitwise_count(rows & up).sum(axis=1)
-                cu = np.bitwise_count(rows & down).sum(axis=1)
+        for i, counts in enumerate(levels):
+            for members, bu, cu in counts:
                 wrong_b = bu != b.setdefault(i, int(bu[0]))
                 wrong = np.flatnonzero(wrong_b | (cu != c.setdefault(i, int(cu[0]))))
                 if wrong.size:
@@ -227,24 +224,54 @@ def intersection_array(g: Graph, automorphisms=()):
                     # the two labels alone, read from what the graph holds: a record forms no other
                     return NotDRG(
                         base, u, i, kind, expected, int(found), repr(g._labels[base]), repr(g._labels[u]),
-                        ScanCounts(run, len(bases), checked),
+                        ScanCounts(run, len(bases), len(checked)),
                     )
     d = max(b)
     return IntersectionArray(
         tuple(b[i] for i in range(d)),
         tuple(c[i] for i in range(1, d + 1)),
         d,
-        ScanCounts(len(bases), len(bases), checked),
+        ScanCounts(len(bases), len(bases), len(checked)),
     )
+
+
+def intersection_array(g: Graph, automorphisms=()):
+    """The intersection array, or a NotDRG witness.
+
+    Runs a BFS from the smallest vertex of each orbit of the group the
+    automorphisms generate, so from every vertex when none are given.
+    Each automorphism is a sequence of vertex images.  GraphStructureError
+    names an empty or irregular graph first; then ValueError names the
+    first automorphism that is not a permutation, and then the first that
+    merges orbits but does not preserve adjacency, tested densely by
+    `_maps_onto` (one that merges none is passed over unverified).  For a
+    vertex u at distance i from a base, the neighbor counts one level out
+    and one level back must agree with the first occurrence of distance i
+    anywhere in the scan.  The witness is the scan's first disagreeing
+    vertex, b before c.  The result's `scan` holds the counts of bases,
+    orbits and verified automorphisms.
+    """
+    if g.n == 0:
+        raise GraphStructureError("empty", ())
+    degs = np.asarray(g.degrees())
+    if (irregular := np.flatnonzero(degs != degs[0])).size:
+        raise GraphStructureError("irregular", (0, int(irregular[0])))
+    bases, merging = _orbit_bases(g.n, automorphisms)
+    for k, perm in merging.items():
+        if not _maps_onto(g.adj, g.adj, perm, g.n):
+            raise ValueError(f"automorphism {k} is not a graph automorphism: it does not preserve adjacency")
+    return _scan(g, bases, merging)
 
 
 def grassmann_array(n: int, k: int, q: int) -> IntersectionArray:
     """The intersection array of J_q(n,k) in closed form, with diameter
     d = min(k, n-k): b_j = q^(2j+1) [k-j]_q [n-k-j]_q for 0 <= j < d and
     c_j = [j]_q^2 for 1 <= j <= d (Brouwer, Cohen and Neumaier,
-    Distance-Regular Graphs, 1989, Thm 9.3.3)."""
-    if not 1 <= k <= n - 1 or q < 2:
-        raise ValueError(f"need 1 <= k <= n-1 and q >= 2, got n={n}, k={k}, q={q}")
+    Distance-Regular Graphs, 1989, Thm 9.3.3).  ValueError unless
+    1 <= k <= n-1 and q is a prime power."""
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"need 1 <= k <= n-1, got n={n}, k={k}")
+    _prime_power(q)
     d = min(k, n - k)
     return IntersectionArray(
         tuple(q ** (2 * j + 1) * _point_count(k - j, q) * _point_count(n - k - j, q) for j in range(d)),

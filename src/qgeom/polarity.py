@@ -49,7 +49,7 @@ class Polarity:
         zero = (0,) * self.h.ambient_dim
         rows = tuple(F._lincomb(zero, krow, self.h.basis_rows) for krow in kern.nonzero_rows())
         # kernel rows are RREF in h-coordinates; multiplying by the RREF
-        # basis of h keeps them RREF in the ambient space.
+        # basis of h keeps them RREF in the ambient space (Subspace checks it).
         return Subspace(F, self.h.ambient_dim, rows)
 
     def __call__(self, w: Subspace) -> Subspace:

@@ -26,7 +26,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .gf import Field
+from .gf import Field, _prime_power
 from .linalg import Matrix, _dot
 
 _SLAB = 1 << 16  # subspaces per slab of _rref_slabs
@@ -75,9 +75,25 @@ class Subspace:
     pivots: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        """ValueError, naming the row, unless basis_rows is an RREF basis
+        of ambient_dim entries a row."""
         rows = tuple(map(self.field._check_vector, self.basis_rows))
+        pivots = []
+        for i, row in enumerate(rows):
+            if len(row) != self.ambient_dim:
+                raise ValueError(f"basis row {i} has {len(row)} entries, not {self.ambient_dim}")
+            if (p := next((j for j, x in enumerate(row) if x), None)) is None:
+                raise ValueError(f"basis row {i} is zero")
+            if pivots and p <= pivots[-1]:
+                raise ValueError(f"basis row {i} has its pivot in column {p}, not right of row {i - 1}'s in column {pivots[-1]}")
+            if row[p] != 1:
+                raise ValueError(f"basis row {i} leads with {row[p]}, not 1")
+            # rows below i are zero in column p, left of their own pivots
+            if (k := next((k for k in range(i) if rows[k][p]), None)) is not None:
+                raise ValueError(f"pivot column {p} of basis row {i} is not clear in row {k}")
+            pivots.append(p)
         object.__setattr__(self, "basis_rows", rows)
-        object.__setattr__(self, "pivots", tuple(next(j for j, x in enumerate(row) if x) for row in rows))
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     @property
     def dim(self) -> int:
@@ -201,10 +217,11 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of GF(q)^n, as an exact integer.
 
     Arbitrary-precision arithmetic, so the product formula cannot
-    silently wrap.
+    silently wrap.  ValueError unless 0 <= k <= n and q is a prime power.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
+    _prime_power(q)
     num = 1
     den = 1
     for i in range(k):

@@ -695,6 +695,14 @@ def test_point_permutation_algebra():
         PointPermutation((0, 0, 1))
 
 
+def test_point_permutations_of_two_degrees_do_not_compose():
+    three, two = PointPermutation((1, 0, 2)), PointPermutation((0, 1))
+    with pytest.raises(ValueError, match="of 3 points after one of 2"):
+        three.compose(two)
+    with pytest.raises(ValueError, match="of 2 points after one of 3"):
+        two.compose(three)
+
+
 def _symplectic_polarity():
     f = field_new(2)
     h = coordinate_hyperplane(f, 5)

@@ -275,12 +275,12 @@ def test_drg_progress_reaches_100_only_after_the_work(monkeypatch, capsys):
     import qgeom.cli as cli
 
     def stop(*args):
-        raise RuntimeError("intersection_array stopped")
+        raise RuntimeError("scan stopped")
 
-    monkeypatch.setattr(cli, "intersection_array", stop)
+    monkeypatch.setattr(cli, "_scan", stop)
     code, _, err = run(capsys, "verify", "drg")
     assert code == 1
-    assert "intersection_array stopped" in err
+    assert "scan stopped" in err
     assert "drg 100.0%" not in err
 
 

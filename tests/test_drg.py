@@ -29,6 +29,7 @@ from qgeom import (
     p_rank,
     pg_design,
     polarity_new,
+    span,
     stabilizer_generators,
     vertex_permutation,
     vertex_statistics,
@@ -163,6 +164,86 @@ def test_grassmann_array_values():
     for n, k, q in [(5, 0, 2), (5, 5, 2), (5, 2, 1)]:
         with pytest.raises(ValueError):
             grassmann_array(n, k, q)
+    for q in (0, 6, 10):  # no field has q elements
+        with pytest.raises(ValueError, match=f"q={q} is not a prime power"):
+            grassmann_array(5, 2, q)
+
+
+def test_a_disconnected_graph_raises_before_any_count_is_compared():
+    # the pentagonal prism plus K4, both 3-regular: the scan from vertex 0
+    # meets the prism's NotDRG witness, but no count is compared before the
+    # BFS from that base has shown the graph disconnected
+    edges = pentagonal_prism().edges() + [(10 + i, 10 + j) for i, j in combinations(range(4), 2)]
+    with pytest.raises(GraphStructureError) as err:
+        intersection_array(Graph.from_edges(14, edges))
+    assert (err.value.reason, err.value.witness) == ("disconnected", (0, 10))
+
+
+def test_errors_keep_their_precedence():
+    # an empty or irregular graph is named before a bad map, and a bad map
+    # before a disconnected graph
+    with pytest.raises(GraphStructureError, match="empty"):
+        intersection_array(Graph.from_edges(0, []), [[0]])
+    with pytest.raises(GraphStructureError, match="irregular"):
+        intersection_array(Graph.from_edges(3, [(0, 1)]), [[0, 0, 1], [2, 1, 0]])
+    triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    with pytest.raises(ValueError, match="automorphism 1 is not a permutation"):
+        intersection_array(triangles, [[1, 0, 2, 3, 4, 5], [0, 0, 1, 2, 3, 4]])
+    with pytest.raises(ValueError, match="automorphism 1 is not a graph automorphism"):
+        intersection_array(triangles, [[1, 0, 2, 3, 4, 5], [3, 1, 2, 0, 4, 5]])
+    with pytest.raises(GraphStructureError, match="disconnected"):
+        intersection_array(triangles, [[1, 0, 2, 3, 4, 5], [3, 4, 5, 0, 1, 2]])
+
+
+_PAIRED = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+_SYMPLECTIC_3 = [[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1], [0, 0, 2, 0]]
+
+
+@pytest.mark.parametrize(
+    "q, e, gram", [(2, 2, None), (2, 2, _PAIRED), (3, 2, _SYMPLECTIC_3), (2, 3, None)], ids=["22", "22-paired", "32-symplectic", "23"]
+)
+def test_point_level_proof_passes_the_dense_oracle(q, e, gram):
+    # every generator whose images `_vertex_images` finds is an automorphism
+    # of the dense graph, and the scan from the orbits of those images alone
+    # is the array, scan counts included, that the dense path proves
+    from qgeom.autgroup import _vertex_images
+    from qgeom.drg import _orbit_bases, _scan
+    from qgeom.geometry import _Instance
+
+    field = field_new(q)
+    h = coordinate_hyperplane(field, 2 * e + 1)
+    inst = _Instance(field, e, h, polarity_new(field, h, gram))
+    g = inst.graph
+    images = _vertex_images(inst.labels, stabilizer_generators(field, e))[1]
+    assert all(_maps_onto(g.adj, g.adj, perm, g.n) for perm in images)
+    reduced, dense = _scan(g, *_orbit_bases(g.n, images)), intersection_array(g, images)
+    assert reduced == dense == grassmann_array(2 * e + 1, e, q)
+    assert reduced.scan == dense.scan and (reduced.scan.bfs_bases, reduced.scan.orbits) == (2, 2)
+
+
+def test_verify_drg_runs_no_dense_map_test(monkeypatch, capsys, tg32, setting32):
+    # `verify drg` proves its generators at point level alone; the public
+    # entry proves the 7 of 17 that merge orbits densely
+    import qgeom.drg as drg
+
+    calls, maps_onto = [], drg._maps_onto
+    monkeypatch.setattr(drg, "_maps_onto", lambda *args: calls.append(args[2]) or maps_onto(*args))
+    assert main(["verify", "drg", "--q", "3", "--e", "2"]) == 0
+    details = json.loads(capsys.readouterr().out)["details"]
+    assert calls == [] and (details["automorphisms_checked"], details["bfs_bases"], details["orbits"]) == (7, 2, 2)
+    gens = [vertex_permutation(tg32, phi) for phi in stabilizer_generators(setting32[0], 2)]
+    assert intersection_array(tg32, gens).scan.automorphisms_checked == len(calls) == 7
+
+
+def test_verify_drg_refuses_a_generator_that_moves_the_families(monkeypatch, capsys, f2):
+    # the standard generators move the families of another hyperplane, so
+    # some image is not a vertex, and the point-level proof refuses it
+    import qgeom.cli as cli
+
+    h = span(f2, 5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 1)])
+    monkeypatch.setattr(cli, "coordinate_hyperplane", lambda field, n: h)
+    assert main(["verify", "drg"]) == 2
+    assert "vertex families" in capsys.readouterr().err
 
 
 def test_irregular_graph_raises():

@@ -848,6 +848,21 @@ def test_only_the_exports_unpack_adjacency_bits():
     assert found == []
 
 
+def test_verify_drg_names_no_dense_map_test():
+    # `verify drg` proves its generators at point level and reaches the
+    # scan through `drg._orbit_bases` and `drg._scan`: cli names neither the
+    # dense map test nor the public entry that runs it
+    import ast
+    from pathlib import Path
+
+    import qgeom
+
+    banned = {"_maps_onto", "intersection_array"}
+    tree = ast.parse((Path(qgeom.__file__).parent / "cli.py").read_text())
+    found = [node.lineno for node in ast.walk(tree) if {getattr(node, key, None) for key in ("attr", "id", "name")} & banned]
+    assert found == []
+
+
 def test_certificate_refuses_blocks_past_the_design_points(setting32, tg32, jt22):
     field, h, s = setting32
     with pytest.raises(ValueError, match="f of vertex 0 is not a block of the design"):

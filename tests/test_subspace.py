@@ -67,6 +67,28 @@ def test_gaussian_binomial_values():
     assert gaussian_binomial(4, 4, 2) == 1
     with pytest.raises(ValueError):
         gaussian_binomial(3, 5, 2)
+    for q in (0, 1, 6, 12):  # no field has q elements
+        with pytest.raises(ValueError, match=f"q={q} is not a prime power"):
+            gaussian_binomial(3, 1, q)
+
+
+@pytest.mark.parametrize(
+    "q, rows, message",
+    [
+        (2, ((1, 1, 0), (1, 0, 0)), "basis row 1 has its pivot in column 0, not right of row 0's in column 0"),
+        (2, ((0, 1, 0), (1, 0, 0)), "basis row 1 has its pivot in column 0, not right of row 0's in column 1"),
+        (2, ((1, 0),), "basis row 0 has 2 entries, not 3"),
+        (2, ((1, 0, 0), (0, 1, 0, 0)), "basis row 1 has 4 entries, not 3"),
+        (2, ((1, 0, 0), (0, 0, 0)), "basis row 1 is zero"),
+        (3, ((1, 0, 0), (0, 2, 1)), "basis row 1 leads with 2, not 1"),
+        (2, ((1, 1, 0), (0, 1, 1)), "pivot column 1 of basis row 1 is not clear in row 0"),
+    ],
+    ids=["repeated-pivot", "falling-pivot", "short-row", "long-row", "zero-row", "lead-2", "pivot-not-clear"],
+)
+def test_subspace_refuses_a_basis_that_is_not_its_rref(q, rows, message):
+    with pytest.raises(ValueError) as err:
+        Subspace(field_new(q), 3, rows)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("q", [2, 3])
