@@ -356,7 +356,8 @@ def _not_automorphism(d: Design, perm, rows: np.ndarray):
     if not missing.size:
         return None
     bi = int(missing[0])
-    return NotAutomorphism(bi, tuple(sorted(int(perm[i]) for i in d.blocks[bi])))
+    pts = next(pts[numbers == bi][0] for numbers, pts in d.index.groups if (numbers == bi).any())
+    return NotAutomorphism(bi, tuple(sorted(np.asarray(perm)[pts].tolist())))
 
 
 def _block_rows(d: Design, p: PointPermutation) -> np.ndarray:
@@ -645,9 +646,9 @@ def exhaustive_lift_check(s: Polarity = None, progress=None, *, inst: _Instance 
     if field.q != 2 or e != 2:
         raise ValueError("exhaustive enumeration is supported only at (q,e)=(2,2)")
     t0 = time.perf_counter()
-    inst = _Instance(field, e, None, s) if inst is None else inst
-    if inst.s.field != field or inst.s.h != inst.h or inst.h != coordinate_hyperplane(field, 2 * e + 1):
+    if s is not None and s.h != coordinate_hyperplane(field, 2 * e + 1):  # before `_Instance` refuses it
         raise ValueError("the census needs a polarity of the coordinate hyperplane")
+    inst = _Instance(field, e, None, s) if inst is None else inst
     s, d = inst.s, inst.jt
     v = d.v
     gl = _general_linear(field.p, 2 * e)

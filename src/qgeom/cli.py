@@ -36,7 +36,6 @@ from .drg import (
     _orbit_bases,
     _scan,
     check_2design,
-    check_isomorphism,
     grassmann_array,
     p_rank,
 )
@@ -51,8 +50,9 @@ from .geometry import (
     Design,
     DesignParameters,
     Graph,
+    _by_size,
+    _count_graph,
     _Instance,
-    block_graph,
     grassmann_graph,
     intersection_spectrum,
     pg_design,
@@ -243,25 +243,30 @@ def _progress(check: str):
 
 
 def _verify_thm1(cfg: RunConfig, inst: _Instance):
+    # Theorem 1 as two rules on one vertex order.  The certificate proves
+    # that the rows of f are exactly the JT blocks, one per vertex, so the
+    # threshold graph of those rows, in vertex order, is the JT block graph
+    # relabelled by the certificate: Γ is isomorphic to it when their packed
+    # bytes agree.  The buffers are compared in place, with no n x n copy.
     threshold = gaussian_binomial(cfg.e, 1, cfg.q)
-    ok = check_isomorphism(inst.graph, block_graph(inst.jt, threshold), inst.certificate)
+    blocks = _count_graph(inst.labels, _by_size([inst.f]), len(inst.points), lambda a, b: threshold)
     details = {
         "vertices": inst.graph.n,
         "threshold": threshold,
         "certificate": inst.certificate.to_json(),
     }
-    return ok, details
+    return blocks.adj.data == inst.graph.adj.data, details
 
 
 def _verify_drg(cfg: RunConfig, inst: _Instance):
     gens = stabilizer_generators(inst.field, cfg.e)
     # Each generator is proved an automorphism of Γ at point level, so no
-    # dense map test runs.  Γ is `_count_graph` over its own record, so
-    # whether two vertices are adjacent depends only on their two families
-    # and on |P(u) ∩ P(w)|, and a vertex's family is the size of its point
-    # set: [e+1]_q points for A, [e-1]_q for B.  A point permutation keeps
-    # both sizes, so once `_vertex_images` finds every image (it refuses a
-    # -1), each row of images is an automorphism of Γ.  Γ is built first:
+    # dense map test runs.  Γ is `_count_graph` over its own record, and by
+    # that function's contract whether two vertices are adjacent depends
+    # only on the sizes of their point sets P(u) and P(w) and on
+    # |P(u) ∩ P(w)|.  A point permutation keeps all three, so once
+    # `_vertex_images` finds every image (it refuses a -1), each row of
+    # images is an automorphism of Γ.  Γ is built first:
     # the images then take memory its build freed, and ru_maxrss is lower.
     ia_t = _scan(inst.graph, *_orbit_bases(inst.graph.n, _vertex_images(inst.labels, gens)[1]))
     _progress("drg")(1.0)

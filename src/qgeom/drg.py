@@ -22,7 +22,9 @@ proves the bare vertex permutations it is given densely, by
 `_maps_onto`; `verify drg` proves the stabilizer's generators at point
 level instead, when `autgroup._vertex_images` finds every image in the
 vertex index (the argument is at `cli._verify_drg`), and runs no dense
-map test.
+map test.  Nor does `verify thm1`: it compares Γ byte for byte with the
+threshold graph of its own f rows, in vertex order, and
+`check_isomorphism`, the public certificate test, is its oracle.
 
 Graph checks work on `Graph`'s packed adjacency rows: a BFS level is a
 packed vertex mask, read about _SLAB_BYTES of rows at a time, and one
@@ -286,6 +288,8 @@ def check_isomorphism(g1: Graph, g2: Graph, cert: IsoCertificate) -> bool:
     Compares the full permuted adjacency row of every vertex, 64 rows at
     a time, so missing edges are caught as well as wrong ones.
     """
+    if not isinstance(cert, IsoCertificate):
+        raise ValueError(f"cert must be an IsoCertificate, got {type(cert).__name__}")
     if g1.n != g2.n:
         raise ValueError(f"vertex counts differ: {g1.n} vs {g2.n}")
     if len(cert.mapping) != g1.n:

@@ -65,7 +65,14 @@ there.  A d-dimensional subspace has [d]_q = (q^d-1)/(q-1) points, so
 intersection dimensions are read off as point counts.  No check forms
 the uint8 matrix of `Design.incidence()`, which serves the CSV export.
 
-A graph is one packed adjacency matrix: `_count_graph` packs each row
+A graph is one rule over two point sets: `_count_graph` takes rule(a,
+b), the number of shared points that makes a set of a points adjacent to
+a set of b points, and reads each set's size from its group.  The
+twisted graph and J_q(n,k) have one rule, the meet rule (`_meet_rule`):
+dim(U ∩ W) = (dim U + dim W)/2 - 1, on A ∪ B for the twisted graph; a
+block graph's rule is its threshold.
+
+Its adjacency is one packed matrix: `_count_graph` packs each row
 block of counts straight into its rows from the block's start on, and
 fills the same rows left of the block from the rows above it by
 `_transpose_strip`, the packed transpose of one 8-byte column strip,
@@ -143,6 +150,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges, labels=None):
+        n = _nonnegative_int(n, "n")
         pairs = [_indices(e, f"edge {i}") for i, e in enumerate(edges)]
         if (bad := next((i for i, pair in enumerate(pairs) if len(pair) != 2), None)) is not None:
             raise ValueError(f"edge {bad} is not a pair of endpoints: {pairs[bad]}")
@@ -230,6 +238,14 @@ def _edge_strips(adj: np.ndarray, n: int):
         rows = np.unpackbits(adj[start : start + _BLOCK_ROWS], axis=1, count=n, bitorder="little")
         i, j = np.nonzero(np.triu(rows, start + 1))  # columns past the diagonal
         yield i + start, j
+
+
+def _nonnegative_int(value, name: str) -> int:
+    """value as a Python int; ValueError names the argument unless it is a
+    non-negative integer (a bool or a float is none)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def _indices(values, what: str) -> tuple:
@@ -754,11 +770,12 @@ def _pair_counts(groups, v: int):
         yield start, np.matmul(rows, f[start:].T, out=out[: len(rows), : len(f) - start])
 
 
-def _count_graph(labels, groups, v: int, target, family=None) -> Graph:
+def _count_graph(labels, groups, v: int, rule) -> Graph:
     """The graph on point sets over v points, grouped by size (`_by_size`),
-    one per label: sets i != j are adjacent when they share
-    target[family[i]][family[j]] points, or `target` points when no
-    families are given.
+    one per label: sets i != j of a and b points are adjacent when they
+    share rule(a, b) points.  Adjacency thus depends only on the two set
+    sizes and the size of their intersection, which every point
+    permutation keeps.
 
     Each row block of `_pair_counts` fills its rows from its own start on
     (start is a multiple of 64, so a whole byte), and the same rows left of
@@ -766,18 +783,18 @@ def _count_graph(labels, groups, v: int, target, family=None) -> Graph:
     it (`_transpose_strip`), which their own blocks wrote before, so every
     byte is written once."""
     n = len(labels)
-    if family is None:
-        family = np.zeros(n, dtype=np.intp)
-        target = [[target]]
-    # row a: the count that makes a family-a row adjacent to each row
-    target = np.asarray(target, dtype=np.float32)[:, family]
+    group = np.empty(n, dtype=np.intp)  # the group of each set: one group per set size
+    for g, (numbers, _) in enumerate(groups):
+        group[numbers] = g
+    # row a: the count that makes a set of group a adjacent to each set
+    target = np.array([[rule(a.shape[1], b.shape[1]) for _, b in groups] for _, a in groups], np.float32, ndmin=2)[:, group]
     adj = np.empty((n, (n + 7) // 8), dtype=np.uint8)
     hits = np.empty((_BLOCK_ROWS, n), dtype=bool)
     for start, counts in _pair_counts(groups, v):
         size = len(counts)
         hit = hits[:size, : counts.shape[1]]
-        block = family[start : start + size]
-        runs = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), size]  # rows of one family
+        block = group[start : start + size]
+        runs = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), size]  # rows of one set size
         for a, b in zip(runs, runs[1:]):
             np.equal(counts[a:b], target[block[a], start:], out=hit[a:b])
         hit[np.arange(size), np.arange(size)] = False
@@ -786,23 +803,33 @@ def _count_graph(labels, groups, v: int, target, family=None) -> Graph:
     return Graph(labels, adj)
 
 
+def _meet_rule(q: int):
+    """The rule of J_q(n,k) and of the twisted graph: subspaces U and W are
+    adjacent when dim(U ∩ W) = (dim U + dim W)/2 - 1.  A d-subspace has
+    a = [d]_q points, and (q-1)a + 1 = q^d, so the product of that term
+    over the two sets is q^(dim U + dim W)."""
+    return lambda a, b: _point_count(round(math.log((a * (q - 1) + 1) * (b * (q - 1) + 1), q)) // 2 - 1, q)
+
+
 def grassmann_graph(n: int, k: int, q: int) -> Graph:
     """J_q(n,k): k-subspaces of GF(q)^n, adjacent when meeting in dim k-1."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     field = field_from_order(q)
     labels = _Labels.of(field, (None, _all_bases(full_space(field, n), k)))
-    return _count_graph(labels, labels.groups, labels.points, _point_count(k - 1, q))
+    return _count_graph(labels, labels.groups, labels.points, _meet_rule(q))
 
 
 def twisted_grassmann(field: Field, e: int, h: Subspace = None, s: Polarity = None) -> Graph:
     """The van Dam-Koolen twisted Grassmann graph on A ∪ B.
 
     A holds the (e+1)-subspaces of V not inside h, B the (e-1)-subspaces
-    of h; A vertices come first.  Adjacency: A-A pairs meet in dim e,
-    an A vertex covers its B neighbors, B-B pairs meet in dim e-2.  The
+    of h; A vertices come first.  Adjacency is the meet rule of the
+    Grassmann graph, dim(U ∩ W) = (dim U + dim W)/2 - 1: A-A pairs meet in
+    dim e, an A vertex covers its B neighbors, B-B pairs meet in dim e-2.  The
     polarity argument is accepted for signature parity with the design
-    constructor; the graph itself never consults it.
+    constructor, and refused unless it is a polarity of h; the graph itself
+    never consults it.
     """
     return _Instance(field, e, h, s).graph
 
@@ -889,9 +916,8 @@ def jt_design(field: Field, e: int, h: Subspace = None, s: Polarity = None) -> D
 
 def block_graph(d: Design, threshold: int) -> Graph:
     """Blocks as vertices, adjacent when the intersection size hits threshold."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    return _count_graph(d._block_labels, d.index.groups, d.v, threshold)
+    threshold = _nonnegative_int(threshold, "threshold")
+    return _count_graph(d._block_labels, d.index.groups, d.v, lambda a, b: threshold)
 
 
 def intersection_spectrum(d: Design) -> Counter:
@@ -938,8 +964,8 @@ class _Instance:
     the JT design, with what the checks read beside them.  Each is built the
     first time it is read, and only once; the instance holds point-set
     arrays, never incidence matrices.  h defaults to the coordinate
-    hyperplane and s to the identity-gram polarity of h; only f, and what is
-    built from it, consults s."""
+    hyperplane and s to the identity-gram polarity of h; s must be a
+    polarity of h, and only f, and what is built from it, consults it."""
 
     def __init__(self, field: Field, e: int, h: Subspace = None, s: Polarity = None):
         if e < 2:
@@ -951,6 +977,8 @@ class _Instance:
             raise ValueError(f"h must be a hyperplane of GF({field.q})^{n}")
         if h.field != field:
             raise ValueError("h is defined over a different field")
+        if s is not None and s.h != h:  # the message `_block_map` gives
+            raise ValueError("polarity is not a polarity of h")
         self.field, self.e, self.h = field, e, h
         self.s = polarity_new(field, h) if s is None else s
         self.points = _point_order(field, n)[0]
@@ -985,13 +1013,9 @@ class _Instance:
 
     @cached_property
     def graph(self) -> Graph:
-        """The twisted Grassmann graph (see `twisted_grassmann`)."""
-        q, e, v = self.field.q, self.e, len(self.points)
-        # families i and j (A = 0, B = 1) are adjacent on [e-i-j]_q shared
-        # points; A covering B means all [e-1]_q points of B lie in A.
-        target = [[_point_count(e - i - j, q) for j in range(2)] for i in range(2)]
-        family = np.repeat([0, 1], [len(bases) for _, bases, _ in self.labels.runs])
-        return _count_graph(self.labels, self.labels.groups, v, target, family)
+        """The twisted Grassmann graph (see `twisted_grassmann`): the meet
+        rule of J_q(2e+1,e+1) on A ∪ B."""
+        return _count_graph(self.labels, self.labels.groups, len(self.points), _meet_rule(self.field.q))
 
     @cached_property
     def f(self) -> np.ndarray:

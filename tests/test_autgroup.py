@@ -234,6 +234,20 @@ def test_non_automorphism_is_reported(jt22):
     assert induced_block_permutation(jt22, PointPermutation(tuple(perm))) is None
 
 
+def test_non_automorphism_names_its_block_without_the_block_tuples(setting22):
+    # the witness reads the failing block from the design's index, so no
+    # block tuple is made; it is the image of that block's points
+    from qgeom.geometry import _Instance
+
+    field, h, s = setting22
+    d = _Instance(field, 2, h, s).jt  # a design of its own: the fixtures' may have made their tuples
+    perm = list(range(31))
+    perm[0], perm[30] = perm[30], perm[0]
+    res = is_design_automorphism(d, PointPermutation(tuple(perm)))
+    assert isinstance(res, NotAutomorphism) and d._blocks is None
+    assert res.image == tuple(sorted(perm[i] for i in d.blocks[res.block])) and not d.has_block(res.image)
+
+
 def test_theorem2_relation_holds(setting22, tg22, jt22, cert22):
     field, h, s = setting22
     for i in range(25):

@@ -127,6 +127,62 @@ def test_verify_thm1_report(tmp_path, monkeypatch, capsys):
     assert rep["elapsed"] >= 0
 
 
+def _thm1_setting(q=2, e=2, gram=None):
+    from qgeom.cli import RunConfig, _geometry
+
+    cfg = RunConfig(q=q, e=e, gram=gram, seed=0, fmt=None, out=None)
+    return cfg, _geometry(cfg)
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (0, 154), (153, 154)], ids=["A-A", "A-B", "B-B"])
+def test_verify_thm1_compares_every_row(pair):
+    # Γ with one pair flipped fails thm1, in A's rows, across the families and
+    # in B's rows alone; the report is otherwise the same
+    from qgeom.cli import _verify_thm1
+    from qgeom.geometry import Graph
+
+    cfg, inst = _thm1_setting()
+    ok, details = _verify_thm1(cfg, inst)
+    assert ok is True and len(inst.labels.runs[0][1]) == 140  # vertices 0..139 are A, 140..154 B
+    adj, (i, j) = inst.graph.adj.copy(), pair
+    adj[i, j >> 3] ^= np.uint8(1 << (j & 7))
+    adj[j, i >> 3] ^= np.uint8(1 << (i & 7))
+    inst.__dict__["graph"] = Graph(inst.labels, adj)
+    assert _verify_thm1(cfg, inst) == (False, details)
+
+
+@pytest.mark.parametrize(
+    "q, gram",
+    [(2, None), (2, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]), (3, [[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1], [0, 0, 2, 0]])],
+    ids=["identity", "paired", "symplectic"],
+)
+def test_thm1_graph_of_f_is_the_block_graph_relabelled(q, gram):
+    # the oracle: the threshold graph of the rows of f is the JT block graph
+    # carried over by the certificate, which the dense map test proves, and
+    # its bytes are Γ's
+    from qgeom.cli import _verify_thm1
+    from qgeom.drg import check_isomorphism
+    from qgeom.geometry import _by_size, _count_graph, block_graph
+
+    cfg, inst = _thm1_setting(q, 2, gram)
+    t = q + 1
+    rows = _count_graph(inst.labels, _by_size([inst.f]), len(inst.points), lambda a, b: t)
+    assert check_isomorphism(rows, block_graph(inst.jt, t), inst.certificate)
+    assert rows.adj.tobytes() == inst.graph.adj.tobytes()
+    assert _verify_thm1(cfg, inst)[0] is True
+
+
+def test_verify_thm1_runs_no_dense_map_test(monkeypatch, capsys, tg22):
+    import qgeom.drg as drg
+
+    calls, maps_onto = [], drg._maps_onto
+    monkeypatch.setattr(drg, "_maps_onto", lambda *args: calls.append(args[2]) or maps_onto(*args))
+    code, out, _ = run(capsys, "verify", "thm1", "--q", "3")
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert calls == []
+    assert drg.check_isomorphism(tg22, tg22, drg.IsoCertificate(tuple(range(tg22.n)), "g", "g")) and len(calls) == 1  # the spy sees the dense test
+
+
 def test_verify_design_and_spectrum_stdout(capsys):
     code, out, _ = run(capsys, "verify", "design")
     assert code == 0
@@ -346,6 +402,7 @@ def test_verify_all_reports_match_single_checks(gram, tmp_path, monkeypatch, cap
 
 
 def test_verify_all_builds_each_thing_once(monkeypatch, capsys):
+    import qgeom.cli as cli
     import qgeom.geometry as geometry
 
     enumerated, counted, mapped = [], [], []
@@ -366,11 +423,12 @@ def test_verify_all_builds_each_thing_once(monkeypatch, capsys):
     monkeypatch.setattr(geometry, "_rref_slabs", enumerate_spy)
     assert not hasattr(geometry, "enumerate_k_subspaces")  # geometry reads the array core alone
     monkeypatch.setattr(geometry, "_count_graph", count_spy)
+    monkeypatch.setattr(cli, "_count_graph", count_spy)
     monkeypatch.setattr(geometry, "_block_map", map_spy)
     code, _, _ = run(capsys, "verify", "all", "--q", "3")
     assert code == 0
     assert enumerated.count((5, 3)) == 1  # the (e+1)-subspaces of V
-    assert counted == [1210, 1210]  # the twisted graph, then the JT design's block graph
+    assert counted == [1210, 1210]  # thm1: the graph of the rows of f, then the twisted graph
     assert mapped == [1210]  # f, once over every vertex
 
 

@@ -459,6 +459,12 @@ def test_numpy_integer_images_are_kept_as_python_ints(images):
     assert json.loads(json.dumps(cert.to_json()))["mapping"] == json.loads(json.dumps(perm.to_json()))["perm"] == [1, 0, 2]
 
 
+def test_check_isomorphism_refuses_a_bare_mapping(tg22):
+    with pytest.raises(ValueError) as caught:
+        check_isomorphism(tg22, tg22, tuple(range(tg22.n)))
+    assert str(caught.value) == "cert must be an IsoCertificate, got tuple"
+
+
 def test_check_isomorphism_needs_matching_sizes(tg22):
     small = complete(3)
     with pytest.raises(ValueError):

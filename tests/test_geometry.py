@@ -241,27 +241,33 @@ def test_pair_counts_and_count_graph_match_the_full_product(height):
     from qgeom.geometry import _by_size, _count_graph, _pair_counts
 
     rng = np.random.default_rng(height)
-    n = (rng.random((height, 12)) < 0.4).astype(np.uint8)
-    full = n.astype(np.int64) @ n.T.astype(np.int64)
-    groups = _by_size([np.flatnonzero(row)[None] for row in n])  # one group per row size
-    starts = []
-    for start, counts in _pair_counts(groups, 12):
-        starts.append(start)
-        assert np.array_equal(counts, full[start : start + 64, start:])
-    assert starts == list(range(0, height, 64))
-    # one family; two families split at row 5 (inside the first row block),
-    # at row 64 (on a block boundary) and at row 70 (inside the second); and
-    # families that alternate every 3 rows, several runs per block
-    splits = [(np.arange(height) >= at).astype(np.intp) for at in (5, 64, 70)]
-    splits.append(np.arange(height) // 3 % 2)
-    for target, family in ((3, None), *(([[3, 2], [2, 1]], split) for split in splits)):
-        rows = np.zeros(height, dtype=np.intp) if family is None else family
-        table = np.array([[target]] if family is None else target)
-        expected = full == table[rows[:, None], rows]
-        np.fill_diagonal(expected, False)
-        g = _count_graph(range(height), groups, 12, target, family)
-        assert np.array_equal(np.unpackbits(g.adj, axis=1, count=height, bitorder="little"), expected)
-        assert height < 8 or expected.any()
+    # sets of 4 and 6 of 12 points: one size throughout; the size changing at
+    # row 5 (inside the first row block), at row 64 (on a block boundary) and
+    # at row 70 (inside the second); sizes alternating every 3 rows, several
+    # runs per block; and sizes drawn from 0..12, many groups interleaved
+    steps = [np.arange(height) >= at for at in (5, 64, 70)] + [np.arange(height) // 3 % 2 == 1]
+    mixed = 0  # adjacent pairs of two sizes
+    for sizes in [np.full(height, 4), *(np.where(step, 6, 4) for step in steps), rng.integers(0, 13, height)]:
+        n = np.zeros((height, 12), dtype=np.uint8)
+        for row, size in zip(n, sizes):
+            row[rng.choice(12, size, replace=False)] = 1
+        full = n.astype(np.int64) @ n.T.astype(np.int64)
+        groups = _by_size([np.flatnonzero(row)[None] for row in n])  # one group per set size
+        starts = []
+        for start, counts in _pair_counts(groups, 12):
+            starts.append(start)
+            assert np.array_equal(counts, full[start : start + 64, start:])
+        assert starts == list(range(0, height, 64))
+        # a constant, and a rule that reads both sizes: two sets of 4, or two
+        # of 6, sharing 1 point, a set of 4 and a set of 6 sharing 4
+        for rule in (lambda a, b: 2, lambda a, b: a * b % 5):
+            expected = full == np.array([[rule(a, b) for b in sizes.tolist()] for a in sizes.tolist()])
+            np.fill_diagonal(expected, False)
+            g = _count_graph(range(height), groups, 12, rule)
+            assert np.array_equal(np.unpackbits(g.adj, axis=1, count=height, bitorder="little"), expected)
+            assert height < 8 or expected.any()
+            mixed += int((expected & (sizes[:, None] != sizes)).sum())
+    assert height < 8 or mixed > 0
 
 
 def test_intersection_spectrum_matches_every_pair_beyond_one_row_block(jt22):
@@ -863,6 +869,50 @@ def test_verify_drg_names_no_dense_map_test():
     assert found == []
 
 
+def test_verify_thm1_names_no_block_graph():
+    # `verify thm1` compares Γ with the graph of its own f rows, byte for
+    # byte: cli names neither the JT-ordered block graph nor the certificate
+    # map test, which stay public and the tests' oracle
+    import ast
+    from pathlib import Path
+
+    import qgeom
+
+    banned = {"block_graph", "check_isomorphism"}
+    tree = ast.parse((Path(qgeom.__file__).parent / "cli.py").read_text())
+    found = [node.lineno for node in ast.walk(tree) if {getattr(node, key, None) for key in ("attr", "id", "name")} & banned]
+    assert found == []
+
+
+def test_counts_are_refused_unless_non_negative_integers(pg22):
+    for value in (True, 2.5, -1, "3"):
+        with pytest.raises(ValueError) as caught:
+            block_graph(pg22, value)
+        assert str(caught.value) == f"threshold must be a non-negative integer, got {value!r}"
+    for value in (True, 2.0, -1):
+        with pytest.raises(ValueError) as caught:
+            Graph.from_edges(value, [])
+        assert str(caught.value) == f"n must be a non-negative integer, got {value!r}"
+    assert block_graph(pg22, np.int64(3)).adj.tobytes() == block_graph(pg22, 3).adj.tobytes()
+    assert Graph.from_edges(np.uint8(2), [(0, 1)]).edges() == [(0, 1)]
+
+
+def test_instance_refuses_a_polarity_of_another_hyperplane_or_field(f2):
+    from qgeom.geometry import _Instance
+
+    f3 = field_new(3)
+    h = coordinate_hyperplane(f2, 5)
+    other = span(f2, 5, [(1, 0, 0, 0, 1), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)])
+    for s in (polarity_new(f3, coordinate_hyperplane(f3, 5)), polarity_new(f2, other)):
+        for build in (_Instance, twisted_grassmann, jt_design):
+            with pytest.raises(ValueError) as caught:
+                build(f2, 2, h, s)
+            assert str(caught.value) == "polarity is not a polarity of h"
+    with pytest.raises(ValueError) as caught:  # h by default: the coordinate hyperplane
+        _Instance(f2, 2, None, polarity_new(f2, other))
+    assert str(caught.value) == "polarity is not a polarity of h"
+
+
 def test_certificate_refuses_blocks_past_the_design_points(setting32, tg32, jt22):
     field, h, s = setting32
     with pytest.raises(ValueError, match="f of vertex 0 is not a block of the design"):
@@ -929,5 +979,6 @@ def test_grassmann_graph_reads_the_array_core(n, k, q):
     subs = tuple(enumerate_k_subspaces(full_space(field_from_order(q), n), k))
     assert g.labels == subs  # bare subspaces, in enumeration order
     # the adjacency of the literal subspace list's point sets
-    literal = _count_graph(subs, _by_size([_point_array(subs)]), (q ** n - 1) // (q - 1), (q ** (k - 1) - 1) // (q - 1))
+    threshold = (q ** (k - 1) - 1) // (q - 1)  # two k-subspaces meeting in dim k-1
+    literal = _count_graph(subs, _by_size([_point_array(subs)]), (q ** n - 1) // (q - 1), lambda a, b: threshold)
     assert g.adj.tobytes() == literal.adj.tobytes()
