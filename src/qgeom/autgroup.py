@@ -73,11 +73,12 @@ automorphisms is one.  Every other element takes the block check
 itself, so the failures are those of the direct check.  The maps go
 A major and b minor, and [[A, b], [0, 1]] acts on [H] as A, so each
 A's 16 elements form one run of `_lift_batch` and share its sigma
-lookups: 20160 rows looked up, not 322560.  The census runs its 315
-chunks of 64 A in turn, in the calling process.  Distinctness, the
-identity count and the literal-lift spot checks read every lift;
-distinctness is counted by one 64-bit key per lift (`_distinct_rows`),
-with the lifts that share a key compared in full.
+lookups: 20160 rows looked up, not 322560.  The census runs its 40
+chunks of up to 512 A (`_CENSUS_CHUNK`) in turn, in the calling
+process.  Distinctness, the identity count and the literal-lift spot
+checks read every lift; distinctness is counted by one 64-bit key per
+lift (`_distinct_rows`), with the lifts that share a key compared in
+full.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ import numpy as np
 
 from .gf import Field, _prime_power, field_new
 from .geometry import Design, Graph, _Instance
-from .geometry import _fold, _index_dtype, _permutation, _point_images, _point_order, _sigma, _vertex_index
+from .geometry import _SLAB_BYTES, _fold, _index_dtype, _permutation, _point_images, _point_order, _sigma, _vertex_index
 from .linalg import Matrix
 from .polarity import Polarity
 from .subspace import (
@@ -409,6 +410,11 @@ def vertex_permutation(g: Graph, phi: SemilinearMap) -> tuple:
 
 _ORACLE_STRIDE = 31  # prime; elements 0, 31, 62, ... are also lifted literally
 _CENSUS_STRIDE = 4001  # prime; the census compares 81 of its lifts with lift()
+# A blocks per census chunk, 16 maps each: 40 chunks, where 64 A made 315
+# and each paid its numpy calls' fixed cost.  Peak RSS bounds it: pinned
+# to one core, a cold `verify aut-exhaustive` at (2,2) peaks at 52.2 MB
+# with 64 or 512 A, 53.6 MB with 1024 and 56.1 MB with 2048.
+_CENSUS_CHUNK = 512
 _THEOREM2_CHUNK = 64  # elements per batch
 
 
@@ -553,15 +559,20 @@ def _distinct_rows(rows: np.ndarray) -> int:
     """The number of distinct rows of a 2-D uint8 array, exactly.
 
     Each row, zero-padded to whole uint64 words, folds into one 64-bit
-    key by `geometry._fold`, the hash of `geometry._SetIndex`, and the
-    keys are sorted once.  Equal rows share a key, so rows of different
-    keys are distinct; the rows whose key is shared are compared in full,
-    by one sort of those rows, so a collision is never taken as a
-    duplicate.
+    key by `geometry._fold`, the hash of `geometry._SetIndex`, a slab of
+    about _SLAB_BYTES of padded rows at a time, and the keys are sorted
+    once.  Equal rows share a key, so rows of different keys are
+    distinct; the rows whose key is shared are compared in full, by one
+    sort of those rows, so a collision is never taken as a duplicate.
     """
-    padded = np.zeros((len(rows), (rows.shape[1] + 7) // 8 * 8), dtype=np.uint8)
-    padded[:, : rows.shape[1]] = rows
-    key = _fold(padded.view(np.uint64).T)
+    width = (rows.shape[1] + 7) // 8 * 8
+    per = max(1, _SLAB_BYTES // width)  # rows per slab
+    padded = np.zeros((min(per, len(rows)), width), dtype=np.uint8)
+    key = np.empty(len(rows), dtype=np.uint64)
+    for start in range(0, len(rows), per):
+        part = rows[start : start + per]
+        padded[: len(part), : rows.shape[1]] = part
+        key[start : start + len(part)] = _fold(padded[: len(part)].view(np.uint64).T)
     ordered = np.sort(key)
     shared = np.unique(ordered[1:][ordered[1:] == ordered[:-1]])
     if not shared.size:
@@ -574,8 +585,8 @@ def _census_lifts(s: Polarity, mats: np.ndarray):
     """The maps [[A, b], [0, 1]] for every A in mats and every b in GF(p)^m,
     A major and b minor (b = 0 first), and their batched lifts."""
     field, m = s.field, mats.shape[1]
-    bs = np.array(list(product(range(field.p), repeat=m)), dtype=np.intp)
-    phis = np.zeros((len(mats), len(bs), m + 1, m + 1), dtype=np.intp)
+    bs = np.array(list(product(range(field.p), repeat=m)), dtype=np.uint8)
+    phis = np.zeros((len(mats), len(bs), m + 1, m + 1), dtype=np.uint8)  # entries lie in 0..p-1
     phis[:, :, :m, :m] = mats[:, None]
     phis[:, :, :m, m] = bs
     phis[:, :, m, m] = 1
@@ -630,12 +641,12 @@ def exhaustive_lift_check(s: Polarity = None, progress=None, *, inst: _Instance 
 
     Proves each lift a design automorphism by its factors (see
     `_census_chunk`): the 16 translation lifts are checked directly here,
-    once, and the linear lifts in chunks of 64 A, one chunk after another
-    in this process; progress, if given, is called with the fraction done
-    after each.  Checks that all 322560 point permutations are pairwise
-    distinct with exactly one identity; a fixed prime stride of them,
-    element 0 first, is compared with the literal lift().  Refuses instances other than (q,e) = (2,2) before it
-    builds anything.
+    once, and the linear lifts in chunks of `_CENSUS_CHUNK` A, one chunk
+    after another in this process; progress, if given, is called with the
+    fraction done after each.  Checks that all 322560 point permutations
+    are pairwise distinct with exactly one identity; a fixed prime stride
+    of them, element 0 first, is compared with the literal lift().
+    Refuses instances other than (q,e) = (2,2) before it builds anything.
     """
     if inst is not None:
         if s is not None:
@@ -659,26 +670,26 @@ def exhaustive_lift_check(s: Polarity = None, progress=None, *, inst: _Instance 
     # the translations T_b, lifted and checked once and passed to every chunk
     _, trans = _census_lifts(s, np.eye(2 * e, dtype=np.intp)[None])
     trans_ok = (d.index.images(trans) >= 0).all(axis=1)
-    step = 64  # A blocks per chunk
     perms = np.empty((order, v), dtype=np.uint8)
-    verified = cross_checked = 0
+    verified = cross_checked = identity_count = 0
     failures = []
-    for i in range(0, len(gl), step):
+    for i in range(0, len(gl), _CENSUS_CHUNK):
         chunk, chunk_failures, spots = _census_chunk(
-            i * per_a, gl[i : i + step], s=s, blocks=d.index, trans=trans, trans_ok=trans_ok
+            i * per_a, gl[i : i + _CENSUS_CHUNK], s=s, blocks=d.index, trans=trans, trans_ok=trans_ok
         )
         perms[i * per_a : i * per_a + len(chunk)] = chunk
         verified += len(chunk)
+        identity_count += int((chunk == np.arange(v)).all(axis=1).sum())
         failures.extend(chunk_failures)
         cross_checked += spots
         if progress:
-            progress(min(1.0, (i + step) / len(gl)))
+            progress(min(1.0, (i + _CENSUS_CHUNK) / len(gl)))
 
     return LiftCheckReport(
         group_order=order,
         verified=verified,
         distinct=_distinct_rows(perms),
-        identity_count=int((perms == np.arange(v)).all(axis=1).sum()),
+        identity_count=identity_count,
         failures=tuple(failures),
         cross_checked=cross_checked,
         elapsed=time.perf_counter() - t0,

@@ -4,9 +4,13 @@ RREF of an integer array over a prime field.
 RREF is the canonical form used everywhere downstream: it is unique
 per row space, so subspace equality reduces to comparing basis data.
 Matrices are immutable values; every operation returns a new one.
-Entries are range-checked when a Matrix is made; RREF and products
-then run on the field's tables (`Field._lincomb` and `_dot`).  That
-table RREF is the one elimination for `Matrix`, over every GF(p^f), and
+Entries are range-checked when a caller makes a Matrix; RREF and
+products then run on the field's tables through its one row kernel,
+`Field._lincomb`: an elimination step, and each output row of a product,
+is one call.  What those tables compute from checked entries (the RREF,
+products, kernel vectors, transposes, inverses, identities) is made by
+the private `Matrix._computed`, which checks nothing again.  That table
+RREF is the one elimination for `Matrix`, over every GF(p^f), and
 `rank()` reads it.
 
 Incidence ranks take one array path instead: `_rref_mod_p` streams the
@@ -45,8 +49,22 @@ class Matrix:
         self._rref = None
 
     @classmethod
+    def _computed(cls, field: Field, rows) -> "Matrix":
+        """A matrix of rows that the field's tables computed from checked
+        entries: tuples of one length, each entry a field element, so none
+        is checked again.  Only this module and `polarity` make one; a
+        caller's rows go through Matrix(field, rows)."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = len(rows)
+        m.cols = len(rows[0]) if rows else 0
+        m.entries = tuple(rows)
+        m._rref = None
+        return m
+
+    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._computed(field, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -67,19 +85,14 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.rows}x{self.cols}: [{body}])"
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.entries)))
+        return Matrix._computed(self.field, tuple(zip(*self.entries)))
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.field != other.field or self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
         F = self.field
-        cols = list(zip(*other.entries)) if other.rows else []
-        out = []
-        for arow in self.entries:
-            out.append(
-                [_dot(F, arow, col) for col in cols]
-            )
-        return Matrix(F, out)
+        zero = (0,) * other.cols
+        return Matrix._computed(F, tuple(F._lincomb(zero, arow, other.entries) for arow in self.entries))
 
     def apply(self, vector):
         """Row vector times matrix."""
@@ -87,15 +100,15 @@ class Matrix:
         if len(vector) != self.rows:
             raise ValueError("vector length does not match row count")
         vector = F._check_vector(vector)
-        return tuple(_dot(F, vector, col) for col in zip(*self.entries))
+        return F._lincomb((0,) * self.cols, vector, self.entries)
 
     def apply_col(self, vector):
-        """Matrix times column vector."""
+        """Matrix times column vector: the columns, combined by the vector's entries."""
         F = self.field
         if len(vector) != self.cols:
             raise ValueError("vector length does not match column count")
         vector = F._check_vector(vector)
-        return tuple(_dot(F, row, vector) for row in self.entries)
+        return F._lincomb((0,) * self.rows, vector, zip(*self.entries))
 
     def inverse(self) -> "Matrix":
         """Inverse of a square matrix, by eliminating [self | I]."""
@@ -104,11 +117,11 @@ class Matrix:
             raise ValueError("only square matrices invert")
         F = self.field
         ident = Matrix.identity(F, n)
-        aug = Matrix(F, [self.entries[i] + ident.entries[i] for i in range(n)])
+        aug = Matrix._computed(F, tuple(self.entries[i] + ident.entries[i] for i in range(n)))
         red, rank, _ = aug.rref()
         if rank != n or any(red.entries[i][:n] != ident.entries[i] for i in range(n)):
             raise ValueError("matrix is singular")
-        return Matrix(F, [red.entries[i][n:] for i in range(n)])
+        return Matrix._computed(F, tuple(red.entries[i][n:] for i in range(n)))
 
     # -- elimination --------------------------------------------------------
 
@@ -146,7 +159,7 @@ class Matrix:
             r += 1
             if r == m:
                 break
-        reduced = Matrix(F, work)
+        reduced = Matrix._computed(F, work)
         reduced._rref = (reduced, r, tuple(pivots))
         return reduced, r, tuple(pivots)
 
@@ -164,8 +177,8 @@ class Matrix:
             v[j] = 1
             for i, pc in enumerate(pivots):
                 v[pc] = F.neg(R[i, j])
-            vecs.append(v)
-        return Matrix(F, vecs).rref()[0] if vecs else Matrix(F, [])
+            vecs.append(tuple(v))
+        return Matrix._computed(F, vecs).rref()[0] if vecs else Matrix._computed(F, ())
 
     def nonzero_rows(self):
         return [r for r in self.entries if any(r)]

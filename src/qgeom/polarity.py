@@ -31,7 +31,7 @@ class Polarity:
             raise ValueError("gram, hyperplane, and polarity must share one field")
         gt = g.transpose()
         F = self.field
-        neg = Matrix(F, [[F.neg(x) for x in row] for row in g.entries])
+        neg = Matrix._computed(F, tuple(tuple(F._neg[x] for x in row) for row in g.entries))
         if gt != g and gt != neg:
             raise ValueError("gram must be symmetric or skew-symmetric")
         if g.rank() != d:
@@ -44,7 +44,10 @@ class Polarity:
         if w.dim == 0:
             return self.h
         F = self.field
-        coords = self.h.coefficients_of(w.basis_rows)
+        # w lies in h, whose basis is RREF: a vector's coordinates in it are
+        # its entries at h's pivots
+        piv = self.h.pivots
+        coords = Matrix._computed(F, tuple(tuple(r[p] for p in piv) for r in w.basis_rows))
         kern = coords.matmul(self.gram).kernel_basis()
         zero = (0,) * self.h.ambient_dim
         rows = tuple(F._lincomb(zero, krow, self.h.basis_rows) for krow in kern.nonzero_rows())

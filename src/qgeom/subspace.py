@@ -227,7 +227,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:  # the product formula always divides; a remainder means the arithmetic is wrong
+        raise RuntimeError(f"the Gaussian binomial [{n} {k}]_{q} did not divide exactly")
     return num // den
 
 

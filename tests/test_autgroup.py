@@ -894,6 +894,21 @@ def test_distinct_rows_is_the_exact_count(monkeypatch, width):
         assert autgroup._distinct_rows(rows) == n
 
 
+def test_distinct_rows_folds_its_keys_a_slab_at_a_time(monkeypatch):
+    # 40 bytes a slab: 5 rows of 8 padded bytes down to 1 of 40, so every
+    # count crosses slabs and most end on a short one
+    import qgeom.autgroup as autgroup
+
+    monkeypatch.setattr(autgroup, "_SLAB_BYTES", 40)
+    rng = np.random.default_rng(40)
+    for width in (1, 8, 9, 33):
+        for n in (0, 1, 7, 50, 1000):
+            rows = rng.integers(0, 3, (n, width), dtype=np.uint8)
+            if n:
+                rows[rng.integers(0, n, n // 3)] = rows[rng.integers(0, n, n // 3)]  # planted duplicates
+            assert autgroup._distinct_rows(rows) == len(np.unique(rows, axis=0))
+
+
 def test_census_counts_a_copied_lift_once(monkeypatch):
     # Element 16006's batched lift is replaced by element 16005's, its
     # neighbour in the same chunk.  Neither is a factor (b != 0) or on the
@@ -904,7 +919,8 @@ def test_census_counts_a_copied_lift_once(monkeypatch):
 
     f = field_new(2)
     g = 16005
-    assert g % 16 and (g + 1) % 16 and (g + 1) % 4001
+    per_chunk = 16 * autgroup._CENSUS_CHUNK  # maps per census chunk
+    assert g % 16 and (g + 1) % 16 and (g + 1) % 4001 and g // per_chunk == (g + 1) // per_chunk
     target = _census_pi(polarity_new(f, coordinate_hyperplane(f, 5)), _general_linear(2, 4)[[g // 16]])[(g + 1) % 16]
     copies = []
 
@@ -917,9 +933,72 @@ def test_census_counts_a_copied_lift_once(monkeypatch):
 
     monkeypatch.setattr(autgroup, "_lift_batch", copied)
     rep = exhaustive_lift_check()
-    assert copies == [(g + 1) % 1024]
+    assert copies == [(g + 1) % per_chunk]
     assert rep.distinct == 322559 and rep.verified == 322560 and rep.identity_count == 1
     assert rep.failures == () and not rep.ok
+
+
+def _planted_census_failures(elements):
+    """(corrupt, expected): a `_lift_batch` stand-in whose lift of each of
+    elements repeats its next entry at one entry, so that it maps some
+    block onto no block, and the census failures that the direct block
+    check of those lifts gives, in element order."""
+    from qgeom.autgroup import _general_linear, _lift_batch
+    from qgeom.geometry import _Instance, _point_images
+
+    f = field_new(2)
+    gl = _general_linear(2, 4)
+    bs = list(product(range(2), repeat=4))
+    phis = np.zeros((len(elements), 5, 5), dtype=np.intp)
+    phis[:, :4, :4] = gl[[g // 16 for g in elements]]
+    phis[:, :4, 4] = [bs[g % 16] for g in elements]
+    phis[:, 4, 4] = 1
+    pi = _point_images(f, phis, np.zeros(len(elements), dtype=np.intp))
+    targets = {row.tobytes(): x % 31 for x, row in enumerate(pi)}
+
+    def corrupt(s, pi):
+        lifted = _lift_batch(s, pi)
+        for g, row in enumerate(pi):
+            if (x := targets.get(row.tobytes())) is not None:
+                lifted[g, x] = lifted[g, (x + 1) % 31]
+        return lifted
+
+    inst = _Instance(f, 2)
+    blocks_ok = inst.jt.index.images(corrupt(inst.s, pi)) >= 0
+    assert not blocks_ok.all(axis=1).any()
+    return corrupt, [(tuple(map(tuple, phi.tolist())), int(np.argmin(ok))) for phi, ok in zip(phis, blocks_ok)]
+
+
+def test_census_does_not_depend_on_chunk_size(monkeypatch):
+    # 64 A a chunk divides the 20160 A evenly; 11 and the default leave a
+    # short last chunk.  Each size gives the same report, progress that
+    # rises to 1.0, and the same witnesses for failures planted on either
+    # side of a chunk boundary of every size, and at the last element.
+    import qgeom.autgroup as autgroup
+    from qgeom.autgroup import _general_linear
+
+    sizes = (autgroup._CENSUS_CHUNK, 64, 11)
+    assert [len(_general_linear(2, 4)) % size == 0 for size in sizes] == [False, True, False]
+    identity = int(np.flatnonzero((_general_linear(2, 4) == np.eye(4)).all(axis=(1, 2)))[0])
+    elements = sorted({322559} | {16 * size * k + d for size in sizes for k in (1, 3) for d in (-1, 0)})
+    # none is a translation T_b (A = I), element 0 or on the spot stride
+    assert all(g // 16 != identity and g % 4001 for g in elements)
+    corrupt, planted = _planted_census_failures(elements)
+    reports, faulty = [], []
+    for size in sizes:
+        monkeypatch.setattr(autgroup, "_CENSUS_CHUNK", size)
+        fractions = []
+        report = exhaustive_lift_check(progress=fractions.append).to_json()
+        report.pop("elapsed")
+        reports.append(report)
+        assert all(a < b for a, b in zip(fractions, fractions[1:])) and fractions[-1] == 1.0
+        assert len(fractions) == -(-20160 // size)
+        with monkeypatch.context() as m:
+            m.setattr(autgroup, "_lift_batch", corrupt)
+            faulty.append(list(exhaustive_lift_check().failures))
+    assert reports[0]["pass"] and reports[0]["cross_checked"] == 81
+    assert reports == [reports[0]] * len(sizes)
+    assert faulty == [planted] * len(sizes)
 
 
 def test_census_refuses_a_short_general_linear(monkeypatch):

@@ -130,6 +130,61 @@ def test_matmul_and_apply():
     assert a.apply_col((1, 1)) == (0, 1)  # matrix times column
 
 
+def _shaped(field, rows, cols, rng):
+    """A random rows x cols matrix; a Matrix of no rows has no columns."""
+    return Matrix(field, [[rng.randrange(field.q) for _ in range(cols)] for _ in range(rows)])
+
+
+@pytest.mark.parametrize("p, f", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)], ids=["GF2", "GF3", "GF4", "GF8", "GF9"])
+def test_products_match_a_per_entry_dot_oracle(p, f):
+    # every entry of a product is one `_dot` of a row and a column, over
+    # shapes with no rows, no columns and no inner dimension too
+    F = field_new(p, f)
+    rng = random.Random(100 * p + f)
+    shapes = [(0, 0, 0), (2, 0, 0), (3, 2, 0), (1, 1, 1), (1, 4, 1), (4, 1, 3)]
+    shapes += [tuple(rng.randrange(1, 6) for _ in range(3)) for _ in range(25)]
+    for m, k, n in shapes:
+        a = _shaped(F, m, k, rng)
+        b = _shaped(F, k, n if k else 0, rng)
+        cols = list(zip(*b.entries))
+        product_ = a.matmul(b)
+        assert product_ == Matrix(F, [[linalg._dot(F, row, col) for col in cols] for row in a.entries])
+        assert (product_.rows, product_.cols) == (a.rows, b.cols)
+        x = tuple(rng.randrange(F.q) for _ in range(a.rows))
+        y = tuple(rng.randrange(F.q) for _ in range(a.cols))
+        assert a.apply(x) == tuple(linalg._dot(F, x, col) for col in zip(*a.entries)) and len(a.apply(x)) == a.cols
+        assert a.apply_col(y) == tuple(linalg._dot(F, row, y) for row in a.entries) and len(a.apply_col(y)) == a.rows
+        assert all(type(v) is int for v in a.apply(x) + a.apply_col(y))
+
+
+@pytest.mark.parametrize("entry, message", [(3, "3 is not an element of GF(3)"), (True, "vector entry 0 is not an integer: True"), (1.5, "vector entry 0 is not an integer: 1.5")])
+def test_a_callers_entries_are_still_checked(entry, message):
+    F = field_new(3)
+    with pytest.raises(ValueError) as err:
+        Matrix(F, [[entry]])
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        Matrix.identity(F, 1).apply_col((entry,))
+    assert str(err.value) == message
+
+
+def test_only_linalg_and_polarity_make_unchecked_matrices():
+    # `Matrix._computed` skips the entry check: only the results that the
+    # field's tables computed in linalg and polarity are made by it
+    import ast
+    from pathlib import Path
+
+    import qgeom
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(qgeom.__file__).parent.glob("*.py")) if path.stem not in ("linalg", "polarity")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "_computed"
+    ]
+    assert found == []
+
+
 def test_inverse():
     rng = random.Random(13)
     f = field_new(5)

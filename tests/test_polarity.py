@@ -107,6 +107,44 @@ def test_apply_rejects_subspace_outside_h(setting22):
         s.apply(w)
 
 
+def test_apply_refuses_with_its_message(setting22):
+    # a point off h, a line through one, and a plane that meets h in a line
+    field, h, s = setting22
+    for rows in ([(1, 1, 0, 0, 1)], [(1, 0, 0, 0, 0), (0, 0, 0, 0, 1)], [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 1)]):
+        with pytest.raises(ValueError, match="^polarity applies only to subspaces of its hyperplane$"):
+            s.apply(span(field, 5, rows))
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_apply_is_the_definition(q):
+    # sigma(w) = {x in h : x G v^T = 0 for every v in w}, found by trying
+    # every vector of h, under a symmetric gram that is not the identity
+    # and a hyperplane that is not the coordinate one
+    from qgeom import field_from_order
+
+    f = field_from_order(q)
+    h = span(f, 4, [(1, 0, 0, 1), (0, 1, 0, 2), (0, 0, 1, 1)])
+    gram = [[1, 1, 0], [1, 0, 0], [0, 0, 2]]
+    s = polarity_new(f, h, gram)
+    g = s.gram
+    coords = {x: tuple(x[p] for p in h.pivots) for x in h.vectors()}
+    rng = random.Random(q)
+    for w in all_subspaces(h):
+        if rng.random() > 0.3 and w.dim not in (0, 3):
+            continue
+        kept = [x for x, cx in coords.items() if not any(_form(f, g, cx, coords[v]) for v in w.basis_rows)]
+        assert s.apply(w) == span(f, 4, kept)
+
+
+def _form(f, g, x, y):
+    """x G y^T over f, entry by entry."""
+    acc = 0
+    for i, row in enumerate(g.entries):
+        for j, gij in enumerate(row):
+            acc = f.add(acc, f.mul(f.mul(x[i], gij), y[j]))
+    return acc
+
+
 def test_degenerate_gram_rejected():
     f = field_new(2)
     h = coordinate_hyperplane(f, 5)

@@ -72,6 +72,23 @@ def test_gaussian_binomial_values():
             gaussian_binomial(3, 1, q)
 
 
+def test_the_package_has_no_assert_statement():
+    # `python -O` drops assert statements, so no check in the package is
+    # one: gaussian_binomial's exact division raises RuntimeError instead
+    import ast
+    from pathlib import Path
+
+    import qgeom
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(qgeom.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 @pytest.mark.parametrize(
     "q, rows, message",
     [
