@@ -261,12 +261,15 @@ def _verify_thm1(cfg: RunConfig, inst: _Instance):
 def _verify_drg(cfg: RunConfig, inst: _Instance):
     gens = stabilizer_generators(inst.field, cfg.e)
     # Each generator is proved an automorphism of Γ at point level, so no
-    # dense map test runs.  Γ is `_count_graph` over its own record, and by
-    # that function's contract whether two vertices are adjacent depends
-    # only on the sizes of their point sets P(u) and P(w) and on
-    # |P(u) ∩ P(w)|.  A point permutation keeps all three, so once
-    # `_vertex_images` finds every image (it refuses a -1), each row of
-    # images is an automorphism of Γ.  Γ is built first:
+    # dense map test runs.  Γ is `_meet_graph` over its own record, and by
+    # that function's contract its adjacency is the meet rule, a function
+    # of |P(u)|, |P(w)| and |P(u) ∩ P(w)| alone, which every point
+    # permutation that maps the vertex point sets onto themselves keeps.
+    # Once `_vertex_images` finds every image (it refuses a -1), the
+    # generator's point permutation maps the vertex point sets onto
+    # themselves, so its row of vertex images is an automorphism of Γ.
+    # The kernel's oracle tests against every pairwise count are the
+    # evidence for that contract.  Γ is built first:
     # the images then take memory its build freed, and ru_maxrss is lower.
     ia_t = _scan(inst.graph, *_orbit_bases(inst.graph.n, _vertex_images(inst.labels, gens)[1]))
     _progress("drg")(1.0)

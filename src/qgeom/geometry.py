@@ -65,16 +65,23 @@ there.  A d-dimensional subspace has [d]_q = (q^d-1)/(q-1) points, so
 intersection dimensions are read off as point counts.  No check forms
 the uint8 matrix of `Design.incidence()`, which serves the CSV export.
 
-A graph is one rule over two point sets: `_count_graph` takes rule(a,
-b), the number of shared points that makes a set of a points adjacent to
-a set of b points, and reads each set's size from its group.  The
-twisted graph and J_q(n,k) have one rule, the meet rule (`_meet_rule`):
-dim(U ∩ W) = (dim U + dim W)/2 - 1, on A ∪ B for the twisted graph; a
-block graph's rule is its threshold.
+The twisted graph and J_q(n,k) have one rule, the meet rule:
+dim(U ∩ W) = (dim U + dim W)/2 - 1, on A ∪ B for the twisted graph.
+`_meet_graph` builds it from shared subspaces, with no pairwise counts:
+two distinct d-subspaces meet in dim d-1 exactly when they share a
+hyperplane, and a (d-2)-subspace is adjacent to the d-subspaces that
+hold it.  Every hyperplane of every vertex is one row of points, read
+from the vertex's unsorted point images (`_basis_images`) at the columns
+of the hyperplanes of GF(q)^d; the rows are bucketed exactly by one
+lexsort, and each vertex's row is the union of its buckets' vertices.
+A block graph is one rule over counts: `_count_graph` takes rule(a, b),
+the number of shared points that makes a set of a points adjacent to a
+set of b points, and reads each set's size from its group; a block
+graph's rule is its threshold.
 
-Its adjacency is one packed matrix: `_count_graph` packs each row
-block of counts straight into its rows from the block's start on, and
-fills the same rows left of the block from the rows above it by
+Adjacency is one packed matrix.  `_count_graph` packs each row block of
+counts straight into its rows from the block's start on, and fills the
+same rows left of the block from the rows above it by
 `_transpose_strip`, the packed transpose of one 8-byte column strip,
 each 8 x 8 bit block transposed inside one uint64.  `Graph` checks
 symmetry, and `formats.decode_graph6` mirrors its lower triangle, by the
@@ -162,8 +169,7 @@ class Graph:
         if not inside:
             raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
         adj = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-        u, v = np.concatenate([ends, ends[:, ::-1]]).T
-        np.bitwise_or.at(adj, (u, v >> 3), (1 << (v & 7)).astype(np.uint8))
+        _set_pairs(adj, *ends.T)
         return cls(labels if labels is not None else range(n), adj)
 
     @property
@@ -222,6 +228,13 @@ def _transpose_strip(adj: np.ndarray, r: int, c: int) -> np.ndarray:
     # now bit 8j+i of x[b, k] is (8b+i, 8(c+k)+j): byte j is row 8(c+k)+j's byte b
     out = x.view(np.uint8).reshape(-1, 8, 8).transpose(1, 2, 0)
     return out[: strip.shape[1]].reshape(8 * strip.shape[1], (r + 7) // 8)
+
+
+def _set_pairs(adj: np.ndarray, u: np.ndarray, w: np.ndarray):
+    """Set the bits (u[i], w[i]) and (w[i], u[i]) of a packed adjacency
+    matrix in place, for index arrays u and w."""
+    u, w = np.concatenate([u, w]), np.concatenate([w, u])
+    np.bitwise_or.at(adj, (u, w >> 3), (1 << (w & 7)).astype(np.uint8))
 
 
 def _members(mask: np.ndarray, n: int) -> np.ndarray:
@@ -523,13 +536,19 @@ def _point_images(field: Field, mats: np.ndarray, frobs: np.ndarray) -> np.ndarr
     return out
 
 
+def _basis_images(field: Field, bases: np.ndarray) -> np.ndarray:
+    """Entry (i, j): the point that the transposed basis i of a (count, k,
+    n) array, k >= 1, sends point j of GF(q)^k to, so row i holds the
+    points of subspace i in the order of the points of PG(k-1,q)."""
+    return _point_images(field, bases.transpose(0, 2, 1), np.zeros(len(bases), dtype=np.intp))
+
+
 def _basis_points(field: Field, bases: np.ndarray) -> np.ndarray:
     """The point sets of the subspaces whose bases are the rows of a
-    (count, k, n) array, one sorted row each: the points of GF(q)^k under
-    each transposed basis."""
+    (count, k, n) array, one sorted row each."""
     if not bases.shape[1]:  # the zero subspace has no points
         return np.zeros((len(bases), 0), dtype=np.uint8)
-    out = _point_images(field, bases.transpose(0, 2, 1), np.zeros(len(bases), dtype=np.intp))
+    out = _basis_images(field, bases)
     out.sort(axis=1)
     return out
 
@@ -803,21 +822,88 @@ def _count_graph(labels, groups, v: int, rule) -> Graph:
     return Graph(labels, adj)
 
 
-def _meet_rule(q: int):
-    """The rule of J_q(n,k) and of the twisted graph: subspaces U and W are
-    adjacent when dim(U ∩ W) = (dim U + dim W)/2 - 1.  A d-subspace has
-    a = [d]_q points, and (q-1)a + 1 = q^d, so the product of that term
-    over the two sets is q^(dim U + dim W)."""
-    return lambda a, b: _point_count(round(math.log((a * (q - 1) + 1) * (b * (q - 1) + 1), q)) // 2 - 1, q)
+def _meet_graph(labels: _Labels) -> Graph:
+    """The meet graph of a record of distinct nonzero subspaces: U and W
+    are adjacent when dim(U ∩ W) = (dim U + dim W)/2 - 1.  A d-subspace
+    has [d]_q points, so adjacency is a function of |P(U)|, |P(W)| and
+    |P(U) ∩ P(W)|, and every point permutation that maps the vertex point
+    sets onto themselves keeps it.
+
+    It is built from shared subspaces, with no pairwise counts.  Two
+    distinct d-subspaces meet in dim d-1 exactly when they share a
+    hyperplane, and an adjacent pair shares exactly one, U ∩ W
+    (`_share_hyperplanes`).  A d- and a (d-2)-subspace are adjacent exactly
+    when the smaller lies inside the larger, and no other two dimensions
+    can meet in that dimension.  Column j of a vertex's unsorted point
+    images (`_basis_images`) is the image of point j of GF(q)^d, so the
+    points of each of its k-subspaces are its images at the columns of a
+    k-subspace of GF(q)^d (`_subspace_columns`).  Each (d-2)-subspace of a
+    d-vertex whose points all lie in (d-2)-vertices is looked up in the
+    record's index, and the pair is set both ways.  `Graph` checks the
+    result: symmetry, no loops, no bits past the last vertex."""
+    field, q, n = labels.field, labels.field.q, len(labels)
+    adj = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    # per dimension d, read from the [d]_q points: vertex numbers and unsorted point images
+    by_dim = {round(math.log(images.shape[1] * (q - 1) + 1, q)): (numbers, images)
+              for numbers, images in _by_size([_basis_images(field, bases) for _, bases, _ in labels.runs])}
+    for d, (numbers, images) in by_dim.items():
+        _share_hyperplanes(adj, numbers, images[:, _subspace_columns(field, d, d - 1)])
+        if d - 2 in by_dim:
+            covered = np.zeros(labels.points, dtype=bool)
+            covered[by_dim[d - 2][1]] = True
+            subs = images[:, _subspace_columns(field, d, d - 2)]
+            vertex, sub = np.nonzero(covered[subs].all(axis=2))
+            found = labels.index.find(subs[vertex, sub])
+            _set_pairs(adj, numbers[vertex[found >= 0]], found[found >= 0])
+    return Graph(labels, adj)
+
+
+def _subspace_columns(field: Field, d: int, k: int) -> np.ndarray:
+    """The point sets of the k-subspaces of GF(q)^d, one sorted row each."""
+    return _basis_points(field, _all_bases(full_space(field, d), k))
+
+
+def _share_hyperplanes(adj: np.ndarray, numbers: np.ndarray, keys: np.ndarray):
+    """OR into the rows numbers of a packed adjacency matrix: vertex
+    numbers[i] is adjacent to every other vertex that holds one of its m
+    point sets keys[i] (a (count, m, w) array, each set in any order).
+
+    The sets are sorted and bucketed exactly by one lexsort, so no two
+    different sets share a bucket; the empty set (w = 0) is one bucket.
+    Each bucket's vertices are one row of a table, padded with n, and a
+    slab of about _SLAB_BYTES of 0/1 rows at a time takes the table rows
+    of its buckets (column n takes the padding), loses its own vertex's
+    bit and is packed."""
+    count, m, w = keys.shape
+    n = len(adj)
+    keys = np.sort(keys, axis=2).reshape(count * m, w)
+    order = np.lexsort(keys.T) if w else np.arange(len(keys))  # lexsort needs a key
+    ranked = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    starts, ranked_bucket = np.flatnonzero(first), np.cumsum(first) - 1
+    place = np.arange(len(keys)) - starts[ranked_bucket]  # the set's place in its bucket
+    table = np.full((len(starts), place.max(initial=0) + 1), n, dtype=_index_dtype(n + 1))
+    table[ranked_bucket, place] = numbers[order // m]
+    bucket = np.empty(len(keys), dtype=np.intp)
+    bucket[order] = ranked_bucket
+    bucket = bucket.reshape(count, m)
+    per = max(1, _SLAB_BYTES // (n + 1))
+    for at in range(0, count, per):
+        rows = numbers[at : at + per]
+        bits = np.zeros((len(rows), n + 1), dtype=bool)
+        bits[np.arange(len(rows))[:, None], table[bucket[at : at + per]].reshape(len(rows), -1)] = True
+        bits[np.arange(len(rows)), rows] = False
+        adj[rows] |= np.packbits(bits[:, :n], axis=1, bitorder="little")  # the containment pairs may already be set
 
 
 def grassmann_graph(n: int, k: int, q: int) -> Graph:
-    """J_q(n,k): k-subspaces of GF(q)^n, adjacent when meeting in dim k-1."""
+    """J_q(n,k): k-subspaces of GF(q)^n, adjacent when meeting in dim k-1,
+    that is when they share a (k-1)-subspace (`_meet_graph`)."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     field = field_from_order(q)
-    labels = _Labels.of(field, (None, _all_bases(full_space(field, n), k)))
-    return _count_graph(labels, labels.groups, labels.points, _meet_rule(q))
+    return _meet_graph(_Labels.of(field, (None, _all_bases(full_space(field, n), k))))
 
 
 def twisted_grassmann(field: Field, e: int, h: Subspace = None, s: Polarity = None) -> Graph:
@@ -825,8 +911,9 @@ def twisted_grassmann(field: Field, e: int, h: Subspace = None, s: Polarity = No
 
     A holds the (e+1)-subspaces of V not inside h, B the (e-1)-subspaces
     of h; A vertices come first.  Adjacency is the meet rule of the
-    Grassmann graph, dim(U ∩ W) = (dim U + dim W)/2 - 1: A-A pairs meet in
-    dim e, an A vertex covers its B neighbors, B-B pairs meet in dim e-2.  The
+    Grassmann graph, dim(U ∩ W) = (dim U + dim W)/2 - 1, built from shared
+    subspaces (`_meet_graph`): A-A pairs share an e-subspace, an A vertex
+    holds its B neighbors, B-B pairs share an (e-2)-subspace.  The
     polarity argument is accepted for signature parity with the design
     constructor, and refused unless it is a polarity of h; the graph itself
     never consults it.
@@ -1014,8 +1101,8 @@ class _Instance:
     @cached_property
     def graph(self) -> Graph:
         """The twisted Grassmann graph (see `twisted_grassmann`): the meet
-        rule of J_q(2e+1,e+1) on A ∪ B."""
-        return _count_graph(self.labels, self.labels.groups, len(self.points), _meet_rule(self.field.q))
+        rule on A ∪ B (`_meet_graph`)."""
+        return _meet_graph(self.labels)
 
     @cached_property
     def f(self) -> np.ndarray:

@@ -405,8 +405,8 @@ def test_verify_all_builds_each_thing_once(monkeypatch, capsys):
     import qgeom.cli as cli
     import qgeom.geometry as geometry
 
-    enumerated, counted, mapped = [], [], []
-    slabs, count_graph, block_map = geometry._rref_slabs, geometry._count_graph, geometry._block_map
+    enumerated, counted, met, mapped = [], [], [], []
+    slabs, count_graph, meet_graph, block_map = geometry._rref_slabs, geometry._count_graph, geometry._meet_graph, geometry._block_map
 
     def enumerate_spy(space, k):
         enumerated.append((space.dim, k))
@@ -416,6 +416,10 @@ def test_verify_all_builds_each_thing_once(monkeypatch, capsys):
         counted.append(len(labels))
         return count_graph(labels, *args)
 
+    def meet_spy(labels):
+        met.append(len(labels))
+        return meet_graph(labels)
+
     def map_spy(ws, *args):
         mapped.append(len(ws))
         return block_map(ws, *args)
@@ -424,11 +428,13 @@ def test_verify_all_builds_each_thing_once(monkeypatch, capsys):
     assert not hasattr(geometry, "enumerate_k_subspaces")  # geometry reads the array core alone
     monkeypatch.setattr(geometry, "_count_graph", count_spy)
     monkeypatch.setattr(cli, "_count_graph", count_spy)
+    monkeypatch.setattr(geometry, "_meet_graph", meet_spy)
     monkeypatch.setattr(geometry, "_block_map", map_spy)
     code, _, _ = run(capsys, "verify", "all", "--q", "3")
     assert code == 0
     assert enumerated.count((5, 3)) == 1  # the (e+1)-subspaces of V
-    assert counted == [1210, 1210]  # thm1: the graph of the rows of f, then the twisted graph
+    assert counted == [1210]  # thm1's graph of the rows of f
+    assert met == [1210]  # the twisted graph
     assert mapped == [1210]  # f, once over every vertex
 
 
@@ -479,6 +485,7 @@ def test_verify_aut_sample_builds_no_adjacency(monkeypatch, capsys):
         raise AssertionError("an adjacency matrix was built")
 
     monkeypatch.setattr(geometry, "_count_graph", refuse)
+    monkeypatch.setattr(geometry, "_meet_graph", refuse)
     code, out, _ = run(capsys, "verify", "aut-sample")
     assert code == 0
     assert json.loads(out)["details"] == {"sampled": 1000, "failures": [], "cross_checked": 33}

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from itertools import combinations
@@ -268,6 +269,43 @@ def test_pair_counts_and_count_graph_match_the_full_product(height):
             assert height < 8 or expected.any()
             mixed += int((expected & (sizes[:, None] != sizes)).sum())
     assert height < 8 or mixed > 0
+
+
+def _meet_rule(q: int):
+    """The dense oracle's rule for the twisted graph and J_q(n,k):
+    subspaces U and W are adjacent when dim(U ∩ W) = (dim U + dim W)/2 - 1.
+    A d-subspace has a = [d]_q points, and (q-1)a + 1 = q^d, so the product
+    of that term over the two sets is q^(dim U + dim W)."""
+    return lambda a, b: (q ** (round(math.log((a * (q - 1) + 1) * (b * (q - 1) + 1), q)) // 2 - 1) - 1) // (q - 1)
+
+
+def _dense_meet_graph(labels):
+    """The meet graph of a record from every pairwise count."""
+    from qgeom.geometry import _count_graph
+
+    return _count_graph(labels, labels.groups, labels.points, _meet_rule(labels.field.q))
+
+
+@pytest.mark.parametrize(
+    "q,e,seed", [(2, 2, None), (3, 2, None), (4, 2, None), (2, 3, None), (2, 2, 0), (3, 2, 1)],
+    ids=["q2e2", "q3e2", "q4e2", "q2e3", "q2e2-random0", "q3e2-random1"],
+)
+def test_twisted_graph_is_the_dense_meet_rule(q, e, seed):
+    # the shared-hyperplane kernel against every pairwise count, byte for
+    # byte: at e = 2 the B vertices are points, whose hyperplane is the
+    # empty set, so all of B is one bucket
+    field = field_from_order(q)
+    h = None if seed is None else _random_hyperplane(field, 2 * e + 1, random.Random(seed))
+    assert seed is None or h != coordinate_hyperplane(field, 2 * e + 1)
+    g = twisted_grassmann(field, e, h)
+    assert g.adj.tobytes() == _dense_meet_graph(g._family).adj.tobytes()
+
+
+@pytest.mark.parametrize("n,k,q", [(n, k, q) for q in (2, 3) for n in range(2, 6) for k in range(1, n)] + [(5, 2, 4)])
+def test_grassmann_graph_is_the_dense_meet_rule(n, k, q):
+    g = grassmann_graph(n, k, q)
+    assert g.adj.tobytes() == _dense_meet_graph(g._family).adj.tobytes()
+    assert (g.num_edges() == g.n * (g.n - 1) // 2) == (k in (1, n - 1))  # complete exactly at the ends
 
 
 def test_intersection_spectrum_matches_every_pair_beyond_one_row_block(jt22):
