@@ -14,6 +14,7 @@ them; `cmd_verify` applies `_skip_reason` to it and times every check.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import stat
@@ -61,9 +62,6 @@ from .gf import field_from_order, is_prime
 from .polarity import polarity_new
 from .subspace import coordinate_hyperplane, gaussian_binomial
 
-_EXT = {"graph6": "g6", "dimacs-edges": "dimacs", "json": "json", "incidence-csv": "csv"}
-
-
 @dataclass
 class RunConfig:
     q: int
@@ -75,13 +73,18 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args):
+        """The run's settings; an --out that is a directory is refused here,
+        before anything is built or checked."""
+        out = getattr(args, "out", None)
+        if out and os.path.isdir(out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
         return cls(
             q=args.q,
             e=args.e,
             gram=_load_gram(args.gram) if getattr(args, "gram", None) else None,
             seed=getattr(args, "seed", 0),
             fmt=getattr(args, "format", None),
-            out=getattr(args, "out", None),
+            out=out,
         )
 
 
@@ -183,22 +186,34 @@ def _make_object(kind: str, cfg: RunConfig, n: int | None = None, k: int | None 
     raise ValueError(f"unknown kind {kind}")
 
 
+# Each class of object: its name in messages, the build kinds that make
+# it, and per format its file extension and its writer.
+_FORMATS = {
+    Graph: ("graphs", ("grassmann", "twisted"), {
+        "graph6": ("g6", lambda g: encode_graph6(g) + "\n"),
+        "dimacs-edges": ("dimacs", encode_dimacs),
+        "json": ("json", lambda g: encode_graph_json(g) + "\n"),
+    }),
+    Design: ("designs", ("pg-design", "jt-design"), {
+        "json": ("json", lambda d: json.dumps(design_to_json(d)) + "\n"),
+        "incidence-csv": ("csv", incidence_csv),
+    }),
+}
+
+
+def _format(cls, fmt: str) -> tuple:
+    """(file extension, writer) of fmt for objects of class cls; ValueError
+    if they do not export as fmt."""
+    name, _, writers = _FORMATS[cls]
+    if fmt not in writers:
+        raise ValueError(f"{name} do not export as {fmt}")
+    return writers[fmt]
+
+
 def _serialize(obj, fmt: str) -> str:
-    if isinstance(obj, Graph):
-        if fmt == "graph6":
-            return encode_graph6(obj) + "\n"
-        if fmt == "dimacs-edges":
-            return encode_dimacs(obj)
-        if fmt == "json":
-            return encode_graph_json(obj) + "\n"
-        raise ValueError(f"graphs do not export as {fmt}")
-    if isinstance(obj, Design):
-        if fmt == "json":
-            return json.dumps(design_to_json(obj)) + "\n"
-        if fmt == "incidence-csv":
-            return incidence_csv(obj)
-        raise ValueError(f"designs do not export as {fmt}")
-    raise ValueError(f"cannot serialize {type(obj).__name__}")
+    if (cls := next((c for c in _FORMATS if isinstance(obj, c)), None)) is None:
+        raise ValueError(f"cannot serialize {type(obj).__name__}")
+    return _format(cls, fmt)[1](obj)
 
 
 def _summary(obj) -> str:
@@ -212,11 +227,14 @@ def _summary(obj) -> str:
 
 
 def cmd_build(args) -> int:
+    """Build one object and write it; a format its class does not take is
+    refused before anything is built."""
     cfg = RunConfig.from_args(args)
-    obj = _make_object(args.kind, cfg, getattr(args, "n", None), getattr(args, "k", None))
     fmt = cfg.fmt or "json"
-    out = cfg.out or f"{args.kind}-q{cfg.q}-e{cfg.e}.{_EXT[fmt]}"
-    _atomic_write(out, _serialize(obj, fmt))
+    ext, write = _format(next(c for c, (_, kinds, _) in _FORMATS.items() if args.kind in kinds), fmt)
+    obj = _make_object(args.kind, cfg, getattr(args, "n", None), getattr(args, "k", None))
+    out = cfg.out or f"{args.kind}-q{cfg.q}-e{cfg.e}.{ext}"
+    _atomic_write(out, write(obj))
     print(f"{_summary(obj)} -> {out}")
     return 0
 
@@ -399,7 +417,7 @@ def _add_common(p, with_format=False):
     if with_format:
         p.add_argument(
             "--format",
-            choices=sorted(_EXT),
+            choices=sorted({fmt for _, _, writers in _FORMATS.values() for fmt in writers}),
             help="serialization format (default json)",
         )
 
@@ -416,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("export", "serialize an object in a chosen format"),
     ):
         b = sub.add_parser(name, help=text)
-        b.add_argument("kind", choices=["grassmann", "twisted", "pg-design", "jt-design"])
+        b.add_argument("kind", choices=[kind for _, kinds, _ in _FORMATS.values() for kind in kinds])
         b.add_argument("--n", type=int, help="ambient dimension (grassmann only, default 2e+1)")
         b.add_argument("--k", type=int, help="subspace dimension (grassmann only, default e)")
         _add_common(b, with_format=True)

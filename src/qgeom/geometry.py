@@ -35,7 +35,7 @@ x -> M.frob^i(x), GF(q)^k to GF(q)^n with q = p^f, is GF(p)-linear on
 p-digits, so a batch of (n x k) matrices maps all points in one float32
 BLAS product, reduced mod p, exact below 2**24.  Square maps give
 `autgroup` its point permutations; the transposed RREF basis of a
-k-subspace gives its points (`_basis_points`).
+k-subspace gives its points, already in increasing order (`_basis_images`).
 `_SetIndex` finds point sets among many, exactly, from rows of their
 points in any order: a graph's vertices (`_Labels.index`), the sigma
 point sets, and the blocks of a design.  Its key, the point mask, is its
@@ -70,10 +70,11 @@ dim(U ∩ W) = (dim U + dim W)/2 - 1, on A ∪ B for the twisted graph.
 `_meet_graph` builds it from shared subspaces, with no pairwise counts:
 two distinct d-subspaces meet in dim d-1 exactly when they share a
 hyperplane, and a (d-2)-subspace is adjacent to the d-subspaces that
-hold it.  Every hyperplane of every vertex is one row of points, read
-from the vertex's unsorted point images (`_basis_images`) at the columns
-of the hyperplanes of GF(q)^d; the rows are bucketed exactly by one
-lexsort, and each vertex's row is the union of its buckets' vertices.
+hold it.  Every hyperplane of every vertex is one increasing row of
+points, read from the vertex's point row, the images of the points of
+GF(q)^d in their order (`_basis_images`), at the columns of the
+hyperplanes of GF(q)^d; the rows are bucketed exactly by one lexsort, and
+each vertex's row is the union of its buckets' vertices.
 A block graph is one rule over counts: `_count_graph` takes rule(a, b),
 the number of shared points that makes a set of a points adjacent to a
 set of b points, and reads each set's size from its group; a block
@@ -158,6 +159,9 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges, labels=None):
         n = _nonnegative_int(n, "n")
+        labels = range(n) if labels is None else tuple(labels)
+        if len(labels) != n:
+            raise ValueError("one label per vertex required")
         pairs = [_indices(e, f"edge {i}") for i, e in enumerate(edges)]
         if (bad := next((i for i, pair in enumerate(pairs) if len(pair) != 2), None)) is not None:
             raise ValueError(f"edge {bad} is not a pair of endpoints: {pairs[bad]}")
@@ -170,7 +174,7 @@ class Graph:
             raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
         adj = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
         _set_pairs(adj, *ends.T)
-        return cls(labels if labels is not None else range(n), adj)
+        return cls(labels, adj)
 
     @property
     def labels(self) -> tuple:
@@ -407,7 +411,7 @@ class _Labels:
     def of(cls, field: Field, *runs) -> _Labels:
         """The record of runs (tag, RREF bases), their point sets formed
         from their bases."""
-        return cls(field, [(tag, bases, _basis_points(field, bases)) for tag, bases in runs])
+        return cls(field, [(tag, bases, _basis_images(field, bases)) for tag, bases in runs])
 
     def __len__(self):
         return sum(len(bases) for _, bases, _ in self.runs)
@@ -531,26 +535,32 @@ def _point_images(field: Field, mats: np.ndarray, frobs: np.ndarray) -> np.ndarr
         m, i = mats[start : start + per], frobs[start : start + per]
         # rows (t, c), columns (map, r, d): block (r, c) of a map is the GF(p) matrix of x -> M[r,c].frob^i(x)
         blocks = np.take(table, (m + field.q * i[:, None, None]).transpose(2, 0, 1), axis=1)
-        codes = _mod(digits @ blocks.reshape(k * f, -1), p).reshape(-1, n * f) @ radix
+        # OpenBLAS 0.3.31 on an AVX-512 host raised the invalid flag in
+        # this product, whose entries were exact, in 4 of 1000 fresh
+        # processes at q = 3: the flag is ignored, and a product that is
+        # not finite raises by name
+        with np.errstate(invalid="ignore"):
+            codes = _mod(digits @ blocks.reshape(k * f, -1), p).reshape(-1, n * f) @ radix
+        if not np.isfinite(codes).all():
+            raise FloatingPointError(f"the float32 point-image product into GF({field.q})^{n} is not finite")
         out[start : start + per] = point_of[codes.astype(np.intp).reshape(len(digits), -1).T]
     return out
 
 
 def _basis_images(field: Field, bases: np.ndarray) -> np.ndarray:
     """Entry (i, j): the point that the transposed basis i of a (count, k,
-    n) array, k >= 1, sends point j of GF(q)^k to, so row i holds the
-    points of subspace i in the order of the points of PG(k-1,q)."""
-    return _point_images(field, bases.transpose(0, 2, 1), np.zeros(len(bases), dtype=np.intp))
+    n) array sends point j of GF(q)^k to, so row i holds the points of
+    subspace i in the order of the points of PG(k-1,q); k = 0 gives empty
+    rows, since the zero subspace has no points.
 
-
-def _basis_points(field: Field, bases: np.ndarray) -> np.ndarray:
-    """The point sets of the subspaces whose bases are the rows of a
-    (count, k, n) array, one sorted row each."""
-    if not bases.shape[1]:  # the zero subspace has no points
+    Every basis that reaches this function is RREF: it comes from
+    `_rref_slabs`, or from a `Subspace`, whose constructor refuses any
+    other basis.  So each row is increasing: c -> cB keeps the order of
+    monic vectors, since column p_t of cB, the pivot of row t, is c_t and
+    every column before it reads only c_0..c_{t-1}."""
+    if not bases.shape[1]:
         return np.zeros((len(bases), 0), dtype=np.uint8)
-    out = _basis_images(field, bases)
-    out.sort(axis=1)
-    return out
+    return _point_images(field, bases.transpose(0, 2, 1), np.zeros(len(bases), dtype=np.intp))
 
 
 def _bases(subspaces) -> np.ndarray:
@@ -562,7 +572,7 @@ def _bases(subspaces) -> np.ndarray:
 
 def _point_array(subspaces) -> np.ndarray:
     """The point sets of subspaces of one dimension, one sorted row each."""
-    return _basis_points(subspaces[0].field, _bases(subspaces))
+    return _basis_images(subspaces[0].field, _bases(subspaces))
 
 
 def _all_bases(ambient: Subspace, k: int) -> np.ndarray:
@@ -834,18 +844,17 @@ def _meet_graph(labels: _Labels) -> Graph:
     hyperplane, and an adjacent pair shares exactly one, U ∩ W
     (`_share_hyperplanes`).  A d- and a (d-2)-subspace are adjacent exactly
     when the smaller lies inside the larger, and no other two dimensions
-    can meet in that dimension.  Column j of a vertex's unsorted point
-    images (`_basis_images`) is the image of point j of GF(q)^d, so the
-    points of each of its k-subspaces are its images at the columns of a
-    k-subspace of GF(q)^d (`_subspace_columns`).  Each (d-2)-subspace of a
+    can meet in that dimension.  Column j of a vertex's point row in the
+    record is the image of point j of GF(q)^d (`_basis_images`), so the
+    points of each of its k-subspaces are that row at the columns of a
+    k-subspace of GF(q)^d (`_subspace_columns`), an increasing row.  Each (d-2)-subspace of a
     d-vertex whose points all lie in (d-2)-vertices is looked up in the
     record's index, and the pair is set both ways.  `Graph` checks the
     result: symmetry, no loops, no bits past the last vertex."""
     field, q, n = labels.field, labels.field.q, len(labels)
     adj = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-    # per dimension d, read from the [d]_q points: vertex numbers and unsorted point images
-    by_dim = {round(math.log(images.shape[1] * (q - 1) + 1, q)): (numbers, images)
-              for numbers, images in _by_size([_basis_images(field, bases) for _, bases, _ in labels.runs])}
+    # per dimension d, read from the [d]_q points: vertex numbers and point rows
+    by_dim = {round(math.log(images.shape[1] * (q - 1) + 1, q)): (numbers, images) for numbers, images in labels.groups}
     for d, (numbers, images) in by_dim.items():
         _share_hyperplanes(adj, numbers, images[:, _subspace_columns(field, d, d - 1)])
         if d - 2 in by_dim:
@@ -860,23 +869,23 @@ def _meet_graph(labels: _Labels) -> Graph:
 
 def _subspace_columns(field: Field, d: int, k: int) -> np.ndarray:
     """The point sets of the k-subspaces of GF(q)^d, one sorted row each."""
-    return _basis_points(field, _all_bases(full_space(field, d), k))
+    return _basis_images(field, _all_bases(full_space(field, d), k))
 
 
 def _share_hyperplanes(adj: np.ndarray, numbers: np.ndarray, keys: np.ndarray):
     """OR into the rows numbers of a packed adjacency matrix: vertex
     numbers[i] is adjacent to every other vertex that holds one of its m
-    point sets keys[i] (a (count, m, w) array, each set in any order).
+    point sets keys[i] (a (count, m, w) array, each set an increasing row).
 
-    The sets are sorted and bucketed exactly by one lexsort, so no two
-    different sets share a bucket; the empty set (w = 0) is one bucket.
+    Equal sets are equal rows, so one lexsort buckets the sets exactly, and
+    no two different sets share a bucket; the empty set (w = 0) is one bucket.
     Each bucket's vertices are one row of a table, padded with n, and a
     slab of about _SLAB_BYTES of 0/1 rows at a time takes the table rows
     of its buckets (column n takes the padding), loses its own vertex's
     bit and is packed."""
     count, m, w = keys.shape
     n = len(adj)
-    keys = np.sort(keys, axis=2).reshape(count * m, w)
+    keys = keys.reshape(count * m, w)
     order = np.lexsort(keys.T) if w else np.arange(len(keys))  # lexsort needs a key
     ranked = keys[order]
     first = np.ones(len(keys), dtype=bool)
@@ -1075,7 +1084,7 @@ class _Instance:
         """The RREF bases of the (e+1)-subspaces of V, from one enumeration,
         and their point-set array."""
         bases = _all_bases(full_space(self.field, 2 * self.e + 1), self.e + 1)
-        return bases, _basis_points(self.field, bases)
+        return bases, _basis_images(self.field, bases)
 
     @cached_property
     def families(self):
@@ -1090,7 +1099,7 @@ class _Instance:
         in_h[_point_array([self.h])[0]] = True
         off = ~in_h[sets].all(axis=1)
         b = _all_bases(self.h, self.e - 1)
-        return ("A", bases[off], sets[off]), ("B", b, _basis_points(self.field, b)), ("B", bases[~off], sets[~off])
+        return ("A", bases[off], sets[off]), ("B", b, _basis_images(self.field, b)), ("B", bases[~off], sets[~off])
 
     @cached_property
     def labels(self) -> _Labels:

@@ -551,8 +551,8 @@ def test_readme_sequence_forms_the_vertex_point_sets_once(monkeypatch, request, 
     tg = twisted_grassmann(field, 2, h, s)
     g, d = Graph(tg.labels, tg.adj), jt_design(field, 2, h, s)  # a graph given label tuples
     assert g._family is None
-    formed, basis_points = [], geometry._basis_points
-    monkeypatch.setattr(geometry, "_basis_points", lambda field, bases: formed.append(len(bases)) or basis_points(field, bases))
+    formed, basis_images = [], geometry._basis_images
+    monkeypatch.setattr(geometry, "_basis_images", lambda field, bases: formed.append(len(bases)) or basis_images(field, bases))
     cert = f_certificate(g, d, h, s)
     gens = stabilizer_generators(field, 2)
     assert all(len(vertex_permutation(g, phi)) == g.n for phi in gens)

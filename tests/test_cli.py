@@ -691,6 +691,44 @@ def test_out_into_a_missing_directory_names_the_path_given(command, tmp_path, ca
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command,built",
+    [(("verify", "thm1"), "_geometry"), (("build", "twisted"), "_make_object"), (("export", "pg-design"), "_make_object")],
+    ids=["verify", "build", "export"],
+)
+def test_out_that_is_a_directory_is_refused_before_anything_is_built(command, built, tmp_path, monkeypatch, capsys):
+    import qgeom.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, built, lambda *args: calls.append(args))
+    code, stdout, err = run(capsys, *command, "--out", str(tmp_path))
+    assert code == 2
+    assert (stdout, err) == ("", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "kind,fmt,message",
+    [
+        ("twisted", "incidence-csv", "graphs do not export as incidence-csv"),
+        ("grassmann", "incidence-csv", "graphs do not export as incidence-csv"),
+        ("jt-design", "graph6", "designs do not export as graph6"),
+        ("pg-design", "dimacs-edges", "designs do not export as dimacs-edges"),
+    ],
+)
+@pytest.mark.parametrize("command", ["build", "export"])
+def test_build_refuses_a_format_of_another_kind_before_building(command, kind, fmt, message, tmp_path, monkeypatch, capsys):
+    import qgeom.cli as cli
+
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setattr(cli, "_make_object", lambda *args: calls.append(args))
+    code, stdout, err = run(capsys, command, kind, "--q", "5", "--format", fmt)
+    assert code == 2
+    assert (stdout, err) == ("", f"error: {message}\n")
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("entry", [1.0, 0.5, True, "1"], ids=["one-float", "half", "bool", "string"])
 def test_gram_entries_must_be_integers(entry, tmp_path, monkeypatch, capsys):
     gram = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]

@@ -76,6 +76,13 @@ def test_graph_rejects_wrong_shape_or_dtype():
             Graph.from_edges(3, [bad_edge])
 
 
+def test_graph_from_edges_names_the_labels_when_their_count_is_not_n():
+    for labels in (["a"], ["a", "b", "c", "d"], []):
+        with pytest.raises(ValueError) as exc:
+            Graph.from_edges(3, [(0, 1)], labels=labels)
+        assert str(exc.value) == "one label per vertex required"
+
+
 @pytest.mark.parametrize("end", [2**70, -(2**70)])
 def test_graph_from_edges_names_an_endpoint_past_int64(end):
     with pytest.raises(ValueError, match=r"edge endpoints must lie in 0\.\.2"):
@@ -591,6 +598,57 @@ def test_point_images_refuse_codes_and_sums_beyond_exact_float32():
     with pytest.raises(ValueError, match=r"GF\(4093\)\^2 .*\(2\*\*24\)"):
         _point_images(SimpleNamespace(p=4093, f=1, q=4093), np.zeros((1, 2, 2), dtype=np.intp), np.zeros(1, np.intp))
     assert (_vector_tables.cache_info(), _field_arrays.cache_info()) == before  # nothing built
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 5), (4, 5), (5, 5), (2, 7), (8, 4), (9, 4), (16, 3)])
+def test_basis_images_of_rref_bases_are_increasing_rows(q, n):
+    # c -> cB keeps the order of monic vectors for an RREF basis B, so every
+    # point row comes out of the point action sorted
+    from qgeom.geometry import _basis_images
+    from qgeom.subspace import _rref_slabs
+
+    field = field_from_order(q)
+    for k in range(1, n):
+        for bases in _rref_slabs(full_space(field, n), k):
+            rows = _basis_images(field, bases).astype(np.int64)
+            assert rows.shape[1] == (q ** k - 1) // (q - 1)
+            assert (np.diff(rows, axis=1) > 0).all()
+
+
+def test_the_twisted_graph_forms_each_point_row_once(monkeypatch):
+    # Γ reads its vertices' point rows from the record, so a fresh instance
+    # maps each (e+1)-subspace of V, each B vertex and h once into GF(3)^5
+    import qgeom.geometry as geometry
+
+    rows, point_images = Counter(), geometry._point_images
+
+    def spy(field, mats, frobs):
+        rows[mats.shape[1]] += len(mats)
+        return point_images(field, mats, frobs)
+
+    monkeypatch.setattr(geometry, "_point_images", spy)
+    inst = geometry._Instance(field_from_order(3), 2)
+    inst.graph
+    assert rows[5] == gaussian_binomial(5, 3, 3) + gaussian_binomial(4, 1, 3) + 1 == 1251
+
+
+def test_point_images_name_a_product_that_is_not_finite(monkeypatch):
+    import qgeom.geometry as geometry
+
+    field = field_new(3)
+    bases = geometry._all_bases(full_space(field, 5), 3)[:4]
+    vector_tables = geometry._vector_tables
+
+    def poisoned(field, n):
+        digits, radix, point_of = vector_tables(field, n)
+        digits = digits.copy()
+        digits[1, 0] = np.nan
+        return digits, radix, point_of
+
+    monkeypatch.setattr(geometry, "_vector_tables", poisoned)
+    with pytest.raises(FloatingPointError) as exc:
+        geometry._basis_images(field, bases)
+    assert str(exc.value) == "the float32 point-image product into GF(3)^5 is not finite"
 
 
 def test_point_images_are_the_same_in_slabs_of_one(monkeypatch):
